@@ -826,7 +826,7 @@ pub const ORDER_QUERY: &str = "SELECT id, num FROM t ORDER BY num LIMIT 10";
 /// Cost-based planner (v2) ladders: the same two queries — a selective
 /// range predicate ([`RANGE_QUERY`], ~1% of rows) and an
 /// `ORDER BY ... LIMIT 10` ([`ORDER_QUERY`]) — measured with and
-/// without the ordered secondary index plus `ANALYZE` statistics that
+/// without the secondary index plus `ANALYZE` statistics that
 /// let the planner seek instead of scanning and walk the index instead
 /// of sorting. Four series over table row count: `range/seq`,
 /// `range/seek`, `orderby/sort`, `orderby/elided`.
@@ -849,7 +849,7 @@ pub fn planner_v2(sizes: &[usize]) -> Figure {
                 .unwrap();
         }
         if indexed {
-            db.run_script("CREATE INDEX t_num ON t (num) USING ORDERED; ANALYZE;")
+            db.run_script("CREATE INDEX t_num ON t (num); ANALYZE;")
                 .expect("index + analyze");
         }
         db
@@ -872,7 +872,7 @@ pub fn planner_v2(sizes: &[usize]) -> Figure {
         let text: String = plan.rows.iter().map(|r| format!("{}\n", r[0])).collect();
         assert!(
             text.contains("OrderedScan t (num)") && !text.contains("Sort"),
-            "ORDER BY LIMIT must walk the ordered index:\n{text}"
+            "ORDER BY LIMIT must walk the index:\n{text}"
         );
         db.reset_stats();
         db.query(RANGE_QUERY).expect("range");

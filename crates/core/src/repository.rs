@@ -123,7 +123,6 @@ impl XmlRepository {
         let storage = StorageConfig {
             backend: config.backend,
             pool_frames: config.pool_frames,
-            ..StorageConfig::default()
         };
         let mut db = Database::open_with(path, storage)?;
         db.set_statement_cost(std::time::Duration::from_micros(config.statement_cost_us));

@@ -56,7 +56,9 @@ pub enum Stmt {
         /// Suppress the missing-table error.
         if_exists: bool,
     },
-    /// `CREATE INDEX name ON table (column) [USING ORDERED | USING HASH]`
+    /// `CREATE INDEX name ON table (column)`. A trailing `USING ORDERED`
+    /// or `USING HASH` is accepted and ignored (there is one index kind;
+    /// older scripts and WALs carry the clause).
     CreateIndex {
         /// Index name (bookkeeping only).
         name: String,
@@ -64,9 +66,6 @@ pub enum Stmt {
         table: String,
         /// Indexed column.
         column: String,
-        /// `USING ORDERED` — an ordered index supporting range and
-        /// prefix seeks (default is a hash index).
-        ordered: bool,
     },
     /// `ANALYZE [table]` — rebuild planner statistics (row counts,
     /// distinct counts, min/max, equi-depth histograms) for one table or

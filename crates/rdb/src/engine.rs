@@ -11,7 +11,7 @@
 use crate::ast::*;
 use crate::cells::{Counter, DurCell, FlagCell, IdCell, OptDurCell};
 use crate::error::{DbError, Result};
-use crate::exec::{EvalCtx, PlanProf, RowEnv};
+use crate::exec::{EvalCtx, PlanProf, RowEnv, SliceEnv};
 use crate::mvcc::MvccState;
 use crate::obs::{self, Metric, SlowQuery, Span};
 use crate::parser::{parse_script_with_text, parse_stmt_with_params};
@@ -488,10 +488,6 @@ const SNAPSHOT_TMP: &str = "snapshot.tmp";
 fn storage_err(ctx: &str, e: &std::io::Error) -> DbError {
     DbError::Storage(format!("{ctx}: {e}"))
 }
-
-/// A deleted row captured for undo: its slot position, the row itself,
-/// and its offset inside each index bucket.
-type DeletedRowUndo = (usize, Row, Vec<(usize, usize)>);
 
 /// One timed statement execution, as handed from the logged funnels to
 /// [`Database::account_statement`].
@@ -1665,14 +1661,9 @@ impl Database {
                     t.undo_insert(pos);
                 }
             }
-            UndoRecord::DeletedRow {
-                table,
-                pos,
-                row,
-                index_offsets,
-            } => {
+            UndoRecord::DeletedRow { table, pos, row } => {
                 if let Some(t) = self.tables.get_mut(&table) {
-                    t.restore_row(pos, row, &index_offsets);
+                    t.restore_row(pos, row);
                 }
             }
             UndoRecord::UpdatedCell {
@@ -1680,10 +1671,11 @@ impl Database {
                 pos,
                 column,
                 old,
-                old_offset,
             } => {
                 if let Some(t) = self.tables.get_mut(&table) {
-                    t.unupdate_cell(pos, column, old, old_offset);
+                    // A vanished row means the log was corrupted; degrade
+                    // to a no-op like the other arms.
+                    let _ = t.update_cell(pos, column, old);
                 }
             }
             UndoRecord::CreatedTable { name } => {
@@ -1712,17 +1704,9 @@ impl Database {
                     self.triggers.insert(at.min(self.triggers.len()), trig);
                 }
             }
-            UndoRecord::CreatedIndex {
-                table,
-                column,
-                ordered,
-            } => {
+            UndoRecord::CreatedIndex { table, column } => {
                 if let Some(t) = self.tables.get_mut(&table) {
-                    if ordered {
-                        t.drop_ordered_index(column);
-                    } else {
-                        t.drop_index(column);
-                    }
+                    t.drop_index(column);
                 }
             }
             UndoRecord::Analyzed { table, prior } => {
@@ -1800,8 +1784,8 @@ impl Database {
 
     /// [`Database::open`] with an explicit [`StorageConfig`]. With the
     /// paged backend selected, recovery prefers the page store's
-    /// checkpoint meta (tables are rebuilt from the B-trees and hash
-    /// indexes recomputed in slot order); a directory that only holds a
+    /// checkpoint meta (tables are rebuilt from the B-trees and their
+    /// indexes recomputed from the slots); a directory that only holds a
     /// full snapshot is migrated by seeding the page store from it. All
     /// table mutations from then on — including the WAL replay below —
     /// are mirrored into the store.
@@ -1824,8 +1808,7 @@ impl Database {
                 }
             }
             BackendKind::Paged => {
-                let (store, meta) =
-                    PagedStore::open(&dir, config.pool_frames, config.read_through)?;
+                let (store, meta) = PagedStore::open(&dir, config.pool_frames)?;
                 db.storage = Arc::new(store);
                 match meta {
                     Some(meta) => {
@@ -2194,36 +2177,54 @@ impl Database {
         Ok(())
     }
 
+    /// Rebuild one table from checkpointed parts. The indexed column
+    /// numbers come from disk, so they are checked against the schema
+    /// here rather than trusted by the index build.
+    fn table_from_checkpoint(
+        key: &str,
+        name: String,
+        columns: Vec<(String, crate::value::DataType)>,
+        slots: Vec<Option<Row>>,
+        indexed: &[u32],
+        stats: Option<crate::stats::TableStatistics>,
+    ) -> Result<Table> {
+        let schema = TableSchema {
+            name,
+            columns: columns
+                .into_iter()
+                .map(|(name, ty)| ColumnDef { name, ty })
+                .collect(),
+        };
+        let indexed: Vec<usize> = indexed.iter().map(|&ci| ci as usize).collect();
+        if let Some(ci) = indexed.iter().find(|&&ci| ci >= schema.columns.len()) {
+            return Err(DbError::Storage(format!(
+                "checkpoint indexes unknown column {ci} of `{key}`"
+            )));
+        }
+        if slots
+            .iter()
+            .flatten()
+            .any(|r| r.len() != schema.columns.len())
+        {
+            return Err(DbError::Storage(format!(
+                "checkpoint holds a row of the wrong width in `{key}`"
+            )));
+        }
+        Ok(Table::from_parts(schema, slots, &indexed, stats))
+    }
+
     /// Reconstruct state from a decoded snapshot (open-time only).
     fn restore_snapshot(&mut self, snap: wal::Snapshot) -> Result<()> {
         for st in snap.tables {
-            let schema = TableSchema {
-                name: st.name,
-                columns: st
-                    .columns
-                    .into_iter()
-                    .map(|(name, ty)| ColumnDef { name, ty })
-                    .collect(),
-            };
-            let mut indexes: HashMap<usize, HashMap<Value, Vec<usize>>> = HashMap::new();
-            for (column, buckets) in st.indexes {
-                let map = buckets
-                    .into_iter()
-                    .map(|(v, ps)| (v, ps.into_iter().map(|p| p as usize).collect()))
-                    .collect();
-                indexes.insert(column as usize, map);
-            }
-            let ordered: Vec<usize> = st.ordered.iter().map(|&c| c as usize).collect();
-            if ordered.iter().any(|&ci| ci >= schema.columns.len()) {
-                return Err(DbError::Storage(format!(
-                    "snapshot orders unknown column of `{}`",
-                    st.key
-                )));
-            }
-            self.tables.insert(
-                st.key,
-                Table::from_parts(schema, st.slots, indexes, &ordered, st.stats),
-            );
+            let table = Self::table_from_checkpoint(
+                &st.key,
+                st.name,
+                st.columns,
+                st.slots,
+                &st.indexed,
+                st.stats,
+            )?;
+            self.tables.insert(st.key, table);
         }
         for sql in snap.triggers {
             let (stmt, _) = parse_stmt_with_params(&sql)?;
@@ -2236,22 +2237,9 @@ impl Database {
     /// Reconstruct state from the page store's checkpoint meta
     /// (paged-backend open). Slot vectors are rebuilt at their recorded
     /// length (trailing tombstones preserved, so WAL replay lands rows at
-    /// the logged positions) and hash indexes are recomputed with bucket
-    /// entries in ascending slot order — logically identical to, but not
-    /// necessarily bucket-order-identical with, the pre-crash image.
+    /// the logged positions) and the indexes recomputed from them.
     fn restore_from_pages(&mut self, meta: &crate::storage::pager::StoreMeta) -> Result<()> {
         for tm in &meta.tables {
-            let schema = TableSchema {
-                name: tm.name.clone(),
-                columns: tm
-                    .columns
-                    .iter()
-                    .map(|(name, ty)| ColumnDef {
-                        name: name.clone(),
-                        ty: *ty,
-                    })
-                    .collect(),
-            };
             let mut slots: Vec<Option<Row>> = vec![None; tm.slots_len as usize];
             for (pos, row) in self.storage.scan_table(&tm.key)? {
                 let pos = pos as usize;
@@ -2260,29 +2248,14 @@ impl Database {
                 }
                 slots[pos] = Some(row);
             }
-            let ordered: Vec<usize> = tm.ordered.iter().map(|&c| c as usize).collect();
-            if ordered.iter().any(|&ci| ci >= schema.columns.len()) {
-                return Err(DbError::Storage(format!(
-                    "page meta orders unknown column of `{}`",
-                    tm.key
-                )));
-            }
-            let mut table =
-                Table::from_parts(schema, slots, HashMap::new(), &ordered, tm.stats.clone());
-            for &ci in &tm.indexed {
-                let column = table
-                    .schema
-                    .columns
-                    .get(ci as usize)
-                    .map(|c| c.name.clone())
-                    .ok_or_else(|| {
-                        DbError::Storage(format!(
-                            "page meta indexes unknown column {ci} of `{}`",
-                            tm.key
-                        ))
-                    })?;
-                table.create_index(&column)?;
-            }
+            let mut table = Self::table_from_checkpoint(
+                &tm.key,
+                tm.name.clone(),
+                tm.columns.clone(),
+                slots,
+                &tm.indexed,
+                tm.stats.clone(),
+            )?;
             table.attach_backing(self.storage.clone(), &tm.key);
             self.tables.insert(tm.key.clone(), table);
         }
@@ -2331,23 +2304,18 @@ impl Database {
         let mut tables: Vec<CatalogTable> = self
             .tables
             .iter()
-            .map(|(key, t)| {
-                let mut indexed: Vec<u32> = t.indexes_raw().keys().map(|&ci| ci as u32).collect();
-                indexed.sort_unstable();
-                CatalogTable {
-                    key: key.clone(),
-                    name: t.schema.name.clone(),
-                    columns: t
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| (c.name.clone(), c.ty))
-                        .collect(),
-                    slots_len: t.slots_raw().len() as u64,
-                    indexed,
-                    ordered: t.ordered_columns().iter().map(|&ci| ci as u32).collect(),
-                    stats: t.statistics().cloned(),
-                }
+            .map(|(key, t)| CatalogTable {
+                key: key.clone(),
+                name: t.schema.name.clone(),
+                columns: t
+                    .schema
+                    .columns
+                    .iter()
+                    .map(|c| (c.name.clone(), c.ty))
+                    .collect(),
+                slots_len: t.slots_raw().len() as u64,
+                indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
+                stats: t.statistics().cloned(),
             })
             .collect();
         tables.sort_by(|a, b| a.key.cmp(&b.key));
@@ -2359,40 +2327,24 @@ impl Database {
         }
     }
 
-    /// Serialize the full state for a checkpoint. Tables and index
-    /// buckets are sorted so the snapshot bytes are deterministic.
+    /// Serialize the full state for a checkpoint. Tables are sorted so
+    /// the snapshot bytes are deterministic.
     fn build_snapshot(&self, generation: u64) -> wal::Snapshot {
         let mut tables: Vec<wal::SnapshotTable> = self
             .tables
             .iter()
-            .map(|(key, t)| {
-                let mut indexes: wal::IndexBuckets = t
-                    .indexes_raw()
+            .map(|(key, t)| wal::SnapshotTable {
+                key: key.clone(),
+                name: t.schema.name.clone(),
+                columns: t
+                    .schema
+                    .columns
                     .iter()
-                    .map(|(ci, buckets)| {
-                        let mut bs: Vec<(Value, Vec<u64>)> = buckets
-                            .iter()
-                            .map(|(v, ps)| (v.clone(), ps.iter().map(|&p| p as u64).collect()))
-                            .collect();
-                        bs.sort_by(|a, b| a.0.sort_cmp(&b.0));
-                        (*ci as u32, bs)
-                    })
-                    .collect();
-                indexes.sort_by_key(|(ci, _)| *ci);
-                wal::SnapshotTable {
-                    key: key.clone(),
-                    name: t.schema.name.clone(),
-                    columns: t
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| (c.name.clone(), c.ty))
-                        .collect(),
-                    slots: t.slots_raw().to_vec(),
-                    indexes,
-                    ordered: t.ordered_columns().iter().map(|&ci| ci as u32).collect(),
-                    stats: t.statistics().cloned(),
-                }
+                    .map(|c| (c.name.clone(), c.ty))
+                    .collect(),
+                slots: t.slots_raw().to_vec(),
+                indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
+                stats: t.statistics().cloned(),
             })
             .collect();
         tables.sort_by(|a, b| a.key.cmp(&b.key));
@@ -2582,38 +2534,16 @@ impl Database {
                 }
                 Ok(ExecResult::Ddl)
             }
-            Stmt::CreateIndex {
-                table,
-                column,
-                ordered,
-                ..
-            } => {
+            Stmt::CreateIndex { table, column, .. } => {
                 let key = table.to_ascii_lowercase();
                 let t = self
                     .tables
                     .get_mut(&key)
                     .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-                let ci = t.schema.column_index(column);
-                let was_new = ci
-                    .map(|ci| {
-                        if *ordered {
-                            !t.has_ordered_index(ci)
-                        } else {
-                            !t.has_index(ci)
-                        }
-                    })
-                    .unwrap_or(false);
-                if *ordered {
-                    t.create_ordered_index(column)?;
-                } else {
-                    t.create_index(column)?;
-                }
-                if was_new {
-                    self.record_undo(UndoRecord::CreatedIndex {
-                        table: key,
-                        column: ci.expect("checked above"),
-                        ordered: *ordered,
-                    });
+                let new_on = t.schema.column_index(column).filter(|&ci| !t.has_index(ci));
+                t.create_index(column)?;
+                if let Some(column) = new_on {
+                    self.record_undo(UndoRecord::CreatedIndex { table: key, column });
                 }
                 Ok(ExecResult::Ddl)
             }
@@ -2965,7 +2895,7 @@ impl Database {
             .any(|t| t.table == key && t.event == TriggerEvent::Delete);
         let mut failure = None;
         let mvcc_epoch = self.mvcc.enabled().then(|| self.mvcc.write_epoch());
-        let deleted: Vec<DeletedRowUndo> = {
+        let deleted: Vec<(usize, Row)> = {
             let t = self.tables.get_mut(&key).unwrap();
             let mut out = Vec::with_capacity(positions.len());
             for &p in &positions {
@@ -2978,8 +2908,8 @@ impl Database {
                     // physical delete.
                     t.note_version(epoch, p);
                 }
-                if let Some((row, offsets)) = t.delete_with_undo(p) {
-                    out.push((p, row, offsets));
+                if let Some(row) = t.delete(p) {
+                    out.push((p, row));
                 }
             }
             out
@@ -2987,7 +2917,7 @@ impl Database {
         let n = deleted.len();
         if self.durable.is_some() {
             let mut redo = self.txn.redo.lock().unwrap();
-            for (pos, _, _) in &deleted {
+            for (pos, _) in &deleted {
                 redo.push(WalRecord::Delete {
                     table: key.clone(),
                     pos: *pos as u64,
@@ -2996,7 +2926,7 @@ impl Database {
         }
         // Triggers bind OLD per deleted row; clone only when one exists.
         let mut trigger_rows: Vec<Row> = Vec::new();
-        for (pos, row, index_offsets) in deleted {
+        for (pos, row) in deleted {
             if has_delete_triggers {
                 trigger_rows.push(row.clone());
             }
@@ -3004,7 +2934,6 @@ impl Database {
                 table: key.clone(),
                 pos,
                 row,
-                index_offsets,
             });
         }
         if let Some(e) = failure {
@@ -3057,7 +2986,7 @@ impl Database {
         }
         let n = pending.len();
         let mut failure = None;
-        let mut cell_undo: Vec<(usize, usize, Value, Option<usize>)> = Vec::new();
+        let mut cell_undo: Vec<(usize, usize, Value)> = Vec::new();
         let mvcc_epoch = self.mvcc.enabled().then(|| self.mvcc.write_epoch());
         {
             let t = self.tables.get_mut(&key).unwrap();
@@ -3074,8 +3003,8 @@ impl Database {
                         failure = Some(e);
                         break 'rows;
                     }
-                    match t.update_cell_with_undo(p, ci, v) {
-                        Ok((old, old_offset)) => cell_undo.push((p, ci, old, old_offset)),
+                    match t.update_cell(p, ci, v) {
+                        Ok(old) => cell_undo.push((p, ci, old)),
                         Err(e) => {
                             failure = Some(e);
                             break 'rows;
@@ -3089,7 +3018,7 @@ impl Database {
             // record per cell, in application order.
             let t = self.tables.get(&key).expect("resolved above");
             let mut redo = self.txn.redo.lock().unwrap();
-            for (pos, ci, _, _) in &cell_undo {
+            for (pos, ci, _) in &cell_undo {
                 if let Some(row) = t.row(*pos) {
                     redo.push(WalRecord::Update {
                         table: key.clone(),
@@ -3100,13 +3029,12 @@ impl Database {
                 }
             }
         }
-        for (pos, column, old, old_offset) in cell_undo {
+        for (pos, column, old) in cell_undo {
             self.record_undo(UndoRecord::UpdatedCell {
                 table: key.clone(),
                 pos,
                 column,
                 old,
-                old_offset,
             });
         }
         if let Some(e) = failure {
@@ -3116,9 +3044,11 @@ impl Database {
         Ok(ExecResult::Affected(n))
     }
 
-    /// Slot positions of rows in `table` satisfying `filter`. Uses a
-    /// persistent index when the filter contains an `indexed_col = expr`
-    /// conjunct whose right side is row-independent.
+    /// Slot positions (ascending) of rows in `table` satisfying
+    /// `filter`, reached by the access path [`Database::dml_access`]
+    /// chooses — the same chooser and resolver SELECT scans use. Rows are
+    /// read from the heap: the statement is about to mutate these very
+    /// slots.
     fn select_positions(
         &self,
         key: &str,
@@ -3129,178 +3059,35 @@ impl Database {
             .tables
             .get(key)
             .ok_or_else(|| DbError::NoSuchTable(key.into()))?;
-        let columns = t.schema.column_names();
-        let filter = match filter {
-            None => return Ok(t.live_positions()),
-            Some(f) => f,
+        if filter.is_none() {
+            return Ok(t.live_positions());
+        }
+        let (access, residual) = Self::dml_access(t, filter);
+        // The subquery and IN-list caches key on addresses inside
+        // `access`; pin it for as long as `ctx` lives.
+        let access = Arc::new(access);
+        ctx.keepalive.borrow_mut().push(access.clone());
+        let ctes = HashMap::new();
+        let layout = [(t.schema.name.clone(), t.schema.column_names(), 0)];
+        let positions = match self.resolve_access(t, &access, ctx, &ctes, None)? {
+            Some(ps) => ps,
+            None => Box::new(t.iter_live().map(|(p, _)| p)),
         };
-        // Row environment reused across the per-tuple loops below: the
-        // layout (and its case-insensitive name resolution) is built once
-        // per statement, only the values are swapped per row.
-        let mut env = RowEnv::single(&t.schema.name, &columns, &[]);
-        // Index fast path.
-        let empty_env = RowEnv::default();
-        if let Some((ci, key_expr)) = self.find_index_probe(t, filter, &columns) {
-            if let Ok(keyv) = self.eval_expr(key_expr, &empty_env, ctx, &HashMap::new()) {
-                if !keyv.is_null() {
-                    if let Some(positions) = t.index_lookup(ci, &keyv) {
-                        StatsCells::bump(&self.stats.index_lookups, 1);
-                        StatsCells::bump(&self.stats.index_scans, 1);
-                        let mut out = Vec::new();
-                        for &p in positions {
-                            let row = t.row(p).expect("index points at live row");
-                            StatsCells::bump(&self.stats.rows_scanned, 1);
-                            env.set_values(row);
-                            if self.eval_bool(filter, &env, ctx, &HashMap::new())? == Some(true) {
-                                out.push(p);
-                            }
-                        }
-                        return Ok(out);
-                    }
-                }
-            }
-        }
-        // IN-subquery probe: `indexed_col IN (SELECT …)` probes the index
-        // once per subquery value instead of scanning the table.
-        for conj in filter.conjuncts() {
-            if let Expr::InSubquery {
-                expr,
-                query,
-                negated: false,
-            } = conj
-            {
-                if let Expr::Column { table: qual, name } = expr.as_ref() {
-                    let qual_ok = qual
-                        .as_deref()
-                        .map(|q| q.eq_ignore_ascii_case(&t.schema.name))
-                        .unwrap_or(true);
-                    if qual_ok {
-                        if let Some(ci) = t.schema.column_index(name) {
-                            if t.has_index(ci) || t.has_ordered_index(ci) {
-                                let sub = self.cached_subquery(query, ctx)?;
-                                StatsCells::bump(&self.stats.index_scans, 1);
-                                let mut out = Vec::new();
-                                for key in &sub.set {
-                                    if let Some(positions) = t.index_lookup(ci, key) {
-                                        StatsCells::bump(&self.stats.index_lookups, 1);
-                                        for &p in positions {
-                                            let row = t.row(p).expect("live");
-                                            StatsCells::bump(&self.stats.rows_scanned, 1);
-                                            env.set_values(row);
-                                            if self.eval_bool(filter, &env, ctx, &HashMap::new())?
-                                                == Some(true)
-                                            {
-                                                out.push(p);
-                                            }
-                                        }
-                                    }
-                                }
-                                out.sort_unstable();
-                                return Ok(out);
-                            }
-                        }
-                    }
-                }
-            }
-            // Literal IN-list probe: `indexed_col IN (v1, …, vN)` — the
-            // batched-DML shape — probes the index once per distinct list
-            // value instead of scanning the table.
-            if let Expr::InList {
-                expr,
-                list,
-                negated: false,
-            } = conj
-            {
-                if let Expr::Column { table: qual, name } = expr.as_ref() {
-                    let qual_ok = qual
-                        .as_deref()
-                        .map(|q| q.eq_ignore_ascii_case(&t.schema.name))
-                        .unwrap_or(true);
-                    if qual_ok {
-                        if let Some(ci) = t.schema.column_index(name) {
-                            if t.has_index(ci) || t.has_ordered_index(ci) {
-                                if let Some(probe) =
-                                    self.cached_in_list(list, ctx, &HashMap::new())?
-                                {
-                                    StatsCells::bump(&self.stats.index_scans, 1);
-                                    let mut out = Vec::new();
-                                    for key in &probe.set {
-                                        if let Some(positions) = t.index_lookup(ci, key) {
-                                            StatsCells::bump(&self.stats.index_lookups, 1);
-                                            for &p in positions {
-                                                let row = t.row(p).expect("live");
-                                                StatsCells::bump(&self.stats.rows_scanned, 1);
-                                                env.set_values(row);
-                                                if self.eval_bool(
-                                                    filter,
-                                                    &env,
-                                                    ctx,
-                                                    &HashMap::new(),
-                                                )? == Some(true)
-                                                {
-                                                    out.push(p);
-                                                }
-                                            }
-                                        }
-                                    }
-                                    out.sort_unstable();
-                                    return Ok(out);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Full scan.
-        StatsCells::bump(&self.stats.seq_scans, 1);
         let mut out = Vec::new();
-        for p in t.live_positions() {
-            let row = t.row(p).expect("live position");
+        'rows: for p in positions {
             StatsCells::bump(&self.stats.rows_scanned, 1);
-            env.set_values(row);
-            if self.eval_bool(filter, &env, ctx, &HashMap::new())? == Some(true) {
-                out.push(p);
+            let env = SliceEnv {
+                layout: &layout,
+                values: t.row(p).expect("index points at live row"),
+            };
+            for conj in &residual {
+                if self.eval_bool(conj, &env, ctx, &ctes)? != Some(true) {
+                    continue 'rows;
+                }
             }
+            out.push(p);
         }
         Ok(out)
-    }
-
-    /// Find a conjunct `col = expr` (or `expr = col`) where `col` is an
-    /// indexed column of `t` and `expr` does not reference `t`'s row.
-    pub(crate) fn find_index_probe<'e>(
-        &self,
-        t: &Table,
-        filter: &'e Expr,
-        _columns: &[String],
-    ) -> Option<(usize, &'e Expr)> {
-        for conj in filter.conjuncts() {
-            if let Expr::Binary {
-                left,
-                op: BinOp::Eq,
-                right,
-            } = conj
-            {
-                for (colside, keyside) in [(left, right), (right, left)] {
-                    if let Expr::Column { table: qual, name } = colside.as_ref() {
-                        if qual
-                            .as_deref()
-                            .map(|q| q.eq_ignore_ascii_case(&t.schema.name))
-                            .unwrap_or(true)
-                        {
-                            if let Some(ci) = t.schema.column_index(name) {
-                                if (t.has_index(ci) || t.has_ordered_index(ci))
-                                    && Self::row_independent(keyside)
-                                {
-                                    return Some((ci, keyside));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
     }
 
     // ------------------------------------------------------------------

@@ -189,11 +189,12 @@ pub(crate) struct EvalCtx<'a> {
     /// Probe sets for row-independent IN-lists, keyed by the list's
     /// address inside the (kept-alive) statement or plan.
     pub list_cache: RefCell<HashMap<usize, Rc<CachedList>>>,
-    /// Plans executed during this statement. The subquery cache keys on
-    /// `&SelectStmt` addresses inside plan expressions, so every plan that
-    /// ran must outlive the statement even if the shared plan slot is
-    /// replaced mid-statement.
-    pub keepalive: RefCell<Vec<std::sync::Arc<SelectPlan>>>,
+    /// Plans and DML access paths executed during this statement. The
+    /// subquery and IN-list caches key on addresses inside them, so each
+    /// must outlive the statement even if the shared plan slot is
+    /// replaced mid-statement — otherwise a later allocation could alias
+    /// a cached entry.
+    pub keepalive: RefCell<Vec<std::sync::Arc<dyn std::any::Any>>>,
     /// Shared plan slot for the top-level statement, set by
     /// `execute`/`execute_prepared` after construction. Only the outer
     /// SELECT consults it; nested selects (subqueries, triggers) always
@@ -442,18 +443,11 @@ enum ScanState<'a> {
         rows: Vec<Row>,
         i: usize,
     },
-    /// Range seek in slot order: materialized positions, rows fetched
-    /// (and filtered) lazily. `backed` fetches through the page store.
-    PosList {
-        ps: Vec<usize>,
-        i: usize,
-        backed: bool,
-    },
-    /// Ordered-index walk in key order: positions stream lazily out of
-    /// the B-tree range, so `LIMIT k` touches only ~k entries.
-    PosIter {
+    /// Slot positions out of [`Database::resolve_access`]; rows are
+    /// fetched (and filtered) lazily, so `LIMIT k` over an index walk
+    /// touches only ~k entries.
+    Positions {
         iter: Box<dyn Iterator<Item = usize> + 'a>,
-        backed: bool,
     },
     Done,
 }
@@ -505,7 +499,14 @@ impl<'a> ScanCur<'a> {
     }
 
     fn start(&self, ex: &ExecCtx<'_, '_>) -> Result<ScanState<'a>> {
-        if let (Some(s), ScanSrc::Table(t)) = (ex.ctx.snapshot, &self.src) {
+        let t: &'a Table = match &self.src {
+            ScanSrc::Mat(_) => {
+                self.prof_loop(1);
+                return Ok(ScanState::SeqMat { i: 0 });
+            }
+            ScanSrc::Table(t) => t,
+        };
+        if let Some(s) = ex.ctx.snapshot {
             if t.changed_since(s) {
                 // The live heap (and its indexes) moved past this
                 // statement's snapshot: reconstruct the epoch's row image
@@ -513,274 +514,28 @@ impl<'a> ScanCur<'a> {
                 return self.start_snapshot(ex, t, s);
             }
         }
-        // Range seeks serve both the live heap and the read-through
-        // backend from one lazy path (positions come from the in-memory
-        // ordered index either way).
-        if let (
-            Access::Range {
-                ci,
-                lower,
-                upper,
-                ordered,
-                desc,
-            },
-            ScanSrc::Table(t),
-        ) = (&self.plan.access, &self.src)
+        if let Some(iter) =
+            ex.db
+                .resolve_access(t, &self.plan.access, ex.ctx, ex.ctes, self.prof)?
         {
-            return self.start_range(ex, t, *ci, lower, upper, *ordered, *desc);
+            return Ok(ScanState::Positions { iter });
         }
-        if let ScanSrc::Table(t) = &self.src {
-            if t.backed_read_through() {
-                // Paged backend in read-through mode: rows materialize
-                // from the page store's buffer pool. The in-memory hash
-                // indexes stay the position authority; only the row
-                // bytes come from the pages. (A stale MVCC snapshot took
-                // the reconstruction path above; reaching here means the
-                // store matches what this statement should see.)
-                return self.start_backed(ex, t);
-            }
-        }
-        match (&self.plan.access, &self.src) {
-            (_, ScanSrc::Mat(_)) => {
-                self.prof_loop(1);
-                Ok(ScanState::SeqMat { i: 0 })
-            }
-            (Access::Seq, ScanSrc::Table(_)) => {
-                StatsCells::bump(&ex.db.stats.seq_scans, 1);
-                self.prof_loop(1);
-                Ok(ScanState::SeqTable { pos: 0 })
-            }
-            (Access::IndexEq { ci, key }, ScanSrc::Table(t)) => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                self.prof_loop(1);
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
-                let keyv = ex.db.eval_expr(key, &empty, ex.ctx, ex.ctes)?;
+        match t.backed_scan() {
+            None => Ok(ScanState::SeqTable { pos: 0 }),
+            // Paged backend: one pass over the B-tree's leaf chain beats
+            // a descent per slot, so the whole table comes through the
+            // pool at once.
+            Some(scan) => {
                 let mut rows = Vec::new();
-                if !keyv.is_null() {
-                    if let Some(ps) = t.index_lookup(*ci, &keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                            let row = t.row(p).expect("index points at live row");
-                            if self.passes(row, ex)? {
-                                rows.push(row.clone());
-                            }
-                        }
+                for (_, row) in scan? {
+                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                    if self.passes(&row, ex)? {
+                        rows.push(row);
                     }
                 }
                 Ok(ScanState::Bucket { rows, i: 0 })
             }
-            (Access::IndexIn { ci, query }, ScanSrc::Table(t)) => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                let sub = ex.db.cached_subquery(query, ex.ctx)?;
-                let mut rows = Vec::new();
-                for keyv in &sub.set {
-                    self.prof_loop(1);
-                    if let Some(ps) = t.index_lookup(*ci, keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                            let row = t.row(p).expect("index points at live row");
-                            if self.passes(row, ex)? {
-                                rows.push(row.clone());
-                            }
-                        }
-                    }
-                }
-                Ok(ScanState::Bucket { rows, i: 0 })
-            }
-            (Access::IndexInList { ci, list }, ScanSrc::Table(t)) => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                let probe = ex
-                    .db
-                    .cached_in_list(list, ex.ctx, ex.ctes)?
-                    .expect("planner only picks row-independent lists");
-                let mut rows = Vec::new();
-                for keyv in &probe.set {
-                    self.prof_loop(1);
-                    if let Some(ps) = t.index_lookup(*ci, keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                            let row = t.row(p).expect("index points at live row");
-                            if self.passes(row, ex)? {
-                                rows.push(row.clone());
-                            }
-                        }
-                    }
-                }
-                Ok(ScanState::Bucket { rows, i: 0 })
-            }
-            (Access::Range { .. }, ScanSrc::Table(_)) => {
-                unreachable!("range scans are intercepted by start_range")
-            }
         }
-    }
-
-    /// Range / ordered-index seek. Bounds are evaluated once (they are
-    /// row-independent by construction); the seek narrows candidates
-    /// under `Value::sort_cmp`'s total order and `passes()` re-checks the
-    /// originating conjuncts per row, so SQL comparison semantics are
-    /// preserved. Works for both the live heap and the read-through
-    /// backend — positions always come from the in-memory ordered index.
-    #[allow(clippy::too_many_arguments)]
-    fn start_range(
-        &self,
-        ex: &ExecCtx<'_, '_>,
-        t: &'a Table,
-        ci: usize,
-        lower: &Option<(Expr, bool)>,
-        upper: &Option<(Expr, bool)>,
-        ordered: bool,
-        desc: bool,
-    ) -> Result<ScanState<'a>> {
-        let empty = SliceEnv {
-            layout: &[],
-            values: &[],
-        };
-        let eval_bound = |b: &Option<(Expr, bool)>| -> Result<Option<(Value, bool)>> {
-            Ok(match b {
-                Some((e, incl)) => Some((ex.db.eval_expr(e, &empty, ex.ctx, ex.ctes)?, *incl)),
-                None => None,
-            })
-        };
-        let lo = eval_bound(lower)?;
-        let hi = eval_bound(upper)?;
-        StatsCells::bump(&ex.db.stats.index_scans, 1);
-        if lo.is_some() || hi.is_some() {
-            StatsCells::bump(&ex.db.stats.range_seeks, 1);
-        }
-        self.prof_loop(1);
-        let backed = t.backed_read_through();
-        let lo_ref = lo.as_ref().map(|(v, i)| (v, *i));
-        let hi_ref = hi.as_ref().map(|(v, i)| (v, *i));
-        if ordered {
-            StatsCells::bump(&ex.db.stats.ordered_index_scans, 1);
-            match t.ordered_seek(ci, desc, lo_ref, hi_ref) {
-                Some(iter) => Ok(ScanState::PosIter { iter, backed }),
-                None => Err(DbError::Execution(format!(
-                    "ordered index on column {ci} of `{}` vanished between plan and execution",
-                    t.schema.name
-                ))),
-            }
-        } else {
-            match t.range_positions(ci, lo_ref, hi_ref) {
-                Some(ps) => Ok(ScanState::PosList { ps, i: 0, backed }),
-                None => {
-                    // Index dropped under a cached plan: degrade to a
-                    // sequential scan — the bounds are still in `pushed`.
-                    StatsCells::bump(&ex.db.stats.seq_scans, 1);
-                    if backed {
-                        self.start_backed_seq(ex, t)
-                    } else {
-                        Ok(ScanState::SeqTable { pos: 0 })
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sequential read-through scan body, shared by `start_backed` and
-    /// the range fallback.
-    fn start_backed_seq(&self, ex: &ExecCtx<'_, '_>, t: &Table) -> Result<ScanState<'a>> {
-        let mut rows = Vec::new();
-        for (_, row) in t.backed_scan()? {
-            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-            if self.passes(&row, ex)? {
-                rows.push(row);
-            }
-        }
-        Ok(ScanState::Bucket { rows, i: 0 })
-    }
-
-    /// Read-through scan: the same four access paths as the live-heap
-    /// arm, but every row is fetched from the storage backend (through
-    /// its buffer pool) instead of the slot vector. Index probes still
-    /// resolve positions in the in-memory hash indexes and then fault
-    /// the individual rows in; sequential scans pull the whole table in
-    /// slot order.
-    fn start_backed(&self, ex: &ExecCtx<'_, '_>, t: &Table) -> Result<ScanState<'a>> {
-        let fetch = |p: usize| -> Result<Row> {
-            t.backed_row(p)?.ok_or_else(|| {
-                DbError::Storage(format!(
-                    "page store lost row at slot {p} of `{}`",
-                    t.schema.name
-                ))
-            })
-        };
-        let mut rows = Vec::new();
-        match &self.plan.access {
-            Access::Seq => {
-                StatsCells::bump(&ex.db.stats.seq_scans, 1);
-                self.prof_loop(1);
-                return self.start_backed_seq(ex, t);
-            }
-            Access::IndexEq { ci, key } => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                self.prof_loop(1);
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
-                let keyv = ex.db.eval_expr(key, &empty, ex.ctx, ex.ctes)?;
-                if !keyv.is_null() {
-                    if let Some(ps) = t.index_lookup(*ci, &keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                            let row = fetch(p)?;
-                            if self.passes(&row, ex)? {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                }
-            }
-            Access::IndexIn { ci, query } => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                let sub = ex.db.cached_subquery(query, ex.ctx)?;
-                for keyv in &sub.set {
-                    self.prof_loop(1);
-                    if let Some(ps) = t.index_lookup(*ci, keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                            let row = fetch(p)?;
-                            if self.passes(&row, ex)? {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                }
-            }
-            Access::IndexInList { ci, list } => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                let probe = ex
-                    .db
-                    .cached_in_list(list, ex.ctx, ex.ctes)?
-                    .expect("planner only picks row-independent lists");
-                for keyv in &probe.set {
-                    self.prof_loop(1);
-                    if let Some(ps) = t.index_lookup(*ci, keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                            let row = fetch(p)?;
-                            if self.passes(&row, ex)? {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                }
-            }
-            Access::Range { .. } => {
-                unreachable!("range scans are intercepted by start_range")
-            }
-        }
-        Ok(ScanState::Bucket { rows, i: 0 })
     }
 
     /// Stale-snapshot fallback: materialize the table as it stood at
@@ -848,7 +603,7 @@ impl<'a> ScanCur<'a> {
                 ordered,
                 desc,
             } => {
-                // The live ordered index describes the current heap, not
+                // The live index describes the current heap, not
                 // the snapshot image: filter the reconstructed rows by the
                 // bounds, then sort (stably, so equal keys keep position
                 // order, matching the ordered walk) when key order was
@@ -895,6 +650,125 @@ impl<'a> ScanCur<'a> {
             }
         }
         Ok(ScanState::Bucket { rows, i: 0 })
+    }
+}
+
+impl Database {
+    /// The one place an [`Access`] becomes slot positions — SELECT scans
+    /// (heap or page store) and DELETE/UPDATE target selection both come
+    /// through here, so access-path counters mean the same thing for
+    /// every statement kind. `None` stands for "every live slot"
+    /// (`Access::Seq`): the caller walks the table its own way. Point
+    /// probes and range seeks yield positions ascending; an ordered walk
+    /// yields them lazily in key order. Keys and bounds are
+    /// row-independent by construction and evaluated once. `prof`
+    /// collects `EXPLAIN ANALYZE` loop counts (one per probe).
+    pub(crate) fn resolve_access<'t>(
+        &self,
+        t: &'t Table,
+        access: &Access,
+        ctx: &EvalCtx<'_>,
+        ctes: &CteEnv,
+        prof: Option<&OpProf>,
+    ) -> Result<Option<Box<dyn Iterator<Item = usize> + 't>>> {
+        let loops = |by: usize| {
+            if let Some(p) = prof {
+                OpProf::add(&p.loops, by as u64);
+            }
+        };
+        let empty = SliceEnv {
+            layout: &[],
+            values: &[],
+        };
+        // DDL replans, so an index a plan names can only be missing if
+        // the plan outlived its schema epoch.
+        let gone = |ci: usize| {
+            DbError::Execution(format!(
+                "index on column {ci} of `{}` vanished between plan and execution",
+                t.schema.name
+            ))
+        };
+        // Point probes: one lookup per key, positions merged ascending.
+        let probe = |ci: usize, keys: &mut dyn Iterator<Item = &Value>| {
+            StatsCells::bump(&self.stats.index_scans, 1);
+            let mut ps = Vec::new();
+            let mut buckets = 0;
+            for key in keys {
+                ps.extend_from_slice(t.index_lookup(ci, key).ok_or_else(|| gone(ci))?);
+                StatsCells::bump(&self.stats.index_lookups, 1);
+                buckets += 1;
+            }
+            if buckets > 1 {
+                ps.sort_unstable();
+            }
+            Ok(Some(
+                Box::new(ps.into_iter()) as Box<dyn Iterator<Item = usize>>
+            ))
+        };
+        match access {
+            Access::Seq => {
+                StatsCells::bump(&self.stats.seq_scans, 1);
+                loops(1);
+                Ok(None)
+            }
+            Access::IndexEq { ci, key } => {
+                loops(1);
+                let key = self.eval_expr(key, &empty, ctx, ctes)?;
+                probe(*ci, &mut (!key.is_null()).then_some(&key).into_iter())
+            }
+            Access::IndexIn { ci, query } => {
+                let sub = self.cached_subquery(query, ctx)?;
+                loops(sub.set.len());
+                probe(*ci, &mut sub.set.iter())
+            }
+            Access::IndexInList { ci, list } => {
+                let list = self
+                    .cached_in_list(list, ctx, ctes)?
+                    .expect("chooser only picks row-independent lists");
+                loops(list.set.len());
+                probe(*ci, &mut list.set.iter())
+            }
+            Access::Range {
+                ci,
+                lower,
+                upper,
+                ordered,
+                desc,
+            } => {
+                let eval_bound = |b: &Option<(Expr, bool)>| -> Result<Option<(Value, bool)>> {
+                    Ok(match b {
+                        Some((e, incl)) => Some((self.eval_expr(e, &empty, ctx, ctes)?, *incl)),
+                        None => None,
+                    })
+                };
+                let lo = eval_bound(lower)?;
+                let hi = eval_bound(upper)?;
+                StatsCells::bump(&self.stats.index_scans, 1);
+                if lo.is_some() || hi.is_some() {
+                    StatsCells::bump(&self.stats.range_seeks, 1);
+                }
+                if *ordered {
+                    StatsCells::bump(&self.stats.ordered_index_scans, 1);
+                }
+                loops(1);
+                let walk = t
+                    .index_range(
+                        *ci,
+                        *ordered && *desc,
+                        lo.as_ref().map(|(v, i)| (v, *i)),
+                        hi.as_ref().map(|(v, i)| (v, *i)),
+                    )
+                    .ok_or_else(|| gone(*ci))?;
+                if *ordered {
+                    return Ok(Some(walk));
+                }
+                // The bounding conjuncts are re-checked per row, so the
+                // seek only narrows candidates; emit them in slot order.
+                let mut ps: Vec<usize> = walk.collect();
+                ps.sort_unstable();
+                Ok(Some(Box::new(ps.into_iter())))
+            }
+        }
     }
 }
 
@@ -946,59 +820,16 @@ impl ScanCur<'_> {
                     }
                     return Ok(None);
                 }
-                ScanState::PosList { ps, mut i, backed } => {
+                ScanState::Positions { mut iter } => {
                     let ScanSrc::Table(t) = &self.src else {
-                        unreachable!("PosList state implies a table source")
-                    };
-                    while i < ps.len() {
-                        let p = ps[i];
-                        i += 1;
-                        StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                        let row = if backed {
-                            Some(t.backed_row(p)?.ok_or_else(|| {
-                                DbError::Storage(format!(
-                                    "page store lost row at slot {p} of `{}`",
-                                    t.schema.name
-                                ))
-                            })?)
-                        } else {
-                            None
-                        };
-                        let row_ref: &Row = match &row {
-                            Some(r) => r,
-                            None => t.row(p).expect("ordered index points at live row"),
-                        };
-                        if self.passes(row_ref, ex)? {
-                            let out = row_ref.clone();
-                            self.state = ScanState::PosList { ps, i, backed };
-                            return Ok(Some(out));
-                        }
-                    }
-                    return Ok(None);
-                }
-                ScanState::PosIter { mut iter, backed } => {
-                    let ScanSrc::Table(t) = &self.src else {
-                        unreachable!("PosIter state implies a table source")
+                        unreachable!("Positions state implies a table source")
                     };
                     for p in iter.by_ref() {
                         StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                        let row = if backed {
-                            Some(t.backed_row(p)?.ok_or_else(|| {
-                                DbError::Storage(format!(
-                                    "page store lost row at slot {p} of `{}`",
-                                    t.schema.name
-                                ))
-                            })?)
-                        } else {
-                            None
-                        };
-                        let row_ref: &Row = match &row {
-                            Some(r) => r,
-                            None => t.row(p).expect("ordered index points at live row"),
-                        };
-                        if self.passes(row_ref, ex)? {
-                            let out = row_ref.clone();
-                            self.state = ScanState::PosIter { iter, backed };
+                        let row = t.fetch(p)?;
+                        if self.passes(&row, ex)? {
+                            let out = row.into_owned();
+                            self.state = ScanState::Positions { iter };
                             return Ok(Some(out));
                         }
                     }

@@ -3,7 +3,7 @@
 //! An in-memory relational engine standing in for the IBM DB2 UDB 7.1
 //! instance the paper's experiments ran against. The engine executes the
 //! SQL subset the XML-update translation layer emits: DDL with per-tuple /
-//! per-statement `AFTER DELETE` triggers and hash indexes, DML, and queries
+//! per-statement `AFTER DELETE` triggers and ordered indexes, DML, and queries
 //! with multi-way (hash) joins, `WITH` CTEs, `UNION ALL`, `ORDER BY`,
 //! uncorrelated `IN`/`NOT IN` subqueries, and `MIN`/`MAX`/`COUNT`/`SUM`
 //! aggregates.

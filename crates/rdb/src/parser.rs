@@ -283,24 +283,17 @@ impl Parser {
             self.expect_tok(&Tok::LParen)?;
             let column = self.ident()?;
             self.expect_tok(&Tok::RParen)?;
-            let ordered = if self.eat_kw("USING") {
-                if self.eat_kw("ORDERED") {
-                    true
-                } else if self.eat_kw("HASH") {
-                    false
-                } else {
-                    return Err(DbError::SqlParse(
-                        "expected ORDERED or HASH after USING".into(),
-                    ));
-                }
-            } else {
-                false
-            };
+            // One index kind: the clause is accepted because existing
+            // scripts and WALs carry it, and ignored.
+            if self.eat_kw("USING") && !self.eat_kw("ORDERED") && !self.eat_kw("HASH") {
+                return Err(DbError::SqlParse(
+                    "expected ORDERED or HASH after USING".into(),
+                ));
+            }
             Ok(Stmt::CreateIndex {
                 name,
                 table,
                 column,
-                ordered,
             })
         } else if self.eat_kw("TRIGGER") {
             let name = self.ident()?;
@@ -1269,17 +1262,15 @@ mod tests {
                 table: Some("asr".into())
             }
         );
-        match parse_stmt("CREATE INDEX i ON t (num) USING ORDERED").unwrap() {
-            Stmt::CreateIndex { ordered, .. } => assert!(ordered),
-            other => panic!("{other:?}"),
-        }
-        match parse_stmt("CREATE INDEX i ON t (num) USING HASH").unwrap() {
-            Stmt::CreateIndex { ordered, .. } => assert!(!ordered),
-            other => panic!("{other:?}"),
-        }
-        match parse_stmt("CREATE INDEX i ON t (num)").unwrap() {
-            Stmt::CreateIndex { ordered, .. } => assert!(!ordered, "hash is the default"),
-            other => panic!("{other:?}"),
+        let plain = parse_stmt("CREATE INDEX i ON t (num)").unwrap();
+        assert!(matches!(plain, Stmt::CreateIndex { .. }));
+        for kind in ["ORDERED", "HASH"] {
+            let with_kind = parse_stmt(&format!("CREATE INDEX i ON t (num) USING {kind}"));
+            assert_eq!(
+                with_kind.unwrap(),
+                plain,
+                "USING {kind} is accepted and ignored"
+            );
         }
         assert!(parse_stmt("CREATE INDEX i ON t (num) USING BTREE").is_err());
     }

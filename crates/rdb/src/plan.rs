@@ -13,8 +13,11 @@
 //!    exactly one binding is pushed into that binding's scan, filtering
 //!    rows before they are cloned out of the table's slot array.
 //! 3. **Access selection** — a pushed conjunct of the shape
-//!    `col = <row-independent>` or `col IN (subquery)` over an indexed
-//!    base-table column turns the scan into an index probe.
+//!    `col = <row-independent>`, `col IN (subquery)` or `col IN (list)`
+//!    over an indexed base-table column turns the scan into an index
+//!    probe; failing that, bounds on an indexed column turn it into a
+//!    range seek ([`Database::choose_access`], shared with DELETE/UPDATE
+//!    target selection and their `EXPLAIN`).
 //!
 //! Consuming an equality conjunct without re-checking it is sound
 //! because index buckets and hash-join tables group values by
@@ -93,7 +96,7 @@ pub(crate) enum Access {
     /// Probe the index on column `ci` with every distinct value of a
     /// row-independent IN-list (the batched-DML shape `id IN (…)`).
     IndexInList { ci: usize, list: Vec<Expr> },
-    /// Seek the ordered index on column `ci` between row-independent
+    /// Seek the index on column `ci` between row-independent
     /// bounds (`(expr, inclusive)`; `None` is unbounded). The bounding
     /// conjuncts stay in `pushed` and are re-checked per row, so the seek
     /// only narrows candidates — three-valued logic and cross-type
@@ -329,8 +332,8 @@ impl Database {
         }
         // --- ORDER BY pushdown -------------------------------------------
         // A single-key sort over a single-scan, non-aggregated core whose
-        // key is a direct column of an ordered-indexed base table is
-        // elided: the scan walks the ordered index in key order instead,
+        // key is a direct column of an indexed base table is
+        // elided: the scan walks the index in key order instead,
         // and `LIMIT k` then pulls only the first `k` rows.
         let mut elided_sort = false;
         if !naive
@@ -366,14 +369,14 @@ impl Database {
                 }
                 if let Some(rci) = src {
                     let scan = &mut core.scans[0].0;
-                    if !scan.is_cte
-                        && self
-                            .tables
-                            .get(&scan.key)
-                            .is_some_and(|t| t.has_ordered_index(rci))
+                    if !scan.is_cte && self.tables.get(&scan.key).is_some_and(|t| t.has_index(rci))
                     {
                         match &mut scan.access {
-                            a @ Access::Seq => {
+                            // A filtered scan with no LIMIT stays
+                            // sequential: visiting every index entry in
+                            // key order to spare the few survivors a sort
+                            // costs more than scanning and sorting them.
+                            a @ Access::Seq if q.limit.is_some() || scan.pushed.is_empty() => {
                                 *a = Access::Range {
                                     ci: rci,
                                     lower: None,
@@ -604,9 +607,6 @@ impl Database {
             }
 
             // --- access selection ----------------------------------------
-            // A pushed conjunct `col = <row-independent>` or
-            // `col IN (subquery)` over an indexed base-table column turns
-            // the scan into an index probe and is consumed by it.
             for (scan, _) in &mut scans {
                 if scan.is_cte {
                     continue;
@@ -614,112 +614,12 @@ impl Database {
                 let Some(t) = self.tables.get(&scan.key) else {
                     continue;
                 };
-                let mut probe: Option<(usize, Access)> = None;
-                'pushed: for (pi, p) in scan.pushed.iter().enumerate() {
-                    if let Expr::Binary {
-                        left,
-                        op: crate::ast::BinOp::Eq,
-                        right,
-                    } = p
-                    {
-                        for (colside, keyside) in [(left, right), (right, left)] {
-                            if let Expr::Column { table: qual, name } = colside.as_ref() {
-                                let qual_ok = qual
-                                    .as_deref()
-                                    .map(|q| q.eq_ignore_ascii_case(&scan.binding))
-                                    .unwrap_or(true);
-                                if qual_ok && Self::row_independent(keyside) {
-                                    if let Some(ci) = t.schema.column_index(name) {
-                                        if t.has_index(ci) || t.has_ordered_index(ci) {
-                                            probe = Some((
-                                                pi,
-                                                Access::IndexEq {
-                                                    ci,
-                                                    key: (**keyside).clone(),
-                                                },
-                                            ));
-                                            break 'pushed;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if let Expr::InSubquery {
-                        expr,
-                        query,
-                        negated: false,
-                    } = p
-                    {
-                        if let Expr::Column { table: qual, name } = expr.as_ref() {
-                            let qual_ok = qual
-                                .as_deref()
-                                .map(|q| q.eq_ignore_ascii_case(&scan.binding))
-                                .unwrap_or(true);
-                            if qual_ok {
-                                if let Some(ci) = t.schema.column_index(name) {
-                                    if t.has_index(ci) || t.has_ordered_index(ci) {
-                                        probe = Some((
-                                            pi,
-                                            Access::IndexIn {
-                                                ci,
-                                                query: query.clone(),
-                                            },
-                                        ));
-                                        break 'pushed;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if let Expr::InList {
-                        expr,
-                        list,
-                        negated: false,
-                    } = p
-                    {
-                        if let Expr::Column { table: qual, name } = expr.as_ref() {
-                            let qual_ok = qual
-                                .as_deref()
-                                .map(|q| q.eq_ignore_ascii_case(&scan.binding))
-                                .unwrap_or(true);
-                            if qual_ok && list.iter().all(Self::row_independent) {
-                                if let Some(ci) = t.schema.column_index(name) {
-                                    if t.has_index(ci) || t.has_ordered_index(ci) {
-                                        probe = Some((
-                                            pi,
-                                            Access::IndexInList {
-                                                ci,
-                                                list: list.clone(),
-                                            },
-                                        ));
-                                        break 'pushed;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some((pi, access)) = probe {
+                let pushed: Vec<&Expr> = scan.pushed.iter().collect();
+                let (consumed, access) = Self::choose_access(t, &scan.binding, &pushed);
+                if let Some(pi) = consumed {
                     scan.pushed.remove(pi);
-                    scan.access = access;
                 }
-            }
-
-            // --- range access selection ----------------------------------
-            // Scans still sequential check their pushed conjuncts for
-            // bounds over an ordered-indexed column: comparisons against
-            // a row-independent expression and `LIKE 'prefix%'` patterns.
-            // Unlike equality probes, the bounding conjuncts are NOT
-            // consumed — the scan re-checks them per candidate row.
-            for (scan, _) in &mut scans {
-                if scan.is_cte || !matches!(scan.access, Access::Seq) {
-                    continue;
-                }
-                let Some(t) = self.tables.get(&scan.key) else {
-                    continue;
-                };
-                Self::pick_range_access(scan, t);
+                scan.access = access;
             }
         }
 
@@ -1043,52 +943,117 @@ impl Database {
         }
     }
 
-    /// Turn a sequential scan into an ordered-index range seek when its
-    /// pushed conjuncts bound an ordered-indexed column and the seek is
-    /// estimated (or, without statistics, assumed) to be selective.
-    fn pick_range_access(scan: &mut ScanPlan, t: &Table) {
+    /// The column of `t` that `e` names under `binding` (unqualified, or
+    /// qualified by the binding), when that column is indexed.
+    fn indexed_column(t: &Table, binding: &str, e: &Expr) -> Option<usize> {
+        let Expr::Column { table: qual, name } = e else {
+            return None;
+        };
+        if qual
+            .as_deref()
+            .is_some_and(|q| !q.eq_ignore_ascii_case(binding))
+        {
+            return None;
+        }
+        t.schema.column_index(name).filter(|&ci| t.has_index(ci))
+    }
+
+    /// The one access chooser, shared by SELECT planning, DELETE/UPDATE
+    /// target selection and DML `EXPLAIN`. `conjuncts` all reference only
+    /// `binding`'s row. The first conjunct of the shape
+    /// `col = <row-independent>`, `col IN (subquery)` or
+    /// `col IN (<row-independent list>)` over an indexed column becomes a
+    /// point probe and is *consumed* (its index is returned: the probe
+    /// answers it exactly, so it need not be re-checked). Failing that,
+    /// bounds on an indexed column become a range seek, which consumes
+    /// nothing. Otherwise the scan stays sequential.
+    pub(crate) fn choose_access(
+        t: &Table,
+        binding: &str,
+        conjuncts: &[&Expr],
+    ) -> (Option<usize>, Access) {
+        use crate::ast::BinOp::Eq;
+        for (i, conj) in conjuncts.iter().enumerate() {
+            let probe = match conj {
+                Expr::Binary {
+                    left,
+                    op: Eq,
+                    right,
+                } => [(left, right), (right, left)]
+                    .into_iter()
+                    .find_map(|(colside, keyside)| {
+                        let ci = Self::indexed_column(t, binding, colside)?;
+                        Self::row_independent(keyside).then(|| Access::IndexEq {
+                            ci,
+                            key: (**keyside).clone(),
+                        })
+                    }),
+                Expr::InSubquery {
+                    expr,
+                    query,
+                    negated: false,
+                } => Self::indexed_column(t, binding, expr).map(|ci| Access::IndexIn {
+                    ci,
+                    query: query.clone(),
+                }),
+                Expr::InList {
+                    expr,
+                    list,
+                    negated: false,
+                } if list.iter().all(Self::row_independent) => {
+                    Self::indexed_column(t, binding, expr).map(|ci| Access::IndexInList {
+                        ci,
+                        list: list.clone(),
+                    })
+                }
+                _ => None,
+            };
+            if let Some(access) = probe {
+                return (Some(i), access);
+            }
+        }
+        (
+            None,
+            Self::pick_range_access(t, binding, conjuncts).unwrap_or(Access::Seq),
+        )
+    }
+
+    /// A range seek over an indexed column that `conjuncts` bound —
+    /// comparisons against a row-independent expression and
+    /// `LIKE 'prefix%'` patterns — when the seek is estimated (or, without
+    /// statistics, assumed) to be selective. The bounding conjuncts are
+    /// not consumed: the scan re-checks them per candidate row.
+    fn pick_range_access(t: &Table, binding: &str, conjuncts: &[&Expr]) -> Option<Access> {
         use crate::ast::BinOp::{Ge, Gt, Le, Lt};
         type RangeBounds = (Option<(Expr, bool)>, Option<(Expr, bool)>);
-        // Per ordered-indexed column in first-seen order; only the first
-        // lower and first upper bound are kept (any single bound is a
-        // superset of the conjunction, and every conjunct is re-checked).
+        // Per indexed column in first-seen order; only the first lower
+        // and first upper bound are kept (any single bound is a superset
+        // of the conjunction, and every conjunct is re-checked).
         let mut bounds: Vec<(usize, RangeBounds)> = Vec::new();
-        for p in &scan.pushed {
+        for p in conjuncts {
             let (ci, lower, upper) = match p {
                 Expr::Binary { left, op, right } if matches!(op, Lt | Le | Gt | Ge) => {
-                    let mut hit = None;
-                    for (colside, keyside, flipped) in [(left, right, false), (right, left, true)] {
-                        let Expr::Column { table: qual, name } = colside.as_ref() else {
-                            continue;
-                        };
-                        let qual_ok = qual
-                            .as_deref()
-                            .map(|q| q.eq_ignore_ascii_case(&scan.binding))
-                            .unwrap_or(true);
-                        if !qual_ok || !Self::row_independent(keyside) {
-                            continue;
-                        }
-                        let Some(ci) = t.schema.column_index(name) else {
-                            continue;
-                        };
-                        if !t.has_ordered_index(ci) {
-                            continue;
-                        }
-                        let (is_lower, incl) = match (op, flipped) {
-                            (Gt, false) | (Lt, true) => (true, false),
-                            (Ge, false) | (Le, true) => (true, true),
-                            (Lt, false) | (Gt, true) => (false, false),
-                            (Le, false) | (Ge, true) => (false, true),
-                            _ => unreachable!(),
-                        };
-                        let b = ((**keyside).clone(), incl);
-                        hit = Some(if is_lower {
-                            (ci, Some(b), None)
-                        } else {
-                            (ci, None, Some(b))
+                    let hit = [(left, right, false), (right, left, true)]
+                        .into_iter()
+                        .find_map(|(colside, keyside, flipped)| {
+                            let ci = Self::indexed_column(t, binding, colside)?;
+                            if !Self::row_independent(keyside) {
+                                return None;
+                            }
+                            let (is_lower, incl) = match (op, flipped) {
+                                (Gt, false) | (Lt, true) => (true, false),
+                                (Ge, false) | (Le, true) => (true, true),
+                                (Lt, false) | (Gt, true) => (false, false),
+                                (Le, false) | (Ge, true) => (false, true),
+                                _ => unreachable!(),
+                            };
+                            let b = ((**keyside).clone(), incl);
+                            Some(if is_lower {
+                                (ci, Some(b), None)
+                            } else {
+                                (ci, None, Some(b))
+                            })
                         });
-                        break;
-                    }
                     match hit {
                         Some(h) => h,
                         None => continue,
@@ -1099,22 +1064,9 @@ impl Database {
                     pattern,
                     negated: false,
                 } => {
-                    let Expr::Column { table: qual, name } = expr.as_ref() else {
+                    let Some(ci) = Self::indexed_column(t, binding, expr) else {
                         continue;
                     };
-                    let qual_ok = qual
-                        .as_deref()
-                        .map(|q| q.eq_ignore_ascii_case(&scan.binding))
-                        .unwrap_or(true);
-                    if !qual_ok {
-                        continue;
-                    }
-                    let Some(ci) = t.schema.column_index(name) else {
-                        continue;
-                    };
-                    if !t.has_ordered_index(ci) {
-                        continue;
-                    }
                     let Some(prefix) = like_prefix(pattern) else {
                         continue;
                     };
@@ -1136,13 +1088,10 @@ impl Database {
             }
         }
         // Prefer a column bounded on both sides, else the first bounded.
-        let Some(i) = bounds
+        let i = bounds
             .iter()
             .position(|(_, b)| b.0.is_some() && b.1.is_some())
-            .or(if bounds.is_empty() { None } else { Some(0) })
-        else {
-            return;
-        };
+            .or(if bounds.is_empty() { None } else { Some(0) })?;
         let (ci, (lower, upper)) = bounds.swap_remove(i);
         // Selectivity check: with statistics and literal bounds, seek only
         // when it is expected to skip at least half the table. Without
@@ -1152,18 +1101,18 @@ impl Database {
                 if let (Some(lo), Some(hi)) = (literal_bound(&lower), literal_bound(&upper)) {
                     let est = s.columns[ci].est_range_rows(lo, hi);
                     if est.saturating_mul(2) > t.len() as u64 {
-                        return;
+                        return None;
                     }
                 }
             }
         }
-        scan.access = Access::Range {
+        Some(Access::Range {
             ci,
             lower,
             upper,
             ordered: false,
             desc: false,
-        };
+        })
     }
 
     /// Cardinality estimate for one scan. Statistics-backed when the
@@ -1282,10 +1231,19 @@ impl Database {
         }
     }
 
-    /// Mirror of the access choice `select_positions` makes for DELETE
-    /// and UPDATE: an equality or IN-subquery index probe when one
-    /// applies, otherwise a sequential scan. The full filter is always
-    /// re-checked on those paths, so it renders as a `[filter: …]` tag.
+    /// The access path DELETE/UPDATE reach their target rows by, and the
+    /// conjuncts of `filter` still to be checked per candidate row.
+    pub(crate) fn dml_access<'e>(t: &Table, filter: Option<&'e Expr>) -> (Access, Vec<&'e Expr>) {
+        let mut residual = filter.map(Expr::conjuncts).unwrap_or_default();
+        let (consumed, access) = Self::choose_access(t, &t.schema.name, &residual);
+        if let Some(i) = consumed {
+            residual.remove(i);
+        }
+        (access, residual)
+    }
+
+    /// Render the scan DELETE/UPDATE select their target rows with — the
+    /// same [`Database::dml_access`] choice the statement executes.
     fn explain_dml_access(
         &self,
         table: &str,
@@ -1298,86 +1256,20 @@ impl Database {
             .tables
             .get(&key)
             .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        let suffix = match filter {
-            Some(f) => format!(" [filter: {}]", expr_to_sql(f)),
-            None => String::new(),
+        let (access, residual) = Self::dml_access(t, filter);
+        let scan = ScanPlan {
+            is_cte: false,
+            is_sys: false,
+            key,
+            name: t.schema.name.clone(),
+            binding: t.schema.name.clone(),
+            columns: t.schema.column_names(),
+            access,
+            pushed: residual.into_iter().cloned().collect(),
+            est_rows: 0,
+            stats_est: false,
         };
-        if let Some(f) = filter {
-            if let Some((ci, key_expr)) = self.find_index_probe(t, f, &[]) {
-                push(
-                    lines,
-                    ind,
-                    format!(
-                        "IndexScan {} ({} = {}){suffix}",
-                        t.schema.name,
-                        t.schema.columns[ci].name,
-                        expr_to_sql(key_expr)
-                    ),
-                );
-                return Ok(());
-            }
-            for conj in f.conjuncts() {
-                if let Expr::InSubquery {
-                    expr,
-                    negated: false,
-                    ..
-                } = conj
-                {
-                    if let Expr::Column { table: qual, name } = expr.as_ref() {
-                        let qual_ok = qual
-                            .as_deref()
-                            .map(|q| q.eq_ignore_ascii_case(&t.schema.name))
-                            .unwrap_or(true);
-                        if qual_ok {
-                            if let Some(ci) = t.schema.column_index(name) {
-                                if t.has_index(ci) || t.has_ordered_index(ci) {
-                                    push(
-                                        lines,
-                                        ind,
-                                        format!(
-                                            "IndexScan {} ({} IN (subquery)){suffix}",
-                                            t.schema.name, t.schema.columns[ci].name
-                                        ),
-                                    );
-                                    return Ok(());
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Expr::InList {
-                    expr,
-                    list,
-                    negated: false,
-                } = conj
-                {
-                    if let Expr::Column { table: qual, name } = expr.as_ref() {
-                        let qual_ok = qual
-                            .as_deref()
-                            .map(|q| q.eq_ignore_ascii_case(&t.schema.name))
-                            .unwrap_or(true);
-                        if qual_ok && list.iter().all(Self::row_independent) {
-                            if let Some(ci) = t.schema.column_index(name) {
-                                if t.has_index(ci) || t.has_ordered_index(ci) {
-                                    push(
-                                        lines,
-                                        ind,
-                                        format!(
-                                            "IndexScan {} ({} IN ({} values)){suffix}",
-                                            t.schema.name,
-                                            t.schema.columns[ci].name,
-                                            list.len()
-                                        ),
-                                    );
-                                    return Ok(());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        push(lines, ind, format!("SeqScan {}{suffix}", t.schema.name));
+        render_scan(&scan, ind, lines, None);
         Ok(())
     }
 }

@@ -56,12 +56,8 @@ fn write_stmt(out: &mut String, stmt: &Stmt) {
             name,
             table,
             column,
-            ordered,
         } => {
             let _ = write!(out, "CREATE INDEX {name} ON {table} ({column})");
-            if *ordered {
-                out.push_str(" USING ORDERED");
-            }
         }
         Stmt::Analyze { table } => {
             out.push_str("ANALYZE");

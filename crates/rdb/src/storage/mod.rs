@@ -11,12 +11,12 @@
 //!   copy-on-write B-tree per table (keyed on row id / slot position)
 //!   and a clock buffer pool. Every table mutation is mirrored into the
 //!   pages; `SELECT` scans and index probes read rows back through the
-//!   pool ([`StorageBackend::read_through`]); checkpoints flush only the
-//!   dirty frames and commit via an atomic meta rename, so checkpoint
-//!   cost is O(pages touched), not O(database).
+//!   pool; checkpoints flush only the dirty frames and commit via an
+//!   atomic meta rename, so checkpoint cost is O(pages touched), not
+//!   O(database).
 //!
 //! The split of responsibilities: the in-memory table remains the
-//! authority for *positions* (undo splicing, hash-index maintenance,
+//! authority for *positions* (undo, index maintenance,
 //! MVCC before-images — all slot-addressed), while the backend is the
 //! authority for *bytes on disk*. MVCC version chains stay above the
 //! trait, so snapshot reads behave identically on every backend.
@@ -70,10 +70,6 @@ pub struct StorageConfig {
     pub backend: BackendKind,
     /// Buffer-pool frame budget for the paged backend (frames × 4 KiB).
     pub pool_frames: usize,
-    /// Whether `SELECT` scans and index probes materialize rows through
-    /// the paged backend's buffer pool instead of the in-memory heap.
-    /// On by default for the paged backend; ignored by the memory one.
-    pub read_through: bool,
 }
 
 impl Default for StorageConfig {
@@ -81,7 +77,6 @@ impl Default for StorageConfig {
         StorageConfig {
             backend: BackendKind::Memory,
             pool_frames: 1024,
-            read_through: true,
         }
     }
 }
@@ -123,10 +118,8 @@ pub struct CatalogTable {
     pub columns: Vec<(String, DataType)>,
     /// Slot-vector length, trailing tombstones included.
     pub slots_len: u64,
-    /// Column indices carrying a hash index.
+    /// Indexed column indices, ascending.
     pub indexed: Vec<u32>,
-    /// Column indices carrying an ordered index.
-    pub ordered: Vec<u32>,
     /// Optimizer statistics, if the table has been `ANALYZE`d.
     pub stats: Option<crate::stats::TableStatistics>,
 }
@@ -169,10 +162,6 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Whether the backend keeps its own durable copy of table data
     /// (mirror hooks are only attached to tables when it does).
     fn is_persistent(&self) -> bool;
-
-    /// Whether `SELECT` scans should materialize rows through the
-    /// backend instead of the in-memory heap.
-    fn read_through(&self) -> bool;
 
     /// A table was created under `table` (lower-cased key).
     fn create_table(&self, table: &str);
@@ -221,10 +210,6 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn is_persistent(&self) -> bool {
-        false
-    }
-
-    fn read_through(&self) -> bool {
         false
     }
 

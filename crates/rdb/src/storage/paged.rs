@@ -66,7 +66,6 @@ struct StoreInner {
 #[derive(Debug)]
 pub struct PagedStore {
     dir: PathBuf,
-    read_through: bool,
     inner: Mutex<StoreInner>,
 }
 
@@ -77,11 +76,7 @@ impl PagedStore {
     /// in-memory tables from it before WAL replay. Without a meta the
     /// page file is reset: the store's content is whatever the engine
     /// seeds it with (fresh schema or a migrated full snapshot).
-    pub fn open(
-        dir: &Path,
-        pool_frames: usize,
-        read_through: bool,
-    ) -> Result<(PagedStore, Option<StoreMeta>)> {
+    pub fn open(dir: &Path, pool_frames: usize) -> Result<(PagedStore, Option<StoreMeta>)> {
         let pager = Pager::open(&dir.join(DATA_FILE))?;
         let mut heap = PageHeap::new(pager, pool_frames);
         let meta_path = dir.join(META_FILE);
@@ -102,7 +97,6 @@ impl PagedStore {
         Ok((
             PagedStore {
                 dir: dir.to_path_buf(),
-                read_through,
                 inner: Mutex::new(StoreInner {
                     heap,
                     roots,
@@ -154,10 +148,6 @@ impl StorageBackend for PagedStore {
 
     fn is_persistent(&self) -> bool {
         true
-    }
-
-    fn read_through(&self) -> bool {
-        self.read_through
     }
 
     fn create_table(&self, table: &str) {
@@ -240,7 +230,6 @@ impl StorageBackend for PagedStore {
                     root: inner.roots.get(&t.key).copied().unwrap_or(0),
                     slots_len: t.slots_len,
                     indexed: t.indexed.clone(),
-                    ordered: t.ordered.clone(),
                     stats: t.stats.clone(),
                 })
                 .collect();

@@ -43,8 +43,12 @@ pub const PAGE_SIZE: usize = 4096;
 pub const PAGE_HDR: usize = 24;
 /// Size of one slot-directory entry (offset u16 + length u16).
 pub const SLOT_ENTRY: usize = 4;
-/// Magic prefix of the checkpoint meta file.
-pub const META_MAGIC: &[u8; 8] = b"XUPPGME1";
+/// Magic prefix of the checkpoint meta file (the trailing digit is the
+/// format version).
+pub const META_MAGIC: &[u8; 8] = b"XUPPGME2";
+/// Magic of the previous meta format (separate hash- and ordered-index
+/// column lists per table), still accepted on read.
+const META_MAGIC_V1: &[u8; 8] = b"XUPPGME1";
 /// Page-file name inside a durable database's directory.
 pub const DATA_FILE: &str = "pages.bin";
 /// Checkpoint meta-file name (the paged store's commit point).
@@ -299,10 +303,8 @@ pub struct TableMeta {
     /// Slot-vector length, trailing tombstones included, so WAL replay
     /// appends rows at the positions the log recorded.
     pub slots_len: u64,
-    /// Column indices carrying a hash index (rebuilt at open).
+    /// Indexed column indices, ascending (indexes are rebuilt at open).
     pub indexed: Vec<u32>,
-    /// Column indices carrying an ordered index (rebuilt at open).
-    pub ordered: Vec<u32>,
     /// Optimizer statistics captured at checkpoint time, if the table
     /// has been `ANALYZE`d.
     pub stats: Option<crate::stats::TableStatistics>,
@@ -355,10 +357,6 @@ pub fn encode_meta(meta: &StoreMeta) -> Vec<u8> {
         for ci in &t.indexed {
             wal::put_u32(&mut body, *ci);
         }
-        wal::put_u32(&mut body, t.ordered.len() as u32);
-        for ci in &t.ordered {
-            wal::put_u32(&mut body, *ci);
-        }
         crate::stats::put_stats(&mut body, t.stats.as_ref());
     }
     wal::put_u32(&mut body, meta.triggers.len() as u32);
@@ -378,9 +376,14 @@ pub fn encode_meta(meta: &StoreMeta) -> Vec<u8> {
 /// is an error, never a partial parse.
 pub fn decode_meta(bytes: &[u8]) -> Result<StoreMeta> {
     let corrupt = |what: &str| DbError::Storage(format!("page meta corrupt: {what}"));
-    if bytes.len() < 16 || &bytes[..8] != META_MAGIC {
+    if bytes.len() < 16 {
         return Err(corrupt("bad magic"));
     }
+    let v1 = match &bytes[..8] {
+        m if m == META_MAGIC => false,
+        m if m == META_MAGIC_V1 => true,
+        _ => return Err(corrupt("bad magic")),
+    };
     let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
     let body = bytes
@@ -422,15 +425,16 @@ pub fn decode_meta(bytes: &[u8]) -> Result<StoreMeta> {
         }
         let root = r.u64().ok_or_else(parse)?;
         let slots_len = r.u64().ok_or_else(parse)?;
-        let nidx = r.u32().ok_or_else(parse)? as usize;
-        let mut indexed = Vec::with_capacity(nidx.min(1024));
-        for _ in 0..nidx {
-            indexed.push(r.u32().ok_or_else(parse)?);
+        // One column list; the old format carried two (hash, ordered).
+        let mut indexed = Vec::new();
+        for _ in 0..if v1 { 2 } else { 1 } {
+            for _ in 0..r.u32().ok_or_else(parse)? {
+                indexed.push(r.u32().ok_or_else(parse)?);
+            }
         }
-        let nord = r.u32().ok_or_else(parse)? as usize;
-        let mut ordered = Vec::with_capacity(nord.min(1024));
-        for _ in 0..nord {
-            ordered.push(r.u32().ok_or_else(parse)?);
+        if v1 {
+            indexed.sort_unstable();
+            indexed.dedup();
         }
         let stats =
             crate::stats::read_stats(&mut r).ok_or_else(|| corrupt("bad statistics block"))?;
@@ -441,7 +445,6 @@ pub fn decode_meta(bytes: &[u8]) -> Result<StoreMeta> {
             root,
             slots_len,
             indexed,
-            ordered,
             stats,
         });
     }

@@ -63,7 +63,7 @@ pub fn view_columns(name: &str) -> Option<&'static [&'static str]> {
             "max_value",
             "buckets",
         ],
-        "rdb_indexes" => &["table_name", "column_name", "kind", "entries"],
+        "rdb_indexes" => &["table_name", "column_name", "entries"],
         "rdb_metrics" => &["name", "kind", "labels", "value"],
         "rdb_sessions" => &[
             "id",
@@ -606,16 +606,10 @@ impl Database {
             .map(|name| {
                 let t = &self.tables[&name];
                 let cols = t.schema.column_names();
-                let indexes: Vec<String> = (0..cols.len())
-                    .filter(|&ci| t.has_index(ci) || t.has_ordered_index(ci))
-                    .map(|ci| {
-                        let kind = if t.has_ordered_index(ci) {
-                            "ordered"
-                        } else {
-                            "hash"
-                        };
-                        format!("{}({kind})", cols[ci])
-                    })
+                let indexes: Vec<&str> = t
+                    .indexed_columns()
+                    .into_iter()
+                    .map(|ci| cols[ci].as_str())
                     .collect();
                 vec![
                     s(name.clone()),
@@ -655,19 +649,10 @@ impl Database {
         let mut rows = Vec::new();
         for name in self.table_names() {
             let t = &self.tables[&name];
-            for (ci, col) in t.schema.column_names().into_iter().enumerate() {
-                if !t.has_index(ci) && !t.has_ordered_index(ci) {
-                    continue;
-                }
-                let kind = if t.has_ordered_index(ci) {
-                    "ordered"
-                } else {
-                    "hash"
-                };
+            for ci in t.indexed_columns() {
                 rows.push(vec![
                     s(name.clone()),
-                    s(col),
-                    s(kind),
+                    s(t.schema.columns[ci].name.clone()),
                     int(t.index_distinct(ci) as u64),
                 ]);
             }

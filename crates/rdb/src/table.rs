@@ -1,10 +1,11 @@
-//! In-memory table storage with secondary hash and ordered indexes.
+//! In-memory table storage with ordered secondary indexes.
 
 use crate::ast::ColumnDef;
 use crate::error::{DbError, Result};
 use crate::stats::TableStatistics;
 use crate::storage::StorageBackend;
-use crate::value::{OrdValue, Row, Value};
+use crate::value::{Row, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -50,39 +51,40 @@ pub(crate) struct VersionEntry {
 /// Write-through attachment to a persistent storage backend: every slot
 /// mutation of the owning table is mirrored into `store` under `key`.
 /// Forward DML, rollback undo, and WAL replay all funnel through the
-/// same six slot mutations, so the backend tracks the heap exactly.
+/// same slot mutations, so the backend tracks the heap exactly.
 #[derive(Debug, Clone)]
 pub(crate) struct Backing {
     store: Arc<dyn StorageBackend>,
     key: String,
 }
 
-/// A heap of rows with optional hash indexes on single columns.
+/// One secondary index: key → slot positions, keys in
+/// [`Value::sort_cmp`] order, positions **ascending** within a key, no
+/// empty buckets. That makes the map a pure function of the slot vector,
+/// so rollback and recovery restore it exactly without recording anything
+/// about it.
+type Index = BTreeMap<Value, Vec<usize>>;
+
+/// A heap of rows with optional ordered indexes on single columns.
 ///
 /// Rows live in slots (`Vec<Option<Row>>`); deletion tombstones the slot so
 /// that row positions remain stable during statement execution. Indexes are
 /// maintained eagerly on insert/delete/update.
 ///
 /// `PartialEq` compares the full physical state — slot vector (including
-/// tombstones), live count, and index bucket contents *in order* — which
-/// is exactly the "byte-identical" equality the transaction layer's
-/// exact undo restores (see `crate::txn`). The MVCC version history is
-/// deliberately excluded: it is read-side reconstruction state, not part
-/// of the committed physical image.
+/// tombstones), live count, and index contents — which is exactly the
+/// "byte-identical" equality the transaction layer's undo restores (see
+/// `crate::txn`). The MVCC version history is deliberately excluded: it
+/// is read-side reconstruction state, not part of the committed physical
+/// image.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
     slots: Vec<Option<Row>>,
     live: usize,
-    /// column index → (value → slot positions)
-    indexes: HashMap<usize, HashMap<Value, Vec<usize>>>,
-    /// Ordered secondary indexes: column index → (key → slot positions).
-    /// In-bucket positions are kept **sorted ascending** as an invariant
-    /// — inserts append at the max position, undo splices by binary
-    /// search — so the structure is a pure function of the slot vector
-    /// and needs no undo offsets of its own.
-    ordered: HashMap<usize, BTreeMap<OrdValue, Vec<usize>>>,
+    /// column index → index on that column.
+    indexes: HashMap<usize, Index>,
     /// `ANALYZE`-built planner statistics; counters are maintained by
     /// the slot mutations below, shape is frozen until the next analyze
     /// (see `crate::stats`).
@@ -101,30 +103,39 @@ impl PartialEq for Table {
             && self.slots == other.slots
             && self.live == other.live
             && self.indexes == other.indexes
-            && self.ordered == other.ordered
             && self.stats == other.stats
     }
 }
 
-/// Splice `pos` into a sorted position bucket.
-fn bucket_insert(bucket: &mut Vec<usize>, pos: usize) {
+/// Splice `pos` into the bucket under `key`, keeping it sorted.
+fn index_add(idx: &mut Index, key: &Value, pos: usize) {
+    let bucket = idx.entry(key.clone()).or_default();
     let at = bucket.partition_point(|&p| p < pos);
     bucket.insert(at, pos);
 }
 
 /// Remove `pos` from the bucket under `key`, dropping the bucket when it
-/// empties (ordered-index buckets never linger empty, so the map stays a
-/// pure function of the slot vector).
-fn ordered_remove(map: &mut BTreeMap<OrdValue, Vec<usize>>, key: &Value, pos: usize) {
-    let k = OrdValue(key.clone());
-    if let Some(bucket) = map.get_mut(&k) {
+/// empties.
+fn index_remove(idx: &mut Index, key: &Value, pos: usize) {
+    if let Some(bucket) = idx.get_mut(key) {
         if let Ok(at) = bucket.binary_search(&pos) {
             bucket.remove(at);
         }
         if bucket.is_empty() {
-            map.remove(&k);
+            idx.remove(key);
         }
     }
+}
+
+/// Build the index on column `ci` from a slot vector.
+fn index_build(slots: &[Option<Row>], ci: usize) -> Index {
+    let mut idx = Index::new();
+    for (pos, slot) in slots.iter().enumerate() {
+        if let Some(row) = slot {
+            index_add(&mut idx, &row[ci], pos);
+        }
+    }
+    idx
 }
 
 impl Table {
@@ -135,7 +146,6 @@ impl Table {
             slots: Vec::new(),
             live: 0,
             indexes: HashMap::new(),
-            ordered: HashMap::new(),
             stats: None,
             history: Vec::new(),
             backing: None,
@@ -147,7 +157,8 @@ impl Table {
     // ------------------------------------------------------------------
 
     /// Attach a persistent backend: from now on every slot mutation is
-    /// mirrored into `store` under `key`.
+    /// mirrored into `store` under `key`, and [`Table::fetch`] reads rows
+    /// back through it.
     pub(crate) fn attach_backing(&mut self, store: Arc<dyn StorageBackend>, key: &str) {
         self.backing = Some(Backing {
             store,
@@ -155,28 +166,29 @@ impl Table {
         });
     }
 
-    /// Whether scans should materialize rows through the backend's
-    /// buffer pool instead of the in-memory heap.
-    pub fn backed_read_through(&self) -> bool {
-        self.backing
-            .as_ref()
-            .is_some_and(|b| b.store.read_through())
+    /// All live rows read back through the backend, in slot order, or
+    /// `None` when the heap is the only copy.
+    pub(crate) fn backed_scan(&self) -> Option<Result<Vec<(u64, Row)>>> {
+        self.backing.as_ref().map(|b| b.store.scan_table(&b.key))
     }
 
-    /// All live rows read back through the backend, in slot order.
-    pub(crate) fn backed_scan(&self) -> Result<Vec<(usize, Row)>> {
-        let b = self.backing.as_ref().expect("backed_scan without backing");
-        Ok(b.store
-            .scan_table(&b.key)?
-            .into_iter()
-            .map(|(p, r)| (p as usize, r))
-            .collect())
-    }
-
-    /// The row at slot `pos` read back through the backend.
-    pub(crate) fn backed_row(&self, pos: usize) -> Result<Option<Row>> {
-        let b = self.backing.as_ref().expect("backed_row without backing");
-        b.store.get_row(&b.key, pos as u64)
+    /// The live row at slot `pos` as a query reads it: through the
+    /// backend's buffer pool when one is attached, borrowed from the heap
+    /// otherwise. Positions come from the indexes, which describe live
+    /// rows, so a miss is a broken invariant (heap) or a lost page (store).
+    pub(crate) fn fetch(&self, pos: usize) -> Result<Cow<'_, Row>> {
+        match &self.backing {
+            None => Ok(Cow::Borrowed(
+                self.row(pos).expect("index points at live row"),
+            )),
+            Some(b) => match b.store.get_row(&b.key, pos as u64)? {
+                Some(row) => Ok(Cow::Owned(row)),
+                None => Err(DbError::Storage(format!(
+                    "page store lost row at slot {pos} of `{}`",
+                    self.schema.name
+                ))),
+            },
+        }
     }
 
     /// Mirror the current content of slot `pos` into the backend (no-op
@@ -211,58 +223,26 @@ impl Table {
         self.schema.columns.len()
     }
 
-    /// Add a hash index on `column` (no-op if one exists).
+    /// Add an index on `column` (no-op if one exists).
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let ci = self
             .schema
             .column_index(column)
             .ok_or_else(|| DbError::NoSuchColumn(format!("{}.{column}", self.schema.name)))?;
-        if self.indexes.contains_key(&ci) {
-            return Ok(());
+        if !self.indexes.contains_key(&ci) {
+            self.indexes.insert(ci, index_build(&self.slots, ci));
         }
-        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (pos, slot) in self.slots.iter().enumerate() {
-            if let Some(row) = slot {
-                map.entry(row[ci].clone()).or_default().push(pos);
-            }
-        }
-        self.indexes.insert(ci, map);
         Ok(())
     }
 
-    /// Whether `column` has a hash index.
+    /// Whether `column` is indexed.
     pub fn has_index(&self, column_idx: usize) -> bool {
         self.indexes.contains_key(&column_idx)
     }
 
-    /// Add an ordered index on `column` (no-op if one exists). Positions
-    /// are pushed in slot order, establishing the sorted-bucket invariant.
-    pub fn create_ordered_index(&mut self, column: &str) -> Result<()> {
-        let ci = self
-            .schema
-            .column_index(column)
-            .ok_or_else(|| DbError::NoSuchColumn(format!("{}.{column}", self.schema.name)))?;
-        if self.ordered.contains_key(&ci) {
-            return Ok(());
-        }
-        let mut map: BTreeMap<OrdValue, Vec<usize>> = BTreeMap::new();
-        for (pos, slot) in self.slots.iter().enumerate() {
-            if let Some(row) = slot {
-                map.entry(OrdValue(row[ci].clone())).or_default().push(pos);
-            }
-        }
-        self.ordered.insert(ci, map);
-        Ok(())
-    }
-
-    /// Whether `column` has an ordered index.
-    pub fn has_ordered_index(&self, column_idx: usize) -> bool {
-        self.ordered.contains_key(&column_idx)
-    }
-
-    /// Columns carrying an ordered index, ascending.
-    pub fn ordered_columns(&self) -> Vec<usize> {
-        let mut cols: Vec<usize> = self.ordered.keys().copied().collect();
+    /// Indexed columns, ascending.
+    pub fn indexed_columns(&self) -> Vec<usize> {
+        let mut cols: Vec<usize> = self.indexes.keys().copied().collect();
         cols.sort_unstable();
         cols
     }
@@ -299,11 +279,7 @@ impl Table {
         }
         let pos = self.slots.len();
         for (ci, idx) in self.indexes.iter_mut() {
-            idx.entry(row[*ci].clone()).or_default().push(pos);
-        }
-        for (ci, idx) in self.ordered.iter_mut() {
-            // `pos` is the new maximum, so a push keeps buckets sorted.
-            idx.entry(OrdValue(row[*ci].clone())).or_default().push(pos);
+            index_add(idx, &row[*ci], pos);
         }
         if let Some(s) = &mut self.stats {
             s.note_insert(&row);
@@ -326,15 +302,7 @@ impl Table {
         let row = self.slots.get_mut(pos)?.take()?;
         self.live -= 1;
         for (ci, idx) in self.indexes.iter_mut() {
-            if let Some(v) = idx.get_mut(&row[*ci]) {
-                v.retain(|&p| p != pos);
-                if v.is_empty() {
-                    idx.remove(&row[*ci]);
-                }
-            }
-        }
-        for (ci, idx) in self.ordered.iter_mut() {
-            ordered_remove(idx, &row[*ci], pos);
+            index_remove(idx, &row[*ci], pos);
         }
         if let Some(s) = &mut self.stats {
             s.note_delete(&row);
@@ -343,144 +311,50 @@ impl Table {
         Some(row)
     }
 
-    /// Overwrite one column of the row at `pos`.
-    pub fn update_cell(&mut self, pos: usize, column_idx: usize, value: Value) -> Result<()> {
+    /// Overwrite one column of the row at `pos`, returning the previous
+    /// value. Undoing the update is the same call with that value.
+    pub fn update_cell(&mut self, pos: usize, column_idx: usize, value: Value) -> Result<Value> {
         let row = self
             .slots
             .get_mut(pos)
             .and_then(Option::as_mut)
             .ok_or_else(|| DbError::Execution(format!("no live row at slot {pos}")))?;
-        let old = std::mem::replace(&mut row[column_idx], value.clone());
+        let old = std::mem::replace(&mut row[column_idx], value);
+        let new = &row[column_idx];
         if let Some(idx) = self.indexes.get_mut(&column_idx) {
-            if let Some(v) = idx.get_mut(&old) {
-                v.retain(|&p| p != pos);
-                if v.is_empty() {
-                    idx.remove(&old);
-                }
-            }
-            idx.entry(value.clone()).or_default().push(pos);
-        }
-        if let Some(idx) = self.ordered.get_mut(&column_idx) {
-            ordered_remove(idx, &old, pos);
-            bucket_insert(idx.entry(OrdValue(value.clone())).or_default(), pos);
+            index_remove(idx, &old, pos);
+            index_add(idx, new, pos);
         }
         if let Some(s) = &mut self.stats {
-            s.note_update(column_idx, &old, &value);
+            s.note_update(column_idx, &old, new);
         }
         self.mirror_slot(pos);
-        Ok(())
+        Ok(old)
     }
 
     // ------------------------------------------------------------------
     // undo support (see `crate::txn`)
     //
-    // The engine records enough from each forward mutation to restore the
-    // table *exactly*: inserts are undone while they are still the last
-    // slot (rollback applies records newest-first), and delete/update
-    // undo re-inserts the slot position at its recorded offset inside
-    // each index bucket, reproducing bucket ordering.
+    // Index contents are a pure function of the slot vector, so undo only
+    // has to put the slots back: a delete is undone by `restore_row`, a
+    // cell update by `update_cell` with the old value, and an insert by
+    // `undo_insert` while it is still the last slot (rollback applies
+    // records newest-first).
     // ------------------------------------------------------------------
 
-    /// Delete the row at `pos` like [`Table::delete`], additionally
-    /// returning the `(column, offset)` of the slot in each index bucket
-    /// it is removed from, so [`Table::restore_row`] can splice it back
-    /// in place.
-    pub(crate) fn delete_with_undo(&mut self, pos: usize) -> Option<(Row, Vec<(usize, usize)>)> {
-        {
-            let row = self.slots.get(pos)?.as_ref()?;
-            let mut offsets = Vec::new();
-            for (ci, idx) in self.indexes.iter() {
-                if let Some(off) = idx
-                    .get(&row[*ci])
-                    .and_then(|v| v.iter().position(|&p| p == pos))
-                {
-                    offsets.push((*ci, off));
-                }
-            }
-            let row = self.delete(pos)?;
-            Some((row, offsets))
-        }
-    }
-
-    /// Undo a delete: put `row` back at `pos` and re-insert the slot at
-    /// its recorded offset in each index bucket.
-    pub(crate) fn restore_row(&mut self, pos: usize, row: Row, offsets: &[(usize, usize)]) {
-        for &(ci, off) in offsets {
-            if let Some(idx) = self.indexes.get_mut(&ci) {
-                let bucket = idx.entry(row[ci].clone()).or_default();
-                bucket.insert(off.min(bucket.len()), pos);
-            }
-        }
-        for (ci, idx) in self.ordered.iter_mut() {
-            // Sorted buckets need no recorded offset: splice by position.
-            bucket_insert(idx.entry(OrdValue(row[*ci].clone())).or_default(), pos);
+    /// Undo a delete: put `row` back at `pos`.
+    pub(crate) fn restore_row(&mut self, pos: usize, row: Row) {
+        let Some(slot) = self.slots.get_mut(pos) else {
+            return;
+        };
+        for (ci, idx) in self.indexes.iter_mut() {
+            index_add(idx, &row[*ci], pos);
         }
         if let Some(s) = &mut self.stats {
             s.note_insert(&row);
         }
-        if let Some(slot) = self.slots.get_mut(pos) {
-            if slot.replace(row).is_none() {
-                self.live += 1;
-            }
-        }
-        self.mirror_slot(pos);
-    }
-
-    /// Overwrite a cell like [`Table::update_cell`], additionally
-    /// returning the previous value and, when the column is indexed, the
-    /// slot's offset in the old value's bucket.
-    pub(crate) fn update_cell_with_undo(
-        &mut self,
-        pos: usize,
-        column_idx: usize,
-        value: Value,
-    ) -> Result<(Value, Option<usize>)> {
-        let old = self
-            .row(pos)
-            .and_then(|r| r.get(column_idx))
-            .cloned()
-            .ok_or_else(|| DbError::Execution(format!("no live row at slot {pos}")))?;
-        let old_offset = self
-            .indexes
-            .get(&column_idx)
-            .and_then(|idx| idx.get(&old))
-            .and_then(|v| v.iter().position(|&p| p == pos));
-        self.update_cell(pos, column_idx, value)?;
-        Ok((old, old_offset))
-    }
-
-    /// Undo a cell update: restore `old` and rebuild the index entry at
-    /// its recorded bucket offset.
-    pub(crate) fn unupdate_cell(
-        &mut self,
-        pos: usize,
-        column_idx: usize,
-        old: Value,
-        old_offset: Option<usize>,
-    ) {
-        let row = match self.slots.get_mut(pos).and_then(Option::as_mut) {
-            Some(r) => r,
-            None => return,
-        };
-        let current = std::mem::replace(&mut row[column_idx], old.clone());
-        if let Some(idx) = self.indexes.get_mut(&column_idx) {
-            if let Some(v) = idx.get_mut(&current) {
-                v.retain(|&p| p != pos);
-                if v.is_empty() {
-                    idx.remove(&current);
-                }
-            }
-            if let Some(off) = old_offset {
-                let bucket = idx.entry(old.clone()).or_default();
-                bucket.insert(off.min(bucket.len()), pos);
-            }
-        }
-        if let Some(idx) = self.ordered.get_mut(&column_idx) {
-            ordered_remove(idx, &current, pos);
-            bucket_insert(idx.entry(OrdValue(old.clone())).or_default(), pos);
-        }
-        if let Some(s) = &mut self.stats {
-            s.note_update(column_idx, &current, &old);
+        if slot.replace(row).is_none() {
+            self.live += 1;
         }
         self.mirror_slot(pos);
     }
@@ -490,39 +364,16 @@ impl Table {
     /// is the last slot again: popping it restores the slot vector's
     /// original length.
     pub(crate) fn undo_insert(&mut self, pos: usize) {
-        if let Some(row) = self.slots.get_mut(pos).and_then(Option::take) {
-            self.live -= 1;
-            for (ci, idx) in self.indexes.iter_mut() {
-                if let Some(v) = idx.get_mut(&row[*ci]) {
-                    v.retain(|&p| p != pos);
-                    if v.is_empty() {
-                        idx.remove(&row[*ci]);
-                    }
-                }
-            }
-            for (ci, idx) in self.ordered.iter_mut() {
-                ordered_remove(idx, &row[*ci], pos);
-            }
-            if let Some(s) = &mut self.stats {
-                s.note_delete(&row);
-            }
-            self.mirror_delete(pos);
-        }
+        self.delete(pos);
         debug_assert_eq!(pos + 1, self.slots.len(), "insert undo must be last slot");
         if pos + 1 == self.slots.len() {
             self.slots.pop();
         }
     }
 
-    /// Drop the hash index on `column_idx` (undo of `CREATE INDEX`).
+    /// Drop the index on `column_idx` (undo of `CREATE INDEX`).
     pub(crate) fn drop_index(&mut self, column_idx: usize) {
         self.indexes.remove(&column_idx);
-    }
-
-    /// Drop the ordered index on `column_idx` (undo of `CREATE INDEX ...
-    /// USING ORDERED`).
-    pub(crate) fn drop_ordered_index(&mut self, column_idx: usize) {
-        self.ordered.remove(&column_idx);
     }
 
     // ------------------------------------------------------------------
@@ -534,40 +385,26 @@ impl Table {
         &self.slots
     }
 
-    /// The raw index map (snapshot serialization).
-    pub(crate) fn indexes_raw(&self) -> &HashMap<usize, HashMap<Value, Vec<usize>>> {
-        &self.indexes
-    }
-
-    /// Rebuild a table from snapshot parts. The live count is derived
-    /// from the slots; index buckets are installed verbatim so in-bucket
-    /// position order survives the round trip.
+    /// Rebuild a table from checkpointed parts. The live count and the
+    /// indexes are derived from the slots; only the indexed column list
+    /// is persisted. The caller has validated `index_columns` against the
+    /// schema.
     pub(crate) fn from_parts(
         schema: TableSchema,
         slots: Vec<Option<Row>>,
-        indexes: HashMap<usize, HashMap<Value, Vec<usize>>>,
-        ordered_columns: &[usize],
+        index_columns: &[usize],
         stats: Option<TableStatistics>,
     ) -> Self {
         let live = slots.iter().filter(|s| s.is_some()).count();
-        // Ordered buckets are a pure function of the slots (positions
-        // ascending), so only the column list is persisted; rebuild here.
-        let mut ordered: HashMap<usize, BTreeMap<OrdValue, Vec<usize>>> = HashMap::new();
-        for &ci in ordered_columns {
-            let mut map: BTreeMap<OrdValue, Vec<usize>> = BTreeMap::new();
-            for (pos, slot) in slots.iter().enumerate() {
-                if let Some(row) = slot {
-                    map.entry(OrdValue(row[ci].clone())).or_default().push(pos);
-                }
-            }
-            ordered.insert(ci, map);
-        }
+        let indexes = index_columns
+            .iter()
+            .map(|&ci| (ci, index_build(&slots, ci)))
+            .collect();
         Table {
             schema,
             slots,
             live,
             indexes,
-            ordered,
             stats,
             history: Vec::new(),
             backing: None,
@@ -576,11 +413,7 @@ impl Table {
 
     /// Slot positions of all live rows.
     pub fn live_positions(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
+        self.iter_live().map(|(i, _)| i).collect()
     }
 
     /// Iterate live rows.
@@ -598,119 +431,51 @@ impl Table {
             .filter_map(|(i, s)| s.as_ref().map(|r| (i, r)))
     }
 
-    /// Distinct key count of the index on `column_idx` (hash index when
-    /// present, else the ordered index); 0 when the column has neither.
+    /// Distinct key count of the index on `column_idx`; 0 when the column
+    /// is not indexed.
     pub(crate) fn index_distinct(&self, column_idx: usize) -> usize {
-        if let Some(m) = self.indexes.get(&column_idx) {
-            return m.len();
-        }
-        self.ordered.get(&column_idx).map_or(0, |m| m.len())
+        self.indexes.get(&column_idx).map_or(0, |m| m.len())
     }
 
-    /// Index lookup: positions of live rows with `row[column_idx] == key`.
-    /// Served by the hash index when present, else by an equality probe
-    /// of the ordered index. Returns `None` if the column carries neither.
+    /// Index lookup: positions (ascending) of live rows with
+    /// `row[column_idx] == key`. Returns `None` if the column is not
+    /// indexed.
     pub fn index_lookup(&self, column_idx: usize, key: &Value) -> Option<&[usize]> {
-        if let Some(m) = self.indexes.get(&column_idx) {
-            return Some(m.get(key).map(Vec::as_slice).unwrap_or(&[]));
-        }
-        self.ordered.get(&column_idx).map(|m| {
-            m.get(&OrdValue(key.clone()))
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-        })
+        self.indexes
+            .get(&column_idx)
+            .map(|m| m.get(key).map(Vec::as_slice).unwrap_or(&[]))
     }
 
-    /// Build the `BTreeMap::range` bounds for `(value, inclusive)` seek
-    /// endpoints. Returns `None` when the bounds are provably empty
-    /// (`lower > upper`), which `BTreeMap::range` would panic on.
-    fn seek_bounds(
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-    ) -> Option<(Bound<OrdValue>, Bound<OrdValue>)> {
-        if let (Some((lo, lo_incl)), Some((hi, hi_incl))) = (lower, upper) {
-            match lo.sort_cmp(hi) {
-                std::cmp::Ordering::Greater => return None,
-                std::cmp::Ordering::Equal if !(lo_incl && hi_incl) => return None,
-                _ => {}
-            }
-        }
-        let as_bound = |b: Option<(&Value, bool)>| match b {
-            None => Bound::Unbounded,
-            Some((v, true)) => Bound::Included(OrdValue(v.clone())),
-            Some((v, false)) => Bound::Excluded(OrdValue(v.clone())),
-        };
-        Some((as_bound(lower), as_bound(upper)))
-    }
-
-    /// Range seek over the ordered index on `column_idx`: slot positions
-    /// (ascending) of live rows whose key lies within the bounds under
-    /// [`Value::sort_cmp`]'s total order. Bounds are `(value, inclusive)`;
-    /// `None` is unbounded. Returns `None` when the column has no ordered
-    /// index. Callers re-check the originating predicate per row, so the
-    /// seek only needs to be a superset under the total order.
-    pub fn range_positions(
-        &self,
-        column_idx: usize,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-    ) -> Option<Vec<usize>> {
-        let m = self.ordered.get(&column_idx)?;
-        let Some(bounds) = Self::seek_bounds(lower, upper) else {
-            return Some(Vec::new());
-        };
-        let mut out = Vec::new();
-        for (_, ps) in m.range(bounds) {
-            out.extend_from_slice(ps);
-        }
-        out.sort_unstable();
-        Some(out)
-    }
-
-    /// Ordered seek: slot positions in key order (descending when `desc`),
-    /// positions ascending within equal keys, optionally bounded like
-    /// [`Table::range_positions`]. Returns `None` when the column has no
-    /// ordered index. This is the access path that lets the planner elide
-    /// an `ORDER BY` sort.
-    pub fn ordered_positions(
-        &self,
-        column_idx: usize,
-        desc: bool,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-    ) -> Option<Vec<usize>> {
-        let m = self.ordered.get(&column_idx)?;
-        let Some(bounds) = Self::seek_bounds(lower, upper) else {
-            return Some(Vec::new());
-        };
-        let mut out = Vec::new();
-        if desc {
-            for (_, ps) in m.range(bounds).rev() {
-                out.extend_from_slice(ps);
-            }
-        } else {
-            for (_, ps) in m.range(bounds) {
-                out.extend_from_slice(ps);
-            }
-        }
-        Some(out)
-    }
-
-    /// Lazy form of [`Table::ordered_positions`]: an iterator over slot
-    /// positions in key order. Lets `ORDER BY … LIMIT k` pull only the
-    /// first `k` matches instead of materializing every position.
-    pub(crate) fn ordered_seek<'t>(
+    /// Index walk in key order (descending when `desc`), positions
+    /// ascending within equal keys, between `(value, inclusive)` bounds
+    /// under [`Value::sort_cmp`]'s total order (`None` is unbounded).
+    /// Lazy, so `ORDER BY … LIMIT k` pulls only the first `k` entries.
+    /// Returns `None` when the column is not indexed. Callers re-check
+    /// the originating predicate per row, so the seek only needs to be a
+    /// superset under the total order.
+    pub fn index_range<'t>(
         &'t self,
         column_idx: usize,
         desc: bool,
         lower: Option<(&Value, bool)>,
         upper: Option<(&Value, bool)>,
     ) -> Option<Box<dyn Iterator<Item = usize> + 't>> {
-        let m = self.ordered.get(&column_idx)?;
-        let Some(bounds) = Self::seek_bounds(lower, upper) else {
-            return Some(Box::new(std::iter::empty()));
-        };
-        let r = m.range(bounds);
+        let m = self.indexes.get(&column_idx)?;
+        // `BTreeMap::range` panics on inverted or empty-by-exclusion
+        // bounds; those are simply empty seeks.
+        if let (Some((lo, lo_incl)), Some((hi, hi_incl))) = (lower, upper) {
+            if lo > hi || (lo == hi && !(lo_incl && hi_incl)) {
+                return Some(Box::new(std::iter::empty()));
+            }
+        }
+        fn as_bound(b: Option<(&Value, bool)>) -> Bound<&Value> {
+            match b {
+                None => Bound::Unbounded,
+                Some((v, true)) => Bound::Included(v),
+                Some((v, false)) => Bound::Excluded(v),
+            }
+        }
+        let r = m.range::<Value, _>((as_bound(lower), as_bound(upper)));
         if desc {
             Some(Box::new(r.rev().flat_map(|(_, ps)| ps.iter().copied())))
         } else {
@@ -875,89 +640,86 @@ mod tests {
         );
     }
 
+    /// Positions of an index walk, collected.
+    fn walk(
+        t: &Table,
+        desc: bool,
+        lower: Option<(&Value, bool)>,
+        upper: Option<(&Value, bool)>,
+    ) -> Vec<usize> {
+        t.index_range(0, desc, lower, upper).unwrap().collect()
+    }
+
     #[test]
     fn ordered_index_maintained_on_mutation() {
         let mut t = Table::new(schema());
-        t.create_ordered_index("id").unwrap();
+        t.create_index("id").unwrap();
         let p0 = t.insert(vec![Value::Int(5), Value::from("a")]).unwrap();
         let p1 = t.insert(vec![Value::Int(1), Value::from("b")]).unwrap();
         let p2 = t.insert(vec![Value::Int(9), Value::from("c")]).unwrap();
         let p3 = t.insert(vec![Value::Int(5), Value::from("d")]).unwrap();
+        assert_eq!(walk(&t, false, None, None), vec![p1, p0, p3, p2]);
         assert_eq!(
-            t.ordered_positions(0, false, None, None).unwrap(),
-            vec![p1, p0, p3, p2]
-        );
-        assert_eq!(
-            t.ordered_positions(0, true, None, None).unwrap(),
+            walk(&t, true, None, None),
             vec![p2, p0, p3, p1],
             "descending flips key order but keeps in-key position order"
         );
         let lo = Value::Int(2);
         let hi = Value::Int(8);
-        assert_eq!(
-            t.range_positions(0, Some((&lo, true)), Some((&hi, true)))
-                .unwrap(),
-            vec![p0, p3]
-        );
+        let mid = (Some((&lo, true)), Some((&hi, true)));
+        assert_eq!(walk(&t, false, mid.0, mid.1), vec![p0, p3]);
         t.delete(p0);
-        assert_eq!(
-            t.range_positions(0, Some((&lo, true)), Some((&hi, true)))
-                .unwrap(),
-            vec![p3]
-        );
+        assert_eq!(walk(&t, false, mid.0, mid.1), vec![p3]);
         t.update_cell(p3, 0, Value::Int(100)).unwrap();
-        assert!(t
-            .range_positions(0, Some((&lo, true)), Some((&hi, true)))
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            t.ordered_positions(0, false, None, None).unwrap(),
-            vec![p1, p2, p3]
-        );
-        // Equality probes fall back to the ordered index.
+        assert!(walk(&t, false, mid.0, mid.1).is_empty());
+        assert_eq!(walk(&t, false, None, None), vec![p1, p2, p3]);
         assert_eq!(t.index_lookup(0, &Value::Int(100)).unwrap(), &[p3]);
     }
 
     #[test]
     fn inverted_range_is_empty_not_panic() {
         let mut t = Table::new(schema());
-        t.create_ordered_index("id").unwrap();
+        t.create_index("id").unwrap();
         t.insert(vec![Value::Int(1), Value::from("a")]).unwrap();
         let lo = Value::Int(9);
         let hi = Value::Int(2);
-        assert_eq!(
-            t.range_positions(0, Some((&lo, true)), Some((&hi, true))),
-            Some(Vec::new())
-        );
-        assert_eq!(
-            t.range_positions(0, Some((&hi, false)), Some((&hi, true))),
-            Some(Vec::new()),
+        assert!(walk(&t, false, Some((&lo, true)), Some((&hi, true))).is_empty());
+        assert!(
+            walk(&t, false, Some((&hi, false)), Some((&hi, true))).is_empty(),
             "equal bounds with one exclusive end are empty"
         );
     }
 
     #[test]
-    fn rebuilt_ordered_index_matches_maintained_one() {
+    fn rebuilt_index_matches_maintained_one() {
         let mut a = Table::new(schema());
-        a.create_ordered_index("id").unwrap();
-        let mut rows = Vec::new();
+        a.create_index("id").unwrap();
+        a.create_index("name").unwrap();
         for i in 0..20i64 {
-            rows.push(vec![Value::Int(i * 7 % 10), Value::from("x")]);
-        }
-        for r in &rows {
-            a.insert(r.clone()).unwrap();
+            let name = if i % 4 == 0 {
+                Value::Null
+            } else {
+                Value::from(format!("n{}", i % 3))
+            };
+            a.insert(vec![Value::Int(i * 7 % 10), name]).unwrap();
         }
         a.delete(3);
-        a.update_cell(5, 0, Value::Int(-1)).unwrap();
-        let mut b = Table::from_parts(
-            a.schema.clone(),
-            a.slots_raw().to_vec(),
-            a.indexes_raw().clone(),
-            &a.ordered_columns(),
-            None,
-        );
-        b.set_statistics(a.statistics().cloned());
-        assert_eq!(a, b, "ordered buckets are a pure function of the slots");
+        let old = a.update_cell(5, 0, Value::Int(-1)).unwrap();
+        a.update_cell(7, 1, Value::Int(4)).unwrap();
+        let rebuilt = |t: &Table| {
+            Table::from_parts(
+                t.schema.clone(),
+                t.slots_raw().to_vec(),
+                &t.indexed_columns(),
+                t.statistics().cloned(),
+            )
+        };
+        assert_eq!(a, rebuilt(&a), "indexes are a pure function of the slots");
+        // Undo is the forward mutation with the old value / row.
+        a.update_cell(5, 0, old).unwrap();
+        a.restore_row(3, vec![Value::Int(1), Value::from("n0")]);
+        assert_eq!(a, rebuilt(&a));
+        assert_eq!(a.index_lookup(0, &Value::Int(1)).unwrap(), &[3, 13]);
     }
 
     #[test]

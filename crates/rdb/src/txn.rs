@@ -11,8 +11,9 @@
 //! write.
 //!
 //! Undo is *exact*: applying the log in reverse restores the database
-//! byte-identically — slot vectors, index bucket ordering, the trigger
-//! list, and the id counter all return to their pre-transaction state.
+//! byte-identically — slot vectors, the trigger list, and the id counter
+//! all return to their pre-transaction state, and the indexes with them
+//! (they are a pure function of the slots, see `crate::table`).
 //! That invariant is what makes the property tests in
 //! `tests/txn_props.rs` meaningful and is relied on by the fault
 //! injection acceptance test at the workspace root.
@@ -36,9 +37,7 @@ pub enum UndoRecord {
         /// Slot position the row occupies.
         pos: usize,
     },
-    /// A row was deleted: restore it at `pos` and splice its slot back
-    /// into each index bucket at the recorded offset so bucket ordering
-    /// is preserved.
+    /// A row was deleted: restore it at `pos`.
     DeletedRow {
         /// Lower-cased table key.
         table: String,
@@ -46,13 +45,8 @@ pub enum UndoRecord {
         pos: usize,
         /// The deleted row's values.
         row: Row,
-        /// `(column, offset)` of the slot in each index bucket it was
-        /// removed from.
-        index_offsets: Vec<(usize, usize)>,
     },
-    /// A cell was overwritten: restore `old` and, if the column is
-    /// indexed, re-insert the slot at `old_offset` in the old value's
-    /// bucket.
+    /// A cell was overwritten: restore `old`.
     UpdatedCell {
         /// Lower-cased table key.
         table: String,
@@ -62,9 +56,6 @@ pub enum UndoRecord {
         column: usize,
         /// The cell's previous value.
         old: Value,
-        /// Offset of the slot in the old value's index bucket, if the
-        /// column was indexed.
-        old_offset: Option<usize>,
     },
     /// `CREATE TABLE` ran: drop the table again.
     CreatedTable {
@@ -88,8 +79,6 @@ pub enum UndoRecord {
         table: String,
         /// Indexed column.
         column: usize,
-        /// Whether the created index was ordered (`USING ORDERED`).
-        ordered: bool,
     },
     /// `ANALYZE` rebuilt a table's statistics: restore the previous ones
     /// (possibly none).

@@ -181,28 +181,18 @@ impl From<bool> for Value {
     }
 }
 
-/// A [`Value`] wrapper whose `Ord` is [`Value::sort_cmp`]'s total order
-/// (NULL < Bool < Int < Str). This is the key type of ordered secondary
-/// indexes (`BTreeMap<OrdValue, Vec<usize>>`), where a total order over
-/// heterogeneous keys is required.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct OrdValue(pub Value);
-
-impl Ord for OrdValue {
+/// `Ord` is [`Value::sort_cmp`]'s total order (NULL < Bool < Int < Str),
+/// which agrees with the structural `Eq`/`Hash` above; it is what lets a
+/// `BTreeMap<Value, _>` index be probed by borrowed key.
+impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.sort_cmp(&other.0)
+        self.sort_cmp(other)
     }
 }
 
-impl PartialOrd for OrdValue {
+impl PartialOrd for Value {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-impl From<Value> for OrdValue {
-    fn from(v: Value) -> Self {
-        OrdValue(v)
     }
 }
 
@@ -251,18 +241,23 @@ mod tests {
     }
 
     #[test]
-    fn ord_value_matches_sort_cmp() {
+    fn ord_matches_sort_cmp() {
         use std::collections::BTreeMap;
-        let mut m: BTreeMap<OrdValue, usize> = BTreeMap::new();
-        m.insert(OrdValue(Value::Int(2)), 0);
-        m.insert(OrdValue(Value::Null), 1);
-        m.insert(OrdValue(Value::Str("a".into())), 2);
-        m.insert(OrdValue(Value::Int(1)), 3);
-        let keys: Vec<&OrdValue> = m.keys().collect();
-        assert_eq!(keys[0].0, Value::Null);
-        assert_eq!(keys[1].0, Value::Int(1));
-        assert_eq!(keys[2].0, Value::Int(2));
-        assert_eq!(keys[3].0, Value::Str("a".into()));
+        let mut m: BTreeMap<Value, usize> = BTreeMap::new();
+        m.insert(Value::Int(2), 0);
+        m.insert(Value::Null, 1);
+        m.insert(Value::Str("a".into()), 2);
+        m.insert(Value::Int(1), 3);
+        let keys: Vec<&Value> = m.keys().collect();
+        assert_eq!(
+            keys,
+            [
+                &Value::Null,
+                &Value::Int(1),
+                &Value::Int(2),
+                &Value::Str("a".into())
+            ]
+        );
     }
 
     #[test]

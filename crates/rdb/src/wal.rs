@@ -31,12 +31,14 @@
 //!
 //! # Snapshot format
 //!
-//! A snapshot file is `b"XUPSNAP1"` magic, then a `[u32 len][u32 crc]`
+//! A snapshot file is `b"XUPSNAP2"` magic, then a `[u32 len][u32 crc]`
 //! frame around one body: generation, `next_id`, every table (schema,
-//! slots *including tombstones*, index buckets with exact in-bucket
-//! position order), and the trigger list as rendered `CREATE TRIGGER`
-//! text. Buckets are written value-sorted so snapshot bytes are
-//! deterministic for a given database state.
+//! slots *including tombstones*, the indexed column list, statistics),
+//! and the trigger list as rendered `CREATE TRIGGER` text. Index
+//! contents are not written: they are rebuilt from the slots. The
+//! previous format (`XUPSNAP1`: verbatim hash-index buckets, then a
+//! separate ordered-index column list) is still read; its buckets are
+//! skipped and its two lists merged.
 
 use crate::error::{DbError, Result};
 use crate::stats::{put_stats, read_stats, TableStatistics};
@@ -44,8 +46,10 @@ use crate::value::{DataType, Row, Value};
 
 /// WAL file magic, followed by a little-endian `u64` generation.
 pub const WAL_MAGIC: &[u8; 8] = b"XUPWAL01";
-/// Snapshot file magic (the trailing `1` is the format version).
-pub const SNAP_MAGIC: &[u8; 8] = b"XUPSNAP1";
+/// Snapshot file magic (the trailing digit is the format version).
+pub const SNAP_MAGIC: &[u8; 8] = b"XUPSNAP2";
+/// Magic of the previous snapshot format, still accepted on read.
+const SNAP_MAGIC_V1: &[u8; 8] = b"XUPSNAP1";
 /// Size of the WAL header: magic + generation.
 pub const WAL_HEADER_LEN: usize = 16;
 
@@ -406,9 +410,6 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalContents> {
 // snapshot codec
 // ----------------------------------------------------------------------
 
-/// Indexed columns with their buckets, as `(column, buckets)` pairs.
-pub type IndexBuckets = Vec<(u32, Vec<(Value, Vec<u64>)>)>;
-
 /// Serialized state of one table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotTable {
@@ -420,13 +421,9 @@ pub struct SnapshotTable {
     pub columns: Vec<(String, DataType)>,
     /// Every slot, tombstones included, in position order.
     pub slots: Vec<Option<Row>>,
-    /// Indexed columns with their buckets; in-bucket position order is
-    /// exact (it is part of the byte-identical equality contract).
-    pub indexes: IndexBuckets,
-    /// Columns carrying an ordered index, ascending. Bucket contents are
-    /// not serialized: ordered buckets are a pure function of the slots
-    /// (positions ascending) and are rebuilt on restore.
-    pub ordered: Vec<u32>,
+    /// Indexed columns, ascending. Index contents are not serialized:
+    /// they are a pure function of the slots and are rebuilt on restore.
+    pub indexed: Vec<u32>,
     /// `ANALYZE` statistics, if built.
     pub stats: Option<TableStatistics>,
 }
@@ -478,20 +475,8 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
                 }
             }
         }
-        put_u32(&mut body, t.indexes.len() as u32);
-        for (column, buckets) in &t.indexes {
-            put_u32(&mut body, *column);
-            put_u32(&mut body, buckets.len() as u32);
-            for (value, positions) in buckets {
-                put_value(&mut body, value);
-                put_u32(&mut body, positions.len() as u32);
-                for p in positions {
-                    put_u64(&mut body, *p);
-                }
-            }
-        }
-        put_u32(&mut body, t.ordered.len() as u32);
-        for c in &t.ordered {
+        put_u32(&mut body, t.indexed.len() as u32);
+        for c in &t.indexed {
             put_u32(&mut body, *c);
         }
         put_stats(&mut body, t.stats.as_ref());
@@ -514,9 +499,14 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
 /// than a tolerable tear.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
     let corrupt = |what: &str| DbError::Storage(format!("snapshot corrupt: {what}"));
-    if bytes.len() < 16 || &bytes[..8] != SNAP_MAGIC {
+    if bytes.len() < 16 {
         return Err(corrupt("bad magic"));
     }
+    let v1 = match &bytes[..8] {
+        m if m == SNAP_MAGIC => false,
+        m if m == SNAP_MAGIC_V1 => true,
+        _ => return Err(corrupt("bad magic")),
+    };
     let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
     let body = bytes
@@ -555,27 +545,28 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
                 _ => return Err(corrupt("bad slot tag")),
             }
         }
-        let nindexes = r.u32().ok_or_else(parse)? as usize;
-        let mut indexes = Vec::with_capacity(nindexes.min(1024));
-        for _ in 0..nindexes {
-            let column = r.u32().ok_or_else(parse)?;
-            let nbuckets = r.u32().ok_or_else(parse)? as usize;
-            let mut buckets = Vec::with_capacity(nbuckets.min(1 << 20));
-            for _ in 0..nbuckets {
-                let value = r.value().ok_or_else(parse)?;
-                let npos = r.u32().ok_or_else(parse)? as usize;
-                let mut positions = Vec::with_capacity(npos.min(1 << 20));
-                for _ in 0..npos {
-                    positions.push(r.u64().ok_or_else(parse)?);
+        let mut indexed = Vec::new();
+        if v1 {
+            // Hash-index section of the old format: keep the column,
+            // skip its verbatim buckets.
+            for _ in 0..r.u32().ok_or_else(parse)? {
+                indexed.push(r.u32().ok_or_else(parse)?);
+                for _ in 0..r.u32().ok_or_else(parse)? {
+                    r.value().ok_or_else(parse)?;
+                    for _ in 0..r.u32().ok_or_else(parse)? {
+                        r.u64().ok_or_else(parse)?;
+                    }
                 }
-                buckets.push((value, positions));
             }
-            indexes.push((column, buckets));
         }
-        let nordered = r.u32().ok_or_else(parse)? as usize;
-        let mut ordered = Vec::with_capacity(nordered.min(1024));
-        for _ in 0..nordered {
-            ordered.push(r.u32().ok_or_else(parse)?);
+        // The one list of the current format; in the old one, the
+        // ordered-index columns.
+        for _ in 0..r.u32().ok_or_else(parse)? {
+            indexed.push(r.u32().ok_or_else(parse)?);
+        }
+        if v1 {
+            indexed.sort_unstable();
+            indexed.dedup();
         }
         let stats = read_stats(&mut r).ok_or_else(|| corrupt("bad statistics block"))?;
         tables.push(SnapshotTable {
@@ -583,8 +574,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
             name,
             columns,
             slots,
-            indexes,
-            ordered,
+            indexed,
             stats,
         });
     }
@@ -710,11 +700,7 @@ mod tests {
                     None,
                     Some(vec![Value::Int(2), Value::Null, Value::Bool(false)]),
                 ],
-                indexes: vec![(
-                    0,
-                    vec![(Value::Int(1), vec![0]), (Value::Int(2), vec![2])],
-                )],
-                ordered: vec![1],
+                indexed: vec![0, 1],
                 stats: Some(crate::stats::TableStatistics::build(
                     [
                         &vec![Value::Int(1), Value::Str("a".into()), Value::Bool(true)],

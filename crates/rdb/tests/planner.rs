@@ -538,8 +538,7 @@ fn ordered_index_elides_sort_for_order_by_limit() {
 
 #[test]
 fn order_by_without_ordered_index_still_sorts() {
-    // num carries only a hash index on n2: the planner must keep the
-    // sort (hash indexes have no order to offer).
+    // n2.num carries no index: the planner must keep the sort.
     let mut db = ordered_db();
     let plan = explain(&mut db, "EXPLAIN SELECT id FROM n2 ORDER BY num LIMIT 3");
     assert!(plan.contains("Sort"), "{plan}");

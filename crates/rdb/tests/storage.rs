@@ -153,8 +153,7 @@ fn sample_meta() -> StoreMeta {
                 ],
                 root: 5,
                 slots_len: 17,
-                indexed: vec![0, 1],
-                ordered: vec![2],
+                indexed: vec![0, 1, 2],
                 stats: None,
             },
             TableMeta {
@@ -164,7 +163,6 @@ fn sample_meta() -> StoreMeta {
                 root: 0,
                 slots_len: 0,
                 indexed: vec![],
-                ordered: vec![],
                 stats: None,
             },
         ],
@@ -218,7 +216,6 @@ fn arb_table_meta() -> impl Strategy<Value = TableMeta> {
             columns,
             root,
             slots_len,
-            ordered: indexed.clone(),
             indexed,
             stats: None,
         })
@@ -347,7 +344,7 @@ fn paged_store_survives_eviction_and_reopen() {
     let scratch = Scratch::new();
     let n = 500u64;
     {
-        let (store, meta) = PagedStore::open(scratch.path(), 1, true).unwrap();
+        let (store, meta) = PagedStore::open(scratch.path(), 1).unwrap();
         assert!(meta.is_none(), "fresh directory has no checkpoint meta");
         store.create_table("t");
         for i in 0..n {
@@ -377,7 +374,6 @@ fn paged_store_survives_eviction_and_reopen() {
                 ],
                 slots_len: n,
                 indexed: vec![],
-                ordered: vec![],
                 stats: None,
             }],
             triggers: vec![],
@@ -385,7 +381,7 @@ fn paged_store_survives_eviction_and_reopen() {
         let report = store.checkpoint(&catalog).unwrap().expect("incremental");
         assert!(report.pages_written > 0 && report.bytes_written > 0);
     }
-    let (store, meta) = PagedStore::open(scratch.path(), 64, true).unwrap();
+    let (store, meta) = PagedStore::open(scratch.path(), 64).unwrap();
     let meta = meta.expect("checkpoint meta recovered");
     assert_eq!(meta.generation, 1);
     assert_eq!(meta.tables.len(), 1);
@@ -399,7 +395,7 @@ fn paged_store_survives_eviction_and_reopen() {
 #[test]
 fn incremental_checkpoint_writes_only_dirty_pages() {
     let scratch = Scratch::new();
-    let (store, _) = PagedStore::open(scratch.path(), 4096, true).unwrap();
+    let (store, _) = PagedStore::open(scratch.path(), 4096).unwrap();
     store.create_table("t");
     for i in 0..2000u64 {
         store.put_row("t", i, &int_row(i as i64));
@@ -416,7 +412,6 @@ fn incremental_checkpoint_writes_only_dirty_pages() {
             ],
             slots_len: 2000,
             indexed: vec![],
-            ordered: vec![],
             stats: None,
         }],
         triggers: vec![],

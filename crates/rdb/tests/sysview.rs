@@ -113,23 +113,27 @@ fn views_join_against_each_other() {
 }
 
 #[test]
-fn indexes_view_reports_kind_and_entries() {
+fn indexes_view_reports_entries() {
     let mut db = forest_db();
+    // The `USING` clause is accepted and ignored: one index kind.
     db.execute("CREATE INDEX n1_num ON n1 (num) USING ORDERED")
         .unwrap();
     let rs = db
         .query(
-            "SELECT table_name, column_name, kind, entries FROM rdb_indexes \
+            "SELECT table_name, column_name, entries FROM rdb_indexes \
              ORDER BY table_name, column_name",
         )
         .unwrap();
+    assert_eq!(rs.columns, vec!["table_name", "column_name", "entries"]);
     let cols = strs(&rs.rows, 1);
     assert_eq!(cols, vec!["id", "num", "parentId"]);
-    let kinds = strs(&rs.rows, 2);
-    assert_eq!(kinds, vec!["hash", "ordered", "hash"]);
     // n1.id has 8 distinct keys; n2.parentId has 8 distinct parents.
-    assert_eq!(rs.rows[0][3], Value::Int(8));
-    assert_eq!(rs.rows[2][3], Value::Int(8));
+    assert_eq!(rs.rows[0][2], Value::Int(8));
+    assert_eq!(rs.rows[2][2], Value::Int(8));
+    let rs = db
+        .query("SELECT indexes FROM rdb_tables WHERE name = 'n1'")
+        .unwrap();
+    assert_eq!(strs(&rs.rows, 0), vec!["id, num"]);
 }
 
 #[test]

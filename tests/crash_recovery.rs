@@ -14,9 +14,9 @@
 //! per checkpoint) and on the paged backend (slotted-page B-tree store,
 //! incremental checkpoints, a buffer pool smaller than the dataset so
 //! recovery reloads evicted pages). The physical oracle holds for both:
-//! index buckets stay in ascending slot order under DML and rollback
-//! (`restore_row` re-inserts at the recorded bucket offset), which is
-//! exactly the order a rebuild from pages produces.
+//! index contents are a pure function of the slot vector, so the indexes
+//! DML and rollback maintain equal the ones a rebuild from pages
+//! produces.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -244,7 +244,6 @@ fn durable_edge(path: &Path, backend: BackendKind) -> Database {
     let storage = StorageConfig {
         backend,
         pool_frames: 8,
-        ..StorageConfig::default()
     };
     let mut db = Database::open_with(path, storage).unwrap();
     if db.table_names().is_empty() {
