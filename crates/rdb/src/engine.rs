@@ -43,173 +43,85 @@ const MAX_TRIGGER_DEPTH: usize = 100;
 /// that submit unbounded families of distinct SQL texts.
 const PLAN_CACHE_CAPACITY: usize = 512;
 
-/// Execution counters. All counters are cumulative; use
-/// [`Database::reset_stats`] between measurements.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Statements submitted through the public API.
-    pub client_statements: u64,
-    /// All statements executed, including trigger bodies.
-    pub total_statements: u64,
-    /// Rows visited by scans and hash-build passes.
-    pub rows_scanned: u64,
-    /// Rows inserted.
-    pub rows_inserted: u64,
-    /// Rows deleted.
-    pub rows_deleted: u64,
-    /// Rows updated.
-    pub rows_updated: u64,
-    /// Trigger firings (per-row triggers count once per row).
-    pub trigger_firings: u64,
-    /// Probes answered by a persistent index.
-    pub index_lookups: u64,
-    /// Statements compiled from SQL text (each distinct statement shape
-    /// should be parsed once; repeats come from the plan cache).
-    pub statements_parsed: u64,
-    /// `execute`/`prepare` calls answered by the plan cache.
-    pub plan_cache_hits: u64,
-    /// `execute`/`prepare` calls that had to parse.
-    pub plan_cache_misses: u64,
-    /// Transactions committed: explicit `COMMIT`s plus autocommitted
-    /// statements that mutated state.
-    pub txn_commits: u64,
-    /// Rollbacks applied: explicit `ROLLBACK`/`ROLLBACK TO` plus
-    /// automatic statement-level rollbacks of failed statements.
-    pub txn_rollbacks: u64,
-    /// Undo records appended to the transaction log.
-    pub undo_records: u64,
-    /// WAL records written to disk (frame markers included).
-    pub wal_records: u64,
-    /// Bytes appended to the WAL (framing included).
-    pub wal_bytes: u64,
-    /// `fsync` calls issued by WAL appends (group-flushed commits).
-    pub wal_fsyncs: u64,
-    /// Checkpoints taken (snapshot written, WAL truncated).
-    pub checkpoints: u64,
-    /// Committed transactions replayed from the WAL by the most recent
-    /// [`Database::open`]. Set once at open; `reset_stats` zeroes it.
-    pub recovered_txns: u64,
-    /// Physical SELECT plans compiled by the planner (cache hits on a
-    /// still-valid plan slot do not recompile).
-    pub plans_built: u64,
-    /// Sequential scans opened by the executor.
-    pub seq_scans: u64,
-    /// Index scans opened by the executor (SELECT probes plus the
-    /// DELETE/UPDATE position-finding probes).
-    pub index_scans: u64,
-    /// Hash-join build sides materialized.
-    pub hash_join_builds: u64,
-    /// IN-list probe sets materialized (once per statement per list;
-    /// correlated lists never build one).
-    pub in_list_builds: u64,
-    /// Row batches emitted by the vectorized executor.
-    pub exec_batches: u64,
-    /// Filter conjuncts pushed down into scans at plan time.
-    pub predicates_pushed: u64,
-    /// WAL payload bytes replayed by the most recent [`Database::open`]
-    /// (header excluded). Set once at open; `reset_stats` zeroes it.
-    pub wal_replayed_bytes: u64,
-    /// Wall-clock time of the most recent [`Database::open`] recovery
-    /// (snapshot load + WAL replay), in microseconds.
-    pub recovery_micros: u64,
-    /// Pages written by checkpoints: dirty buffer-pool frames plus meta
-    /// on the paged backend, snapshot size in page units on the memory
-    /// backend.
-    pub checkpoint_pages_written: u64,
-    /// Bytes written by checkpoints (page images + meta, or the full
-    /// snapshot).
-    pub checkpoint_bytes_written: u64,
-    /// Range seeks answered by an ordered index (bounded scans that
-    /// narrowed their candidate set through a B-tree range probe).
-    pub range_seeks: u64,
-    /// Scans that walked an ordered index in key order (ORDER BY
-    /// pushdown and ordered-range access paths).
-    pub ordered_index_scans: u64,
-    /// Sorts elided because an ordered index already produced the
-    /// requested ORDER BY order.
-    pub sorts_elided: u64,
-    /// `ANALYZE` statistics rebuilds (one per table analyzed).
-    pub stats_rebuilds: u64,
+/// The engine's counter table: the one place a counter is declared.
+/// Each `field: "help"` line yields the public [`Stats`] field (the help
+/// text is its documentation), the atomic cell the engine bumps, its
+/// line in the snapshot, and its `rdb_<field>_total` metric.
+macro_rules! engine_counters {
+    ($($name:ident: $help:literal,)+) => {
+        /// Execution counters. All counters are cumulative; use
+        /// [`Database::reset_stats`] between measurements.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Stats {
+            $(#[doc = $help] pub $name: u64,)+
+        }
+
+        impl Stats {
+            /// Every counter as its `rdb_<field>_total` metric.
+            fn counter_metrics(&self) -> Vec<Metric> {
+                vec![$(Metric::counter(
+                    concat!("rdb_", stringify!($name), "_total"),
+                    $help,
+                    self.$name,
+                ),)+]
+            }
+        }
+
+        #[derive(Debug, Default)]
+        pub(crate) struct StatsCells {
+            $(pub(crate) $name: Counter,)+
+        }
+
+        impl StatsCells {
+            fn snapshot(&self) -> Stats {
+                Stats { $($name: self.$name.get(),)+ }
+            }
+
+            #[cfg(test)]
+            fn cells(&self) -> Vec<(&'static str, &Counter)> {
+                vec![$((stringify!($name), &self.$name),)+]
+            }
+        }
+    };
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct StatsCells {
-    pub(crate) client_statements: Counter,
-    pub(crate) total_statements: Counter,
-    pub(crate) rows_scanned: Counter,
-    pub(crate) rows_inserted: Counter,
-    pub(crate) rows_deleted: Counter,
-    pub(crate) rows_updated: Counter,
-    pub(crate) trigger_firings: Counter,
-    pub(crate) index_lookups: Counter,
-    pub(crate) statements_parsed: Counter,
-    pub(crate) plan_cache_hits: Counter,
-    pub(crate) plan_cache_misses: Counter,
-    pub(crate) txn_commits: Counter,
-    pub(crate) txn_rollbacks: Counter,
-    pub(crate) undo_records: Counter,
-    pub(crate) wal_records: Counter,
-    pub(crate) wal_bytes: Counter,
-    pub(crate) wal_fsyncs: Counter,
-    pub(crate) checkpoints: Counter,
-    pub(crate) recovered_txns: Counter,
-    pub(crate) plans_built: Counter,
-    pub(crate) seq_scans: Counter,
-    pub(crate) index_scans: Counter,
-    pub(crate) hash_join_builds: Counter,
-    pub(crate) in_list_builds: Counter,
-    pub(crate) exec_batches: Counter,
-    pub(crate) predicates_pushed: Counter,
-    pub(crate) wal_replayed_bytes: Counter,
-    pub(crate) recovery_micros: Counter,
-    pub(crate) checkpoint_pages_written: Counter,
-    pub(crate) checkpoint_bytes_written: Counter,
-    pub(crate) range_seeks: Counter,
-    pub(crate) ordered_index_scans: Counter,
-    pub(crate) sorts_elided: Counter,
-    pub(crate) stats_rebuilds: Counter,
+engine_counters! {
+    client_statements: "Statements submitted through the public API",
+    total_statements: "All statements executed, including trigger bodies",
+    rows_scanned: "Rows visited by scans and hash-build passes",
+    rows_inserted: "Rows inserted",
+    rows_deleted: "Rows deleted",
+    rows_updated: "Rows updated",
+    trigger_firings: "Trigger firings (per-row triggers count once per row)",
+    index_lookups: "Probes answered by a persistent index",
+    statements_parsed: "Statements compiled from SQL text (each distinct statement shape should be parsed once; repeats come from the plan cache)",
+    plan_cache_hits: "execute/prepare calls answered by the plan cache",
+    plan_cache_misses: "execute/prepare calls that had to parse",
+    txn_commits: "Transactions committed: explicit COMMITs plus autocommitted statements that mutated state",
+    txn_rollbacks: "Rollbacks applied: explicit ROLLBACK / ROLLBACK TO plus automatic statement-level rollbacks of failed statements",
+    undo_records: "Undo records appended to the transaction log",
+    wal_records: "WAL records written to disk (frame markers included)",
+    wal_bytes: "Bytes appended to the WAL (framing included)",
+    wal_fsyncs: "fsync calls issued by WAL appends (group-flushed commits)",
+    checkpoints: "Checkpoints taken (snapshot written, WAL truncated)",
+    recovered_txns: "Committed transactions replayed from the WAL by the most recent open (set once at open; reset_stats zeroes it)",
+    plans_built: "Physical SELECT plans compiled by the planner (cache hits on a still-valid plan slot do not recompile)",
+    seq_scans: "Sequential scans opened by the executor",
+    index_scans: "Index scans opened by the executor (SELECT probes plus the DELETE/UPDATE position-finding probes)",
+    hash_join_builds: "Hash-join build sides materialized",
+    in_list_builds: "IN-list probe sets materialized (once per statement per list; correlated lists never build one)",
+    predicates_pushed: "Filter conjuncts pushed down into scans at plan time",
+    wal_replayed_bytes: "WAL payload bytes replayed by the most recent open (header excluded; set once at open; reset_stats zeroes it)",
+    recovery_micros: "Wall-clock time of the most recent open's recovery (snapshot load + WAL replay), in microseconds",
+    checkpoint_pages_written: "Pages written by checkpoints: dirty buffer-pool frames plus meta on the paged backend, snapshot size in page units on the memory backend",
+    checkpoint_bytes_written: "Bytes written by checkpoints (page images + meta, or the full snapshot)",
+    range_seeks: "Range seeks answered by an ordered index (bounded scans that narrowed their candidate set through a range probe)",
+    ordered_index_scans: "Scans that walked an ordered index in key order (ORDER BY pushdown and ordered-range access paths)",
+    sorts_elided: "Sorts elided because an ordered index already produced the requested ORDER BY order",
+    stats_rebuilds: "ANALYZE statistics rebuilds (one per table analyzed)",
 }
 
 impl StatsCells {
-    fn snapshot(&self) -> Stats {
-        Stats {
-            client_statements: self.client_statements.get(),
-            total_statements: self.total_statements.get(),
-            rows_scanned: self.rows_scanned.get(),
-            rows_inserted: self.rows_inserted.get(),
-            rows_deleted: self.rows_deleted.get(),
-            rows_updated: self.rows_updated.get(),
-            trigger_firings: self.trigger_firings.get(),
-            index_lookups: self.index_lookups.get(),
-            statements_parsed: self.statements_parsed.get(),
-            plan_cache_hits: self.plan_cache_hits.get(),
-            plan_cache_misses: self.plan_cache_misses.get(),
-            txn_commits: self.txn_commits.get(),
-            txn_rollbacks: self.txn_rollbacks.get(),
-            undo_records: self.undo_records.get(),
-            wal_records: self.wal_records.get(),
-            wal_bytes: self.wal_bytes.get(),
-            wal_fsyncs: self.wal_fsyncs.get(),
-            checkpoints: self.checkpoints.get(),
-            recovered_txns: self.recovered_txns.get(),
-            plans_built: self.plans_built.get(),
-            seq_scans: self.seq_scans.get(),
-            index_scans: self.index_scans.get(),
-            hash_join_builds: self.hash_join_builds.get(),
-            in_list_builds: self.in_list_builds.get(),
-            exec_batches: self.exec_batches.get(),
-            predicates_pushed: self.predicates_pushed.get(),
-            wal_replayed_bytes: self.wal_replayed_bytes.get(),
-            recovery_micros: self.recovery_micros.get(),
-            checkpoint_pages_written: self.checkpoint_pages_written.get(),
-            checkpoint_bytes_written: self.checkpoint_bytes_written.get(),
-            range_seeks: self.range_seeks.get(),
-            ordered_index_scans: self.ordered_index_scans.get(),
-            sorts_elided: self.sorts_elided.get(),
-            stats_rebuilds: self.stats_rebuilds.get(),
-        }
-    }
-
     pub(crate) fn bump(cell: &Counter, by: u64) {
         cell.add(by);
     }
@@ -596,166 +508,8 @@ impl Database {
     /// WAL size, transaction state), and — when tracing has recorded
     /// spans — per-phase latency series labelled by phase name.
     pub fn metrics(&self) -> Vec<Metric> {
-        let s = self.stats.snapshot();
-        let mut m = vec![
-            Metric::counter(
-                "rdb_client_statements_total",
-                "Statements submitted through the public API",
-                s.client_statements,
-            ),
-            Metric::counter(
-                "rdb_total_statements_total",
-                "All statements executed, including trigger bodies",
-                s.total_statements,
-            ),
-            Metric::counter(
-                "rdb_rows_scanned_total",
-                "Rows visited by scans and hash-build passes",
-                s.rows_scanned,
-            ),
-            Metric::counter("rdb_rows_inserted_total", "Rows inserted", s.rows_inserted),
-            Metric::counter("rdb_rows_deleted_total", "Rows deleted", s.rows_deleted),
-            Metric::counter("rdb_rows_updated_total", "Rows updated", s.rows_updated),
-            Metric::counter(
-                "rdb_trigger_firings_total",
-                "Trigger firings (per-row triggers count once per row)",
-                s.trigger_firings,
-            ),
-            Metric::counter(
-                "rdb_index_lookups_total",
-                "Probes answered by a persistent index",
-                s.index_lookups,
-            ),
-            Metric::counter(
-                "rdb_statements_parsed_total",
-                "Statements compiled from SQL text",
-                s.statements_parsed,
-            ),
-            Metric::counter(
-                "rdb_plan_cache_hits_total",
-                "execute/prepare calls answered by the plan cache",
-                s.plan_cache_hits,
-            ),
-            Metric::counter(
-                "rdb_plan_cache_misses_total",
-                "execute/prepare calls that had to parse",
-                s.plan_cache_misses,
-            ),
-            Metric::counter(
-                "rdb_txn_commits_total",
-                "Transactions committed (explicit plus autocommit)",
-                s.txn_commits,
-            ),
-            Metric::counter(
-                "rdb_txn_rollbacks_total",
-                "Rollbacks applied (explicit plus statement-level)",
-                s.txn_rollbacks,
-            ),
-            Metric::counter(
-                "rdb_undo_records_total",
-                "Undo records appended to the transaction log",
-                s.undo_records,
-            ),
-            Metric::counter(
-                "rdb_wal_records_total",
-                "WAL records written to disk (frame markers included)",
-                s.wal_records,
-            ),
-            Metric::counter(
-                "rdb_wal_bytes_total",
-                "Bytes appended to the WAL (framing included)",
-                s.wal_bytes,
-            ),
-            Metric::counter(
-                "rdb_wal_fsyncs_total",
-                "fsync calls issued by WAL appends",
-                s.wal_fsyncs,
-            ),
-            Metric::counter(
-                "rdb_checkpoints_total",
-                "Checkpoints taken (snapshot written, WAL truncated)",
-                s.checkpoints,
-            ),
-            Metric::counter(
-                "rdb_checkpoint_pages_written_total",
-                "Pages written by checkpoints (dirty frames + meta, or snapshot size in pages)",
-                s.checkpoint_pages_written,
-            ),
-            Metric::counter(
-                "rdb_checkpoint_bytes_written_total",
-                "Bytes written by checkpoints",
-                s.checkpoint_bytes_written,
-            ),
-            Metric::counter(
-                "rdb_recovered_txns_total",
-                "Committed transactions replayed by the most recent open",
-                s.recovered_txns,
-            ),
-            Metric::counter(
-                "rdb_wal_replayed_bytes_total",
-                "WAL payload bytes replayed by the most recent open",
-                s.wal_replayed_bytes,
-            ),
-            Metric::counter(
-                "rdb_recovery_micros_total",
-                "Wall-clock recovery time of the most recent open (microseconds)",
-                s.recovery_micros,
-            ),
-            Metric::counter(
-                "rdb_plans_built_total",
-                "Physical SELECT plans compiled by the planner",
-                s.plans_built,
-            ),
-            Metric::counter(
-                "rdb_seq_scans_total",
-                "Sequential scans opened by the executor",
-                s.seq_scans,
-            ),
-            Metric::counter(
-                "rdb_index_scans_total",
-                "Index scans opened by the executor",
-                s.index_scans,
-            ),
-            Metric::counter(
-                "rdb_hash_join_builds_total",
-                "Hash-join build sides materialized",
-                s.hash_join_builds,
-            ),
-            Metric::counter(
-                "rdb_in_list_builds_total",
-                "IN-list probe sets materialized (once per statement per list)",
-                s.in_list_builds,
-            ),
-            Metric::counter(
-                "rdb_exec_batches_total",
-                "Row batches emitted by the vectorized executor",
-                s.exec_batches,
-            ),
-            Metric::counter(
-                "rdb_predicates_pushed_total",
-                "Filter conjuncts pushed down into scans at plan time",
-                s.predicates_pushed,
-            ),
-            Metric::counter(
-                "rdb_range_seeks_total",
-                "Range seeks answered by an ordered index",
-                s.range_seeks,
-            ),
-            Metric::counter(
-                "rdb_ordered_index_scans_total",
-                "Scans that walked an ordered index in key order",
-                s.ordered_index_scans,
-            ),
-            Metric::counter(
-                "rdb_sorts_elided_total",
-                "Sorts elided because an ordered index yielded index order",
-                s.sorts_elided,
-            ),
-            Metric::counter(
-                "rdb_stats_rebuilds_total",
-                "ANALYZE statistics rebuilds",
-                s.stats_rebuilds,
-            ),
+        let mut m = self.stats().counter_metrics();
+        m.extend([
             Metric::gauge(
                 "rdb_tables",
                 "Tables in the catalog",
@@ -826,7 +580,7 @@ impl Database {
                 "Fingerprints evicted by the statement store's capacity bound",
                 self.statements.evictions(),
             ),
-        ];
+        ]);
         if self.storage.kind() != BackendKind::Memory {
             let sm = self.storage.metrics();
             m.push(Metric::counter(
@@ -3143,5 +2897,115 @@ impl Database {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::MetricKind;
+
+    /// The counter table is complete and wired straight: every `Stats`
+    /// field is one `rdb_<field>_total` counter, every cell feeds its own
+    /// field (each is bumped by a different amount, which subsumes
+    /// "bump each once, read all ones"), and `reset_stats` zeroes them all.
+    #[test]
+    fn counter_table_is_complete() {
+        let mut db = Database::new();
+        let names: Vec<&str> = db.stats.cells().iter().map(|(n, _)| *n).collect();
+        for (i, (_, cell)) in db.stats.cells().iter().enumerate() {
+            StatsCells::bump(cell, i as u64 + 1);
+        }
+        // `Debug` is derived by the compiler from the struct itself, so
+        // it names the fields independently of the macro's own lists.
+        let debug = format!("{:?}", db.stats());
+        let fields: Vec<&str> = debug
+            .trim_start_matches("Stats { ")
+            .trim_end_matches(" }")
+            .split(", ")
+            .collect();
+        assert_eq!(fields.len(), names.len());
+        let metrics = db.metrics();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(fields[i], format!("{name}: {}", i + 1));
+            let family = format!("rdb_{name}_total");
+            let hits: Vec<&Metric> = metrics.iter().filter(|m| m.name == family).collect();
+            assert_eq!(hits.len(), 1, "{family} must appear exactly once");
+            assert_eq!(hits[0].kind, MetricKind::Counter, "{family}");
+            assert_eq!(hits[0].value, i as u64 + 1, "{family} reads the wrong cell");
+            assert!(!hits[0].help.is_empty(), "{family} has no help text");
+        }
+
+        db.reset_stats();
+        assert_eq!(db.stats(), Stats::default());
+    }
+
+    /// Dashboards key on these names: the Prometheus families of a
+    /// memory-backend database (phase series appear only once tracing has
+    /// recorded spans, `rdb_storage_*` only on the paged backend).
+    #[test]
+    fn metric_family_names_are_pinned() {
+        let text = Database::new().metrics_text();
+        let mut families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().unwrap())
+            .filter(|f| !f.starts_with("rdb_phase_"))
+            .collect();
+        families.sort_unstable();
+        let expected = [
+            "rdb_active_sessions",
+            "rdb_checkpoint_bytes_written_total",
+            "rdb_checkpoint_pages_written_total",
+            "rdb_checkpoints_total",
+            "rdb_client_statements_total",
+            "rdb_hash_join_builds_total",
+            "rdb_in_list_builds_total",
+            "rdb_in_transaction",
+            "rdb_index_lookups_total",
+            "rdb_index_scans_total",
+            "rdb_ordered_index_scans_total",
+            "rdb_plan_cache_entries",
+            "rdb_plan_cache_hits_total",
+            "rdb_plan_cache_misses_total",
+            "rdb_plans_built_total",
+            "rdb_predicates_pushed_total",
+            "rdb_range_seeks_total",
+            "rdb_recovered_txns_total",
+            "rdb_recovery_micros_total",
+            "rdb_recovery_timestamp_seconds",
+            "rdb_rows_deleted_total",
+            "rdb_rows_inserted_total",
+            "rdb_rows_scanned_total",
+            "rdb_rows_updated_total",
+            "rdb_seq_scans_total",
+            "rdb_slow_queries",
+            "rdb_snapshot_reads_total",
+            "rdb_snapshot_versions_retained",
+            "rdb_sorts_elided_total",
+            "rdb_statement_store_evictions_total",
+            "rdb_statement_tracking_enabled",
+            "rdb_statements_parsed_total",
+            "rdb_stats_rebuilds_total",
+            "rdb_tables",
+            "rdb_total_statements_total",
+            "rdb_tracked_statements",
+            "rdb_trigger_firings_total",
+            "rdb_txn_commits_total",
+            "rdb_txn_rollbacks_total",
+            "rdb_undo_log_len",
+            "rdb_undo_records_total",
+            "rdb_uptime_seconds",
+            "rdb_wal_bytes_total",
+            "rdb_wal_fsyncs_total",
+            "rdb_wal_records_total",
+            "rdb_wal_replayed_bytes_total",
+            "rdb_wal_size_bytes",
+            "rdb_write_lock_wait_count",
+            "rdb_write_lock_wait_us_p50",
+            "rdb_write_lock_wait_us_p95",
+            "rdb_write_lock_wait_us_sum",
+        ];
+        assert_eq!(families, expected);
     }
 }

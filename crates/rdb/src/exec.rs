@@ -334,77 +334,33 @@ impl PlanProf {
     }
 }
 
-/// Rows pulled per [`Cursor::next_batch`] call by the vectorized
-/// execution path.
-pub(crate) const EXEC_BATCH: usize = 1024;
-
-/// A batch of rows plus an optional selection vector. With `sel` set,
-/// only the indexed rows are logically present: Filter emits selection
-/// vectors instead of compacting survivors, and batch consumers iterate
-/// the selected indices. `sel` indices are strictly increasing.
-pub(crate) struct RowBatch {
-    pub rows: Vec<Row>,
-    pub sel: Option<Vec<u32>>,
-}
-
-impl RowBatch {
-    fn len(&self) -> usize {
-        self.sel.as_ref().map_or(self.rows.len(), |s| s.len())
-    }
-}
-
 /// A Volcano operator: yields one row per `next()` call, `None` at end.
-///
-/// `next_batch` is the vectorized pull: up to `max.min(EXEC_BATCH)`
-/// rows per call (`max` carries the remaining LIMIT budget so limit
-/// pushdown keeps stopping scans early). The default accumulates
-/// through `next()`, so stateful operators (joins, DISTINCT,
-/// aggregation) fall back to per-row pull automatically; Scan, Filter,
-/// and Project override it with native batch paths. A given cursor
-/// instance is driven through exactly one of the two entry points,
-/// never both.
+/// This is the executor's only pull interface — plain statements and
+/// `EXPLAIN ANALYZE` build the same cursor tree and drive it through
+/// the same loop in [`Database::run_cores`]; profiling is an optional
+/// sink on each [`Input`] edge, not a second set of operators.
 trait Cursor {
     fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>>;
-
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        let cap = max.min(EXEC_BATCH);
-        let mut rows = Vec::new();
-        while rows.len() < cap {
-            match self.next(ex)? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch { rows, sel: None }))
-        }
-    }
 }
 
-type BoxCursor<'a> = Box<dyn Cursor + 'a>;
-
-/// Timing/row-count wrapper installed around non-scan operators during
-/// `EXPLAIN ANALYZE`. Scans instrument themselves (they know their
-/// probe counts); everything else is uniform.
-struct ProfCur<'a> {
-    inner: BoxCursor<'a>,
-    prof: &'a OpProf,
-    started: bool,
+/// An operator's input edge: the child cursor plus, under `EXPLAIN
+/// ANALYZE`, the child's actuals. Every pull in the executor goes
+/// through [`Input::next`], the one place rows and time are recorded.
+struct Input<'a> {
+    cur: Box<dyn Cursor + 'a>,
+    prof: Option<&'a OpProf>,
 }
 
-impl Cursor for ProfCur<'_> {
+impl Input<'_> {
     fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
-        if !self.started {
-            self.started = true;
-            OpProf::add(&self.prof.loops, 1);
-        }
+        let Some(p) = self.prof else {
+            return self.cur.next(ex);
+        };
         let t0 = Instant::now();
-        let r = self.inner.next(ex);
-        OpProf::add(&self.prof.ns, t0.elapsed().as_nanos() as u64);
+        let r = self.cur.next(ex);
+        OpProf::add(&p.ns, t0.elapsed().as_nanos() as u64);
         if matches!(r, Ok(Some(_))) {
-            OpProf::add(&self.prof.rows, 1);
+            OpProf::add(&p.rows, 1);
         }
         r
     }
@@ -457,24 +413,13 @@ enum ScanState<'a> {
 pub(crate) struct ScanCur<'a> {
     plan: &'a ScanPlan,
     src: ScanSrc<'a>,
-    layout: Vec<(String, Vec<String>, usize)>,
     state: ScanState<'a>,
-    /// `EXPLAIN ANALYZE` actuals; `None` on the plain execution path.
+    /// `EXPLAIN ANALYZE` sink for the probe count (`loops`), which only
+    /// the scan knows; rows and time are recorded by its [`Input`] edge.
     prof: Option<&'a OpProf>,
 }
 
 impl<'a> ScanCur<'a> {
-    fn new(plan: &'a ScanPlan, src: ScanSrc<'a>, prof: Option<&'a OpProf>) -> Self {
-        let layout = vec![(plan.binding.clone(), plan.columns.clone(), 0)];
-        ScanCur {
-            plan,
-            src,
-            layout,
-            state: ScanState::Start,
-            prof,
-        }
-    }
-
     fn prof_loop(&self, by: u64) {
         if let Some(p) = self.prof {
             OpProf::add(&p.loops, by);
@@ -487,7 +432,7 @@ impl<'a> ScanCur<'a> {
             return Ok(true);
         }
         let env = SliceEnv {
-            layout: &self.layout,
+            layout: &self.plan.layout,
             values: row,
         };
         for p in &self.plan.pushed {
@@ -772,8 +717,8 @@ impl Database {
     }
 }
 
-impl ScanCur<'_> {
-    fn next_inner(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
+impl Cursor for ScanCur<'_> {
+    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
         loop {
             match std::mem::replace(&mut self.state, ScanState::Done) {
                 ScanState::Start => {
@@ -841,44 +786,6 @@ impl ScanCur<'_> {
     }
 }
 
-impl Cursor for ScanCur<'_> {
-    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
-        match self.prof {
-            None => self.next_inner(ex),
-            Some(p) => {
-                let t0 = Instant::now();
-                let r = self.next_inner(ex);
-                OpProf::add(&p.ns, t0.elapsed().as_nanos() as u64);
-                if matches!(r, Ok(Some(_))) {
-                    OpProf::add(&p.rows, 1);
-                }
-                r
-            }
-        }
-    }
-
-    /// Native scan batch: fill straight from the scan state machine,
-    /// skipping the per-row virtual `next()` round trip.
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        let cap = max.min(EXEC_BATCH);
-        let mut rows = Vec::new();
-        while rows.len() < cap {
-            match self.next_inner(ex)? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if let Some(p) = self.prof {
-            OpProf::add(&p.rows, rows.len() as u64);
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch { rows, sel: None }))
-        }
-    }
-}
-
 /// Materialized right side of a hash join: the kept rows plus a map
 /// from join-key value to indices into them.
 type BuildSide = (Vec<Row>, HashMap<Value, Vec<usize>>);
@@ -887,8 +794,8 @@ type BuildSide = (Vec<Row>, HashMap<Value, Vec<usize>>);
 /// row (an empty left side never pays for the build), then probes with
 /// the left key evaluated against the prefix layout.
 struct HashJoinCur<'a> {
-    left: BoxCursor<'a>,
-    right: Option<ScanCur<'a>>,
+    left: Input<'a>,
+    right: Option<Input<'a>>,
     right_ci: usize,
     left_key: &'a Expr,
     /// Pre-resolved offset of `left_key` in the prefix layout when the
@@ -964,8 +871,8 @@ impl Cursor for HashJoinCur<'_> {
 /// Cartesian nested-loop join; the right side is materialized once, on
 /// the first left row.
 struct LoopJoinCur<'a> {
-    left: BoxCursor<'a>,
-    right: Option<ScanCur<'a>>,
+    left: Input<'a>,
+    right: Option<Input<'a>>,
     right_rows: Option<Vec<Row>>,
     pending: Option<(Row, usize)>,
 }
@@ -1001,7 +908,7 @@ impl Cursor for LoopJoinCur<'_> {
 
 /// Residual predicate filter over the full joined layout.
 struct FilterCur<'a> {
-    input: BoxCursor<'a>,
+    input: Input<'a>,
     residual: &'a [Expr],
     layout: &'a [(String, Vec<String>, usize)],
 }
@@ -1022,53 +929,23 @@ impl Cursor for FilterCur<'_> {
         }
         Ok(None)
     }
-
-    /// Vectorized filter: evaluates the residual over a whole input
-    /// batch and emits a selection vector over it — survivors are never
-    /// copied or compacted here.
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        while let Some(batch) = self.input.next_batch(ex, max)? {
-            let mut sel: Vec<u32> = Vec::with_capacity(batch.len());
-            let candidates: Box<dyn Iterator<Item = u32>> = match &batch.sel {
-                Some(s) => Box::new(s.iter().copied()),
-                None => Box::new(0..batch.rows.len() as u32),
-            };
-            'rows: for i in candidates {
-                let env = SliceEnv {
-                    layout: self.layout,
-                    values: &batch.rows[i as usize],
-                };
-                for p in self.residual {
-                    if ex.db.eval_bool(p, &env, ex.ctx, ex.ctes)? != Some(true) {
-                        continue 'rows;
-                    }
-                }
-                sel.push(i);
-            }
-            if !sel.is_empty() {
-                return Ok(Some(RowBatch {
-                    rows: batch.rows,
-                    sel: Some(sel),
-                }));
-            }
-            // Entire batch rejected: pull the next one.
-        }
-        Ok(None)
-    }
 }
 
 /// Projection: wildcards copy ranges, expressions are evaluated.
 struct ProjectCur<'a> {
-    input: BoxCursor<'a>,
+    input: Input<'a>,
     steps: &'a [ProjStep],
     layout: &'a [(String, Vec<String>, usize)],
 }
 
-impl<'a> ProjectCur<'a> {
-    fn project_one(&self, row: &[Value], ex: &ExecCtx<'_, '_>) -> Result<Row> {
+impl Cursor for ProjectCur<'_> {
+    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
+        let Some(row) = self.input.next(ex)? else {
+            return Ok(None);
+        };
         let env = SliceEnv {
             layout: self.layout,
-            values: row,
+            values: &row,
         };
         let mut out = Vec::with_capacity(self.steps.len());
         for step in self.steps {
@@ -1081,44 +958,13 @@ impl<'a> ProjectCur<'a> {
                 ProjStep::Expr(e) => out.push(ex.db.eval_expr(e, &env, ex.ctx, ex.ctes)?),
             }
         }
-        Ok(out)
-    }
-}
-
-impl Cursor for ProjectCur<'_> {
-    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
-        let Some(row) = self.input.next(ex)? else {
-            return Ok(None);
-        };
-        Ok(Some(self.project_one(&row, ex)?))
-    }
-
-    /// Vectorized projection: consumes the input's selection vector and
-    /// emits a compact batch of projected rows.
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        let Some(batch) = self.input.next_batch(ex, max)? else {
-            return Ok(None);
-        };
-        let mut rows = Vec::with_capacity(batch.len());
-        match &batch.sel {
-            None => {
-                for row in &batch.rows {
-                    rows.push(self.project_one(row, ex)?);
-                }
-            }
-            Some(sel) => {
-                for &i in sel {
-                    rows.push(self.project_one(&batch.rows[i as usize], ex)?);
-                }
-            }
-        }
-        Ok(Some(RowBatch { rows, sel: None }))
+        Ok(Some(out))
     }
 }
 
 /// DISTINCT: first occurrence of each row wins; order preserved.
 struct DistinctCur<'a> {
-    input: BoxCursor<'a>,
+    input: Input<'a>,
     seen: HashSet<Row>,
 }
 
@@ -1136,7 +982,7 @@ impl Cursor for DistinctCur<'_> {
 /// Aggregation: drains the input entirely, then emits a single row of
 /// aggregate expression results.
 struct AggCur<'a> {
-    input: BoxCursor<'a>,
+    input: Input<'a>,
     exprs: &'a [Expr],
     layout: &'a [(String, Vec<String>, usize)],
     done: bool,
@@ -1170,7 +1016,7 @@ impl Database {
         plan: &'a ScanPlan,
         ctes: &CteEnv,
         prof: Option<&'a OpProf>,
-    ) -> Result<ScanCur<'a>> {
+    ) -> Result<Input<'a>> {
         let src = if plan.is_cte {
             let m = ctes
                 .get(&plan.key)
@@ -1187,36 +1033,43 @@ impl Database {
                 .ok_or_else(|| DbError::NoSuchTable(plan.name.clone()))?;
             ScanSrc::Table(t)
         };
-        Ok(ScanCur::new(plan, src, prof))
+        let scan = ScanCur {
+            plan,
+            src,
+            state: ScanState::Start,
+            prof,
+        };
+        Ok(Input {
+            cur: Box::new(scan),
+            prof,
+        })
     }
 
     /// Assemble the cursor tree for one SELECT core. With `prof` set
-    /// (`EXPLAIN ANALYZE`), every operator is wrapped or self-instruments
-    /// so rows/loops/time land in the matching [`CoreProf`] slot.
+    /// (`EXPLAIN ANALYZE`), each edge of the same tree carries the
+    /// matching [`CoreProf`] slot for its child's rows/loops/time.
     fn open_core<'a>(
         &'a self,
         core: &'a CorePlan,
         ctes: &CteEnv,
         prof: Option<&'a CoreProf>,
-    ) -> Result<BoxCursor<'a>> {
-        let wrap = |cur: BoxCursor<'a>, p: Option<&'a OpProf>| -> BoxCursor<'a> {
-            match p {
-                Some(prof) => Box::new(ProfCur {
-                    inner: cur,
-                    prof,
-                    started: false,
-                }),
-                None => cur,
+    ) -> Result<Input<'a>> {
+        // Every non-scan operator starts exactly once per execution;
+        // scans count their own loops (one per probe).
+        let edge = |cur: Box<dyn Cursor + 'a>, p: Option<&'a OpProf>| -> Input<'a> {
+            if let Some(p) = p {
+                OpProf::add(&p.loops, 1);
             }
+            Input { cur, prof: p }
         };
-        let mut cur: BoxCursor<'a> = if core.scans.is_empty() {
-            Box::new(OneRow { done: false })
+        let mut cur = if core.scans.is_empty() {
+            edge(Box::new(OneRow { done: false }), None)
         } else {
-            Box::new(self.open_scan(&core.scans[0].0, ctes, prof.map(|p| &p.scans[0]))?)
+            self.open_scan(&core.scans[0].0, ctes, prof.map(|p| &p.scans[0]))?
         };
         for (i, (scan_plan, kind)) in core.scans.iter().enumerate().skip(1) {
             let right = self.open_scan(scan_plan, ctes, prof.map(|p| &p.scans[i]))?;
-            cur = match kind {
+            let join: Box<dyn Cursor + 'a> = match kind {
                 JoinKind::Hash { right_ci, left_key } => {
                     let left_layout = &core.layout[..i];
                     let left_off = match left_key {
@@ -1245,37 +1098,37 @@ impl Database {
                     pending: None,
                 }),
             };
-            cur = wrap(cur, prof.map(|p| &p.joins[i - 1]));
+            cur = edge(join, prof.map(|p| &p.joins[i - 1]));
         }
         if !core.residual.is_empty() {
-            cur = Box::new(FilterCur {
+            let filter = FilterCur {
                 input: cur,
                 residual: &core.residual,
                 layout: &core.layout,
-            });
-            cur = wrap(cur, prof.map(|p| &p.filter));
+            };
+            cur = edge(Box::new(filter), prof.map(|p| &p.filter));
         }
         if let Some(agg_exprs) = &core.aggregate {
-            cur = Box::new(AggCur {
+            let agg = AggCur {
                 input: cur,
                 exprs: agg_exprs,
                 layout: &core.layout,
                 done: false,
-            });
-            cur = wrap(cur, prof.map(|p| &p.output));
+            };
+            cur = edge(Box::new(agg), prof.map(|p| &p.output));
         } else {
-            cur = Box::new(ProjectCur {
+            let project = ProjectCur {
                 input: cur,
                 steps: &core.projections,
                 layout: &core.layout,
-            });
-            cur = wrap(cur, prof.map(|p| &p.output));
+            };
+            cur = edge(Box::new(project), prof.map(|p| &p.output));
             if core.distinct {
-                cur = Box::new(DistinctCur {
+                let distinct = DistinctCur {
                     input: cur,
                     seen: HashSet::new(),
-                });
-                cur = wrap(cur, prof.map(|p| &p.distinct));
+                };
+                cur = edge(Box::new(distinct), prof.map(|p| &p.distinct));
             }
         }
         Ok(cur)
@@ -1301,44 +1154,12 @@ impl Database {
             ctes,
         };
         let mut out = Vec::new();
-        // `EXPLAIN ANALYZE` instruments per-row, so profiled runs stay
-        // on the row-at-a-time pull; everything else pulls batches.
-        let batched = prof.is_none();
         'cores: for (ci, core) in cores.iter().enumerate() {
             let mut cur = self.open_core(core, ctes, prof.map(|ps| &ps[ci]))?;
-            if batched {
-                loop {
-                    let budget = match pull_limit {
-                        Some(n) => (n as usize).saturating_sub(out.len()).max(1),
-                        None => EXEC_BATCH,
-                    };
-                    let Some(mut batch) = cur.next_batch(&ex, budget)? else {
-                        break;
-                    };
-                    StatsCells::bump(&self.stats.exec_batches, 1);
-                    match batch.sel.take() {
-                        None => out.append(&mut batch.rows),
-                        Some(sel) => {
-                            for &i in &sel {
-                                out.push(std::mem::take(&mut batch.rows[i as usize]));
-                            }
-                        }
-                    }
-                    if let Some(n) = pull_limit {
-                        if out.len() as u64 >= n {
-                            out.truncate(n as usize);
-                            break 'cores;
-                        }
-                    }
-                }
-            } else {
-                while let Some(row) = cur.next(&ex)? {
-                    out.push(row);
-                    if let Some(n) = pull_limit {
-                        if out.len() as u64 >= n {
-                            break 'cores;
-                        }
-                    }
+            while let Some(row) = cur.next(&ex)? {
+                out.push(row);
+                if pull_limit.is_some_and(|n| out.len() as u64 >= n) {
+                    break 'cores;
                 }
             }
         }

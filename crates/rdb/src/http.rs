@@ -11,20 +11,26 @@
 //!   array ([`Database::statements_json`](crate::Database::statements_json)),
 //!   sorted by total execution time.
 //!
-//! Everything else is `404`; non-`GET` methods are `405`. Responses
-//! always carry `Content-Length` and `Connection: close`, and each
-//! request is served on the accept thread — metrics scrapes are rare
-//! and cheap, so there is no per-connection thread pool to manage.
-//! Reads hold only the database read lock, so scrapes never block
-//! writers.
+//! Everything else is `404`; non-`GET` methods are `405`; a request
+//! line over [`MAX_HEADER_BYTES`] is `400` and a header block that takes
+//! the request past it `431`. Responses always carry `Content-Length`
+//! and `Connection: close`, and each request is served on the accept
+//! thread — metrics scrapes are rare and cheap, so there is no
+//! per-connection thread pool to manage. Reads hold only the database
+//! read lock, so scrapes never block writers.
 
+use crate::server::read_line_bounded;
 use crate::SharedDatabase;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Most bytes a request (request line plus headers) may take; scrapers
+/// send a few hundred.
+const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// HTTP metrics server builder: binds and spawns the accept loop.
 pub struct MetricsServer;
@@ -92,19 +98,40 @@ fn serve_request(stream: TcpStream, shared: &SharedDatabase) -> std::io::Result<
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut out = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    // Request line, then headers, accumulate in one buffer so the bound
+    // covers the request as a whole.
+    let mut head = Vec::new();
+    match read_line_bounded(&mut reader, &mut head, MAX_HEADER_BYTES) {
+        Ok(_) => {}
+        Err(e) if e.kind() == ErrorKind::InvalidData => {
+            return write_response(
+                &mut out,
+                "400 Bad Request",
+                "text/plain",
+                "request line too long\n",
+            );
+        }
+        Err(e) => return Err(e),
+    }
+    let request_line = String::from_utf8_lossy(&head).into_owned();
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     // Drain headers up to the blank line; the routes take no body.
-    let mut header = String::new();
     loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {}
+        let start = head.len();
+        match read_line_bounded(&mut reader, &mut head, MAX_HEADER_BYTES) {
+            Ok(true) if matches!(&head[start..], b"\r\n" | b"\n") => break,
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                return write_response(
+                    &mut out,
+                    "431 Request Header Fields Too Large",
+                    "text/plain",
+                    "headers too large\n",
+                );
+            }
             Err(_) => break,
         }
     }
@@ -133,6 +160,15 @@ fn serve_request(stream: TcpStream, shared: &SharedDatabase) -> std::io::Result<
             ),
         }
     };
+    write_response(&mut out, status, content_type, &body)
+}
+
+fn write_response(
+    out: &mut TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),

@@ -126,10 +126,11 @@ pub(crate) struct ScanPlan {
     pub key: String,
     /// Source name as written (for error messages and EXPLAIN).
     pub name: String,
-    /// FROM-clause binding (alias or table name).
-    pub binding: String,
-    /// Column names of the source.
-    pub columns: Vec<String>,
+    /// The scan's own one-entry row layout: (FROM-clause binding — alias
+    /// or table name —, column names of the source, offset 0). Built at
+    /// plan time so that opening the scan allocates nothing; pushed
+    /// predicates resolve against it.
+    pub layout: [(String, Vec<String>, usize); 1],
     pub access: Access,
     /// Conjuncts referencing only this binding, evaluated before the
     /// row is cloned out of the source.
@@ -143,6 +144,16 @@ pub(crate) struct ScanPlan {
     /// heuristics. Statistics-backed estimates also show in plain
     /// `EXPLAIN`.
     pub stats_est: bool,
+}
+
+impl ScanPlan {
+    pub fn binding(&self) -> &str {
+        &self.layout[0].0
+    }
+
+    pub fn columns(&self) -> &[String] {
+        &self.layout[0].1
+    }
 }
 
 /// How a scan joins against the bindings to its left.
@@ -503,8 +514,7 @@ impl Database {
                     is_sys,
                     key,
                     name: tref.name.clone(),
-                    binding,
-                    columns,
+                    layout: [(binding, columns, 0)],
                     access: Access::Seq,
                     pushed: Vec::new(),
                     est_rows: 0,
@@ -557,12 +567,12 @@ impl Database {
                         if let Expr::Column { table: qual, name } = a.as_ref() {
                             let qual_matches = qual
                                 .as_deref()
-                                .map(|q| q.eq_ignore_ascii_case(&scans[i].0.binding))
+                                .map(|q| q.eq_ignore_ascii_case(scans[i].0.binding()))
                                 .unwrap_or(false);
                             if qual_matches {
                                 if let Some(col) = scans[i]
                                     .0
-                                    .columns
+                                    .columns()
                                     .iter()
                                     .position(|c| c.eq_ignore_ascii_case(name))
                                 {
@@ -615,7 +625,7 @@ impl Database {
                     continue;
                 };
                 let pushed: Vec<&Expr> = scan.pushed.iter().collect();
-                let (consumed, access) = Self::choose_access(t, &scan.binding, &pushed);
+                let (consumed, access) = Self::choose_access(t, scan.binding(), &pushed);
                 if let Some(pi) = consumed {
                     scan.pushed.remove(pi);
                 }
@@ -1125,7 +1135,7 @@ impl Database {
                 Some(_) => {
                     let mut est = total;
                     for p in &scan.pushed {
-                        if let Some(e) = Self::est_conjunct(t, p, &scan.binding) {
+                        if let Some(e) = Self::est_conjunct(t, p, scan.binding()) {
                             est = est.min(e);
                         }
                     }
@@ -1262,8 +1272,7 @@ impl Database {
             is_sys: false,
             key,
             name: t.schema.name.clone(),
-            binding: t.schema.name.clone(),
-            columns: t.schema.column_names(),
+            layout: [(t.schema.name.clone(), t.schema.column_names(), 0)],
             access,
             pushed: residual.into_iter().cloned().collect(),
             est_rows: 0,
@@ -1412,8 +1421,8 @@ fn render_joins(
                     ind,
                     format!(
                         "HashJoin ({}.{} = {}){join_suffix}",
-                        scan.binding,
-                        scan.columns[*right_ci],
+                        scan.binding(),
+                        scan.columns()[*right_ci],
                         expr_to_sql(left_key)
                     ),
                 ),
@@ -1436,17 +1445,18 @@ fn render_scan(scan: &ScanPlan, ind: usize, lines: &mut Vec<String>, prof: Optio
             Access::IndexEq { ci, key } => format!(
                 "IndexScan {} ({} = {})",
                 scan.name,
-                scan.columns[*ci],
+                scan.columns()[*ci],
                 expr_to_sql(key)
             ),
             Access::IndexIn { ci, .. } => format!(
                 "IndexScan {} ({} IN (subquery))",
-                scan.name, scan.columns[*ci]
+                scan.name,
+                scan.columns()[*ci]
             ),
             Access::IndexInList { ci, list } => format!(
                 "IndexScan {} ({} IN ({} values))",
                 scan.name,
-                scan.columns[*ci],
+                scan.columns()[*ci],
                 list.len()
             ),
             Access::Range {
@@ -1456,7 +1466,7 @@ fn render_scan(scan: &ScanPlan, ind: usize, lines: &mut Vec<String>, prof: Optio
                 ordered,
                 desc,
             } => {
-                let col = &scan.columns[*ci];
+                let col = &scan.columns()[*ci];
                 let mut parts: Vec<String> = Vec::new();
                 if let Some((e, incl)) = lower {
                     parts.push(format!(
@@ -1489,8 +1499,8 @@ fn render_scan(scan: &ScanPlan, ind: usize, lines: &mut Vec<String>, prof: Optio
             }
         }
     };
-    if !scan.binding.eq_ignore_ascii_case(&scan.name) {
-        line.push_str(&format!(" AS {}", scan.binding));
+    if !scan.binding().eq_ignore_ascii_case(&scan.name) {
+        line.push_str(&format!(" AS {}", scan.binding()));
     }
     if !scan.pushed.is_empty() {
         let rendered: Vec<String> = scan.pushed.iter().map(expr_to_sql).collect();

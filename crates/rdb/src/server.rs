@@ -9,7 +9,9 @@
 //!
 //! `BEGIN`/`COMMIT`/`ROLLBACK` scope a per-connection transaction via
 //! [`Session`]; a connection that drops mid-transaction is rolled back
-//! by the session's `Drop`. `QUIT` (or EOF) closes the connection.
+//! by the session's `Drop`. `QUIT` (or EOF) closes the connection, and a
+//! line longer than [`MAX_LINE_BYTES`] is answered `ERR line too long`
+//! and closes it too.
 //! Lines starting with `.stat` are control commands handled by the
 //! server itself: `statements`/`sessions`/`tables` run a `SELECT` over
 //! the matching system view, `on`/`off` toggle statement tracking, and
@@ -24,12 +26,47 @@
 
 use crate::session::{Session, SqlOutcome};
 use crate::SharedDatabase;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest statement line a connection may send, newline included. The
+/// widest statements the translation layer issues (256-row `INSERT`s,
+/// `IN`-lists) are tens of kilobytes.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Append input up to and including the next `\n` to `line`, which
+/// never grows past `max` bytes. `Ok(true)`: `line` ends a line (or the
+/// input ended mid-line); `Ok(false)`: end of input, nothing pending. A
+/// line that would exceed `max` is `InvalidData`. A read timeout
+/// surfaces as the reader's own error and leaves the bytes received so
+/// far in `line`, so the caller retries with the same buffer and clears
+/// it only once a whole line was handled.
+pub(crate) fn read_line_bounded(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    max: usize,
+) -> std::io::Result<bool> {
+    loop {
+        let avail = reader.fill_buf()?;
+        if avail.is_empty() {
+            return Ok(!line.is_empty());
+        }
+        let newline = avail.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(avail.len(), |i| i + 1);
+        if line.len() + take > max {
+            return Err(std::io::Error::new(ErrorKind::InvalidData, "line too long"));
+        }
+        line.extend_from_slice(&avail[..take]);
+        reader.consume(take);
+        if newline.is_some() {
+            return Ok(true);
+        }
+    }
+}
 
 /// TCP server builder: binds and spawns the accept loop.
 pub struct Server;
@@ -123,24 +160,28 @@ fn serve_connection(
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut session = shared.session();
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+        match read_line_bounded(&mut reader, &mut line, MAX_LINE_BYTES) {
+            Ok(false) => break, // EOF
+            Ok(true) => {}
+            // A slow client: the part of the line received so far stays
+            // in `line` for the next attempt.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop.load(Ordering::Acquire) {
                     break;
                 }
                 continue;
             }
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                writer.write_all(b"ERR line too long\n")?;
+                break;
+            }
             Err(e) => return Err(e),
         }
-        let sql = line.trim();
+        let text = String::from_utf8_lossy(&line).into_owned();
+        line.clear();
+        let sql = text.trim();
         if sql.is_empty() {
             continue;
         }

@@ -161,23 +161,126 @@ fn in_list_probe_set_is_built_once_per_statement() {
     );
 }
 
+/// Rows the top operator(s) of an `EXPLAIN ANALYZE` body emitted: the
+/// shallowest lines carrying actuals, CTE sections skipped, summed so a
+/// `UNION ALL` counts every branch.
+fn top_actual_rows(plan: &str) -> u64 {
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let mut top: Option<(usize, u64)> = None;
+    let mut cte_indent = None;
+    for line in plan.lines() {
+        if cte_indent.is_some_and(|ci| indent(line) > ci) {
+            continue;
+        }
+        cte_indent = line.trim_start().starts_with("CTE ").then(|| indent(line));
+        let Some((_, tail)) = line.split_once("actual rows=") else {
+            continue;
+        };
+        let rows: u64 = tail.split(' ').next().unwrap().parse().unwrap();
+        match &mut top {
+            Some((ind, sum)) if *ind == indent(line) => *sum += rows,
+            Some((ind, _)) if *ind < indent(line) => {}
+            _ => top = Some((indent(line), rows)),
+        }
+    }
+    top.expect("plan has no actuals").1
+}
+
 #[test]
-fn vectorized_execution_engages_and_matches_row_at_a_time() {
+fn explain_analyze_profiles_the_production_path() {
     let mut db = forest_db();
-    let sql = "SELECT n3.id FROM n1, n2, n3 \
-               WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 4";
-    let before = db.stats().exec_batches;
-    let rs = db.query(sql).unwrap();
-    // The plain query runs the batch pipeline; its 24-row answer equals
-    // the row-at-a-time actuals pinned by the EXPLAIN ANALYZE golden
-    // (profiling forces the per-row path on the same plan).
-    assert_eq!(rs.rows.len(), 24);
-    assert!(
-        db.stats().exec_batches > before,
-        "plain query must pull row batches"
-    );
-    let plan = explain(&mut db, &format!("EXPLAIN ANALYZE {sql}"));
-    assert!(plan.contains("actual rows=24"), "{plan}");
+    db.run_script("CREATE INDEX n3_id ON n3 (id); ANALYZE n3;")
+        .unwrap();
+    // (query, plan line it must exercise, the same query without its
+    // ORDER BY … LIMIT when the limit applies above the profiled tree).
+    let battery: [(&str, &str, Option<&str>); 13] = [
+        (
+            "SELECT n3.id FROM n1, n2, n3 \
+             WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 4",
+            "HashJoin",
+            None,
+        ),
+        (
+            "SELECT n1.id, n2.id FROM n1, n2 WHERE n1.num = 1",
+            "NestedLoop",
+            None,
+        ),
+        (
+            "SELECT n2.id FROM n1, n2 WHERE n2.parentId = n1.id AND n1.num + n2.num > 3",
+            "Filter",
+            None,
+        ),
+        ("SELECT id FROM n2 WHERE num = 1", "[filter:", None),
+        ("SELECT DISTINCT num FROM n3", "Distinct", None),
+        (
+            "SELECT COUNT(*), MAX(id) FROM n3 WHERE num > 0",
+            "Aggregate",
+            None,
+        ),
+        (
+            "SELECT id FROM n1 WHERE num < 2 UNION ALL SELECT id FROM n2 WHERE num = 0",
+            "UnionAll",
+            None,
+        ),
+        (
+            "WITH kids AS (SELECT id, parentId FROM n2 WHERE num = 1) \
+             SELECT n1.id, kids.id FROM n1, kids WHERE kids.parentId = n1.id",
+            "CTE kids",
+            None,
+        ),
+        ("SELECT id FROM n3 LIMIT 5", "Limit 5", None),
+        (
+            "SELECT id FROM n1 UNION ALL SELECT id FROM n2 LIMIT 10",
+            "Limit 10",
+            None,
+        ),
+        (
+            "SELECT id, num FROM n3 WHERE num < 2 ORDER BY num DESC, id LIMIT 4",
+            "Sort",
+            Some("SELECT id, num FROM n3 WHERE num < 2"),
+        ),
+        (
+            "SELECT num FROM n1 WHERE id IN (1, 2, 5)",
+            "IndexScan n1 (id IN (3 values))",
+            None,
+        ),
+        (
+            "SELECT num FROM n3 WHERE id >= 100 AND id < 112",
+            "RangeScan",
+            None,
+        ),
+    ];
+    let work = |s: &xmlup_rdb::Stats| {
+        [
+            s.rows_scanned,
+            s.index_lookups,
+            s.seq_scans,
+            s.index_scans,
+            s.hash_join_builds,
+        ]
+    };
+    let delta = |after: [u64; 5], before: [u64; 5]| -> Vec<u64> {
+        after.iter().zip(before).map(|(a, b)| a - b).collect()
+    };
+    for (sql, must_render, unlimited) in battery {
+        let s0 = work(&db.stats());
+        let rs = db.query(sql).unwrap();
+        let s1 = work(&db.stats());
+        let plan = explain(&mut db, &format!("EXPLAIN ANALYZE {sql}"));
+        let s2 = work(&db.stats());
+        assert!(plan.contains(must_render), "{sql}: wrong shape\n{plan}");
+        let emitted = match unlimited {
+            Some(q) => db.query(q).unwrap().rows.len(),
+            None => rs.rows.len(),
+        };
+        assert!(emitted > 0, "{sql}: vacuous case");
+        assert_eq!(top_actual_rows(&plan), emitted as u64, "{sql}\n{plan}");
+        assert_eq!(
+            delta(s2, s1),
+            delta(s1, s0),
+            "{sql}: ANALYZE and the plain run did different work\n{plan}"
+        );
+    }
 }
 
 #[test]

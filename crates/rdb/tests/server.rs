@@ -1,6 +1,6 @@
 //! TCP server tests: the line protocol, per-connection transactions,
-//! rollback on connection drop, and graceful shutdown draining the
-//! group-commit window.
+//! rollback on connection drop, slow and over-long input on both
+//! listeners, and graceful shutdown draining the group-commit window.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -73,6 +73,60 @@ fn protocol_round_trips_rows_dml_and_errors() {
     assert_eq!(head, "ROWS 1");
     assert_eq!(rows, vec!["3"]);
 
+    handle.shutdown();
+}
+
+#[test]
+fn a_statement_split_over_two_slow_writes_runs_once_and_whole() {
+    let (handle, _shared) = serve();
+    let mut c = Client::connect(handle.addr());
+    // The pause outlasts several of the handler's 50 ms read timeouts;
+    // the first half must still be there when the second arrives.
+    c.out
+        .write_all(b"SELECT id FROM t WHERE id = 1 OR ")
+        .unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let (head, rows) = c.send("id = 2 ORDER BY id");
+    assert_eq!(head, "ROWS 2");
+    assert_eq!(rows, vec!["1", "2"]);
+    // Exactly one reply was sent: the next statement gets its own.
+    let (head, rows) = c.send("SELECT COUNT(*) FROM t");
+    assert_eq!((head.as_str(), rows), ("ROWS 1", vec!["2".to_string()]));
+    handle.shutdown();
+}
+
+/// Everything the peer sent until it closed or reset the connection
+/// (or, so that a server that never hangs up fails the test instead of
+/// hanging it, went quiet for five seconds).
+fn read_until_closed(stream: &mut TcpStream) -> String {
+    use std::io::Read;
+    let quiet = std::time::Duration::from_secs(5);
+    stream.set_read_timeout(Some(quiet)).unwrap();
+    let mut buf = Vec::new();
+    // A reset after the reply still leaves the reply in `buf`.
+    let _ = stream.read_to_end(&mut buf);
+    String::from_utf8_lossy(&buf).into_owned()
+}
+
+#[test]
+fn an_overlong_line_is_refused_and_the_server_keeps_serving() {
+    let (handle, _shared) = serve();
+    let mut bystander = Client::connect(handle.addr());
+    let mut flood = TcpStream::connect(handle.addr()).unwrap();
+    // 2 MiB with no newline: the server stops reading at its bound and
+    // hangs up, so late chunks may fail to send.
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..32 {
+        if flood.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    assert_eq!(read_until_closed(&mut flood), "ERR line too long\n");
+
+    let (head, rows) = bystander.send("SELECT COUNT(*) FROM t");
+    assert_eq!((head.as_str(), rows), ("ROWS 1", vec!["2".to_string()]));
+    let (head, _) = Client::connect(handle.addr()).send("SELECT id FROM t");
+    assert_eq!(head, "ROWS 2");
     handle.shutdown();
 }
 
@@ -253,5 +307,34 @@ fn metrics_endpoint_serves_prometheus_and_json() {
     stream.read_to_string(&mut response).unwrap();
     assert!(response.starts_with("HTTP/1.1 405"), "{response}");
 
+    http.shutdown();
+}
+
+#[test]
+fn metrics_endpoint_bounds_the_request_head() {
+    let shared = SharedDatabase::new(Database::new());
+    let http = xmlup_rdb::MetricsServer::start(shared, "127.0.0.1:0").unwrap();
+
+    // An endless header stream (capped here at 1 MiB so a server that
+    // never cuts it off fails the test instead of hanging it).
+    let mut flood = TcpStream::connect(http.addr()).unwrap();
+    flood.write_all(b"GET /metrics HTTP/1.1\r\n").unwrap();
+    let header = format!("X-Flood: {}\r\n", "a".repeat(1000));
+    for _ in 0..1024 {
+        if flood.write_all(header.as_bytes()).is_err() {
+            break;
+        }
+    }
+    let response = read_until_closed(&mut flood);
+    assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+
+    let mut long = TcpStream::connect(http.addr()).unwrap();
+    let _ = long.write_all(format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(16 * 1024)).as_bytes());
+    let response = read_until_closed(&mut long);
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+
+    // The accept thread is free again.
+    let metrics = http_get(http.addr(), "/metrics");
+    assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
     http.shutdown();
 }
