@@ -675,87 +675,11 @@ impl XmlRepository {
                 path,
                 filter.as_deref(),
             )?),
-            TranslatedOp::CopySubtrees {
-                src_rel,
-                src_filter,
-                dst_rel,
-                dst_filter,
-            } => {
-                // Bind sources and destinations (ids), then copy each
-                // source under each destination.
-                let src_table = &self.mapping.relations[*src_rel].table;
-                let swc = src_filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                let src_ids: Vec<i64> = self
-                    .db
-                    .query(&format!("SELECT id FROM {src_table}{swc} ORDER BY id"))?
-                    .rows
-                    .iter()
-                    .filter_map(|r| r[0].as_int())
-                    .collect();
-                let dst_table = &self.mapping.relations[*dst_rel].table;
-                let dwc = dst_filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                let dst_ids: Vec<i64> = self
-                    .db
-                    .query(&format!("SELECT id FROM {dst_table}{dwc} ORDER BY id"))?
-                    .rows
-                    .iter()
-                    .filter_map(|r| r[0].as_int())
-                    .collect();
-                let mut n = 0;
-                for &d in &dst_ids {
-                    for &s in &src_ids {
-                        n += self.copy_subtree(*src_rel, s, d)?;
-                    }
-                }
-                Ok(n)
-            }
-            TranslatedOp::InsertTupleAt {
-                rel,
-                values,
-                anchor_rel,
-                anchor_filter,
-                before,
-            } => {
-                // Bind anchors (id + parent), then place one new tuple per
-                // anchor using the gap-based positional machinery.
-                let anchor_table = &self.mapping.relations[*anchor_rel].table;
-                let wc = anchor_filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                let anchors: Vec<(i64, i64)> = self
-                    .db
-                    .query(&format!(
-                        "SELECT id, parentId FROM {anchor_table}{wc} ORDER BY id"
-                    ))?
-                    .rows
-                    .iter()
-                    .filter_map(|r| Some((r[0].as_int()?, r[1].as_int()?)))
-                    .collect();
-                let mut n = 0;
-                for (aid, parent) in anchors {
-                    let at = if *before {
-                        crate::ordered::InsertAt::Before(aid)
-                    } else {
-                        crate::ordered::InsertAt::After(aid)
-                    };
-                    crate::ordered::insert_tuple_at(
-                        &mut self.db,
-                        &self.mapping,
-                        *rel,
-                        parent,
-                        values,
-                        at,
-                    )?;
-                    n += 1;
-                }
-                Ok(n)
+            // Bind first (source and destination ids; anchor id + parent),
+            // then act once per bound tuple: the multi-op path's two steps.
+            TranslatedOp::CopySubtrees { .. } | TranslatedOp::InsertTupleAt { .. } => {
+                let bound = self.bind_op(op)?;
+                self.exec_bound(bound)
             }
             TranslatedOp::InsertInlined {
                 rel,

@@ -18,8 +18,8 @@ use crate::parser::{parse_script_with_text, parse_stmt_with_params};
 use crate::plan::{PlanSlot, SelectPlan};
 use crate::sql::stmt_to_sql;
 use crate::storage::{
-    BackendKind, CatalogTable, CheckpointCatalog, MemoryBackend, PagedStore, StorageBackend,
-    StorageConfig, StorageMetrics,
+    self, checkpoint::Slots, BackendKind, CatalogTable, CheckpointCatalog, MemoryBackend,
+    StorageBackend, StorageConfig, StorageMetrics,
 };
 use crate::table::{Table, TableSchema};
 use crate::txn::{FaultState, Savepoint, TxnState, UndoRecord};
@@ -27,7 +27,7 @@ use crate::value::{Row, Value};
 use crate::wal::{self, WalRecord};
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -329,8 +329,8 @@ pub struct Database {
     /// [`crate::mvcc`]).
     pub(crate) mvcc: MvccState,
     /// Storage backend underneath the in-memory tables (see
-    /// [`crate::storage`]). [`MemoryBackend`] — every hook a no-op —
-    /// unless [`Database::open_with`] selected the paged store.
+    /// [`crate::storage`]): it mirrors row mutations if it keeps its own
+    /// copy, and writes and reads the checkpoints.
     storage: Arc<dyn StorageBackend>,
     /// Per-statement execution aggregates (`rdb_statements`), keyed by
     /// literal-normalized fingerprint. Off by default.
@@ -357,7 +357,7 @@ impl Default for Database {
 /// open WAL appender, and the checkpoint generation bookkeeping.
 #[derive(Debug)]
 struct DurableState {
-    /// Directory holding `wal.bin` and `snapshot.bin`.
+    /// Directory holding `wal.bin` and the backend's checkpoint files.
     dir: PathBuf,
     /// Buffered appender positioned at the WAL's end.
     wal: Mutex<std::io::BufWriter<fs::File>>,
@@ -381,8 +381,8 @@ struct DurableState {
     /// Commits acknowledged by a group fsync (or subsumed by a
     /// checkpoint snapshot) so far.
     acked_commits: Counter,
-    /// Checkpoint generation stamped in both the snapshot body and the
-    /// WAL header. A WAL whose generation trails the snapshot's is
+    /// Checkpoint generation stamped in both the checkpoint file and the
+    /// WAL header. A WAL whose generation trails the checkpoint's is
     /// leftover from before a checkpoint whose truncation never landed —
     /// recovery discards it.
     generation: u64,
@@ -392,13 +392,18 @@ struct DurableState {
 
 /// WAL file name inside a durable database's directory.
 const WAL_FILE: &str = "wal.bin";
-/// Snapshot file name inside a durable database's directory.
-const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Temporary snapshot name; atomically renamed over [`SNAPSHOT_FILE`].
-const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
 fn storage_err(ctx: &str, e: &std::io::Error) -> DbError {
     DbError::Storage(format!("{ctx}: {e}"))
+}
+
+/// Start the log of `generation`: cut the file to nothing and make a
+/// header durable.
+fn reset_wal(file: &mut fs::File, generation: u64) -> std::io::Result<()> {
+    file.set_len(0)?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(&wal::encode_wal_header(generation))?;
+    file.sync_data()
 }
 
 /// One timed statement execution, as handed from the logged funnels to
@@ -438,7 +443,7 @@ impl Database {
             slow_threshold: OptDurCell::default(),
             slow_log: Mutex::new(Vec::new()),
             mvcc: MvccState::default(),
-            storage: Arc::new(MemoryBackend),
+            storage: Arc::new(MemoryBackend::default()),
             statements: crate::sysview::StatementStore::default(),
             sessions: Arc::new(crate::sysview::SessionRegistry::default()),
             created: std::time::Instant::now(),
@@ -1522,106 +1527,82 @@ impl Database {
 
     /// Open (or create) a durable database rooted at `path`.
     ///
-    /// Recovery loads `snapshot.bin` if present, then replays the WAL's
-    /// committed frames on top: each complete `TxnBegin … TxnCommit`
-    /// frame is applied, an uncommitted trailing frame (the transaction
-    /// the crash caught in flight) is discarded, and a torn final record
-    /// is truncated away. Replay is physical — rows land at the slot
-    /// positions the log recorded — so the recovered state is
-    /// byte-identical to the pre-crash committed state. A WAL whose
-    /// generation trails the snapshot's is leftover from a checkpoint
-    /// whose truncation never landed; its effects are already inside the
-    /// snapshot, so it is discarded.
+    /// Recovery rebuilds the tables from the directory's checkpoint if it
+    /// has one, then replays the WAL's committed frames on top: each
+    /// complete `TxnBegin … TxnCommit` frame is applied, an uncommitted
+    /// trailing frame (the transaction the crash caught in flight) is
+    /// discarded, and a torn final record is truncated away. Replay is
+    /// physical — rows land at the slot positions the log recorded — so
+    /// the recovered state is byte-identical to the pre-crash committed
+    /// state.
+    ///
+    /// The WAL header's generation decides what the log is worth. Equal
+    /// to the checkpoint's: it extends the checkpoint and is replayed.
+    /// Older: it is leftover from a checkpoint whose truncation never
+    /// landed, its effects are already inside the checkpoint, and it is
+    /// reset. Newer, or a full-length header that does not decode: the
+    /// log holds acknowledged commits this open cannot place, so the open
+    /// fails with [`DbError::Storage`] and no file is modified. A file
+    /// shorter than a header is a log torn at creation, i.e. empty.
     pub fn open(path: impl AsRef<Path>) -> Result<Database> {
         Self::open_with(path, StorageConfig::default())
     }
 
     /// [`Database::open`] with an explicit [`StorageConfig`]. With the
-    /// paged backend selected, recovery prefers the page store's
-    /// checkpoint meta (tables are rebuilt from the B-trees and their
-    /// indexes recomputed from the slots); a directory that only holds a
-    /// full snapshot is migrated by seeding the page store from it. All
-    /// table mutations from then on — including the WAL replay below —
-    /// are mirrored into the store.
+    /// paged backend the checkpoint's rows come out of the page store's
+    /// B-trees (a directory that only holds the memory backend's snapshot
+    /// is migrated by seeding the page store from it), and all table
+    /// mutations from then on — including the WAL replay — are mirrored
+    /// into the store. Opening a paged store with the memory backend is
+    /// refused.
     pub fn open_with(path: impl AsRef<Path>, config: StorageConfig) -> Result<Database> {
         let _span = Span::enter("db.recover");
         let recover_start = std::time::Instant::now();
         let dir = path.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| storage_err("create database directory", &e))?;
-        let mut db = Database::new();
-        let mut generation = 0u64;
-        let snap_path = dir.join(SNAPSHOT_FILE);
-        match config.backend {
-            BackendKind::Memory => {
-                if snap_path.exists() {
-                    let bytes =
-                        fs::read(&snap_path).map_err(|e| storage_err("read snapshot", &e))?;
-                    let snap = wal::decode_snapshot(&bytes)?;
-                    generation = snap.generation;
-                    db.restore_snapshot(snap)?;
-                }
-            }
-            BackendKind::Paged => {
-                let (store, meta) = PagedStore::open(&dir, config.pool_frames)?;
-                db.storage = Arc::new(store);
-                match meta {
-                    Some(meta) => {
-                        generation = meta.generation;
-                        db.restore_from_pages(&meta)?;
-                    }
-                    None => {
-                        // First paged open of this directory. If the
-                        // memory backend left a full snapshot, migrate
-                        // it; either way, seed the page store from the
-                        // in-memory tables and attach the mirrors.
-                        if snap_path.exists() {
-                            let bytes = fs::read(&snap_path)
-                                .map_err(|e| storage_err("read snapshot", &e))?;
-                            let snap = wal::decode_snapshot(&bytes)?;
-                            generation = snap.generation;
-                            db.restore_snapshot(snap)?;
-                        }
-                        db.seed_page_store();
-                    }
-                }
-            }
-        }
         let wal_path = dir.join(WAL_FILE);
+        let bytes = match fs::read(&wal_path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(storage_err("read WAL", &e)),
+        };
+        let log = if bytes.len() < wal::WAL_HEADER_LEN {
+            None
+        } else {
+            Some(wal::decode_wal(&bytes)?)
+        };
+        // Everything that can refuse the open has run before the first
+        // write below.
+        let (backend, checkpoint) =
+            storage::open(&dir, config, log.as_ref().map(|log| log.generation))?;
+        let mut db = Database::new();
+        db.storage = backend;
+        let mut generation = 0u64;
+        if let Some((catalog, slots)) = checkpoint {
+            generation = catalog.generation;
+            db.restore(catalog, slots)?;
+        }
         let mut file = fs::OpenOptions::new()
-            .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&wal_path)
             .map_err(|e| storage_err("open WAL", &e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| storage_err("read WAL", &e))?;
         let mut recovered = 0u64;
         let mut replayed_bytes = 0u64;
-        let mut reset_wal = true;
-        if bytes.len() >= wal::WAL_HEADER_LEN {
-            if let Ok(contents) = wal::decode_wal(&bytes) {
-                if contents.generation == generation {
-                    replayed_bytes = contents.clean_len - wal::WAL_HEADER_LEN as u64;
-                    recovered = db.replay(contents.records)?;
-                    if (contents.clean_len as usize) < bytes.len() {
-                        // Torn tail from a crash mid-append: discard it.
-                        file.set_len(contents.clean_len)
-                            .map_err(|e| storage_err("truncate torn WAL tail", &e))?;
-                    }
-                    reset_wal = false;
+        match log {
+            Some(log) if log.generation == generation => {
+                replayed_bytes = log.clean_len - wal::WAL_HEADER_LEN as u64;
+                recovered = db.replay(log.records)?;
+                if (log.clean_len as usize) < bytes.len() {
+                    // Torn tail from a crash mid-append: discard it.
+                    file.set_len(log.clean_len)
+                        .map_err(|e| storage_err("truncate torn WAL tail", &e))?;
                 }
             }
-        }
-        if reset_wal {
-            file.set_len(0).map_err(|e| storage_err("reset WAL", &e))?;
-            file.seek(SeekFrom::Start(0))
-                .map_err(|e| storage_err("reset WAL", &e))?;
-            file.write_all(&wal::encode_wal_header(generation))
-                .map_err(|e| storage_err("write WAL header", &e))?;
-            file.sync_data()
-                .map_err(|e| storage_err("sync WAL header", &e))?;
+            // Older than the checkpoint, or no header yet: start the log
+            // of this generation.
+            _ => reset_wal(&mut file, generation).map_err(|e| storage_err("reset WAL", &e))?,
         }
         let wal_len = file
             .seek(SeekFrom::End(0))
@@ -1676,84 +1657,44 @@ impl Database {
         Ok(())
     }
 
-    /// Write a checkpoint: snapshot the full state (catalog, heaps,
-    /// indexes, triggers, id counter) to `snapshot.bin` and truncate the
-    /// WAL. The snapshot is written to a temporary file, synced, and
-    /// renamed over the old one, so a crash at any point leaves either
-    /// the old snapshot (with a usable or discarded-stale WAL) or the
-    /// new one — never a torn snapshot.
+    /// Write a checkpoint: hand the catalog (schemas, indexed columns,
+    /// statistics, triggers, id counter) and the tables' rows to the
+    /// storage backend, which commits them atomically, then truncate the
+    /// WAL to a header of the new generation. A crash at any point leaves
+    /// either the old checkpoint (with its WAL) or the new one (with a
+    /// stale WAL that [`Database::open`] resets) — never a torn one.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if self.durable.is_none() {
+        let Some(d) = &self.durable else {
             return Err(DbError::Storage(
                 "CHECKPOINT requires a durable database (Database::open)".into(),
             ));
-        }
+        };
         if self.txn.explicit {
             return Err(DbError::Txn(
                 "CHECKPOINT inside an explicit transaction".into(),
             ));
         }
-        let generation = self.durable.as_ref().expect("checked above").generation + 1;
-        // A persistent backend commits an incremental checkpoint (dirty
-        // pages + meta rename) and reports its work; the memory backend
-        // declines and the engine writes the full snapshot as before.
-        let report = if self.storage.is_persistent() {
-            self.storage
-                .checkpoint(&self.checkpoint_catalog(generation))?
-        } else {
-            None
-        };
-        let (cp_pages, cp_bytes) = match report {
-            Some(r) => (r.pages_written, r.bytes_written),
-            None => {
-                let bytes = wal::encode_snapshot(&self.build_snapshot(generation));
-                let d = self.durable.as_ref().expect("checked above");
-                let tmp = d.dir.join(SNAPSHOT_TMP);
-                let dest = d.dir.join(SNAPSHOT_FILE);
-                let io = (|| -> std::io::Result<()> {
-                    let mut f = fs::File::create(&tmp)?;
-                    f.write_all(&bytes)?;
-                    f.sync_all()?;
-                    drop(f);
-                    fs::rename(&tmp, &dest)?;
-                    // Make the rename durable before truncating the WAL
-                    // the snapshot subsumes; a crash in between leaves a
-                    // stale WAL, which the generation check at open
-                    // discards.
-                    if let Ok(dirf) = fs::File::open(&d.dir) {
-                        let _ = dirf.sync_all();
-                    }
-                    Ok(())
-                })();
-                io.map_err(|e| storage_err("checkpoint", &e))?;
-                let len = bytes.len() as u64;
-                (len.div_ceil(crate::storage::pager::PAGE_SIZE as u64), len)
-            }
-        };
+        let generation = d.generation + 1;
+        let (catalog, slots) = self.checkpoint_catalog(generation);
+        let report = self.storage.checkpoint(&catalog, &slots)?;
         let d = self.durable.as_mut().expect("checked above");
-        let io = (|| -> std::io::Result<()> {
-            let mut w = d.wal.lock().unwrap();
-            w.flush()?;
-            let f = w.get_mut();
-            f.set_len(0)?;
-            f.seek(SeekFrom::Start(0))?;
-            f.write_all(&wal::encode_wal_header(generation))?;
-            f.sync_data()?;
-            Ok(())
-        })();
-        io.map_err(|e| storage_err("checkpoint", &e))?;
+        let mut w = d.wal.lock().unwrap();
+        w.flush()
+            .and_then(|()| reset_wal(w.get_mut(), generation))
+            .map_err(|e| storage_err("checkpoint", &e))?;
+        drop(w);
         d.generation = generation;
-        // The snapshot subsumes everything appended so far, including
+        // The checkpoint subsumes everything appended so far, including
         // any group-commit window still waiting on its fsync — those
-        // commits are now durably acknowledged by the snapshot itself.
+        // commits are now durably acknowledged by the checkpoint itself.
         d.acked_commits
             .set(d.acked_commits.get() + d.pending_commits.get());
         d.pending_commits.set(0);
         d.appended_len.set(wal::WAL_HEADER_LEN as u64);
         d.synced_len.set(wal::WAL_HEADER_LEN as u64);
         StatsCells::bump(&self.stats.checkpoints, 1);
-        StatsCells::bump(&self.stats.checkpoint_pages_written, cp_pages);
-        StatsCells::bump(&self.stats.checkpoint_bytes_written, cp_bytes);
+        StatsCells::bump(&self.stats.checkpoint_pages_written, report.pages_written);
+        StatsCells::bump(&self.stats.checkpoint_bytes_written, report.bytes_written);
         Ok(())
     }
 
@@ -1931,107 +1872,48 @@ impl Database {
         Ok(())
     }
 
-    /// Rebuild one table from checkpointed parts. The indexed column
-    /// numbers come from disk, so they are checked against the schema
-    /// here rather than trusted by the index build.
-    fn table_from_checkpoint(
-        key: &str,
-        name: String,
-        columns: Vec<(String, crate::value::DataType)>,
-        slots: Vec<Option<Row>>,
-        indexed: &[u32],
-        stats: Option<crate::stats::TableStatistics>,
-    ) -> Result<Table> {
-        let schema = TableSchema {
-            name,
-            columns: columns
-                .into_iter()
-                .map(|(name, ty)| ColumnDef { name, ty })
-                .collect(),
-        };
-        let indexed: Vec<usize> = indexed.iter().map(|&ci| ci as usize).collect();
-        if let Some(ci) = indexed.iter().find(|&&ci| ci >= schema.columns.len()) {
+    /// Rebuild one table from its checkpointed catalog entry and slots.
+    /// The indexed column numbers and the rows come from disk, so they
+    /// are checked against the schema here rather than trusted by the
+    /// index build.
+    fn table_from_checkpoint(t: CatalogTable, slots: Slots) -> Result<Table> {
+        let width = t.schema.columns.len();
+        let indexed: Vec<usize> = t.indexed.iter().map(|&ci| ci as usize).collect();
+        if let Some(ci) = indexed.iter().find(|&&ci| ci >= width) {
             return Err(DbError::Storage(format!(
-                "checkpoint indexes unknown column {ci} of `{key}`"
+                "checkpoint indexes unknown column {ci} of `{}`",
+                t.key
             )));
         }
-        if slots
-            .iter()
-            .flatten()
-            .any(|r| r.len() != schema.columns.len())
-        {
+        if slots.iter().flatten().any(|r| r.len() != width) {
             return Err(DbError::Storage(format!(
-                "checkpoint holds a row of the wrong width in `{key}`"
+                "checkpoint holds a row of the wrong width in `{}`",
+                t.key
             )));
         }
-        Ok(Table::from_parts(schema, slots, &indexed, stats))
+        Ok(Table::from_parts(t.schema, slots, &indexed, t.stats))
     }
 
-    /// Reconstruct state from a decoded snapshot (open-time only).
-    fn restore_snapshot(&mut self, snap: wal::Snapshot) -> Result<()> {
-        for st in snap.tables {
-            let table = Self::table_from_checkpoint(
-                &st.key,
-                st.name,
-                st.columns,
-                st.slots,
-                &st.indexed,
-                st.stats,
-            )?;
-            self.tables.insert(st.key, table);
-        }
-        for sql in snap.triggers {
-            let (stmt, _) = parse_stmt_with_params(&sql)?;
-            self.exec_internal(&stmt, &EvalCtx::new(), 0)?;
-        }
-        self.next_id.set(snap.next_id);
-        Ok(())
-    }
-
-    /// Reconstruct state from the page store's checkpoint meta
-    /// (paged-backend open). Slot vectors are rebuilt at their recorded
-    /// length (trailing tombstones preserved, so WAL replay lands rows at
-    /// the logged positions) and the indexes recomputed from them.
-    fn restore_from_pages(&mut self, meta: &crate::storage::pager::StoreMeta) -> Result<()> {
-        for tm in &meta.tables {
-            let mut slots: Vec<Option<Row>> = vec![None; tm.slots_len as usize];
-            for (pos, row) in self.storage.scan_table(&tm.key)? {
-                let pos = pos as usize;
-                if pos >= slots.len() {
-                    slots.resize(pos + 1, None);
-                }
-                slots[pos] = Some(row);
+    /// Reconstruct state from a checkpoint (open-time only): `slots[i]`
+    /// is the slot vector of `catalog.tables[i]`, trailing tombstones
+    /// included, so WAL replay lands rows at the logged positions. A
+    /// backend that keeps its own copy already holds these rows; its
+    /// mirror is attached so the replay reaches it too.
+    fn restore(&mut self, catalog: CheckpointCatalog, slots: Vec<Slots>) -> Result<()> {
+        for (t, slots) in catalog.tables.into_iter().zip(slots) {
+            let key = t.key.clone();
+            let mut table = Self::table_from_checkpoint(t, slots)?;
+            if self.storage.is_persistent() {
+                table.attach_backing(self.storage.clone(), &key);
             }
-            let mut table = Self::table_from_checkpoint(
-                &tm.key,
-                tm.name.clone(),
-                tm.columns.clone(),
-                slots,
-                &tm.indexed,
-                tm.stats.clone(),
-            )?;
-            table.attach_backing(self.storage.clone(), &tm.key);
-            self.tables.insert(tm.key.clone(), table);
+            self.tables.insert(key, table);
         }
-        for sql in &meta.triggers {
+        for sql in &catalog.triggers {
             let (stmt, _) = parse_stmt_with_params(sql)?;
             self.exec_internal(&stmt, &EvalCtx::new(), 0)?;
         }
-        self.next_id.set(meta.next_id);
+        self.next_id.set(catalog.next_id);
         Ok(())
-    }
-
-    /// Seed a fresh page store from the in-memory tables and attach the
-    /// write-through mirrors (first paged open of a directory).
-    fn seed_page_store(&mut self) {
-        let store = self.storage.clone();
-        for (key, t) in self.tables.iter_mut() {
-            store.create_table(key);
-            for (pos, row) in t.iter_live() {
-                store.put_row(key, pos as u64, row);
-            }
-            t.attach_backing(store.clone(), key);
-        }
     }
 
     /// Triggers in registration order rendered back to `CREATE TRIGGER`
@@ -2051,63 +1933,34 @@ impl Database {
             .collect()
     }
 
-    /// The catalog a persistent backend needs to commit a checkpoint it
-    /// can later be reopened from: schemas, slot-vector lengths, indexed
-    /// columns, triggers, and the id counter.
-    fn checkpoint_catalog(&self, generation: u64) -> CheckpointCatalog {
-        let mut tables: Vec<CatalogTable> = self
+    /// What a checkpoint of the current state holds: the catalog
+    /// (schemas, slot-vector lengths, indexed columns, statistics,
+    /// triggers, id counter) and, borrowed, each table's slot vector.
+    /// Tables are sorted by key so the checkpoint bytes are deterministic.
+    fn checkpoint_catalog(&self, generation: u64) -> (CheckpointCatalog, Vec<&[Option<Row>]>) {
+        let mut tables: Vec<(CatalogTable, &[Option<Row>])> = self
             .tables
             .iter()
-            .map(|(key, t)| CatalogTable {
-                key: key.clone(),
-                name: t.schema.name.clone(),
-                columns: t
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect(),
-                slots_len: t.slots_raw().len() as u64,
-                indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
-                stats: t.statistics().cloned(),
+            .map(|(key, t)| {
+                let entry = CatalogTable {
+                    key: key.clone(),
+                    schema: t.schema.clone(),
+                    slots_len: t.slots_raw().len() as u64,
+                    indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
+                    stats: t.statistics().cloned(),
+                };
+                (entry, t.slots_raw())
             })
             .collect();
-        tables.sort_by(|a, b| a.key.cmp(&b.key));
-        CheckpointCatalog {
+        tables.sort_by(|a, b| a.0.key.cmp(&b.0.key));
+        let (tables, slots) = tables.into_iter().unzip();
+        let catalog = CheckpointCatalog {
             generation,
             next_id: self.next_id.get(),
             tables,
             triggers: self.trigger_sql(),
-        }
-    }
-
-    /// Serialize the full state for a checkpoint. Tables are sorted so
-    /// the snapshot bytes are deterministic.
-    fn build_snapshot(&self, generation: u64) -> wal::Snapshot {
-        let mut tables: Vec<wal::SnapshotTable> = self
-            .tables
-            .iter()
-            .map(|(key, t)| wal::SnapshotTable {
-                key: key.clone(),
-                name: t.schema.name.clone(),
-                columns: t
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect(),
-                slots: t.slots_raw().to_vec(),
-                indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
-                stats: t.statistics().cloned(),
-            })
-            .collect();
-        tables.sort_by(|a, b| a.key.cmp(&b.key));
-        wal::Snapshot {
-            generation,
-            next_id: self.next_id.get(),
-            tables,
-            triggers: self.trigger_sql(),
-        }
+        };
+        (catalog, slots)
     }
 
     /// Apply the WAL's records: complete `TxnBegin … TxnCommit` frames

@@ -17,7 +17,7 @@
 //! identical statistics.
 
 use crate::value::{Row, Value};
-use crate::wal::{put_u32, put_u64, put_value, Reader};
+use crate::wal::{put_list, put_opt, put_u64, put_value, Reader};
 
 /// Maximum number of equi-depth histogram buckets per column.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -262,75 +262,45 @@ impl TableStatistics {
 }
 
 // ----------------------------------------------------------------------
-// codec — shared by the snapshot file and the paged store's meta file
+// codec — the statistics block of a checkpoint (`storage::checkpoint`)
 // ----------------------------------------------------------------------
 
 pub(crate) fn put_stats(out: &mut Vec<u8>, stats: Option<&TableStatistics>) {
-    let Some(s) = stats else {
-        out.push(0);
-        return;
-    };
-    out.push(1);
-    put_u64(out, s.row_count);
-    put_u32(out, s.columns.len() as u32);
-    for c in &s.columns {
-        put_u64(out, c.distinct);
-        put_u64(out, c.null_count);
-        for bound in [&c.min, &c.max] {
-            match bound {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    put_value(out, v);
-                }
-            }
-        }
-        put_u32(out, c.buckets.len() as u32);
-        for b in &c.buckets {
-            put_value(out, &b.upper);
-            put_u64(out, b.count);
-        }
-    }
+    put_opt(out, stats, |out, s| {
+        put_u64(out, s.row_count);
+        put_list(out, &s.columns, |out, c| {
+            put_u64(out, c.distinct);
+            put_u64(out, c.null_count);
+            put_opt(out, c.min.as_ref(), put_value);
+            put_opt(out, c.max.as_ref(), put_value);
+            put_list(out, &c.buckets, |out, b| {
+                put_value(out, &b.upper);
+                put_u64(out, b.count);
+            });
+        });
+    });
 }
 
 pub(crate) fn read_stats(r: &mut Reader<'_>) -> Option<Option<TableStatistics>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => {
-            let row_count = r.u64()?;
-            let ncols = r.u32()? as usize;
-            let mut columns = Vec::with_capacity(ncols.min(1024));
-            for _ in 0..ncols {
-                let distinct = r.u64()?;
-                let null_count = r.u64()?;
-                let mut bounds = [None, None];
-                for slot in &mut bounds {
-                    *slot = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.value()?),
-                        _ => return None,
-                    };
-                }
-                let [min, max] = bounds;
-                let nbuckets = r.u32()? as usize;
-                let mut buckets = Vec::with_capacity(nbuckets.min(1 << 16));
-                for _ in 0..nbuckets {
-                    let upper = r.value()?;
-                    let count = r.u64()?;
-                    buckets.push(Bucket { upper, count });
-                }
-                columns.push(ColumnStatistics {
-                    distinct,
-                    null_count,
-                    min,
-                    max,
-                    buckets,
-                });
-            }
-            Some(Some(TableStatistics { row_count, columns }))
-        }
-        _ => None,
-    }
+    r.opt(|r| {
+        Some(TableStatistics {
+            row_count: r.u64()?,
+            columns: r.list(|r| {
+                Some(ColumnStatistics {
+                    distinct: r.u64()?,
+                    null_count: r.u64()?,
+                    min: r.opt(Reader::value)?,
+                    max: r.opt(Reader::value)?,
+                    buckets: r.list(|r| {
+                        Some(Bucket {
+                            upper: r.value()?,
+                            count: r.u64()?,
+                        })
+                    })?,
+                })
+            })?,
+        })
+    })
 }
 
 #[cfg(test)]

@@ -1,19 +1,26 @@
-//! Pluggable storage backends behind the relational engine.
+//! Pluggable storage backends behind the relational engine, and the one
+//! checkpoint / recovery path both of them implement.
 //!
 //! The engine's tables are in-memory slot vectors ([`crate::Table`]);
-//! this module decides what, if anything, sits underneath them:
+//! this module decides what sits underneath them:
 //!
-//! * [`MemoryBackend`] — the default. Nothing underneath: tables are the
-//!   only copy, durability is the WAL + full-snapshot checkpoint. Zero
-//!   overhead; `Database::new` and `Database::open` behave exactly as
-//!   before this subsystem existed.
+//! * [`MemoryBackend`] — the default. No second copy of the rows: the
+//!   mirror hooks are no-ops and a checkpoint writes every slot vector
+//!   to `snapshot.bin`.
 //! * [`PagedStore`](paged::PagedStore) — a slotted-page file with one
 //!   copy-on-write B-tree per table (keyed on row id / slot position)
 //!   and a clock buffer pool. Every table mutation is mirrored into the
 //!   pages; `SELECT` scans and index probes read rows back through the
-//!   pool; checkpoints flush only the dirty frames and commit via an
-//!   atomic meta rename, so checkpoint cost is O(pages touched), not
-//!   O(database).
+//!   pool; a checkpoint flushes only the dirty frames and publishes
+//!   `pages.meta`, so its cost is O(pages touched), not O(database).
+//!
+//! The engine knows neither file: [`Database::checkpoint`](crate::Database::checkpoint)
+//! hands [`StorageBackend::checkpoint`] a [`CheckpointCatalog`] and the
+//! borrowed slot vectors and truncates the WAL when it returns;
+//! [`Database::open_with`](crate::Database::open_with) calls [`open`],
+//! which reads whichever checkpoint the directory holds and hands back
+//! the backend plus the catalog and slot vectors to rebuild tables from.
+//! The file formats and their publish protocol live in [`checkpoint`].
 //!
 //! The split of responsibilities: the in-memory table remains the
 //! authority for *positions* (undo, index maintenance,
@@ -22,6 +29,7 @@
 //! trait, so snapshot reads behave identically on every backend.
 
 pub mod btree;
+pub mod checkpoint;
 pub mod paged;
 pub mod pager;
 pub mod pool;
@@ -29,8 +37,12 @@ pub mod pool;
 pub use paged::PagedStore;
 pub use pool::PoolStats;
 
-use crate::error::Result;
-use crate::value::{DataType, Row};
+use crate::error::{DbError, Result};
+use crate::table::TableSchema;
+use crate::value::Row;
+use checkpoint::{Slots, Snapshot};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Which storage backend a database runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,14 +120,12 @@ pub struct StorageMetrics {
 }
 
 /// One table's schema entry in a [`CheckpointCatalog`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CatalogTable {
     /// Lower-cased catalog key.
     pub key: String,
-    /// Schema name as created.
-    pub name: String,
-    /// Column name/type pairs in order.
-    pub columns: Vec<(String, DataType)>,
+    /// Name as created, and the columns in order.
+    pub schema: TableSchema,
     /// Slot-vector length, trailing tombstones included.
     pub slots_len: u64,
     /// Indexed column indices, ascending.
@@ -124,12 +134,14 @@ pub struct CatalogTable {
     pub stats: Option<crate::stats::TableStatistics>,
 }
 
-/// Everything a backend needs from the engine to commit a checkpoint:
-/// the generation, the id counter, and the catalog to rebuild tables
-/// from at the next open.
-#[derive(Debug, Clone)]
+/// What a checkpoint remembers besides the rows: the generation, the id
+/// counter, and the catalog to rebuild tables and triggers from at the
+/// next open. Both checkpoint files carry exactly this
+/// ([`checkpoint`] is its one codec).
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointCatalog {
-    /// Checkpoint generation being committed.
+    /// Checkpoint generation, stamped in the WAL header too: a WAL of
+    /// an older generation is history this checkpoint already holds.
     pub generation: u64,
     /// The engine's id counter.
     pub next_id: i64,
@@ -139,12 +151,13 @@ pub struct CheckpointCatalog {
     pub triggers: Vec<String>,
 }
 
-/// Work an incremental checkpoint reported.
+/// Work a checkpoint did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointReport {
-    /// Pages written (dirty frames flushed + meta, in page units).
+    /// Pages written: dirty frames flushed plus the checkpoint file in
+    /// page units.
     pub pages_written: u64,
-    /// Bytes written (dirty frames + meta file).
+    /// Bytes written: dirty frames plus the checkpoint file.
     pub bytes_written: u64,
 }
 
@@ -154,7 +167,9 @@ pub struct CheckpointReport {
 /// calls invoked from [`crate::Table`]'s slot mutations — forward DML,
 /// rollback undo, and WAL replay all pass through them. A backend that
 /// can fail (I/O) records the error internally and surfaces it from the
-/// fallible methods (`get_row`, `scan_table`, `checkpoint`).
+/// fallible methods (`get_row`, `scan_table`, `checkpoint`). The hooks
+/// and the two reads default to "no second copy": nothing to mirror,
+/// nothing to read back.
 pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -164,22 +179,26 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     fn is_persistent(&self) -> bool;
 
     /// A table was created under `table` (lower-cased key).
-    fn create_table(&self, table: &str);
+    fn create_table(&self, _table: &str) {}
 
     /// A table was dropped; reclaim its pages.
-    fn drop_table(&self, table: &str);
+    fn drop_table(&self, _table: &str) {}
 
     /// Slot `pos` of `table` now holds `row` (insert or full-row update).
-    fn put_row(&self, table: &str, pos: u64, row: &Row);
+    fn put_row(&self, _table: &str, _pos: u64, _row: &Row) {}
 
     /// Slot `pos` of `table` no longer holds a row.
-    fn delete_row(&self, table: &str, pos: u64);
+    fn delete_row(&self, _table: &str, _pos: u64) {}
 
     /// Read back the row at slot `pos`, if live.
-    fn get_row(&self, table: &str, pos: u64) -> Result<Option<Row>>;
+    fn get_row(&self, _table: &str, _pos: u64) -> Result<Option<Row>> {
+        Ok(None)
+    }
 
     /// All live rows of `table` in slot order.
-    fn scan_table(&self, table: &str) -> Result<Vec<(u64, Row)>>;
+    fn scan_table(&self, _table: &str) -> Result<Vec<(u64, Row)>> {
+        Ok(Vec::new())
+    }
 
     /// Best-effort page count for one table's on-disk structure, or
     /// `None` when the backend has no page-level representation (the
@@ -189,20 +208,28 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// Commit a checkpoint. `Ok(Some(report))` means the backend wrote
-    /// an incremental checkpoint (the engine skips the full snapshot and
-    /// just truncates the WAL); `Ok(None)` means the backend has no
-    /// checkpoint mechanism and the engine must write a full snapshot.
-    fn checkpoint(&self, catalog: &CheckpointCatalog) -> Result<Option<CheckpointReport>>;
+    /// Commit a checkpoint of `catalog`; `slots[i]` is the slot vector
+    /// of `catalog.tables[i]` (a backend that mirrors the rows already
+    /// has them and ignores it). When this returns the checkpoint is
+    /// durable and the caller may truncate the WAL.
+    fn checkpoint(
+        &self,
+        catalog: &CheckpointCatalog,
+        slots: &[&[Option<Row>]],
+    ) -> Result<CheckpointReport>;
 
     /// Current storage-layer counters.
     fn metrics(&self) -> StorageMetrics;
 }
 
-/// The default backend: tables live only in memory, durability is the
-/// WAL plus full-snapshot checkpoints. Every hook is a no-op.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MemoryBackend;
+/// The default backend: the engine's tables are the only copy of the
+/// rows, so every mirror hook is a no-op and a checkpoint writes all of
+/// them to `snapshot.bin`.
+#[derive(Debug, Default, Clone)]
+pub struct MemoryBackend {
+    /// Directory of a durable database; `None` under [`Database::new`](crate::Database::new).
+    dir: Option<PathBuf>,
+}
 
 impl StorageBackend for MemoryBackend {
     fn kind(&self) -> BackendKind {
@@ -213,27 +240,101 @@ impl StorageBackend for MemoryBackend {
         false
     }
 
-    fn create_table(&self, _table: &str) {}
-
-    fn drop_table(&self, _table: &str) {}
-
-    fn put_row(&self, _table: &str, _pos: u64, _row: &Row) {}
-
-    fn delete_row(&self, _table: &str, _pos: u64) {}
-
-    fn get_row(&self, _table: &str, _pos: u64) -> Result<Option<Row>> {
-        Ok(None)
-    }
-
-    fn scan_table(&self, _table: &str) -> Result<Vec<(u64, Row)>> {
-        Ok(Vec::new())
-    }
-
-    fn checkpoint(&self, _catalog: &CheckpointCatalog) -> Result<Option<CheckpointReport>> {
-        Ok(None)
+    fn checkpoint(
+        &self,
+        catalog: &CheckpointCatalog,
+        slots: &[&[Option<Row>]],
+    ) -> Result<CheckpointReport> {
+        let dir = self.dir.as_deref().ok_or_else(|| {
+            DbError::Storage("checkpoint requires a durable database (Database::open)".into())
+        })?;
+        let bytes = checkpoint::write_snapshot(dir, catalog, slots)?;
+        Ok(CheckpointReport {
+            pages_written: bytes.div_ceil(pager::PAGE_SIZE as u64),
+            bytes_written: bytes,
+        })
     }
 
     fn metrics(&self) -> StorageMetrics {
         StorageMetrics::default()
     }
+}
+
+/// Open the storage of the durable database in `dir`: read whichever
+/// checkpoint the directory holds and hand back the backend plus, if
+/// there is a checkpoint, its catalog and one slot vector per catalog
+/// table — decoded from `snapshot.bin`, or scanned out of the B-trees
+/// `pages.meta` roots, or (paged backend over a directory the memory
+/// backend checkpointed) decoded from `snapshot.bin` and seeded into a
+/// fresh page store.
+///
+/// `wal_generation` is the generation in the directory's WAL header, if
+/// it has one. A WAL newer than the checkpoint extends a checkpoint this
+/// directory no longer holds, and a memory open of a paged store would
+/// not see its rows at all: both are refused here, before any file is
+/// created or written.
+pub fn open(
+    dir: &Path,
+    config: StorageConfig,
+    wal_generation: Option<u64>,
+) -> Result<(Arc<dyn StorageBackend>, Option<Snapshot>)> {
+    let meta = checkpoint::read_meta(dir)?;
+    if meta.is_some() && config.backend == BackendKind::Memory {
+        return Err(DbError::Storage(format!(
+            "{} holds a paged store (pages.meta): open it with the paged backend (--backend paged)",
+            dir.display()
+        )));
+    }
+    // A snapshot beside a meta is what the store was migrated from.
+    let snapshot = match meta {
+        Some(_) => None,
+        None => checkpoint::read_snapshot(dir)?,
+    };
+    let generation = match (&meta, &snapshot) {
+        (Some((catalog, ..)), _) | (_, Some((catalog, _))) => catalog.generation,
+        _ => 0,
+    };
+    if let Some(wal) = wal_generation.filter(|&wal| wal > generation) {
+        return Err(DbError::Storage(format!(
+            "WAL generation {wal} is newer than the checkpoint's ({generation}): \
+             the checkpoint it extends is missing from {}",
+            dir.display()
+        )));
+    }
+    if config.backend == BackendKind::Memory {
+        let dir = Some(dir.to_path_buf());
+        return Ok((Arc::new(MemoryBackend { dir }), snapshot));
+    }
+    let store = PagedStore::attach(dir, config.pool_frames, meta.as_ref())?;
+    let recovered = match (meta, snapshot) {
+        (Some((catalog, ..)), _) => {
+            let mut slots = Vec::with_capacity(catalog.tables.len());
+            for t in &catalog.tables {
+                let mut table: Slots = vec![None; t.slots_len as usize];
+                for (pos, row) in store.scan_table(&t.key)? {
+                    *table.get_mut(pos as usize).ok_or_else(|| {
+                        DbError::Storage(format!(
+                            "page store holds row {pos} of `{}` past its {} slots",
+                            t.key, t.slots_len
+                        ))
+                    })? = Some(row);
+                }
+                slots.push(table);
+            }
+            Some((catalog, slots))
+        }
+        (None, Some((catalog, slots))) => {
+            for (t, table) in catalog.tables.iter().zip(&slots) {
+                store.create_table(&t.key);
+                for (pos, row) in table.iter().enumerate() {
+                    if let Some(row) = row {
+                        store.put_row(&t.key, pos as u64, row);
+                    }
+                }
+            }
+            Some((catalog, slots))
+        }
+        (None, None) => None,
+    };
+    Ok((Arc::new(store), recovered))
 }

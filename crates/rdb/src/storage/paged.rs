@@ -4,9 +4,8 @@
 //!
 //! All mutations land in pool frames (dirty, no I/O beyond eviction
 //! write-back); a checkpoint flushes exactly the dirty frames, fsyncs
-//! the page file, and commits by atomically renaming a small meta file
-//! (generation, table roots, freelist) — the same tmp + rename +
-//! dir-sync protocol the full snapshot uses. Shadow paging guarantees
+//! the page file, and commits by publishing a small meta file (catalog,
+//! table roots, freelist; see [`super::checkpoint`]). Shadow paging guarantees
 //! the previous checkpoint's pages were never overwritten, so a crash at
 //! any instant recovers from the old meta plus the WAL.
 //!
@@ -18,17 +17,14 @@
 //! error is stored and surfaced by the next checkpoint or read.
 
 use super::btree::{bt_delete, bt_free, bt_get, bt_page_count, bt_put, bt_scan};
-use super::pager::{
-    encode_meta, Pager, StoreMeta, TableMeta, DATA_FILE, META_FILE, META_TMP, PAGE_SIZE,
-};
-use super::pool::{PageHeap, PoolStats};
+use super::checkpoint::{self, PageAlloc, PageMeta};
+use super::pager::{Pager, DATA_FILE, PAGE_SIZE};
+use super::pool::PageHeap;
 use super::{BackendKind, CheckpointCatalog, CheckpointReport, StorageBackend, StorageMetrics};
 use crate::error::{DbError, Result};
 use crate::value::Row;
 use crate::wal::{self, Reader};
 use std::collections::HashMap;
-use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -70,41 +66,35 @@ pub struct PagedStore {
 }
 
 impl PagedStore {
-    /// Open (or create) the page store inside `dir` with a buffer pool
-    /// of `pool_frames` frames. Returns the store plus the decoded
-    /// checkpoint meta when one exists — the engine rebuilds its
-    /// in-memory tables from it before WAL replay. Without a meta the
-    /// page file is reset: the store's content is whatever the engine
-    /// seeds it with (fresh schema or a migrated full snapshot).
-    pub fn open(dir: &Path, pool_frames: usize) -> Result<(PagedStore, Option<StoreMeta>)> {
+    /// Open the page store inside `dir` with a buffer pool of
+    /// `pool_frames` frames, at the state `meta` committed. Without a
+    /// meta the page file is reset: the store's content is whatever the
+    /// caller seeds it with (fresh schema or a migrated snapshot).
+    pub(super) fn attach(
+        dir: &Path,
+        pool_frames: usize,
+        meta: Option<&PageMeta>,
+    ) -> Result<PagedStore> {
         let pager = Pager::open(&dir.join(DATA_FILE))?;
         let mut heap = PageHeap::new(pager, pool_frames);
-        let meta_path = dir.join(META_FILE);
         let mut roots = HashMap::new();
-        let meta = if meta_path.exists() {
-            let bytes = fs::read(&meta_path)
-                .map_err(|e| DbError::Storage(format!("read page meta: {e}")))?;
-            let meta = super::pager::decode_meta(&bytes)?;
-            heap.load_state(meta.page_count, meta.free.clone(), meta.lsn);
-            for t in &meta.tables {
-                roots.insert(t.key.clone(), t.root);
+        match meta {
+            Some((catalog, alloc, table_roots)) => {
+                heap.load_state(alloc.page_count, alloc.free.clone(), alloc.lsn);
+                for (t, root) in catalog.tables.iter().zip(table_roots) {
+                    roots.insert(t.key.clone(), *root);
+                }
             }
-            Some(meta)
-        } else {
-            heap.reset_file()?;
-            None
-        };
-        Ok((
-            PagedStore {
-                dir: dir.to_path_buf(),
-                inner: Mutex::new(StoreInner {
-                    heap,
-                    roots,
-                    poisoned: None,
-                }),
-            },
-            meta,
-        ))
+            None => heap.reset_file()?,
+        }
+        Ok(PagedStore {
+            dir: dir.to_path_buf(),
+            inner: Mutex::new(StoreInner {
+                heap,
+                roots,
+                poisoned: None,
+            }),
+        })
     }
 
     fn with_inner<T>(&self, f: impl FnOnce(&mut StoreInner) -> Result<T>) -> Result<T> {
@@ -125,11 +115,6 @@ impl PagedStore {
         if let Err(e) = f(&mut inner) {
             inner.poisoned = Some(e.to_string());
         }
-    }
-
-    /// Buffer-pool counters (hits, misses, evictions, write-backs).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.inner.lock().unwrap().heap.pool_stats()
     }
 }
 
@@ -212,58 +197,35 @@ impl StorageBackend for PagedStore {
         bt_page_count(&mut inner.heap, root).ok()
     }
 
-    fn checkpoint(&self, catalog: &CheckpointCatalog) -> Result<Option<CheckpointReport>> {
+    fn checkpoint(
+        &self,
+        catalog: &CheckpointCatalog,
+        _slots: &[&[Option<Row>]],
+    ) -> Result<CheckpointReport> {
         self.with_inner(|inner| {
             // 1. Flush exactly the dirty pool frames and make them
             //    durable. Shadow paging means none of these writes can
             //    touch a page the previous checkpoint still references.
             let (pages, bytes) = inner.heap.flush()?;
-            // 2. Build and atomically publish the meta: tmp + fsync +
-            //    rename + dir-sync, the same protocol as the snapshot.
-            let tables: Vec<TableMeta> = catalog
-                .tables
-                .iter()
-                .map(|t| TableMeta {
-                    key: t.key.clone(),
-                    name: t.name.clone(),
-                    columns: t.columns.clone(),
-                    root: inner.roots.get(&t.key).copied().unwrap_or(0),
-                    slots_len: t.slots_len,
-                    indexed: t.indexed.clone(),
-                    stats: t.stats.clone(),
-                })
-                .collect();
-            let meta = StoreMeta {
-                generation: catalog.generation,
-                next_id: catalog.next_id,
+            // 2. Publish the meta that points at them.
+            let alloc = PageAlloc {
                 page_count: inner.heap.page_count,
                 lsn: inner.heap.lsn,
                 free: inner.heap.checkpoint_free_list(),
-                tables,
-                triggers: catalog.triggers.clone(),
             };
-            let encoded = encode_meta(&meta);
-            let tmp = self.dir.join(META_TMP);
-            let dest = self.dir.join(META_FILE);
-            (|| -> std::io::Result<()> {
-                let mut f = fs::File::create(&tmp)?;
-                f.write_all(&encoded)?;
-                f.sync_all()?;
-                drop(f);
-                fs::rename(&tmp, &dest)?;
-                if let Ok(dirf) = fs::File::open(&self.dir) {
-                    let _ = dirf.sync_all();
-                }
-                Ok(())
-            })()
-            .map_err(|e| DbError::Storage(format!("checkpoint page meta: {e}")))?;
+            let roots: Vec<u64> = catalog
+                .tables
+                .iter()
+                .map(|t| inner.roots.get(&t.key).copied().unwrap_or(0))
+                .collect();
+            let meta_bytes = checkpoint::write_meta(&self.dir, catalog, &alloc, &roots)?;
             // 3. The rename is the commit point: pending frees become
             //    reusable and the new tree's pages stop being fresh.
             inner.heap.checkpoint_committed();
-            Ok(Some(CheckpointReport {
-                pages_written: pages + encoded.len().div_ceil(PAGE_SIZE) as u64,
-                bytes_written: bytes + encoded.len() as u64,
-            }))
+            Ok(CheckpointReport {
+                pages_written: pages + meta_bytes.div_ceil(PAGE_SIZE as u64),
+                bytes_written: bytes + meta_bytes,
+            })
         })
     }
 

@@ -23,16 +23,12 @@
 //! torn or bit-rotted page surfaces as a storage error instead of silent
 //! corruption.
 //!
-//! The checkpoint *meta* file (`pages.meta`) is the commit point of the
-//! copy-on-write page store: magic, then one `[len][crc][body]` frame
-//! holding the generation, the page-allocation state (page count +
-//! freelist), and the table catalog (name, columns, B-tree root, slot
-//! count, indexed columns) plus trigger SQL. It is written via the same
-//! atomic tmp + rename + dir-sync protocol as the full snapshot.
+//! The commit point of the copy-on-write page store is the checkpoint
+//! *meta* file, `pages.meta`; its format and publish protocol live in
+//! [`super::checkpoint`].
 
 use crate::error::{DbError, Result};
-use crate::value::DataType;
-use crate::wal::{self, crc32, Reader};
+use crate::wal::crc32;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -43,18 +39,8 @@ pub const PAGE_SIZE: usize = 4096;
 pub const PAGE_HDR: usize = 24;
 /// Size of one slot-directory entry (offset u16 + length u16).
 pub const SLOT_ENTRY: usize = 4;
-/// Magic prefix of the checkpoint meta file (the trailing digit is the
-/// format version).
-pub const META_MAGIC: &[u8; 8] = b"XUPPGME2";
-/// Magic of the previous meta format (separate hash- and ordered-index
-/// column lists per table), still accepted on read.
-const META_MAGIC_V1: &[u8; 8] = b"XUPPGME1";
 /// Page-file name inside a durable database's directory.
 pub const DATA_FILE: &str = "pages.bin";
-/// Checkpoint meta-file name (the paged store's commit point).
-pub const META_FILE: &str = "pages.meta";
-/// Temporary meta name; atomically renamed over [`META_FILE`].
-pub const META_TMP: &str = "pages.tmp";
 
 /// What a page holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,187 +268,4 @@ impl Pager {
             .set_len(0)
             .map_err(|e| io_err("reset page file", &e))
     }
-}
-
-// ----------------------------------------------------------------------
-// checkpoint meta codec
-// ----------------------------------------------------------------------
-
-/// Per-table entry in the checkpoint meta: everything needed to rebuild
-/// the in-memory [`crate::Table`] from pages at open.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableMeta {
-    /// Lower-cased catalog key.
-    pub key: String,
-    /// Schema name as created (case preserved).
-    pub name: String,
-    /// Column name/type pairs in order.
-    pub columns: Vec<(String, DataType)>,
-    /// Root page of the table's B-tree (0 = empty).
-    pub root: u64,
-    /// Slot-vector length, trailing tombstones included, so WAL replay
-    /// appends rows at the positions the log recorded.
-    pub slots_len: u64,
-    /// Indexed column indices, ascending (indexes are rebuilt at open).
-    pub indexed: Vec<u32>,
-    /// Optimizer statistics captured at checkpoint time, if the table
-    /// has been `ANALYZE`d.
-    pub stats: Option<crate::stats::TableStatistics>,
-}
-
-/// Decoded contents of the checkpoint meta file: the commit point of the
-/// copy-on-write page store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreMeta {
-    /// Checkpoint generation (same protocol as the snapshot/WAL pair).
-    pub generation: u64,
-    /// The engine's id counter at checkpoint time.
-    pub next_id: i64,
-    /// Highest allocated page id.
-    pub page_count: u64,
-    /// Store LSN at checkpoint time.
-    pub lsn: u64,
-    /// Free page ids available for reuse.
-    pub free: Vec<u64>,
-    /// Table catalog, sorted by key.
-    pub tables: Vec<TableMeta>,
-    /// Triggers in registration order, as `CREATE TRIGGER` SQL.
-    pub triggers: Vec<String>,
-}
-
-/// Encode a checkpoint meta file: magic, then one `[len][crc][body]`
-/// frame (the same framing discipline as the WAL and snapshot codecs).
-pub fn encode_meta(meta: &StoreMeta) -> Vec<u8> {
-    let mut body = Vec::new();
-    wal::put_u64(&mut body, meta.generation);
-    wal::put_i64(&mut body, meta.next_id);
-    wal::put_u64(&mut body, meta.page_count);
-    wal::put_u64(&mut body, meta.lsn);
-    wal::put_u32(&mut body, meta.free.len() as u32);
-    for id in &meta.free {
-        wal::put_u64(&mut body, *id);
-    }
-    wal::put_u32(&mut body, meta.tables.len() as u32);
-    for t in &meta.tables {
-        wal::put_str(&mut body, &t.key);
-        wal::put_str(&mut body, &t.name);
-        wal::put_u32(&mut body, t.columns.len() as u32);
-        for (name, ty) in &t.columns {
-            wal::put_str(&mut body, name);
-            wal::put_data_type(&mut body, *ty);
-        }
-        wal::put_u64(&mut body, t.root);
-        wal::put_u64(&mut body, t.slots_len);
-        wal::put_u32(&mut body, t.indexed.len() as u32);
-        for ci in &t.indexed {
-            wal::put_u32(&mut body, *ci);
-        }
-        crate::stats::put_stats(&mut body, t.stats.as_ref());
-    }
-    wal::put_u32(&mut body, meta.triggers.len() as u32);
-    for sql in &meta.triggers {
-        wal::put_str(&mut body, sql);
-    }
-    let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(META_MAGIC);
-    wal::put_u32(&mut out, body.len() as u32);
-    wal::put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Decode a checkpoint meta file. The meta is written atomically (tmp +
-/// rename), so any corruption — truncation at *any* offset included —
-/// is an error, never a partial parse.
-pub fn decode_meta(bytes: &[u8]) -> Result<StoreMeta> {
-    let corrupt = |what: &str| DbError::Storage(format!("page meta corrupt: {what}"));
-    if bytes.len() < 16 {
-        return Err(corrupt("bad magic"));
-    }
-    let v1 = match &bytes[..8] {
-        m if m == META_MAGIC => false,
-        m if m == META_MAGIC_V1 => true,
-        _ => return Err(corrupt("bad magic")),
-    };
-    let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let body = bytes
-        .get(16..16 + len)
-        .ok_or_else(|| corrupt("short body"))?;
-    if bytes.len() != 16 + len {
-        return Err(corrupt("trailing bytes"));
-    }
-    if crc32(body) != crc {
-        return Err(corrupt("checksum mismatch"));
-    }
-    let mut r = Reader::new(body);
-    let parse = || corrupt("truncated field");
-    let generation = r.u64().ok_or_else(parse)?;
-    let next_id = r.i64().ok_or_else(parse)?;
-    let page_count = r.u64().ok_or_else(parse)?;
-    let lsn = r.u64().ok_or_else(parse)?;
-    let nfree = r.u32().ok_or_else(parse)? as usize;
-    let mut free = Vec::with_capacity(nfree.min(1 << 20));
-    for _ in 0..nfree {
-        free.push(r.u64().ok_or_else(parse)?);
-    }
-    let ntables = r.u32().ok_or_else(parse)? as usize;
-    let mut tables = Vec::with_capacity(ntables.min(1024));
-    for _ in 0..ntables {
-        let key = r.str().ok_or_else(parse)?;
-        let name = r.str().ok_or_else(parse)?;
-        let ncols = r.u32().ok_or_else(parse)? as usize;
-        let mut columns = Vec::with_capacity(ncols.min(1024));
-        for _ in 0..ncols {
-            let cname = r.str().ok_or_else(parse)?;
-            let ty = match r.u8().ok_or_else(parse)? {
-                0 => DataType::Integer,
-                1 => DataType::Text,
-                2 => DataType::Boolean,
-                _ => return Err(corrupt("bad column type tag")),
-            };
-            columns.push((cname, ty));
-        }
-        let root = r.u64().ok_or_else(parse)?;
-        let slots_len = r.u64().ok_or_else(parse)?;
-        // One column list; the old format carried two (hash, ordered).
-        let mut indexed = Vec::new();
-        for _ in 0..if v1 { 2 } else { 1 } {
-            for _ in 0..r.u32().ok_or_else(parse)? {
-                indexed.push(r.u32().ok_or_else(parse)?);
-            }
-        }
-        if v1 {
-            indexed.sort_unstable();
-            indexed.dedup();
-        }
-        let stats =
-            crate::stats::read_stats(&mut r).ok_or_else(|| corrupt("bad statistics block"))?;
-        tables.push(TableMeta {
-            key,
-            name,
-            columns,
-            root,
-            slots_len,
-            indexed,
-            stats,
-        });
-    }
-    let ntriggers = r.u32().ok_or_else(parse)? as usize;
-    let mut triggers = Vec::with_capacity(ntriggers.min(1024));
-    for _ in 0..ntriggers {
-        triggers.push(r.str().ok_or_else(parse)?);
-    }
-    if !r.done() {
-        return Err(corrupt("trailing body bytes"));
-    }
-    Ok(StoreMeta {
-        generation,
-        next_id,
-        page_count,
-        lsn,
-        free,
-        tables,
-        triggers,
-    })
 }

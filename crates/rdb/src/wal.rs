@@ -1,9 +1,10 @@
-//! Write-ahead log and snapshot file formats for the durability layer.
+//! Write-ahead log file format for the durability layer.
 //!
-//! This module is pure encoding/decoding — it owns the byte formats and
+//! This module is pure encoding/decoding — it owns the byte format and
 //! nothing else. The engine (`crate::engine`) decides *when* records are
 //! emitted, buffered, flushed, and replayed; see `Database::open`,
-//! `Database::checkpoint`, and the commit paths there.
+//! `Database::checkpoint`, and the commit paths there. The checkpoint
+//! files the log is truncated against live in `crate::storage::checkpoint`.
 //!
 //! # WAL format
 //!
@@ -28,28 +29,12 @@
 //! carried as SQL text (`crate::sql` renders it; recovery re-parses), and
 //! id-counter movement is an absolute `NextId` so replay order of
 //! discarded frames cannot skew it.
-//!
-//! # Snapshot format
-//!
-//! A snapshot file is `b"XUPSNAP2"` magic, then a `[u32 len][u32 crc]`
-//! frame around one body: generation, `next_id`, every table (schema,
-//! slots *including tombstones*, the indexed column list, statistics),
-//! and the trigger list as rendered `CREATE TRIGGER` text. Index
-//! contents are not written: they are rebuilt from the slots. The
-//! previous format (`XUPSNAP1`: verbatim hash-index buckets, then a
-//! separate ordered-index column list) is still read; its buckets are
-//! skipped and its two lists merged.
 
 use crate::error::{DbError, Result};
-use crate::stats::{put_stats, read_stats, TableStatistics};
-use crate::value::{DataType, Row, Value};
+use crate::value::{Row, Value};
 
 /// WAL file magic, followed by a little-endian `u64` generation.
 pub const WAL_MAGIC: &[u8; 8] = b"XUPWAL01";
-/// Snapshot file magic (the trailing digit is the format version).
-pub const SNAP_MAGIC: &[u8; 8] = b"XUPSNAP2";
-/// Magic of the previous snapshot format, still accepted on read.
-const SNAP_MAGIC_V1: &[u8; 8] = b"XUPSNAP1";
 /// Size of the WAL header: magic + generation.
 pub const WAL_HEADER_LEN: usize = 16;
 
@@ -168,6 +153,22 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// A `u32` count, then each item.
+pub(crate) fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
+    }
+}
+
+/// A presence byte, then the item if there is one.
+pub(crate) fn put_opt<T>(out: &mut Vec<u8>, item: Option<&T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
+    out.push(u8::from(item.is_some()));
+    if let Some(item) = item {
+        put(out, item);
+    }
+}
+
 pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(0),
@@ -187,10 +188,7 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
 }
 
 pub(crate) fn put_row(out: &mut Vec<u8>, row: &Row) {
-    put_u32(out, row.len() as u32);
-    for v in row {
-        put_value(out, v);
-    }
+    put_list(out, row, put_value);
 }
 
 /// Strict cursor over a byte slice; every accessor fails on short input.
@@ -247,17 +245,33 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn row(&mut self) -> Option<Row> {
+        self.list(Self::value)
+    }
+
+    /// A `u32` count, then that many items. The count bounds the loop,
+    /// not the allocation: a lying count runs out of bytes instead.
+    pub(crate) fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
         let n = self.u32()? as usize;
-        // Guard against corrupt lengths: a row cannot have more values
-        // than bytes remaining (every value is at least one tag byte).
-        if n > self.bytes.len() - self.at {
-            return None;
-        }
-        let mut row = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            row.push(self.value()?);
+            out.push(item(self)?);
         }
-        Some(row)
+        Some(out)
+    }
+
+    /// A presence byte, then the item if it says there is one.
+    pub(crate) fn opt<T>(
+        &mut self,
+        item: impl FnOnce(&mut Self) -> Option<T>,
+    ) -> Option<Option<T>> {
+        match self.u8()? {
+            0 => Some(None),
+            1 => item(self).map(Some),
+            _ => None,
+        }
     }
 
     pub(crate) fn done(&self) -> bool {
@@ -373,9 +387,21 @@ pub struct WalContents {
     pub clean_len: u64,
 }
 
+/// The `[u32 len][u32 crc32][payload]` frame at the start of `bytes`: its
+/// payload and its whole length, or `None` if the header or payload runs
+/// past the end or the checksum fails. The WAL reads a tear there; a
+/// checkpoint file, which is never torn, an error.
+pub(crate) fn read_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().unwrap()) as usize;
+    let crc = u32::from_le_bytes(bytes.get(4..8)?.try_into().unwrap());
+    let payload = bytes.get(8..8usize.checked_add(len)?)?;
+    (crc32(payload) == crc).then_some((payload, 8 + len))
+}
+
 /// Decode a WAL file: header, then frames until end-of-file or a torn
 /// tail. Never fails on a tear — that is the normal crash case; only a
-/// missing/garbled *header* is an error (the opener recreates the file).
+/// missing/garbled *header* is an error (the opener takes a file shorter
+/// than a header for an empty log and refuses a header it cannot read).
 pub fn decode_wal(bytes: &[u8]) -> Result<WalContents> {
     if bytes.len() < WAL_HEADER_LEN || &bytes[..8] != WAL_MAGIC {
         return Err(DbError::Storage("WAL header missing or corrupt".into()));
@@ -383,214 +409,19 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalContents> {
     let generation = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let mut records = Vec::new();
     let mut at = WAL_HEADER_LEN;
-    // A short frame header past `at` is a torn tail: stop cleanly.
-    while let Some(header) = bytes.get(at..at + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
-            break; // payload runs past EOF: torn tail
-        };
-        if crc32(payload) != crc {
-            break; // bit rot or a tear that kept the length intact
-        }
+    // A short, overlong or checksum-failing frame is a torn tail: stop
+    // cleanly. So is a CRC-clean frame that does not decode.
+    while let Some((payload, frame_len)) = read_frame(&bytes[at..]) {
         let Some(rec) = decode_payload(payload) else {
-            break; // CRC-clean but undecodable: treat as a tear, stop here
+            break;
         };
         records.push(rec);
-        at += 8 + len;
+        at += frame_len;
     }
     Ok(WalContents {
         generation,
         records,
         clean_len: at as u64,
-    })
-}
-
-// ----------------------------------------------------------------------
-// snapshot codec
-// ----------------------------------------------------------------------
-
-/// Serialized state of one table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotTable {
-    /// Lower-cased catalog key.
-    pub key: String,
-    /// Schema name as created (case preserved).
-    pub name: String,
-    /// Column name/type pairs in order.
-    pub columns: Vec<(String, DataType)>,
-    /// Every slot, tombstones included, in position order.
-    pub slots: Vec<Option<Row>>,
-    /// Indexed columns, ascending. Index contents are not serialized:
-    /// they are a pure function of the slots and are rebuilt on restore.
-    pub indexed: Vec<u32>,
-    /// `ANALYZE` statistics, if built.
-    pub stats: Option<TableStatistics>,
-}
-
-/// Full serialized database state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// Checkpoint generation this snapshot belongs to. A WAL whose header
-    /// carries an older generation is stale (its effects are already in
-    /// the snapshot) and is discarded on open.
-    pub generation: u64,
-    /// The id counter.
-    pub next_id: i64,
-    /// Tables, sorted by key.
-    pub tables: Vec<SnapshotTable>,
-    /// Triggers in registration order, as `CREATE TRIGGER` SQL.
-    pub triggers: Vec<String>,
-}
-
-pub(crate) fn put_data_type(out: &mut Vec<u8>, ty: DataType) {
-    out.push(match ty {
-        DataType::Integer => 0,
-        DataType::Text => 1,
-        DataType::Boolean => 2,
-    });
-}
-
-/// Encode a snapshot file: magic, then one `[len][crc][body]` frame.
-pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u64(&mut body, snap.generation);
-    put_i64(&mut body, snap.next_id);
-    put_u32(&mut body, snap.tables.len() as u32);
-    for t in &snap.tables {
-        put_str(&mut body, &t.key);
-        put_str(&mut body, &t.name);
-        put_u32(&mut body, t.columns.len() as u32);
-        for (name, ty) in &t.columns {
-            put_str(&mut body, name);
-            put_data_type(&mut body, *ty);
-        }
-        put_u64(&mut body, t.slots.len() as u64);
-        for slot in &t.slots {
-            match slot {
-                None => body.push(0),
-                Some(row) => {
-                    body.push(1);
-                    put_row(&mut body, row);
-                }
-            }
-        }
-        put_u32(&mut body, t.indexed.len() as u32);
-        for c in &t.indexed {
-            put_u32(&mut body, *c);
-        }
-        put_stats(&mut body, t.stats.as_ref());
-    }
-    put_u32(&mut body, snap.triggers.len() as u32);
-    for sql in &snap.triggers {
-        put_str(&mut body, sql);
-    }
-
-    let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(SNAP_MAGIC);
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Decode a snapshot file. Unlike the WAL, a snapshot is written
-/// atomically (temp file + rename), so any corruption is an error rather
-/// than a tolerable tear.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
-    let corrupt = |what: &str| DbError::Storage(format!("snapshot corrupt: {what}"));
-    if bytes.len() < 16 {
-        return Err(corrupt("bad magic"));
-    }
-    let v1 = match &bytes[..8] {
-        m if m == SNAP_MAGIC => false,
-        m if m == SNAP_MAGIC_V1 => true,
-        _ => return Err(corrupt("bad magic")),
-    };
-    let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let body = bytes
-        .get(16..16 + len)
-        .ok_or_else(|| corrupt("short body"))?;
-    if crc32(body) != crc {
-        return Err(corrupt("checksum mismatch"));
-    }
-    let mut r = Reader::new(body);
-    let parse = || corrupt("truncated field");
-    let generation = r.u64().ok_or_else(parse)?;
-    let next_id = r.i64().ok_or_else(parse)?;
-    let ntables = r.u32().ok_or_else(parse)? as usize;
-    let mut tables = Vec::with_capacity(ntables.min(1024));
-    for _ in 0..ntables {
-        let key = r.str().ok_or_else(parse)?;
-        let name = r.str().ok_or_else(parse)?;
-        let ncols = r.u32().ok_or_else(parse)? as usize;
-        let mut columns = Vec::with_capacity(ncols.min(1024));
-        for _ in 0..ncols {
-            let cname = r.str().ok_or_else(parse)?;
-            let ty = match r.u8().ok_or_else(parse)? {
-                0 => DataType::Integer,
-                1 => DataType::Text,
-                2 => DataType::Boolean,
-                _ => return Err(corrupt("bad column type tag")),
-            };
-            columns.push((cname, ty));
-        }
-        let nslots = r.u64().ok_or_else(parse)? as usize;
-        let mut slots = Vec::with_capacity(nslots.min(1 << 20));
-        for _ in 0..nslots {
-            match r.u8().ok_or_else(parse)? {
-                0 => slots.push(None),
-                1 => slots.push(Some(r.row().ok_or_else(parse)?)),
-                _ => return Err(corrupt("bad slot tag")),
-            }
-        }
-        let mut indexed = Vec::new();
-        if v1 {
-            // Hash-index section of the old format: keep the column,
-            // skip its verbatim buckets.
-            for _ in 0..r.u32().ok_or_else(parse)? {
-                indexed.push(r.u32().ok_or_else(parse)?);
-                for _ in 0..r.u32().ok_or_else(parse)? {
-                    r.value().ok_or_else(parse)?;
-                    for _ in 0..r.u32().ok_or_else(parse)? {
-                        r.u64().ok_or_else(parse)?;
-                    }
-                }
-            }
-        }
-        // The one list of the current format; in the old one, the
-        // ordered-index columns.
-        for _ in 0..r.u32().ok_or_else(parse)? {
-            indexed.push(r.u32().ok_or_else(parse)?);
-        }
-        if v1 {
-            indexed.sort_unstable();
-            indexed.dedup();
-        }
-        let stats = read_stats(&mut r).ok_or_else(|| corrupt("bad statistics block"))?;
-        tables.push(SnapshotTable {
-            key,
-            name,
-            columns,
-            slots,
-            indexed,
-            stats,
-        });
-    }
-    let ntriggers = r.u32().ok_or_else(parse)? as usize;
-    let mut triggers = Vec::with_capacity(ntriggers.min(1024));
-    for _ in 0..ntriggers {
-        triggers.push(r.str().ok_or_else(parse)?);
-    }
-    if !r.done() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok(Snapshot {
-        generation,
-        next_id,
-        tables,
-        triggers,
     })
 }
 
@@ -680,55 +511,5 @@ mod tests {
         let mut bytes = encode_wal_header(0);
         bytes[0] = b'Y';
         assert!(decode_wal(&bytes).is_err());
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let snap = Snapshot {
-            generation: 3,
-            next_id: 99,
-            tables: vec![SnapshotTable {
-                key: "t".into(),
-                name: "T".into(),
-                columns: vec![
-                    ("id".into(), DataType::Integer),
-                    ("name".into(), DataType::Text),
-                    ("flag".into(), DataType::Boolean),
-                ],
-                slots: vec![
-                    Some(vec![Value::Int(1), Value::Str("a".into()), Value::Bool(true)]),
-                    None,
-                    Some(vec![Value::Int(2), Value::Null, Value::Bool(false)]),
-                ],
-                indexed: vec![0, 1],
-                stats: Some(crate::stats::TableStatistics::build(
-                    [
-                        &vec![Value::Int(1), Value::Str("a".into()), Value::Bool(true)],
-                        &vec![Value::Int(2), Value::Null, Value::Bool(false)],
-                    ]
-                    .into_iter(),
-                    3,
-                )),
-            }],
-            triggers: vec!["CREATE TRIGGER x AFTER DELETE ON T FOR EACH ROW BEGIN DELETE FROM T WHERE (id = OLD.id); END".into()],
-        };
-        let bytes = encode_snapshot(&snap);
-        assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
-    }
-
-    #[test]
-    fn snapshot_corruption_detected() {
-        let snap = Snapshot {
-            generation: 0,
-            next_id: 0,
-            tables: vec![],
-            triggers: vec![],
-        };
-        let mut bytes = encode_snapshot(&snap);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 1;
-        assert!(decode_snapshot(&bytes).is_err());
-        assert!(decode_snapshot(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode_snapshot(b"nope").is_err());
     }
 }

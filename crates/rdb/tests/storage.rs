@@ -3,9 +3,10 @@
 //!
 //! 1. Page-format golden test: a known page encodes to a byte-exact
 //!    image constructed independently from the documented layout.
-//! 2. Meta-codec robustness: round-trip, plus truncation at *every*
-//!    byte offset and single-byte corruption must error, never panic —
-//!    the checkpoint meta is the store's commit point.
+//! 2. Checkpoint-codec robustness, on `pages.meta` and `snapshot.bin`
+//!    alike: round-trip, plus truncation at *every* byte offset,
+//!    trailing bytes and single-byte corruption must error, never
+//!    panic — each file is its backend's commit point.
 //! 3. B-tree model test: random put/get/delete/scan against a
 //!    `BTreeMap` oracle under a minimal buffer pool (eviction pressure
 //!    on every descent), including overflow-chain values.
@@ -18,14 +19,15 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xmlup_rdb::storage::btree::{bt_delete, bt_get, bt_put, bt_scan, MAX_INLINE};
-use xmlup_rdb::storage::pager::{
-    decode_meta, encode_meta, Page, PageKind, Pager, StoreMeta, TableMeta, PAGE_HDR, PAGE_SIZE,
-    SLOT_ENTRY,
+use xmlup_rdb::storage::checkpoint::{
+    decode_meta, decode_snapshot, encode_meta, encode_snapshot, PageAlloc, Slots,
 };
+use xmlup_rdb::storage::pager::{Page, PageKind, Pager, PAGE_HDR, PAGE_SIZE, SLOT_ENTRY};
 use xmlup_rdb::storage::pool::PageHeap;
+use xmlup_rdb::storage::{self, CatalogTable, CheckpointCatalog};
 use xmlup_rdb::wal;
 use xmlup_rdb::{
-    BackendKind, DataType, Database, PagedStore, StorageBackend, StorageConfig, Value,
+    BackendKind, ColumnDef, DataType, Database, DbError, StorageConfig, TableSchema, Value,
 };
 
 /// Unique scratch directory, removed on drop.
@@ -132,35 +134,41 @@ fn corrupt_page_rejected() {
 }
 
 // ----------------------------------------------------------------------
-// checkpoint meta codec
+// checkpoint codec (one catalog, two files)
 // ----------------------------------------------------------------------
 
-fn sample_meta() -> StoreMeta {
-    StoreMeta {
+fn schema(name: &str, columns: Vec<(String, DataType)>) -> TableSchema {
+    TableSchema {
+        name: name.into(),
+        columns: columns
+            .into_iter()
+            .map(|(name, ty)| ColumnDef { name, ty })
+            .collect(),
+    }
+}
+
+fn sample_catalog() -> CheckpointCatalog {
+    CheckpointCatalog {
         generation: 7,
         next_id: 1234,
-        page_count: 99,
-        lsn: 400,
-        free: vec![3, 8, 21],
         tables: vec![
-            TableMeta {
+            CatalogTable {
                 key: "edge".into(),
-                name: "Edge".into(),
-                columns: vec![
-                    ("source".into(), DataType::Integer),
-                    ("name".into(), DataType::Text),
-                    ("flag".into(), DataType::Boolean),
-                ],
-                root: 5,
-                slots_len: 17,
+                schema: schema(
+                    "Edge",
+                    vec![
+                        ("source".into(), DataType::Integer),
+                        ("name".into(), DataType::Text),
+                        ("flag".into(), DataType::Boolean),
+                    ],
+                ),
+                slots_len: 3,
                 indexed: vec![0, 1, 2],
                 stats: None,
             },
-            TableMeta {
+            CatalogTable {
                 key: "empty".into(),
-                name: "Empty".into(),
-                columns: vec![],
-                root: 0,
+                schema: schema("Empty", vec![]),
                 slots_len: 0,
                 indexed: vec![],
                 stats: None,
@@ -170,29 +178,117 @@ fn sample_meta() -> StoreMeta {
     }
 }
 
-#[test]
-fn meta_roundtrip_and_truncation() {
-    let meta = sample_meta();
-    let bytes = encode_meta(&meta);
-    assert_eq!(decode_meta(&bytes).expect("intact meta decodes"), meta);
-    // The meta commits a checkpoint: any torn write must be detected.
-    for cut in 0..bytes.len() {
-        assert!(
-            decode_meta(&bytes[..cut]).is_err(),
-            "truncation at {cut} must be rejected"
-        );
-    }
-    for at in 0..bytes.len() {
-        let mut bad = bytes.clone();
-        bad[at] ^= 0x01;
-        assert!(
-            decode_meta(&bad).is_err(),
-            "corruption at {at} must be rejected"
-        );
+fn sample_alloc() -> PageAlloc {
+    PageAlloc {
+        page_count: 99,
+        lsn: 400,
+        free: vec![3, 8, 21],
     }
 }
 
-fn arb_table_meta() -> impl Strategy<Value = TableMeta> {
+/// Slot vectors matching `sample_catalog`'s slot counts.
+fn sample_slots() -> Vec<Slots> {
+    vec![
+        vec![
+            Some(vec![
+                Value::Int(1),
+                Value::Str("a".into()),
+                Value::Bool(true),
+            ]),
+            None,
+            Some(vec![Value::Int(2), Value::Null, Value::Bool(false)]),
+        ],
+        vec![],
+    ]
+}
+
+fn borrowed(slots: &[Slots]) -> Vec<&[Option<Vec<Value>>]> {
+    slots.iter().map(Vec::as_slice).collect()
+}
+
+#[test]
+fn checkpoint_files_roundtrip_and_reject_any_damage() {
+    let catalog = sample_catalog();
+    let (alloc, roots, slots) = (sample_alloc(), vec![5, 0], sample_slots());
+    let meta = encode_meta(&catalog, &alloc, &roots);
+    assert_eq!(
+        decode_meta(&meta).expect("intact meta decodes"),
+        (catalog.clone(), alloc, roots)
+    );
+    let snapshot = encode_snapshot(&catalog, &borrowed(&slots));
+    assert_eq!(
+        decode_snapshot(&snapshot).expect("intact snapshot decodes"),
+        (catalog, slots)
+    );
+    // Each file commits a checkpoint and is published whole: a torn
+    // write, bytes after the frame, or a flipped bit must be detected.
+    let meta_ok: fn(&[u8]) -> bool = |b| decode_meta(b).is_ok();
+    let snapshot_ok: fn(&[u8]) -> bool = |b| decode_snapshot(b).is_ok();
+    for (what, bytes, ok) in [("meta", meta, meta_ok), ("snapshot", snapshot, snapshot_ok)] {
+        for cut in 0..bytes.len() {
+            assert!(!ok(&bytes[..cut]), "{what}: truncation at {cut}");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(!ok(&longer), "{what}: one trailing byte");
+        longer.extend_from_slice(&bytes);
+        assert!(!ok(&longer), "{what}: a second frame after the first");
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01;
+            assert!(!ok(&bad), "{what}: corruption at {at}");
+        }
+    }
+}
+
+#[test]
+fn snapshot_roundtrip() {
+    let rows = [
+        vec![Value::Int(1), Value::Str("a".into()), Value::Bool(true)],
+        vec![Value::Int(2), Value::Null, Value::Bool(false)],
+    ];
+    let catalog = CheckpointCatalog {
+        generation: 3,
+        next_id: 99,
+        tables: vec![CatalogTable {
+            key: "t".into(),
+            schema: schema(
+                "T",
+                vec![
+                    ("id".into(), DataType::Integer),
+                    ("name".into(), DataType::Text),
+                    ("flag".into(), DataType::Boolean),
+                ],
+            ),
+            slots_len: 3,
+            indexed: vec![0, 1],
+            stats: Some(xmlup_rdb::TableStatistics::build(rows.iter(), 3)),
+        }],
+        triggers: vec!["CREATE TRIGGER x AFTER DELETE ON T FOR EACH ROW BEGIN DELETE FROM T WHERE (id = OLD.id); END".into()],
+    };
+    let [a, b] = rows;
+    let slots = vec![vec![Some(a), None, Some(b)]];
+    let bytes = encode_snapshot(&catalog, &borrowed(&slots));
+    assert_eq!(decode_snapshot(&bytes).unwrap(), (catalog, slots));
+}
+
+#[test]
+fn snapshot_corruption_detected() {
+    let empty = CheckpointCatalog {
+        generation: 0,
+        next_id: 0,
+        tables: vec![],
+        triggers: vec![],
+    };
+    let mut bytes = encode_snapshot(&empty, &[]);
+    let last = bytes.len() - 1;
+    bytes[last] ^= 1;
+    assert!(decode_snapshot(&bytes).is_err());
+    assert!(decode_snapshot(&bytes[..bytes.len() - 1]).is_err());
+    assert!(decode_snapshot(b"nope").is_err());
+}
+
+fn arb_catalog_table() -> impl Strategy<Value = CatalogTable> {
     (
         "[a-z]{1,8}",
         prop::collection::vec(
@@ -207,14 +303,11 @@ fn arb_table_meta() -> impl Strategy<Value = TableMeta> {
             0..5,
         ),
         any::<u64>(),
-        any::<u64>(),
         prop::collection::vec(any::<u32>(), 0..4),
     )
-        .prop_map(|(key, columns, root, slots_len, indexed)| TableMeta {
-            name: key.to_ascii_uppercase(),
+        .prop_map(|(key, columns, slots_len, indexed)| CatalogTable {
+            schema: schema(&key.to_ascii_uppercase(), columns),
             key,
-            columns,
-            root,
             slots_len,
             indexed,
             stats: None,
@@ -231,15 +324,17 @@ proptest! {
         page_count in any::<u64>(),
         lsn in any::<u64>(),
         free in prop::collection::vec(any::<u64>(), 0..8),
-        tables in prop::collection::vec(arb_table_meta(), 0..4),
+        tables in prop::collection::vec((arb_catalog_table(), any::<u64>()), 0..4),
         triggers in prop::collection::vec("[A-Z a-z]{0,24}", 0..3),
     ) {
-        let meta = StoreMeta { generation, next_id, page_count, lsn, free, tables, triggers };
-        let bytes = encode_meta(&meta);
-        prop_assert_eq!(decode_meta(&bytes).expect("roundtrip"), meta);
+        let (tables, roots): (Vec<_>, Vec<u64>) = tables.into_iter().unzip();
+        let catalog = CheckpointCatalog { generation, next_id, tables, triggers };
+        let alloc = PageAlloc { page_count, lsn, free };
+        let bytes = encode_meta(&catalog, &alloc, &roots);
         for cut in 0..bytes.len() {
             prop_assert!(decode_meta(&bytes[..cut]).is_err());
         }
+        prop_assert_eq!(decode_meta(&bytes).expect("roundtrip"), (catalog, alloc, roots));
     }
 }
 
@@ -339,13 +434,42 @@ fn int_row(i: i64) -> Vec<Value> {
     vec![Value::Int(i), Value::Str(format!("row-{i}"))]
 }
 
+fn paged(pool_frames: usize) -> StorageConfig {
+    StorageConfig {
+        pool_frames,
+        ..StorageConfig::paged()
+    }
+}
+
+/// The catalog of a store holding the one table `t` of `int_row`s.
+fn one_table_catalog(generation: u64, slots_len: u64) -> CheckpointCatalog {
+    CheckpointCatalog {
+        generation,
+        next_id: 0,
+        tables: vec![CatalogTable {
+            key: "t".into(),
+            schema: schema(
+                "T",
+                vec![
+                    ("id".into(), DataType::Integer),
+                    ("name".into(), DataType::Text),
+                ],
+            ),
+            slots_len,
+            indexed: vec![],
+            stats: None,
+        }],
+        triggers: vec![],
+    }
+}
+
 #[test]
 fn paged_store_survives_eviction_and_reopen() {
     let scratch = Scratch::new();
     let n = 500u64;
     {
-        let (store, meta) = PagedStore::open(scratch.path(), 1).unwrap();
-        assert!(meta.is_none(), "fresh directory has no checkpoint meta");
+        let (store, checkpoint) = storage::open(scratch.path(), paged(1), None).unwrap();
+        assert!(checkpoint.is_none(), "fresh directory has no checkpoint");
         store.create_table("t");
         for i in 0..n {
             store.put_row("t", i, &int_row(i as i64));
@@ -356,74 +480,46 @@ fn paged_store_survives_eviction_and_reopen() {
             assert_eq!(*pos, i as u64);
             assert_eq!(row, &int_row(i as i64));
         }
-        let stats = store.pool_stats();
+        let stats = store.metrics().pool;
         assert!(
             stats.evictions > 0 && stats.writebacks > 0,
             "an 8-frame pool over {n} rows must evict (stats: {stats:?})"
         );
         // Commit a checkpoint so the reopen has a meta to recover from.
-        let catalog = xmlup_rdb::storage::CheckpointCatalog {
-            generation: 1,
-            next_id: 0,
-            tables: vec![xmlup_rdb::storage::CatalogTable {
-                key: "t".into(),
-                name: "T".into(),
-                columns: vec![
-                    ("id".into(), DataType::Integer),
-                    ("name".into(), DataType::Text),
-                ],
-                slots_len: n,
-                indexed: vec![],
-                stats: None,
-            }],
-            triggers: vec![],
-        };
-        let report = store.checkpoint(&catalog).unwrap().expect("incremental");
+        let report = store.checkpoint(&one_table_catalog(1, n), &[]).unwrap();
         assert!(report.pages_written > 0 && report.bytes_written > 0);
     }
-    let (store, meta) = PagedStore::open(scratch.path(), 64).unwrap();
-    let meta = meta.expect("checkpoint meta recovered");
-    assert_eq!(meta.generation, 1);
-    assert_eq!(meta.tables.len(), 1);
+    let (store, checkpoint) = storage::open(scratch.path(), paged(64), Some(1)).unwrap();
+    let (catalog, slots) = checkpoint.expect("checkpoint recovered");
+    assert_eq!(catalog, one_table_catalog(1, n));
     let scanned = store.scan_table("t").unwrap();
     assert_eq!(scanned.len(), n as usize);
     for (i, (_, row)) in scanned.iter().enumerate() {
         assert_eq!(row, &int_row(i as i64));
+        assert_eq!(
+            slots[0][i].as_ref(),
+            Some(row),
+            "slots come from the B-tree"
+        );
     }
 }
 
 #[test]
 fn incremental_checkpoint_writes_only_dirty_pages() {
     let scratch = Scratch::new();
-    let (store, _) = PagedStore::open(scratch.path(), 4096).unwrap();
+    let (store, _) = storage::open(scratch.path(), paged(4096), None).unwrap();
     store.create_table("t");
     for i in 0..2000u64 {
         store.put_row("t", i, &int_row(i as i64));
     }
-    let catalog = |generation| xmlup_rdb::storage::CheckpointCatalog {
-        generation,
-        next_id: 0,
-        tables: vec![xmlup_rdb::storage::CatalogTable {
-            key: "t".into(),
-            name: "T".into(),
-            columns: vec![
-                ("id".into(), DataType::Integer),
-                ("name".into(), DataType::Text),
-            ],
-            slots_len: 2000,
-            indexed: vec![],
-            stats: None,
-        }],
-        triggers: vec![],
-    };
-    let full = store.checkpoint(&catalog(1)).unwrap().unwrap();
+    let full = store.checkpoint(&one_table_catalog(1, 2000), &[]).unwrap();
     // Touch a handful of rows: the next checkpoint must write far fewer
     // pages than the first (CoW amplifies a row to its root path, but
     // that is still O(touched), not O(database)).
     for i in 0..20u64 {
         store.put_row("t", i, &int_row(-(i as i64)));
     }
-    let incr = store.checkpoint(&catalog(2)).unwrap().unwrap();
+    let incr = store.checkpoint(&one_table_catalog(2, 2000), &[]).unwrap();
     assert!(
         incr.pages_written * 5 <= full.pages_written,
         "dirty-only checkpoint must be ≥5x smaller: full={} incr={}",
@@ -541,6 +637,48 @@ fn paged_rollback_and_ddl_undo_mirror_into_store() {
     );
 }
 
+/// Every file of a store directory, byte for byte.
+fn dir_image(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// The default (memory) backend must refuse `dir` and touch nothing.
+fn assert_memory_open_refused(dir: &Path) {
+    let before = dir_image(dir);
+    match Database::open(dir) {
+        Err(DbError::Storage(why)) => assert!(why.contains("--backend paged"), "{why}"),
+        other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
+    }
+    assert!(dir_image(dir) == before, "a refused open modified {dir:?}");
+}
+
+#[test]
+fn memory_open_of_a_paged_store_is_refused() {
+    let scratch = Scratch::new();
+    let cfg = StorageConfig::paged();
+    let mut db = Database::open_with(scratch.path(), cfg).unwrap();
+    db.run_script(
+        "CREATE TABLE m (id INTEGER, v VARCHAR(10));
+         INSERT INTO m VALUES (1, 'one'), (2, 'two');",
+    )
+    .unwrap();
+    db.checkpoint().unwrap();
+    // Acknowledged, and only in the WAL: what a wrong-backend open used
+    // to wipe as "stale".
+    db.execute("INSERT INTO m VALUES (3, 'three')").unwrap();
+    db.close().unwrap();
+    assert_memory_open_refused(scratch.path());
+    let db = Database::open_with(scratch.path(), cfg).unwrap();
+    assert_eq!(select_all(&db, "m").len(), 3);
+}
+
 #[test]
 fn paged_open_migrates_memory_snapshot() {
     let scratch = Scratch::new();
@@ -564,10 +702,16 @@ fn paged_open_migrates_memory_snapshot() {
         assert_eq!(before.len(), 2);
         db.execute("INSERT INTO m VALUES (3, 'three')").unwrap();
         db.checkpoint().unwrap();
+        db.execute("INSERT INTO m VALUES (4, 'four')").unwrap();
         db.close().unwrap();
     }
+    // The page store's first checkpoint superseded the snapshot it was
+    // migrated from: the file is gone, and the memory backend can no
+    // longer open the directory on a stale copy of it.
+    assert!(!scratch.path().join("snapshot.bin").exists());
+    assert_memory_open_refused(scratch.path());
     let db = Database::open_with(scratch.path(), cfg).unwrap();
-    assert_eq!(select_all(&db, "m").len(), 3);
+    assert_eq!(select_all(&db, "m").len(), 4);
 }
 
 #[test]

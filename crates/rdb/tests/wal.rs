@@ -6,11 +6,12 @@
 //! WAL is flushed to the OS at every commit, so an abandoned handle
 //! leaves exactly the committed frames on disk, like a killed process.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use xmlup_rdb::{Database, DbError, Table, Value};
+use xmlup_rdb::{Database, DbError, StorageConfig, Table, Value};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -51,6 +52,30 @@ fn dump(db: &Database) -> (Vec<(String, Table)>, i64) {
         .map(|n| (n.clone(), db.table(&n).unwrap().clone()))
         .collect();
     (tables, db.peek_next_id())
+}
+
+/// Every file of a store directory, byte for byte: a refused open must
+/// leave this unchanged.
+fn dir_image(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            let name = e.file_name().into_string().unwrap();
+            (name, fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// `open_with` must fail with a storage error and touch nothing.
+fn assert_refused_untouched(dir: &Path, config: StorageConfig) -> String {
+    let before = dir_image(dir);
+    let why = match Database::open_with(dir, config) {
+        Err(DbError::Storage(why)) => why,
+        other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
+    };
+    assert!(dir_image(dir) == before, "a refused open modified {dir:?}");
+    why
 }
 
 const SCHEMA: &str = "CREATE TABLE t (id INTEGER, name VARCHAR(10));
@@ -239,23 +264,88 @@ fn torn_tail_is_truncated_on_recovery() {
     );
 }
 
-#[test]
-fn stale_wal_from_interrupted_checkpoint_is_discarded() {
+fn interrupted_checkpoint(config: StorageConfig, checkpoint_files: &[&str]) {
     let scratch = Scratch::new("stale-wal");
-    let mut db = Database::open(scratch.path()).unwrap();
+    let mut db = Database::open_with(scratch.path(), config).unwrap();
     db.run_script(SCHEMA).unwrap();
     db.run_script("INSERT INTO t VALUES (1, 'a')").unwrap();
     let pre_checkpoint_wal = fs::read(scratch.path().join("wal.bin")).unwrap();
     db.checkpoint().unwrap();
     let before = dump(&db);
+    let first_checkpoint: Vec<Vec<u8>> = checkpoint_files
+        .iter()
+        .map(|f| fs::read(scratch.path().join(f)).unwrap())
+        .collect();
     drop(db);
 
-    // Crash window: snapshot renamed but WAL truncation never landed —
-    // the old (generation 0) WAL is still in place.
+    // Crash window: checkpoint published but WAL truncation never
+    // landed — the old (generation 0) WAL is still in place.
     fs::write(scratch.path().join("wal.bin"), &pre_checkpoint_wal).unwrap();
-    let db2 = Database::open(scratch.path()).unwrap();
+    let mut db2 = Database::open_with(scratch.path(), config).unwrap();
     assert_eq!(dump(&db2), before, "stale WAL must not replay twice");
     assert_eq!(db2.stats().recovered_txns, 0);
+    assert_eq!(
+        fs::read(scratch.path().join("wal.bin")).unwrap(),
+        xmlup_rdb::wal::encode_wal_header(1),
+        "the stale WAL was reset to the checkpoint's generation"
+    );
+
+    // The mirror image: the first checkpoint under a WAL that extends
+    // the second. The log's commits cannot be placed, so it must not be
+    // taken for stale and wiped.
+    db2.checkpoint().unwrap();
+    db2.run_script("INSERT INTO t VALUES (2, 'b')").unwrap();
+    let after = dump(&db2);
+    db2.close().unwrap();
+    let second_checkpoint: Vec<Vec<u8>> = checkpoint_files
+        .iter()
+        .map(|f| fs::read(scratch.path().join(f)).unwrap())
+        .collect();
+    for (f, bytes) in checkpoint_files.iter().zip(&first_checkpoint) {
+        fs::write(scratch.path().join(f), bytes).unwrap();
+    }
+    let why = assert_refused_untouched(scratch.path(), config);
+    assert!(why.contains("newer than the checkpoint"), "{why}");
+    for (f, bytes) in checkpoint_files.iter().zip(&second_checkpoint) {
+        fs::write(scratch.path().join(f), bytes).unwrap();
+    }
+    assert_eq!(
+        dump(&Database::open_with(scratch.path(), config).unwrap()),
+        after
+    );
+}
+
+#[test]
+fn stale_wal_from_interrupted_checkpoint_is_discarded() {
+    interrupted_checkpoint(StorageConfig::default(), &["snapshot.bin"]);
+    interrupted_checkpoint(StorageConfig::paged(), &["pages.meta"]);
+}
+
+#[test]
+fn undecodable_wal_header_is_refused_not_reset() {
+    for config in [StorageConfig::default(), StorageConfig::paged()] {
+        let scratch = Scratch::new("bad-header");
+        let mut db = Database::open_with(scratch.path(), config).unwrap();
+        db.run_script(SCHEMA).unwrap();
+        db.checkpoint().unwrap();
+        db.run_script("INSERT INTO t VALUES (1, 'a')").unwrap();
+        let before = dump(&db);
+        db.close().unwrap();
+
+        let wal_path = scratch.path().join("wal.bin");
+        let good = fs::read(&wal_path).unwrap();
+        let mut bad = good.clone();
+        bad[3] ^= 0x20; // one byte of the magic
+        fs::write(&wal_path, &bad).unwrap();
+        let why = assert_refused_untouched(scratch.path(), config);
+        assert!(why.contains("WAL header"), "{why}");
+
+        fs::write(&wal_path, &good).unwrap();
+        assert_eq!(
+            dump(&Database::open_with(scratch.path(), config).unwrap()),
+            before
+        );
+    }
 }
 
 #[test]

@@ -297,7 +297,10 @@ fn dump(repo: &XmlRepository) -> (Vec<(String, Table)>, i64) {
 fn open_repo(args: &Args, path: &str) -> XmlRepository {
     let dtd = synthetic_dtd(args.depth);
     let mapping = Mapping::from_dtd(&dtd, "root").expect("mapping");
-    XmlRepository::open_durable(path, mapping, config_of(args)).expect("open durable store")
+    XmlRepository::open_durable(path, mapping, config_of(args)).unwrap_or_else(|e| {
+        eprintln!("cannot open durable store {path}: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Durable path: open (or recover) the store, then drive the operations
