@@ -20,39 +20,51 @@
 //!
 //! Construction enables MVCC version retention on the underlying engine;
 //! the version GC stays bounded by the oldest live [`RepoSnapshot`].
+//!
+//! A writer that panics poisons the repository exactly as it does the
+//! engine session layer (policy in [`xmlup_rdb::session`]): the writer
+//! token is free again, [`SharedRepository::update`] / `query` and
+//! [`RepoSnapshot::query`] return [`DbError::poisoned`], no `Drop`
+//! panics, and only `with_read` / `with_write` re-raise the panic.
 
 use crate::error::Result;
 use crate::repository::XmlRepository;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Instant;
-use xmlup_rdb::ResultSet;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use xmlup_rdb::{DbError, ResultSet, WriterGate, WriterTicket};
+
+const POISONED: &str = "repository poisoned by a panicked writer";
 
 /// Shared state behind every handle.
 struct Inner {
     repo: RwLock<XmlRepository>,
-    /// Writer-admission token: `true` while an update owns the engine's
-    /// transaction slot. Taken before the `RwLock` write guard, released
-    /// after it — the same lock order as the engine session layer.
-    writer: Mutex<bool>,
-    writer_cv: Condvar,
+    /// Held while an update owns the engine's transaction slot. Taken
+    /// before the `RwLock` write guard, released after it — the same
+    /// lock order as the engine session layer.
+    gate: WriterGate,
 }
 
 impl Inner {
-    fn acquire_writer(&self) {
-        let start = Instant::now();
-        let mut held = self.writer.lock().unwrap();
-        while *held {
-            held = self.writer_cv.wait(held).unwrap();
-        }
-        *held = true;
-        drop(held);
-        let waited = start.elapsed().as_micros() as u64;
-        self.repo.read().unwrap().db.record_write_lock_wait(waited);
+    fn read(&self) -> Result<RwLockReadGuard<'_, XmlRepository>> {
+        Ok(self.repo.read().map_err(|_| DbError::poisoned())?)
     }
 
-    fn release_writer(&self) {
-        *self.writer.lock().unwrap() = false;
-        self.writer_cv.notify_one();
+    fn write(&self) -> Result<RwLockWriteGuard<'_, XmlRepository>> {
+        Ok(self.repo.write().map_err(|_| DbError::poisoned())?)
+    }
+
+    /// Read guard for snapshot registration and the wait histogram,
+    /// which only touch the engine's own interior locks and so are safe
+    /// through a poisoned guard (and must not panic inside a `Drop`).
+    fn read_for_cleanup(&self) -> RwLockReadGuard<'_, XmlRepository> {
+        self.repo.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn admit_writer(&self) -> WriterTicket {
+        let (ticket, waited) = self.gate.acquire();
+        self.read_for_cleanup()
+            .db
+            .record_write_lock_wait(waited.as_micros() as u64);
+        ticket
     }
 }
 
@@ -69,8 +81,7 @@ impl SharedRepository {
         SharedRepository {
             inner: Arc::new(Inner {
                 repo: RwLock::new(repo),
-                writer: Mutex::new(false),
-                writer_cv: Condvar::new(),
+                gate: WriterGate::default(),
             }),
         }
     }
@@ -78,28 +89,32 @@ impl SharedRepository {
     /// Parse, translate, and execute one XQuery update statement,
     /// serialized behind the writer token. Returns affected root objects.
     pub fn update(&self, statement: &str) -> Result<usize> {
-        self.with_write(|r| r.execute_xquery(statement))
+        let _ticket = self.inner.admit_writer();
+        let mut repo = self.inner.write()?;
+        repo.execute_xquery(statement)
     }
 
     /// Run a closure against the exclusive repository, serialized behind
     /// the writer token. The closure gets the full single-session
     /// [`XmlRepository`] API ([`XmlRepository::load`], the direct
     /// strategy entry points, [`XmlRepository::in_transaction`]) but must
-    /// leave no transaction open on return.
+    /// leave no transaction open on return. Panics if an earlier writer
+    /// panicked; a panic in `f` poisons the repository but frees the
+    /// token.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut XmlRepository) -> R) -> R {
-        self.inner.acquire_writer();
-        let r = f(&mut self.inner.repo.write().unwrap());
-        self.inner.release_writer();
-        r
+        let _ticket = self.inner.admit_writer();
+        let mut repo = self.inner.repo.write().expect(POISONED);
+        f(&mut repo)
     }
 
     /// Run a closure against a shared read guard. The closure sees live
     /// committed state (every write path holds the exclusive guard for
     /// its whole transaction, so the heap is committed whenever this
     /// guard is obtainable); use [`SharedRepository::snapshot`] for a
-    /// view that stays consistent *across* statements.
+    /// view that stays consistent *across* statements. Panics if an
+    /// earlier writer panicked.
     pub fn with_read<R>(&self, f: impl FnOnce(&XmlRepository) -> R) -> R {
-        f(&self.inner.repo.read().unwrap())
+        f(&self.inner.repo.read().expect(POISONED))
     }
 
     /// One-shot snapshot-consistent SQL read.
@@ -113,7 +128,7 @@ impl SharedRepository {
     /// updates commit in between; dropping the handle releases it so the
     /// version GC can advance.
     pub fn snapshot(&self) -> RepoSnapshot {
-        let epoch = self.inner.repo.read().unwrap().db.begin_snapshot();
+        let epoch = self.inner.read_for_cleanup().db.begin_snapshot();
         RepoSnapshot {
             inner: self.inner.clone(),
             epoch,
@@ -143,14 +158,14 @@ impl RepoSnapshot {
 
     /// Evaluate a SQL query against the snapshot.
     pub fn query(&self, sql: &str) -> Result<ResultSet> {
-        let repo = self.inner.repo.read().unwrap();
+        let repo = self.inner.read()?;
         Ok(repo.db.query_at(sql, Some(self.epoch))?)
     }
 
     /// Total live tuples across the mapping's tables as of the snapshot
     /// (the snapshot-consistent form of [`XmlRepository::tuple_count`]).
     pub fn tuple_count(&self) -> Result<i64> {
-        let repo = self.inner.repo.read().unwrap();
+        let repo = self.inner.read()?;
         let mut total = 0;
         for rel in &repo.mapping.relations {
             let rs = repo.db.query_at(
@@ -165,7 +180,7 @@ impl RepoSnapshot {
 
 impl Drop for RepoSnapshot {
     fn drop(&mut self) {
-        self.inner.repo.read().unwrap().db.end_snapshot(self.epoch);
+        self.inner.read_for_cleanup().db.end_snapshot(self.epoch);
     }
 }
 
@@ -229,5 +244,40 @@ mod tests {
         assert!(s.with_read(|r| r.tuple_count()) < before);
         // The wait histogram saw both writers pass through admission.
         assert!(s.metrics_text().contains("rdb_write_lock_wait_count"));
+    }
+
+    #[test]
+    fn panicked_writer_frees_the_token_and_later_calls_get_an_error() {
+        let s = shared();
+        let early = s.snapshot();
+        let w = s.clone();
+        let writer = std::thread::spawn(move || w.with_write(|_| panic!("writer bug")));
+        assert!(writer.join().is_err());
+
+        // A second writer must come back — with an error — rather than
+        // wait for a token its panicked holder never released.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let w = s.clone();
+        let second = std::thread::spawn(move || {
+            let _ = tx.send(w.update(
+                r#"FOR $d IN document("custdb.xml")/CustDB,
+                       $c IN $d/Customer[Name="John"]
+                   UPDATE $d { DELETE $c }"#,
+            ));
+        });
+        let updated = rx
+            .recv_timeout(std::time::Duration::from_secs(3))
+            .expect("blocked behind a leaked writer token");
+        second.join().unwrap();
+        for err in [
+            updated.map(|_| ()).unwrap_err(),
+            s.query("SELECT COUNT(*) FROM Customer").unwrap_err(),
+            early.query("SELECT COUNT(*) FROM Customer").unwrap_err(),
+            early.tuple_count().unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("poisoned"), "{err}");
+        }
+        // Releasing a snapshot is a `Drop`: it must not panic either.
+        drop(early);
     }
 }

@@ -42,6 +42,13 @@ pub enum DbError {
 }
 
 impl DbError {
+    /// What every `Result`-returning entry point of the shared facades
+    /// reports once a writer has panicked under the exclusive lock (see
+    /// the poisoned-lock policy in [`crate::session`]).
+    pub fn poisoned() -> DbError {
+        DbError::Execution("database poisoned by a panicked writer; it must be reopened".into())
+    }
+
     /// The innermost error, unwrapping any script-statement context.
     pub fn root_cause(&self) -> &DbError {
         match self {

@@ -428,14 +428,18 @@ impl<'a> ScanCur<'a> {
 
     /// Do all pushed-down conjuncts accept this row?
     fn passes(&self, row: &[Value], ex: &ExecCtx<'_, '_>) -> Result<bool> {
-        if self.plan.pushed.is_empty() {
+        self.accepts(&self.plan.pushed, row, ex)
+    }
+
+    fn accepts(&self, conjuncts: &[Expr], row: &[Value], ex: &ExecCtx<'_, '_>) -> Result<bool> {
+        if conjuncts.is_empty() {
             return Ok(true);
         }
         let env = SliceEnv {
             layout: &self.plan.layout,
             values: row,
         };
-        for p in &self.plan.pushed {
+        for p in conjuncts {
             if ex.db.eval_bool(p, &env, ex.ctx, ex.ctes)? != Some(true) {
                 return Ok(false);
             }
@@ -485,113 +489,36 @@ impl<'a> ScanCur<'a> {
 
     /// Stale-snapshot fallback: materialize the table as it stood at
     /// epoch `s` and scan that image. The live indexes describe the
-    /// *current* heap, so index access paths degrade to a filtered pass
-    /// over the reconstructed rows — the planner removed the probe
-    /// conjunct from `pushed` when it chose index access, so the probe is
-    /// re-applied here by hand. Correctness over speed: a table only
+    /// *current* heap, so every access path degrades to one filtered pass
+    /// over the reconstructed rows: the probe conjunct the planner took
+    /// out of `pushed` is re-applied from `plan.probe`, and range bounds
+    /// never left `pushed`. Correctness over speed: a table only
     /// takes this path while a writer has committed past the reader's
     /// snapshot, and version GC retires the detour as snapshots close.
     fn start_snapshot(&self, ex: &ExecCtx<'_, '_>, t: &Table, s: u64) -> Result<ScanState<'a>> {
         StatsCells::bump(&ex.db.stats.seq_scans, 1);
         self.prof_loop(1);
-        let visible = t.rows_visible_at(s);
         let mut rows = Vec::new();
-        match &self.plan.access {
-            Access::Seq => {
-                for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                    if self.passes(&row, ex)? {
-                        rows.push(row);
-                    }
-                }
+        for row in t.rows_visible_at(s) {
+            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+            if self.accepts(self.plan.probe.as_slice(), &row, ex)? && self.passes(&row, ex)? {
+                rows.push(row);
             }
-            Access::IndexEq { ci, key } => {
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
-                let keyv = ex.db.eval_expr(key, &empty, ex.ctx, ex.ctes)?;
-                if !keyv.is_null() {
-                    for row in visible {
-                        StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                        if row[*ci] == keyv && self.passes(&row, ex)? {
-                            rows.push(row);
-                        }
-                    }
-                }
-            }
-            Access::IndexIn { ci, query } => {
-                let sub = ex.db.cached_subquery(query, ex.ctx)?;
-                for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                    if sub.set.contains(&row[*ci]) && self.passes(&row, ex)? {
-                        rows.push(row);
-                    }
-                }
-            }
-            Access::IndexInList { ci, list } => {
-                let probe = ex
-                    .db
-                    .cached_in_list(list, ex.ctx, ex.ctes)?
-                    .expect("planner only picks row-independent lists");
-                for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                    if probe.set.contains(&row[*ci]) && self.passes(&row, ex)? {
-                        rows.push(row);
-                    }
-                }
-            }
-            Access::Range {
-                ci,
-                lower,
-                upper,
-                ordered,
-                desc,
-            } => {
-                // The live index describes the current heap, not
-                // the snapshot image: filter the reconstructed rows by the
-                // bounds, then sort (stably, so equal keys keep position
-                // order, matching the ordered walk) when key order was
-                // promised.
-                use std::cmp::Ordering;
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
-                let eval_bound = |b: &Option<(Expr, bool)>| -> Result<Option<(Value, bool)>> {
-                    Ok(match b {
-                        Some((e, incl)) => {
-                            Some((ex.db.eval_expr(e, &empty, ex.ctx, ex.ctes)?, *incl))
-                        }
-                        None => None,
-                    })
-                };
-                let lo = eval_bound(lower)?;
-                let hi = eval_bound(upper)?;
-                for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                    let k = &row[*ci];
-                    let lo_ok = lo.as_ref().is_none_or(|(v, incl)| match k.sort_cmp(v) {
-                        Ordering::Greater => true,
-                        Ordering::Equal => *incl,
-                        Ordering::Less => false,
-                    });
-                    let hi_ok = hi.as_ref().is_none_or(|(v, incl)| match k.sort_cmp(v) {
-                        Ordering::Less => true,
-                        Ordering::Equal => *incl,
-                        Ordering::Greater => false,
-                    });
-                    if lo_ok && hi_ok && self.passes(&row, ex)? {
-                        rows.push(row);
-                    }
-                }
-                if *ordered {
-                    if *desc {
-                        rows.sort_by(|a, b| b[*ci].sort_cmp(&a[*ci]));
-                    } else {
-                        rows.sort_by(|a, b| a[*ci].sort_cmp(&b[*ci]));
-                    }
-                }
+        }
+        // An ordered walk promised key order (and may have elided a
+        // sort): restore it, stably, so equal keys keep position order
+        // as the index walk would.
+        if let Access::Range {
+            ci,
+            ordered: true,
+            desc,
+            ..
+        } = &self.plan.access
+        {
+            if *desc {
+                rows.sort_by(|a, b| b[*ci].sort_cmp(&a[*ci]));
+            } else {
+                rows.sort_by(|a, b| a[*ci].sort_cmp(&b[*ci]));
             }
         }
         Ok(ScanState::Bucket { rows, i: 0 })

@@ -66,7 +66,7 @@ pub use http::{MetricsHandle, MetricsServer};
 pub use obs::{Metric, MetricKind, PhaseStat, SlowQuery, Span, TraceEvent};
 pub use parser::{parse_script, parse_script_with_text, parse_stmt, parse_stmt_with_params};
 pub use server::{Server, ServerHandle};
-pub use session::{Session, SharedDatabase};
+pub use session::{Session, SharedDatabase, WriterGate, WriterTicket};
 pub use sql::stmt_to_sql;
 pub use stats::{ColumnStatistics, TableStatistics};
 pub use storage::{

@@ -135,6 +135,11 @@ pub(crate) struct ScanPlan {
     /// Conjuncts referencing only this binding, evaluated before the
     /// row is cloned out of the source.
     pub pushed: Vec<Expr>,
+    /// The conjunct a point probe in `access` answers exactly, taken out
+    /// of `pushed` so the live path does not re-check it. Kept only for
+    /// stale-snapshot scans, which cannot use the live index and filter
+    /// by it instead; `EXPLAIN` does not render it.
+    pub probe: Option<Expr>,
     /// Planner cardinality estimate: table size for a sequential scan,
     /// average index-bucket size for a probe, 0 for CTEs (unknown at
     /// plan time). Shown by `EXPLAIN ANALYZE` next to actual rows.
@@ -517,6 +522,7 @@ impl Database {
                     layout: [(binding, columns, 0)],
                     access: Access::Seq,
                     pushed: Vec::new(),
+                    probe: None,
                     est_rows: 0,
                     stats_est: false,
                 },
@@ -626,9 +632,7 @@ impl Database {
                 };
                 let pushed: Vec<&Expr> = scan.pushed.iter().collect();
                 let (consumed, access) = Self::choose_access(t, scan.binding(), &pushed);
-                if let Some(pi) = consumed {
-                    scan.pushed.remove(pi);
-                }
+                scan.probe = consumed.map(|pi| scan.pushed.remove(pi));
                 scan.access = access;
             }
         }
@@ -1275,6 +1279,7 @@ impl Database {
             layout: [(t.schema.name.clone(), t.schema.column_names(), 0)],
             access,
             pushed: residual.into_iter().cloned().collect(),
+            probe: None,
             est_rows: 0,
             stats_est: false,
         };

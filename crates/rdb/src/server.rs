@@ -136,9 +136,7 @@ impl ServerHandle {
         }
         // Drain: any commits still waiting on the group-commit sync
         // ticket are fsynced and acknowledged before shutdown returns.
-        self.shared.with_write(|db| {
-            let _ = db.wal_sync();
-        });
+        let _ = self.shared.wal_sync();
     }
 }
 

@@ -19,21 +19,69 @@
 //! Lock order is fixed everywhere: writer token first, `RwLock` guard
 //! second. Readers never touch the token, so reader admission is
 //! conflict-free.
+//!
+//! **Poisoned-lock policy.** A writer that panics under the exclusive
+//! guard may have left the engine half-updated: the `RwLock` stays
+//! poisoned and the database is dead until reopened. Nothing else goes
+//! down with it — the [`WriterTicket`] is released by the unwind, every
+//! `Result`-returning entry point reports [`DbError::poisoned`], and no
+//! `Drop` here panics. Only [`SharedDatabase::with_read`] and
+//! [`SharedDatabase::with_write`], which return a bare `R`, re-raise it.
 
 use crate::engine::{Database, ExecResult, ResultSet};
 use crate::error::{DbError, Result};
 use crate::sysview::{SessionRegistry, SessionScope, SessionState};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
+
+/// Writer-admission gate: at most one [`WriterTicket`] is out at a time.
+/// The session layer here and `xmlup_core::SharedRepository` both guard
+/// the engine's single transaction slot with one.
+#[derive(Clone, Default)]
+pub struct WriterGate {
+    /// `true` while a ticket is out. No caller code runs under this
+    /// mutex, so even a poisoned guard holds a valid flag.
+    inner: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl WriterGate {
+    /// Block until the gate is free and take it. Returns the ticket and
+    /// how long admission took (for the `write_lock_wait_us` histogram).
+    pub fn acquire(&self) -> (WriterTicket, Duration) {
+        let start = Instant::now();
+        let (held, cv) = &*self.inner;
+        let mut held = held.lock().unwrap_or_else(PoisonError::into_inner);
+        while *held {
+            held = cv.wait(held).unwrap_or_else(PoisonError::into_inner);
+        }
+        *held = true;
+        drop(held);
+        (WriterTicket { gate: self.clone() }, start.elapsed())
+    }
+}
+
+/// Ownership of the write side; dropping it (normally or while a
+/// panicking writer unwinds) reopens the gate.
+pub struct WriterTicket {
+    gate: WriterGate,
+}
+
+impl Drop for WriterTicket {
+    fn drop(&mut self) {
+        let (held, cv) = &*self.gate.inner;
+        *held.lock().unwrap_or_else(PoisonError::into_inner) = false;
+        cv.notify_one();
+    }
+}
+
+const POISONED: &str = "database poisoned by a panicked writer";
 
 /// Shared state behind every handle and session.
 struct Shared {
     db: RwLock<Database>,
-    /// Writer-admission token: `true` while some session owns the write
-    /// side (an explicit write transaction or an autocommit write
-    /// statement). Guards the engine's single transaction slot.
-    writer: Mutex<bool>,
-    writer_cv: Condvar,
+    /// Guards the engine's single transaction slot: held by an explicit
+    /// write transaction or an autocommit write statement.
+    gate: WriterGate,
     /// Live-session registry behind `rdb_sessions`, shared with the
     /// engine (which materializes the view). Its lock is never held
     /// while the writer token or the `RwLock` is acquired.
@@ -41,36 +89,46 @@ struct Shared {
 }
 
 impl Shared {
+    fn read(&self) -> Result<RwLockReadGuard<'_, Database>> {
+        self.db.read().map_err(|_| DbError::poisoned())
+    }
+
+    fn write(&self) -> Result<RwLockWriteGuard<'_, Database>> {
+        self.db.write().map_err(|_| DbError::poisoned())
+    }
+
+    /// Read guard for `Drop` impls and counters: snapshot registration
+    /// and gauges sit behind the engine's own interior locks, so they
+    /// are safe to reach through a poisoned guard.
+    fn read_for_cleanup(&self) -> RwLockReadGuard<'_, Database> {
+        self.db.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `f` under the writer token and the exclusive guard (guard
+    /// released first, token second — the module's lock order).
+    fn write_with<R>(&self, session: u64, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<R> {
+        let _ticket = self.acquire_writer(session);
+        let mut db = self.write()?;
+        f(&mut db)
+    }
+
     /// Acquire the writer token, recording the wait in the
     /// `write_lock_wait_us` histogram and — when acquiring on behalf of
     /// a session (`session != 0`) — attributing it to that session's
     /// cumulative wait time in `rdb_sessions`.
-    fn acquire_writer(&self, session: u64) {
+    fn acquire_writer(&self, session: u64) -> WriterTicket {
         if session != 0 {
             self.registry
                 .set_state(session, SessionState::WaitingWriteLock);
         }
-        let start = Instant::now();
-        let mut held = self.writer.lock().unwrap();
-        while *held {
-            held = self.writer_cv.wait(held).unwrap();
-        }
-        *held = true;
-        drop(held);
-        let waited = start.elapsed();
+        let (ticket, waited) = self.gate.acquire();
         if session != 0 {
             self.registry.add_wait(session, waited.as_nanos() as u64);
             self.registry.set_state(session, SessionState::Executing);
         }
-        self.db
-            .read()
-            .unwrap()
+        self.read_for_cleanup()
             .record_write_lock_wait(waited.as_micros() as u64);
-    }
-
-    fn release_writer(&self) {
-        *self.writer.lock().unwrap() = false;
-        self.writer_cv.notify_one();
+        ticket
     }
 }
 
@@ -90,8 +148,7 @@ impl SharedDatabase {
         SharedDatabase {
             inner: Arc::new(Shared {
                 db: RwLock::new(db),
-                writer: Mutex::new(false),
-                writer_cv: Condvar::new(),
+                gate: WriterGate::default(),
                 registry,
             }),
         }
@@ -100,7 +157,7 @@ impl SharedDatabase {
     /// Open a new session (one per connection / thread of control). The
     /// session appears in `rdb_sessions` until dropped.
     pub fn session(&self) -> Session {
-        self.inner.db.read().unwrap().session_opened();
+        self.inner.read_for_cleanup().session_opened();
         let id = self.inner.registry.register();
         Session {
             shared: self.inner.clone(),
@@ -111,25 +168,25 @@ impl SharedDatabase {
 
     /// Run a closure against a shared read guard. The closure sees the
     /// live committed state; use a [`Session`] for snapshot-consistent
-    /// multi-statement reads.
+    /// multi-statement reads. Panics if an earlier writer panicked.
     pub fn with_read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.inner.db.read().unwrap())
+        f(&self.inner.db.read().expect(POISONED))
     }
 
     /// Run a closure against the exclusive write guard, serialized
     /// behind the writer-admission token. The closure may use the full
     /// `&mut` engine API (explicit transactions included) but must leave
-    /// no transaction open on return.
+    /// no transaction open on return. Panics if an earlier writer
+    /// panicked; a panic in `f` poisons the database but frees the token.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        self.inner.acquire_writer(0);
-        let r = f(&mut self.inner.db.write().unwrap());
-        self.inner.release_writer();
-        r
+        let _ticket = self.inner.acquire_writer(0);
+        let mut db = self.inner.db.write().expect(POISONED);
+        f(&mut db)
     }
 
     /// One-shot snapshot read (autocommit SELECT).
     pub fn query(&self, sql: &str) -> Result<ResultSet> {
-        let db = self.inner.db.read().unwrap();
+        let db = self.inner.read()?;
         let snap = db.begin_snapshot();
         let result = db.query_at(sql, Some(snap));
         db.end_snapshot(snap);
@@ -139,7 +196,13 @@ impl SharedDatabase {
     /// One-shot write statement (autocommit), serialized behind the
     /// writer token.
     pub fn execute(&self, sql: &str) -> Result<ExecResult> {
-        self.with_write(|db| db.execute(sql))
+        self.inner.write_with(0, |db| db.execute(sql))
+    }
+
+    /// Drain the group-commit window. Server shutdown runs inside a
+    /// `Drop`, so it takes this non-panicking route, not `with_write`.
+    pub(crate) fn wal_sync(&self) -> Result<()> {
+        self.inner.write_with(0, Database::wal_sync)
     }
 
     /// Metrics text of the underlying database.
@@ -158,7 +221,7 @@ enum SessionTxn {
     Read { snapshot: u64 },
     /// The transaction wrote: the session owns the writer token and the
     /// engine's explicit-transaction slot until `COMMIT`/`ROLLBACK`.
-    Write,
+    Write { _ticket: WriterTicket },
 }
 
 /// What a statement produced, shaped for a wire protocol.
@@ -221,7 +284,7 @@ impl Session {
         }
         // Snapshot acquisition at BEGIN: reads in this transaction all
         // see the epoch current right now.
-        let snapshot = self.shared.db.read().unwrap().begin_snapshot();
+        let snapshot = self.shared.read()?.begin_snapshot();
         self.shared.registry.set_snapshot(self.id, Some(snapshot));
         self.state = SessionTxn::Read { snapshot };
         Ok(SqlOutcome::Done)
@@ -233,17 +296,16 @@ impl Session {
             SessionTxn::Read { snapshot } => {
                 // A read-only transaction commits trivially: release the
                 // snapshot so version GC can advance.
-                self.shared.db.read().unwrap().end_snapshot(snapshot);
+                self.shared.read_for_cleanup().end_snapshot(snapshot);
                 self.shared.registry.set_snapshot(self.id, None);
                 Ok(SqlOutcome::Done)
             }
-            SessionTxn::Write => {
+            SessionTxn::Write { _ticket } => {
                 self.shared
                     .registry
                     .set_state(self.id, SessionState::Committing);
-                let result = self.shared.db.write().unwrap().commit();
-                self.shared.release_writer();
-                result.map(|()| SqlOutcome::Done)
+                self.shared.write()?.commit()?;
+                Ok(SqlOutcome::Done)
             }
         }
     }
@@ -252,14 +314,13 @@ impl Session {
         match std::mem::replace(&mut self.state, SessionTxn::Idle) {
             SessionTxn::Idle => Err(DbError::Txn("ROLLBACK outside a transaction".into())),
             SessionTxn::Read { snapshot } => {
-                self.shared.db.read().unwrap().end_snapshot(snapshot);
+                self.shared.read_for_cleanup().end_snapshot(snapshot);
                 self.shared.registry.set_snapshot(self.id, None);
                 Ok(SqlOutcome::Done)
             }
-            SessionTxn::Write => {
-                let result = self.shared.db.write().unwrap().rollback();
-                self.shared.release_writer();
-                result.map(|()| SqlOutcome::Done)
+            SessionTxn::Write { _ticket } => {
+                self.shared.write()?.rollback()?;
+                Ok(SqlOutcome::Done)
             }
         }
     }
@@ -268,14 +329,14 @@ impl Session {
         self.shared
             .registry
             .set_state(self.id, SessionState::Executing);
-        let db = self.shared.db.read().unwrap();
+        let db = self.shared.read()?;
         match self.state {
             // Inside a write transaction reads must see the session's
             // own uncommitted writes, so they read the live heap. No
             // other writer can be active (the session holds the token),
             // and concurrent readers are snapshot-pinned, so nobody else
             // observes those uncommitted rows.
-            SessionTxn::Write => db.query(sql).map(SqlOutcome::Rows),
+            SessionTxn::Write { .. } => db.query(sql).map(SqlOutcome::Rows),
             SessionTxn::Read { snapshot } => db.query_at(sql, Some(snapshot)).map(SqlOutcome::Rows),
             SessionTxn::Idle => {
                 let snap = db.begin_snapshot();
@@ -295,31 +356,27 @@ impl Session {
             SessionTxn::Idle => {
                 // Autocommit write: token for the duration of the
                 // statement.
-                self.shared.acquire_writer(self.id);
-                let result = self.shared.db.write().unwrap().execute(sql);
-                self.shared.release_writer();
+                let result = self.shared.write_with(self.id, |db| db.execute(sql));
                 result.map(outcome)
             }
             SessionTxn::Read { snapshot } => {
                 // First write upgrades the transaction: drop the read
                 // snapshot, claim the writer token and the engine's
                 // transaction slot, then run the statement inside it.
-                self.shared.acquire_writer(self.id);
+                let ticket = self.shared.acquire_writer(self.id);
                 {
-                    let mut db = self.shared.db.write().unwrap();
+                    let mut db = self.shared.write()?;
                     db.end_snapshot(snapshot);
                     self.shared.registry.set_snapshot(self.id, None);
                     if let Err(e) = db.begin() {
-                        drop(db);
-                        self.shared.release_writer();
                         self.state = SessionTxn::Idle;
                         return Err(e);
                     }
                 }
-                self.state = SessionTxn::Write;
+                self.state = SessionTxn::Write { _ticket: ticket };
                 self.run_write_stmt(sql)
             }
-            SessionTxn::Write => self.run_write_stmt(sql),
+            SessionTxn::Write { .. } => self.run_write_stmt(sql),
         }
     }
 
@@ -330,7 +387,7 @@ impl Session {
         self.shared
             .registry
             .set_state(self.id, SessionState::Executing);
-        self.shared.db.write().unwrap().execute(sql).map(outcome)
+        self.shared.write()?.execute(sql).map(outcome)
     }
 }
 
@@ -339,18 +396,21 @@ impl Drop for Session {
         match std::mem::replace(&mut self.state, SessionTxn::Idle) {
             SessionTxn::Idle => {}
             SessionTxn::Read { snapshot } => {
-                self.shared.db.read().unwrap().end_snapshot(snapshot);
+                self.shared.read_for_cleanup().end_snapshot(snapshot);
             }
-            SessionTxn::Write => {
+            SessionTxn::Write { _ticket } => {
                 // A dropped connection mid-transaction rolls back, so
                 // the engine's transaction slot and the group-commit
-                // ticket accounting stay clean.
-                let _ = self.shared.db.write().unwrap().rollback();
-                self.shared.release_writer();
+                // ticket accounting stay clean. Behind a poisoned lock
+                // there is nothing to keep clean (and a rollback over
+                // half-updated state could panic inside this `Drop`).
+                if let Ok(mut db) = self.shared.db.write() {
+                    let _ = db.rollback();
+                }
             }
         }
         self.shared.registry.unregister(self.id);
-        self.shared.db.read().unwrap().session_closed();
+        self.shared.read_for_cleanup().session_closed();
     }
 }
 

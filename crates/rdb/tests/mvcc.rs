@@ -182,3 +182,102 @@ fn concurrent_readers_see_stable_counts_while_writer_churns() {
         Value::Int(3)
     );
 }
+
+#[test]
+fn stale_snapshot_keeps_the_key_order_an_elided_sort_promised() {
+    // `ORDER BY` over an indexed column walks the index and plans no
+    // Sort. Once a writer commits past the snapshot the live index is
+    // useless to it, so the fallback must restore the walk's order
+    // itself: keys descending, equal keys in slot order.
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE o (id INTEGER, k INTEGER);
+         CREATE INDEX o_k ON o (k);
+         INSERT INTO o VALUES (1, 5), (2, 9), (3, 5), (4, 1), (5, 9), (6, 5);",
+    )
+    .unwrap();
+    db.enable_mvcc(true);
+    let sql = "SELECT id, k FROM o ORDER BY k DESC";
+    let plan = db.query(&format!("EXPLAIN {sql}")).unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+    assert!(
+        plan.iter().any(|l| l.contains("OrderedScan")) && !plan.iter().any(|l| l.contains("Sort")),
+        "the sort must be elided for this test to mean anything: {plan:?}"
+    );
+
+    let snap = db.begin_snapshot();
+    let fresh = db.query_at(sql, Some(snap)).unwrap().rows;
+    let ids: Vec<i64> = fresh.iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(ids, [2, 5, 1, 3, 6, 4]);
+
+    // Move, remove and add rows under every key the snapshot saw.
+    db.execute("UPDATE o SET k = 0 WHERE id = 2").unwrap();
+    db.execute("DELETE FROM o WHERE id = 3").unwrap();
+    db.execute("INSERT INTO o VALUES (7, 9), (8, 5)").unwrap();
+    assert_ne!(db.query(sql).unwrap().rows, fresh);
+    assert_eq!(db.query_at(sql, Some(snap)).unwrap().rows, fresh);
+    db.end_snapshot(snap);
+}
+
+/// Run `f` on its own thread and fail if it has not finished in 3 s —
+/// the symptom of a writer token leaked by a panicked holder.
+fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(3))
+        .expect("blocked behind a writer token its panicked holder never released");
+    worker.join().unwrap();
+    out
+}
+
+fn panic_under_the_write_lock(shared: &SharedDatabase) {
+    let shared = shared.clone();
+    let writer = std::thread::spawn(move || shared.with_write(|_| panic!("writer bug")));
+    assert!(writer.join().is_err());
+}
+
+fn assert_poisoned<T: std::fmt::Debug>(r: xmlup_rdb::Result<T>) {
+    match r {
+        Err(e) => assert!(e.to_string().contains("poisoned"), "{e}"),
+        Ok(v) => panic!("a poisoned database answered {v:?}"),
+    }
+}
+
+#[test]
+fn panicked_writer_frees_the_token_and_later_calls_get_an_error() {
+    let shared = SharedDatabase::new(seeded());
+    panic_under_the_write_lock(&shared);
+
+    let second = shared.clone();
+    assert_poisoned(within_3s(move || {
+        second.execute("INSERT INTO t VALUES (9, 9, 'z')")
+    }));
+    assert_poisoned(shared.query("SELECT 1"));
+    let mut late = shared.session();
+    assert_poisoned(late.execute("SELECT COUNT(*) FROM t"));
+    assert_poisoned(within_3s(move || late.execute("DELETE FROM t")));
+}
+
+#[test]
+fn session_opened_before_a_writer_panic_errors_and_drops_cleanly() {
+    let shared = SharedDatabase::new(seeded());
+    let mut reader = shared.session();
+    reader.execute("BEGIN").unwrap();
+    reader.execute("SELECT COUNT(*) FROM t").unwrap();
+    let mut idle = shared.session();
+    panic_under_the_write_lock(&shared);
+
+    assert_poisoned(reader.execute("SELECT COUNT(*) FROM t"));
+    assert_poisoned(idle.execute("INSERT INTO t VALUES (9, 9, 'z')"));
+    // Dropping must not panic: on a server's connection thread that
+    // would be a panic inside an unwind, which aborts the process.
+    drop(reader);
+    drop(idle);
+    // Only the closure entry points, which return a bare `R`, re-raise.
+    let db = shared.clone();
+    let read = std::thread::spawn(move || db.with_read(|db| db.active_snapshots()));
+    assert!(read.join().is_err());
+}
