@@ -2653,9 +2653,7 @@ impl Database {
 
     /// Slot positions (ascending) of rows in `table` satisfying
     /// `filter`, reached by the access path [`Database::dml_access`]
-    /// chooses — the same chooser and resolver SELECT scans use. Rows are
-    /// read from the heap: the statement is about to mutate these very
-    /// slots.
+    /// chooses — the same chooser and resolver SELECT scans use.
     fn select_positions(
         &self,
         key: &str,

@@ -469,22 +469,7 @@ impl<'a> ScanCur<'a> {
         {
             return Ok(ScanState::Positions { iter });
         }
-        match t.backed_scan() {
-            None => Ok(ScanState::SeqTable { pos: 0 }),
-            // Paged backend: one pass over the B-tree's leaf chain beats
-            // a descent per slot, so the whole table comes through the
-            // pool at once.
-            Some(scan) => {
-                let mut rows = Vec::new();
-                for (_, row) in scan? {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                    if self.passes(&row, ex)? {
-                        rows.push(row);
-                    }
-                }
-                Ok(ScanState::Bucket { rows, i: 0 })
-            }
-        }
+        Ok(ScanState::SeqTable { pos: 0 })
     }
 
     /// Stale-snapshot fallback: materialize the table as it stood at
@@ -527,7 +512,7 @@ impl<'a> ScanCur<'a> {
 
 impl Database {
     /// The one place an [`Access`] becomes slot positions — SELECT scans
-    /// (heap or page store) and DELETE/UPDATE target selection both come
+    /// and DELETE/UPDATE target selection, both over the heap, come
     /// through here, so access-path counters mean the same thing for
     /// every statement kind. `None` stands for "every live slot"
     /// (`Access::Seq`): the caller walks the table its own way. Point
@@ -698,9 +683,9 @@ impl Cursor for ScanCur<'_> {
                     };
                     for p in iter.by_ref() {
                         StatsCells::bump(&ex.db.stats.rows_scanned, 1);
-                        let row = t.fetch(p)?;
-                        if self.passes(&row, ex)? {
-                            let out = row.into_owned();
+                        let row = t.row(p).expect("index points at live row");
+                        if self.passes(row, ex)? {
+                            let out = row.clone();
                             self.state = ScanState::Positions { iter };
                             return Ok(Some(out));
                         }

@@ -242,41 +242,6 @@ fn put_rec(h: &mut PageHeap, id: u64, key: u64, val: &[u8]) -> Result<PutOut> {
     }
 }
 
-/// Look up `key`. Read-only: no copy-on-write, no page writes.
-pub fn bt_get(h: &mut PageHeap, root: u64, key: u64) -> Result<Option<Vec<u8>>> {
-    let mut at = root;
-    while at != 0 {
-        let page = h.view(at)?;
-        match page.kind() {
-            PageKind::Leaf => {
-                let n = page.ncells();
-                for i in 0..n {
-                    let cell = page.cell(i);
-                    if cell_key(cell) == key {
-                        let cell = cell.to_vec();
-                        return read_value(h, &cell).map(Some);
-                    }
-                }
-                return Ok(None);
-            }
-            PageKind::Interior => {
-                let n = page.ncells();
-                let mut child = page.next();
-                for i in 0..n {
-                    let cell = page.cell(i);
-                    if cell_key(cell) >= key {
-                        child = interior_child(cell);
-                        break;
-                    }
-                }
-                at = child;
-            }
-            other => return Err(corrupt(&format!("descent into {other:?} page"))),
-        }
-    }
-    Ok(None)
-}
-
 /// Remove `key` if present. Returns the (possibly new) root id; `0` when
 /// the tree is now empty. Interior pages are not rebalanced — row-id
 /// keys arrive mostly in append order, so sparse pages are rare and are

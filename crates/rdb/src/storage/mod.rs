@@ -9,10 +9,11 @@
 //!   to `snapshot.bin`.
 //! * [`PagedStore`](paged::PagedStore) — a slotted-page file with one
 //!   copy-on-write B-tree per table (keyed on row id / slot position)
-//!   and a clock buffer pool. Every table mutation is mirrored into the
-//!   pages; `SELECT` scans and index probes read rows back through the
-//!   pool; a checkpoint flushes only the dirty frames and publishes
-//!   `pages.meta`, so its cost is O(pages touched), not O(database).
+//!   and a clock buffer pool. Every table mutation is written through
+//!   into the pages, which are the durable image and nothing more: no
+//!   statement reads them, only recovery does. A checkpoint flushes only
+//!   the dirty frames and publishes `pages.meta`, so its cost is
+//!   O(pages touched), not O(database).
 //!
 //! The engine knows neither file: [`Database::checkpoint`](crate::Database::checkpoint)
 //! hands [`StorageBackend::checkpoint`] a [`CheckpointCatalog`] and the
@@ -22,11 +23,12 @@
 //! the backend plus the catalog and slot vectors to rebuild tables from.
 //! The file formats and their publish protocol live in [`checkpoint`].
 //!
-//! The split of responsibilities: the in-memory table remains the
-//! authority for *positions* (undo, index maintenance,
-//! MVCC before-images — all slot-addressed), while the backend is the
-//! authority for *bytes on disk*. MVCC version chains stay above the
-//! trait, so snapshot reads behave identically on every backend.
+//! The split of responsibilities: the in-memory table is the one copy
+//! of the rows the engine reads — scans, index probes, DML target
+//! selection, undo, MVCC before-images — on both backends, while the
+//! backend is the authority for *bytes on disk*. No trait method returns
+//! rows; MVCC version chains stay above the trait, so snapshot reads
+//! behave identically on every backend.
 
 pub mod btree;
 pub mod checkpoint;
@@ -166,10 +168,11 @@ pub struct CheckpointReport {
 /// Mutation hooks (`create_table` … `delete_row`) are infallible mirror
 /// calls invoked from [`crate::Table`]'s slot mutations — forward DML,
 /// rollback undo, and WAL replay all pass through them. A backend that
-/// can fail (I/O) records the error internally and surfaces it from the
-/// fallible methods (`get_row`, `scan_table`, `checkpoint`). The hooks
-/// and the two reads default to "no second copy": nothing to mirror,
-/// nothing to read back.
+/// can fail (I/O) records the error internally and surfaces it from
+/// `checkpoint`, which then fails and leaves the WAL in place. The hooks
+/// default to "no second copy": nothing to mirror. Nothing here reads
+/// rows back; the engine reads its tables, and a backend's own copy is
+/// read only by [`open`].
 pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -189,16 +192,6 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
 
     /// Slot `pos` of `table` no longer holds a row.
     fn delete_row(&self, _table: &str, _pos: u64) {}
-
-    /// Read back the row at slot `pos`, if live.
-    fn get_row(&self, _table: &str, _pos: u64) -> Result<Option<Row>> {
-        Ok(None)
-    }
-
-    /// All live rows of `table` in slot order.
-    fn scan_table(&self, _table: &str) -> Result<Vec<(u64, Row)>> {
-        Ok(Vec::new())
-    }
 
     /// Best-effort page count for one table's on-disk structure, or
     /// `None` when the backend has no page-level representation (the

@@ -12,11 +12,15 @@
 //! Mirror writes arrive from [`crate::Table`] on every slot mutation
 //! (forward DML, rollback undo, and WAL replay all funnel through the
 //! same six mutation methods), so the page store tracks the in-memory
-//! heap byte for byte between checkpoints. Mirror paths cannot return
-//! errors to their callers, so an I/O failure *poisons* the store: the
-//! error is stored and surfaced by the next checkpoint or read.
+//! heap byte for byte between checkpoints. It is written, never read,
+//! while the database is open: statements read the heap, and the trees
+//! are scanned only by [`super::open`] at recovery. Mirror paths cannot
+//! return errors to their callers, so an I/O failure *poisons* the
+//! store: the error is stored and surfaced by the next `CHECKPOINT`,
+//! which fails and keeps the WAL, while queries keep answering from the
+//! heap.
 
-use super::btree::{bt_delete, bt_free, bt_get, bt_page_count, bt_put, bt_scan};
+use super::btree::{bt_delete, bt_free, bt_page_count, bt_put, bt_scan};
 use super::checkpoint::{self, PageAlloc, PageMeta};
 use super::pager::{Pager, DATA_FILE, PAGE_SIZE};
 use super::pool::PageHeap;
@@ -52,13 +56,13 @@ struct StoreInner {
     heap: PageHeap,
     /// B-tree root per lower-cased table key (0 = empty tree).
     roots: HashMap<String, u64>,
-    /// First mirror-path I/O error; surfaces at the next checkpoint or
-    /// read instead of being silently dropped.
+    /// First mirror-path I/O error; surfaces at the next checkpoint
+    /// instead of being silently dropped.
     poisoned: Option<String>,
 }
 
 /// The paged storage backend. Interior-mutable behind one mutex so the
-/// mirror hooks work from `&self` (queries run from `&Database`).
+/// mirror hooks work from `&self` (every table holds it in an `Arc`).
 #[derive(Debug)]
 pub struct PagedStore {
     dir: PathBuf,
@@ -116,6 +120,19 @@ impl PagedStore {
             inner.poisoned = Some(e.to_string());
         }
     }
+
+    /// All live rows of `table` in slot order: the recovery scan
+    /// [`super::open`] rebuilds the heap from.
+    pub(super) fn scan_table(&self, table: &str) -> Result<Vec<(u64, Row)>> {
+        self.with_inner(|inner| {
+            let root = root_of(inner, table)?;
+            let mut rows = Vec::new();
+            for (pos, bytes) in bt_scan(&mut inner.heap, root)? {
+                rows.push((pos, decode_row(&bytes)?));
+            }
+            Ok(rows)
+        })
+    }
 }
 
 fn root_of(inner: &StoreInner, table: &str) -> Result<u64> {
@@ -168,27 +185,6 @@ impl StorageBackend for PagedStore {
             inner.roots.insert(table.to_string(), new_root);
             Ok(())
         });
-    }
-
-    fn get_row(&self, table: &str, pos: u64) -> Result<Option<Row>> {
-        self.with_inner(|inner| {
-            let root = root_of(inner, table)?;
-            match bt_get(&mut inner.heap, root, pos)? {
-                Some(bytes) => decode_row(&bytes).map(Some),
-                None => Ok(None),
-            }
-        })
-    }
-
-    fn scan_table(&self, table: &str) -> Result<Vec<(u64, Row)>> {
-        self.with_inner(|inner| {
-            let root = root_of(inner, table)?;
-            let mut rows = Vec::new();
-            for (pos, bytes) in bt_scan(&mut inner.heap, root)? {
-                rows.push((pos, decode_row(&bytes)?));
-            }
-            Ok(rows)
-        })
     }
 
     fn table_pages(&self, table: &str) -> Option<u64> {

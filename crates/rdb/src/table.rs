@@ -5,7 +5,6 @@ use crate::error::{DbError, Result};
 use crate::stats::TableStatistics;
 use crate::storage::StorageBackend;
 use crate::value::{Row, Value};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -157,38 +156,13 @@ impl Table {
     // ------------------------------------------------------------------
 
     /// Attach a persistent backend: from now on every slot mutation is
-    /// mirrored into `store` under `key`, and [`Table::fetch`] reads rows
-    /// back through it.
+    /// written through into `store` under `key`. Nothing reads it back
+    /// but recovery; every statement reads the heap.
     pub(crate) fn attach_backing(&mut self, store: Arc<dyn StorageBackend>, key: &str) {
         self.backing = Some(Backing {
             store,
             key: key.to_string(),
         });
-    }
-
-    /// All live rows read back through the backend, in slot order, or
-    /// `None` when the heap is the only copy.
-    pub(crate) fn backed_scan(&self) -> Option<Result<Vec<(u64, Row)>>> {
-        self.backing.as_ref().map(|b| b.store.scan_table(&b.key))
-    }
-
-    /// The live row at slot `pos` as a query reads it: through the
-    /// backend's buffer pool when one is attached, borrowed from the heap
-    /// otherwise. Positions come from the indexes, which describe live
-    /// rows, so a miss is a broken invariant (heap) or a lost page (store).
-    pub(crate) fn fetch(&self, pos: usize) -> Result<Cow<'_, Row>> {
-        match &self.backing {
-            None => Ok(Cow::Borrowed(
-                self.row(pos).expect("index points at live row"),
-            )),
-            Some(b) => match b.store.get_row(&b.key, pos as u64)? {
-                Some(row) => Ok(Cow::Owned(row)),
-                None => Err(DbError::Storage(format!(
-                    "page store lost row at slot {pos} of `{}`",
-                    self.schema.name
-                ))),
-            },
-        }
     }
 
     /// Mirror the current content of slot `pos` into the backend (no-op

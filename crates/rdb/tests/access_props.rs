@@ -8,9 +8,7 @@
 //! * `oracle` — no indexes, `set_planner_naive(true)`: every statement is
 //!   a sequential scan in slot order;
 //! * `mem` — two indexes (mixed NULL / int / text keys), memory backend;
-//! * `paged` — the same on the paged backend with an 8-frame pool, so
-//!   every row a query reads comes through the buffer pool under
-//!   eviction.
+//! * `paged` — the same on the paged backend with an 8-frame pool.
 //!
 //! After every statement a battery of `col = k`, `IN (list)`,
 //! `IN (subquery)`, `BETWEEN`, `LIKE 'p%'` and `ORDER BY col LIMIT k`
@@ -20,6 +18,12 @@
 //! identical (DELETE / UPDATE hit the same rows, deletes in ascending
 //! slot order), and each maintained index must equal one rebuilt from the
 //! slots.
+//!
+//! Queries read the heap on both backends, so the page store's copy is
+//! checked the one way it is ever read: `paged` checkpoints halfway,
+//! crashes at the end, and is reopened (8 frames again) from its B-trees
+//! and WAL tail — then every table must be slot-for-slot the oracle's and
+//! the battery must agree again.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -204,11 +208,8 @@ proptest! {
         let mut oracle = Database::new();
         oracle.set_planner_naive(true);
         let mut mem = Database::new();
-        let mut paged = Database::open_with(
-            &scratch.0,
-            StorageConfig { pool_frames: 8, ..StorageConfig::paged() },
-        )
-        .unwrap();
+        let paged_cfg = StorageConfig { pool_frames: 8, ..StorageConfig::paged() };
+        let mut paged = Database::open_with(&scratch.0, paged_cfg).unwrap();
         paged.set_wal_sync(false);
         let mut next_c = 1000i64;
         let mut inserts = String::new();
@@ -229,7 +230,8 @@ proptest! {
         let at_snapshot = answers(&oracle, &battery, None);
         let snaps = [mem.begin_snapshot(), paged.begin_snapshot()];
 
-        for op in &ops {
+        let mut checkpointed = false;
+        for (step, op) in ops.iter().enumerate() {
             let sql = match op {
                 Op::Insert(a, b) => {
                     next_c += 1;
@@ -272,6 +274,39 @@ proptest! {
                 prop_assert_eq!(&db.query("SELECT * FROM log").unwrap().rows, &log, "{}", who);
                 assert_indexes_match_slots(db, who);
             }
+            if !checkpointed && step >= ops.len() / 2 && !paged.in_transaction() {
+                paged.checkpoint().unwrap();
+                checkpointed = true;
+            }
         }
+
+        // Crash (drop without close) and reopen from the B-trees plus,
+        // usually, a WAL tail. A crash ends an open transaction.
+        if paged.in_transaction() {
+            oracle.execute("ROLLBACK").unwrap();
+            if !checkpointed {
+                paged.execute("ROLLBACK").unwrap();
+            }
+        }
+        if !checkpointed {
+            paged.checkpoint().unwrap();
+        }
+        drop(paged);
+        let reopened = Database::open_with(&scratch.0, paged_cfg).unwrap();
+        for table in ["t", "log"] {
+            let slots = |db: &Database| {
+                let t = db.table(table).unwrap();
+                t.iter_live().map(|(p, r)| (p, r.clone())).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(slots(&reopened), slots(&oracle), "reopened {}", table);
+        }
+        let expect = answers(&oracle, &battery, None);
+        let got = answers(&reopened, &battery, None);
+        for (i, (q, _)) in battery.iter().enumerate() {
+            if expect[i].is_some() {
+                prop_assert_eq!(&got[i], &expect[i], "reopened: {}", q);
+            }
+        }
+        assert_indexes_match_slots(&reopened, "reopened");
     }
 }

@@ -7,7 +7,7 @@
 //!    alike: round-trip, plus truncation at *every* byte offset,
 //!    trailing bytes and single-byte corruption must error, never
 //!    panic — each file is its backend's commit point.
-//! 3. B-tree model test: random put/get/delete/scan against a
+//! 3. B-tree model test: random put/delete then a full scan against a
 //!    `BTreeMap` oracle under a minimal buffer pool (eviction pressure
 //!    on every descent), including overflow-chain values.
 //! 4. End-to-end paged engine: DML + checkpoint + reopen, WAL replay
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use xmlup_rdb::storage::btree::{bt_delete, bt_get, bt_put, bt_scan, MAX_INLINE};
+use xmlup_rdb::storage::btree::{bt_delete, bt_put, bt_scan, MAX_INLINE};
 use xmlup_rdb::storage::checkpoint::{
     decode_meta, decode_snapshot, encode_meta, encode_snapshot, PageAlloc, Slots,
 };
@@ -383,11 +383,6 @@ proptest! {
                 }
             }
         }
-        for (k, v) in &model {
-            let got = bt_get(&mut heap, root, *k).unwrap();
-            prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
-        }
-        prop_assert_eq!(bt_get(&mut heap, root, 10_000).unwrap(), None);
         let scanned = bt_scan(&mut heap, root).unwrap();
         let want: Vec<(u64, Vec<u8>)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
         prop_assert_eq!(scanned, want);
@@ -404,22 +399,21 @@ fn btree_overflow_values_roundtrip() {
     let mut heap = PageHeap::new(pager, 16);
     let chunk = PAGE_SIZE - PAGE_HDR - SLOT_ENTRY;
     let sizes = [0, 1, MAX_INLINE, MAX_INLINE + 1, chunk, 3 * chunk + 5];
+    let mut want: Vec<(u64, Vec<u8>)> = sizes
+        .iter()
+        .enumerate()
+        .map(|(k, n)| (k as u64, (0..*n).map(|i| (i % 251) as u8).collect()))
+        .collect();
     let mut root = 0u64;
-    for (k, n) in sizes.iter().enumerate() {
-        let val: Vec<u8> = (0..*n).map(|i| (i % 251) as u8).collect();
-        root = bt_put(&mut heap, root, k as u64, &val).unwrap();
+    for (k, val) in &want {
+        root = bt_put(&mut heap, root, *k, val).unwrap();
     }
-    for (k, n) in sizes.iter().enumerate() {
-        let want: Vec<u8> = (0..*n).map(|i| (i % 251) as u8).collect();
-        assert_eq!(bt_get(&mut heap, root, k as u64).unwrap(), Some(want));
-    }
+    assert_eq!(bt_scan(&mut heap, root).unwrap(), want);
     // Replacing an overflow value frees its chain; deleting everything
     // collapses the tree.
     root = bt_put(&mut heap, root, 5, b"short now").unwrap();
-    assert_eq!(
-        bt_get(&mut heap, root, 5).unwrap().as_deref(),
-        Some(&b"short now"[..])
-    );
+    want[5].1 = b"short now".to_vec();
+    assert_eq!(bt_scan(&mut heap, root).unwrap(), want);
     for k in 0..sizes.len() {
         root = bt_delete(&mut heap, root, k as u64).unwrap();
     }
@@ -474,12 +468,6 @@ fn paged_store_survives_eviction_and_reopen() {
         for i in 0..n {
             store.put_row("t", i, &int_row(i as i64));
         }
-        let scanned = store.scan_table("t").unwrap();
-        assert_eq!(scanned.len(), n as usize);
-        for (i, (pos, row)) in scanned.iter().enumerate() {
-            assert_eq!(*pos, i as u64);
-            assert_eq!(row, &int_row(i as i64));
-        }
         let stats = store.metrics().pool;
         assert!(
             stats.evictions > 0 && stats.writebacks > 0,
@@ -489,19 +477,13 @@ fn paged_store_survives_eviction_and_reopen() {
         let report = store.checkpoint(&one_table_catalog(1, n), &[]).unwrap();
         assert!(report.pages_written > 0 && report.bytes_written > 0);
     }
-    let (store, checkpoint) = storage::open(scratch.path(), paged(64), Some(1)).unwrap();
+    // The recovery scan is the only reader of the B-tree: the slots it
+    // hands back are every row written before the checkpoint.
+    let (_, checkpoint) = storage::open(scratch.path(), paged(1), Some(1)).unwrap();
     let (catalog, slots) = checkpoint.expect("checkpoint recovered");
     assert_eq!(catalog, one_table_catalog(1, n));
-    let scanned = store.scan_table("t").unwrap();
-    assert_eq!(scanned.len(), n as usize);
-    for (i, (_, row)) in scanned.iter().enumerate() {
-        assert_eq!(row, &int_row(i as i64));
-        assert_eq!(
-            slots[0][i].as_ref(),
-            Some(row),
-            "slots come from the B-tree"
-        );
-    }
+    let want: Vec<_> = (0..n).map(|i| Some(int_row(i as i64))).collect();
+    assert_eq!(slots, vec![want], "slots come from the B-tree");
 }
 
 #[test]
@@ -575,13 +557,90 @@ fn paged_database_checkpoint_and_reopen() {
     {
         let db = Database::open_with(scratch.path(), cfg).unwrap();
         assert_eq!(select_all(&db, "item"), before);
-        // Index probes read through the store.
+        // The recovered heap's indexes answer probes.
         let rs = db.query("SELECT label FROM item WHERE id = 2").unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Str("bee".into())]]);
         let sm = db.storage_metrics();
         assert_eq!(sm.backend, BackendKind::Paged);
         assert!(sm.pages_allocated > 0);
     }
+}
+
+/// One read path: on the paged backend every statement reads the heap,
+/// and the page store is written through, never read, while the
+/// database is open. A seq scan, an `=` probe, an `IN` list, a range
+/// seek, an ordered `LIMIT` walk and a join over a table several times
+/// larger than an 8-frame pool must not touch the pool at all, and must
+/// answer as a memory-backend twin does.
+#[test]
+fn queries_read_the_heap_never_the_pool() {
+    let scratch = Scratch::new();
+    let mut paged_db = Database::open_with(scratch.path(), paged(8)).unwrap();
+    paged_db.set_wal_sync(false);
+    let mut mem = Database::new();
+    let mut script = String::from(
+        "CREATE TABLE item (id INTEGER, grp INTEGER, label VARCHAR(60));
+         CREATE INDEX item_id ON item (id);
+         CREATE TABLE grp (id INTEGER, name VARCHAR(10));
+         CREATE INDEX grp_id ON grp (id);
+         INSERT INTO grp VALUES (0, 'g0'), (1, 'g1'), (2, 'g2'), (3, 'g3');",
+    );
+    for chunk in (0..1500i64).collect::<Vec<_>>().chunks(100) {
+        let values: Vec<String> = chunk
+            .iter()
+            .map(|i| format!("({i}, {}, 'item {i:05} outgrows the pool')", i % 7))
+            .collect();
+        script.push_str(&format!("INSERT INTO item VALUES {};", values.join(", ")));
+    }
+    script.push_str("ANALYZE;");
+    for db in [&mut paged_db, &mut mem] {
+        db.run_script(&script).unwrap();
+    }
+    paged_db.checkpoint().unwrap();
+    let before = paged_db.storage_metrics();
+    assert!(
+        before.pages_allocated > 8 && before.pool.evictions > 0,
+        "the rows must not fit the pool: {before:?}"
+    );
+    let s0 = paged_db.stats();
+    let battery = [
+        "SELECT * FROM item",
+        "SELECT * FROM item WHERE id = 777",
+        "SELECT * FROM item WHERE id IN (3, 500, 1499, 99999)",
+        "SELECT id, label FROM item WHERE id BETWEEN 100 AND 120",
+        "SELECT id, label FROM item ORDER BY id DESC LIMIT 5",
+        "SELECT i.id, g.name FROM item i, grp g WHERE g.id = i.grp",
+    ];
+    for q in battery {
+        let mut got = paged_db.query(q).unwrap().rows;
+        let mut want = mem.query(q).unwrap().rows;
+        if !q.contains("ORDER BY") {
+            got.sort();
+            want.sort();
+        }
+        assert!(!want.is_empty(), "{q}");
+        assert_eq!(got, want, "{q}");
+    }
+    let s1 = paged_db.stats();
+    for (what, b, a) in [
+        ("seq scans", s0.seq_scans, s1.seq_scans),
+        ("index scans", s0.index_scans, s1.index_scans),
+        ("range seeks", s0.range_seeks, s1.range_seeks),
+        (
+            "ordered walks",
+            s0.ordered_index_scans,
+            s1.ordered_index_scans,
+        ),
+        ("join builds", s0.hash_join_builds, s1.hash_join_builds),
+    ] {
+        assert!(a > b, "the battery must exercise {what}");
+    }
+    let pool = paged_db.storage_metrics().pool;
+    assert_eq!(
+        pool.hits + pool.misses,
+        before.pool.hits + before.pool.misses,
+        "a query touched the buffer pool"
+    );
 }
 
 #[test]

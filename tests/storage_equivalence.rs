@@ -7,10 +7,10 @@
 //! Edge mapping.
 //!
 //! The paged store runs with a buffer pool far smaller than the dataset
-//! so eviction and page reload are on the hot path, and the two stores
-//! checkpoint on *different* schedules mid-script, so full-snapshot and
-//! incremental checkpoints interleave with the updates without being
-//! allowed to perturb visible state. After the script the paged store is
+//! so the write-through mirror evicts and writes back pages, and the
+//! two stores checkpoint on *different* schedules mid-script, so
+//! full-snapshot and incremental checkpoints interleave with the updates
+//! without being allowed to perturb visible state. After the script the paged store is
 //! crashed (dropped without close), reopened, and compared once more —
 //! recovery through meta + WAL must reproduce the same state.
 
@@ -62,9 +62,8 @@ fn repo_config(backend: BackendKind) -> RepoConfig {
     }
 }
 
-/// The SELECT-visible state: every table dumped through the query path
-/// (which reads through the buffer pool on the paged backend), ordered
-/// by id, plus the id counter.
+/// The SELECT-visible state: every table dumped through the query path,
+/// ordered by id, plus the id counter.
 #[allow(clippy::type_complexity)]
 fn visible_state(db: &Database) -> (Vec<(String, Vec<Vec<Value>>)>, i64) {
     let mut tables = Vec::new();
@@ -82,12 +81,28 @@ fn visible_state(db: &Database) -> (Vec<(String, Vec<Vec<Value>>)>, i64) {
     (tables, db.peek_next_id())
 }
 
+/// Queries read the heap, so only the mirror's writes reach the pool:
+/// the script must still have evicted (and so written back) pages
+/// before the crash, or recovery would only ever see cached frames.
+fn assert_write_back_exercised(db: &Database) -> Result<(), TestCaseError> {
+    let sm = db.storage_metrics();
+    prop_assert!(
+        sm.pool.evictions > 0,
+        "{} pages never evicted from a {SMALL_POOL}-frame pool",
+        sm.pages_allocated
+    );
+    Ok(())
+}
+
+/// At least 60 subtrees, so even the smallest shape outgrows the pool.
 fn params() -> impl Strategy<Value = SyntheticParams> {
-    (3usize..8, 2usize..4, 1usize..3, any::<u64>()).prop_map(|(sf, d, f, seed)| SyntheticParams {
-        scaling_factor: sf,
-        depth: d,
-        fanout: f,
-        seed,
+    (60usize..120, 2usize..4, 1usize..3, any::<u64>()).prop_map(|(sf, d, f, seed)| {
+        SyntheticParams {
+            scaling_factor: sf,
+            depth: d,
+            fanout: f,
+            seed,
+        }
     })
 }
 
@@ -173,16 +188,7 @@ fn run_inline_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> 
         xmlup_xml::serializer::to_string(&paged_doc)
     );
 
-    // When the dataset outgrows SMALL_POOL frames the script must have
-    // gone through eviction, not just cache hits.
-    let sm = paged.db.storage_metrics();
-    if sm.pages_allocated as usize > SMALL_POOL {
-        prop_assert!(
-            sm.pool.evictions > 0,
-            "{} pages never evicted from a {SMALL_POOL}-frame pool",
-            sm.pages_allocated
-        );
-    }
+    assert_write_back_exercised(&paged.db)?;
 
     // Crash the paged store and recover: same visible state again.
     let expected = visible_state(&paged.db);
@@ -269,6 +275,8 @@ fn run_edge_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> {
         xmlup_xml::serializer::to_string(&edge::unshred(&mut mem).unwrap()),
         xmlup_xml::serializer::to_string(&edge::unshred(&mut paged).unwrap())
     );
+
+    assert_write_back_exercised(&paged)?;
 
     // Crash + recover the paged store.
     let expected = visible_state(&paged);
