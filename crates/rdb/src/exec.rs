@@ -6,6 +6,7 @@
 //! the predicates pushed down into the scan, instead of cloning whole
 //! tables up front the way the old AST interpreter did.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -346,12 +347,14 @@ trait Cursor {
 /// An operator's input edge: the child cursor plus, under `EXPLAIN
 /// ANALYZE`, the child's actuals. Every pull in the executor goes
 /// through [`Input::next`], the one place rows and time are recorded.
-struct Input<'a> {
-    cur: Box<dyn Cursor + 'a>,
+/// An index join keeps its inner edge typed (`C = ScanCur`) so it can
+/// re-aim the scan per outer row.
+struct Input<'a, C: Cursor + ?Sized + 'a = dyn Cursor + 'a> {
+    cur: Box<C>,
     prof: Option<&'a OpProf>,
 }
 
-impl Input<'_> {
+impl<C: Cursor + ?Sized> Input<'_, C> {
     fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
         let Some(p) = self.prof else {
             return self.cur.next(ex);
@@ -455,13 +458,11 @@ impl<'a> ScanCur<'a> {
             }
             ScanSrc::Table(t) => t,
         };
-        if let Some(s) = ex.ctx.snapshot {
-            if t.changed_since(s) {
-                // The live heap (and its indexes) moved past this
-                // statement's snapshot: reconstruct the epoch's row image
-                // and scan that instead.
-                return self.start_snapshot(ex, t, s);
-            }
+        if let Some(s) = self.stale_at(ex.ctx) {
+            // The live heap (and its indexes) moved past this statement's
+            // snapshot: reconstruct the epoch's row image and scan that
+            // instead.
+            return self.start_snapshot(ex, t, s);
         }
         if let Some(iter) =
             ex.db
@@ -470,6 +471,29 @@ impl<'a> ScanCur<'a> {
             return Ok(ScanState::Positions { iter });
         }
         Ok(ScanState::SeqTable { pos: 0 })
+    }
+
+    /// The snapshot epoch this scan has to reconstruct its table at:
+    /// `Some` when the statement reads at a snapshot the table's heap has
+    /// moved past.
+    fn stale_at(&self, ctx: &EvalCtx<'_>) -> Option<u64> {
+        match self.src {
+            ScanSrc::Table(t) => ctx.snapshot.filter(|&s| t.changed_since(s)),
+            ScanSrc::Mat(_) => None,
+        }
+    }
+
+    /// Aim the scan at one index bucket — an index join's probe for one
+    /// outer row. The pushed conjuncts still filter every fetched row.
+    fn probe(&mut self, ex: &ExecCtx<'_, '_>, ci: usize, key: &Value) -> Result<()> {
+        let ScanSrc::Table(t) = self.src else {
+            unreachable!("index joins probe base tables")
+        };
+        self.prof_loop(1);
+        self.state = ScanState::Positions {
+            iter: ex.db.point_probe(t, ci, Some(key))?,
+        };
+        Ok(())
     }
 
     /// Stale-snapshot fallback: materialize the table as it stood at
@@ -510,7 +534,40 @@ impl<'a> ScanCur<'a> {
     }
 }
 
+/// The error for an index a plan names but the table no longer has. DDL
+/// replans, so this only fires if a plan outlived its schema epoch.
+fn index_gone(t: &Table, ci: usize) -> DbError {
+    DbError::Execution(format!(
+        "index on column {ci} of `{}` vanished between plan and execution",
+        t.schema.name
+    ))
+}
+
 impl Database {
+    /// Point probe: one index lookup per key, positions merged
+    /// ascending. Literal probes ([`Database::resolve_access`]) and index
+    /// joins both come through here, so `index_scans` / `index_lookups`
+    /// count the same thing for each.
+    fn point_probe<'k>(
+        &self,
+        t: &Table,
+        ci: usize,
+        keys: impl IntoIterator<Item = &'k Value>,
+    ) -> Result<Box<dyn Iterator<Item = usize>>> {
+        StatsCells::bump(&self.stats.index_scans, 1);
+        let mut ps = Vec::new();
+        let mut buckets = 0;
+        for key in keys {
+            ps.extend_from_slice(t.index_lookup(ci, key).ok_or_else(|| index_gone(t, ci))?);
+            StatsCells::bump(&self.stats.index_lookups, 1);
+            buckets += 1;
+        }
+        if buckets > 1 {
+            ps.sort_unstable();
+        }
+        Ok(Box::new(ps.into_iter()))
+    }
+
     /// The one place an [`Access`] becomes slot positions — SELECT scans
     /// and DELETE/UPDATE target selection, both over the heap, come
     /// through here, so access-path counters mean the same thing for
@@ -537,31 +594,6 @@ impl Database {
             layout: &[],
             values: &[],
         };
-        // DDL replans, so an index a plan names can only be missing if
-        // the plan outlived its schema epoch.
-        let gone = |ci: usize| {
-            DbError::Execution(format!(
-                "index on column {ci} of `{}` vanished between plan and execution",
-                t.schema.name
-            ))
-        };
-        // Point probes: one lookup per key, positions merged ascending.
-        let probe = |ci: usize, keys: &mut dyn Iterator<Item = &Value>| {
-            StatsCells::bump(&self.stats.index_scans, 1);
-            let mut ps = Vec::new();
-            let mut buckets = 0;
-            for key in keys {
-                ps.extend_from_slice(t.index_lookup(ci, key).ok_or_else(|| gone(ci))?);
-                StatsCells::bump(&self.stats.index_lookups, 1);
-                buckets += 1;
-            }
-            if buckets > 1 {
-                ps.sort_unstable();
-            }
-            Ok(Some(
-                Box::new(ps.into_iter()) as Box<dyn Iterator<Item = usize>>
-            ))
-        };
         match access {
             Access::Seq => {
                 StatsCells::bump(&self.stats.seq_scans, 1);
@@ -571,19 +603,20 @@ impl Database {
             Access::IndexEq { ci, key } => {
                 loops(1);
                 let key = self.eval_expr(key, &empty, ctx, ctes)?;
-                probe(*ci, &mut (!key.is_null()).then_some(&key).into_iter())
+                let key = (!key.is_null()).then_some(&key);
+                Ok(Some(self.point_probe(t, *ci, key)?))
             }
             Access::IndexIn { ci, query } => {
                 let sub = self.cached_subquery(query, ctx)?;
                 loops(sub.set.len());
-                probe(*ci, &mut sub.set.iter())
+                Ok(Some(self.point_probe(t, *ci, sub.set.iter())?))
             }
             Access::IndexInList { ci, list } => {
                 let list = self
                     .cached_in_list(list, ctx, ctes)?
                     .expect("chooser only picks row-independent lists");
                 loops(list.set.len());
-                probe(*ci, &mut list.set.iter())
+                Ok(Some(self.point_probe(t, *ci, list.set.iter())?))
             }
             Access::Range {
                 ci,
@@ -615,7 +648,7 @@ impl Database {
                         lo.as_ref().map(|(v, i)| (v, *i)),
                         hi.as_ref().map(|(v, i)| (v, *i)),
                     )
-                    .ok_or_else(|| gone(*ci))?;
+                    .ok_or_else(|| index_gone(t, *ci))?;
                 if *ordered {
                     return Ok(Some(walk));
                 }
@@ -702,6 +735,46 @@ impl Cursor for ScanCur<'_> {
 /// from join-key value to indices into them.
 type BuildSide = (Vec<Row>, HashMap<Value, Vec<usize>>);
 
+/// A join's key over the left row, shared by hash and index joins.
+struct JoinKey<'a> {
+    expr: &'a Expr,
+    /// Pre-resolved offset of `expr` in the prefix layout when the key
+    /// is a plain column — probes index the left row directly instead of
+    /// re-resolving the name per row.
+    off: Option<usize>,
+    /// Layout covering only the bindings to the LEFT of this join — the
+    /// key must resolve exactly as it did at plan time, before the right
+    /// binding (and later ones) were in scope.
+    layout: &'a [(String, Vec<String>, usize)],
+}
+
+impl<'a> JoinKey<'a> {
+    fn new(expr: &'a Expr, layout: &'a [(String, Vec<String>, usize)]) -> Self {
+        let off = match expr {
+            Expr::Column { table, name } => layout_resolve(layout, table.as_deref(), name)
+                .ok()
+                .flatten(),
+            _ => None,
+        };
+        JoinKey { expr, off, layout }
+    }
+
+    /// The key of `lrow`; `None` when it is NULL, which matches nothing.
+    fn eval<'r>(&self, lrow: &'r [Value], ex: &ExecCtx<'_, '_>) -> Result<Option<Cow<'r, Value>>> {
+        let key = match self.off {
+            Some(off) => Cow::Borrowed(&lrow[off]),
+            None => {
+                let env = SliceEnv {
+                    layout: self.layout,
+                    values: lrow,
+                };
+                Cow::Owned(ex.db.eval_expr(self.expr, &env, ex.ctx, ex.ctes)?)
+            }
+        };
+        Ok((!key.is_null()).then_some(key))
+    }
+}
+
 /// Hash join: builds a hash table over the right scan on the first left
 /// row (an empty left side never pays for the build), then probes with
 /// the left key evaluated against the prefix layout.
@@ -709,15 +782,7 @@ struct HashJoinCur<'a> {
     left: Input<'a>,
     right: Option<Input<'a>>,
     right_ci: usize,
-    left_key: &'a Expr,
-    /// Pre-resolved offset of `left_key` in the prefix layout when the
-    /// key is a plain column — probes index the left row directly
-    /// instead of re-resolving the name per row.
-    left_off: Option<usize>,
-    /// Layout covering only the bindings to the LEFT of this join — the
-    /// key must resolve exactly as it did at plan time, before the right
-    /// binding (and later ones) were in scope.
-    left_layout: &'a [(String, Vec<String>, usize)],
+    key: JoinKey<'a>,
     build: Option<BuildSide>,
     pending: Option<(Row, Vec<usize>, usize)>,
 }
@@ -753,29 +818,49 @@ impl Cursor for HashJoinCur<'_> {
                 self.build = Some((rows, map));
             }
             let build = self.build.as_ref().expect("built above");
-            let hits = match self.left_off {
-                Some(off) => {
-                    if lrow[off].is_null() {
-                        continue;
-                    }
-                    build.1.get(&lrow[off])
-                }
-                None => {
-                    let env = SliceEnv {
-                        layout: self.left_layout,
-                        values: &lrow,
-                    };
-                    let keyv = ex.db.eval_expr(self.left_key, &env, ex.ctx, ex.ctes)?;
-                    if keyv.is_null() {
-                        continue;
-                    }
-                    build.1.get(&keyv)
-                }
+            let hits = match self.key.eval(&lrow, ex)? {
+                Some(key) => build.1.get(key.as_ref()).cloned(),
+                None => continue,
             };
             if let Some(hits) = hits {
-                let hits = hits.clone();
                 self.pending = Some((lrow, hits, 0));
             }
+        }
+    }
+}
+
+/// Index nested-loop join: for each left row, probe the right table's
+/// index on `right_ci` with the left key and emit the bucket's rows that
+/// pass the scan's pushed conjuncts, in slot order — the order a hash
+/// join over the same scan produces.
+struct IndexJoinCur<'a> {
+    left: Input<'a>,
+    right: Input<'a, ScanCur<'a>>,
+    right_ci: usize,
+    key: JoinKey<'a>,
+    /// The left row whose bucket `right` is emitting.
+    lrow: Option<Row>,
+}
+
+impl Cursor for IndexJoinCur<'_> {
+    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
+        loop {
+            if let Some(lrow) = &self.lrow {
+                if let Some(rrow) = self.right.next(ex)? {
+                    let mut out = lrow.clone();
+                    out.extend(rrow);
+                    return Ok(Some(out));
+                }
+                self.lrow = None;
+            }
+            let Some(lrow) = self.left.next(ex)? else {
+                return Ok(None);
+            };
+            match self.key.eval(&lrow, ex)? {
+                Some(key) => self.right.cur.probe(ex, self.right_ci, &key)?,
+                None => continue,
+            }
+            self.lrow = Some(lrow);
         }
     }
 }
@@ -928,7 +1013,7 @@ impl Database {
         plan: &'a ScanPlan,
         ctes: &CteEnv,
         prof: Option<&'a OpProf>,
-    ) -> Result<Input<'a>> {
+    ) -> Result<ScanCur<'a>> {
         let src = if plan.is_cte {
             let m = ctes
                 .get(&plan.key)
@@ -945,14 +1030,10 @@ impl Database {
                 .ok_or_else(|| DbError::NoSuchTable(plan.name.clone()))?;
             ScanSrc::Table(t)
         };
-        let scan = ScanCur {
+        Ok(ScanCur {
             plan,
             src,
             state: ScanState::Start,
-            prof,
-        };
-        Ok(Input {
-            cur: Box::new(scan),
             prof,
         })
     }
@@ -963,6 +1044,7 @@ impl Database {
     fn open_core<'a>(
         &'a self,
         core: &'a CorePlan,
+        ctx: &EvalCtx<'_>,
         ctes: &CteEnv,
         prof: Option<&'a CoreProf>,
     ) -> Result<Input<'a>> {
@@ -974,38 +1056,47 @@ impl Database {
             }
             Input { cur, prof: p }
         };
+        let scan_edge = |scan: ScanCur<'a>| -> Input<'a> {
+            Input {
+                prof: scan.prof,
+                cur: Box::new(scan),
+            }
+        };
         let mut cur = if core.scans.is_empty() {
             edge(Box::new(OneRow { done: false }), None)
         } else {
-            self.open_scan(&core.scans[0].0, ctes, prof.map(|p| &p.scans[0]))?
+            scan_edge(self.open_scan(&core.scans[0].0, ctes, prof.map(|p| &p.scans[0]))?)
         };
         for (i, (scan_plan, kind)) in core.scans.iter().enumerate().skip(1) {
             let right = self.open_scan(scan_plan, ctes, prof.map(|p| &p.scans[i]))?;
             let join: Box<dyn Cursor + 'a> = match kind {
-                JoinKind::Hash { right_ci, left_key } => {
-                    let left_layout = &core.layout[..i];
-                    let left_off = match left_key {
-                        Expr::Column { table, name } => {
-                            layout_resolve(left_layout, table.as_deref(), name)
-                                .ok()
-                                .flatten()
-                        }
-                        _ => None,
-                    };
+                // Live indexes describe the current heap; over a stale
+                // snapshot the join hashes the epoch's reconstructed rows.
+                JoinKind::Index { right_ci, left_key } if right.stale_at(ctx).is_none() => {
+                    Box::new(IndexJoinCur {
+                        left: cur,
+                        right: Input {
+                            prof: right.prof,
+                            cur: Box::new(right),
+                        },
+                        right_ci: *right_ci,
+                        key: JoinKey::new(left_key, &core.layout[..i]),
+                        lrow: None,
+                    })
+                }
+                JoinKind::Hash { right_ci, left_key } | JoinKind::Index { right_ci, left_key } => {
                     Box::new(HashJoinCur {
                         left: cur,
-                        right: Some(right),
+                        right: Some(scan_edge(right)),
                         right_ci: *right_ci,
-                        left_key,
-                        left_off,
-                        left_layout,
+                        key: JoinKey::new(left_key, &core.layout[..i]),
                         build: None,
                         pending: None,
                     })
                 }
                 JoinKind::Loop => Box::new(LoopJoinCur {
                     left: cur,
-                    right: Some(right),
+                    right: Some(scan_edge(right)),
                     right_rows: None,
                     pending: None,
                 }),
@@ -1067,7 +1158,7 @@ impl Database {
         };
         let mut out = Vec::new();
         'cores: for (ci, core) in cores.iter().enumerate() {
-            let mut cur = self.open_core(core, ctes, prof.map(|ps| &ps[ci]))?;
+            let mut cur = self.open_core(core, ctx, ctes, prof.map(|ps| &ps[ci]))?;
             while let Some(row) = cur.next(&ex)? {
                 out.push(row);
                 if pull_limit.is_some_and(|n| out.len() as u64 >= n) {

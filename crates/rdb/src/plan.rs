@@ -18,6 +18,9 @@
 //!    probe; failing that, bounds on an indexed column turn it into a
 //!    range seek ([`Database::choose_access`], shared with DELETE/UPDATE
 //!    target selection and their `EXPLAIN`).
+//! 4. **Index joins** — a hash join whose build side is still a
+//!    sequential scan of a base table indexed on the join column probes
+//!    that index once per outer row instead.
 //!
 //! Consuming an equality conjunct without re-checking it is sound
 //! because index buckets and hash-join tables group values by
@@ -167,6 +170,10 @@ pub(crate) enum JoinKind {
     /// Build a hash table on this scan's column `right_ci`; probe with
     /// `left_key` evaluated over the prefix layout.
     Hash { right_ci: usize, left_key: Expr },
+    /// Probe this base table's index on `right_ci` once per left row
+    /// with `left_key`; the scan's pushed conjuncts filter each fetched
+    /// row. Falls back to [`JoinKind::Hash`] over a stale snapshot.
+    Index { right_ci: usize, left_key: Expr },
     /// Cartesian nested loop (residual predicates filter later).
     Loop,
 }
@@ -243,6 +250,24 @@ pub(crate) struct PlanSlot {
     pub(crate) fingerprint: std::sync::OnceLock<Arc<crate::sysview::Fingerprint>>,
 }
 
+/// The optional planning rules, decided once per plan. The naive oracle
+/// ([`Database::set_planner_naive`]) runs none of them: FROM order, hash
+/// joins that leave their key conjunct in the filter, and sequential
+/// scans under a filter re-checked on every joined row — the
+/// pre-planner interpreter's behaviour.
+#[derive(Debug, Clone, Copy)]
+struct Rules {
+    /// Greedy statistics-driven join reordering.
+    reorder_joins: bool,
+    /// Consume hash-join key conjuncts, push single-binding conjuncts
+    /// into their scans and pick index access paths for them.
+    pushdown: bool,
+    /// Turn hash joins over an indexed inner column into index joins.
+    index_joins: bool,
+    /// Walk an index in key order instead of sorting.
+    elide_sorts: bool,
+}
+
 impl Database {
     /// Compile a SELECT into a physical plan.
     pub(crate) fn build_select_plan(
@@ -252,11 +277,17 @@ impl Database {
     ) -> Result<SelectPlan> {
         let _span = crate::obs::Span::enter("sql.plan");
         StatsCells::bump(&self.stats.plans_built, 1);
-        let naive = self.planner_naive.get();
+        let on = !self.planner_naive.get();
+        let rules = Rules {
+            reorder_joins: on,
+            pushdown: on,
+            index_joins: on,
+            elide_sorts: on,
+        };
         let mut cte_cols: HashMap<String, Vec<String>> = HashMap::new();
         let mut cte_plans: Vec<CtePlan> = Vec::new();
         for cte in &q.ctes {
-            let body = self.plan_cores(&cte.body, ctx, &cte_cols, naive)?;
+            let body = self.plan_cores(&cte.body, ctx, &cte_cols, rules)?;
             let derived = body[0].out_columns.clone();
             let columns = match &cte.columns {
                 Some(cols) => {
@@ -281,7 +312,7 @@ impl Database {
                 body,
             });
         }
-        let mut body = self.plan_cores(&q.body, ctx, &cte_cols, naive)?;
+        let mut body = self.plan_cores(&q.body, ctx, &cte_cols, rules)?;
         let columns = body[0].out_columns.clone();
         let visible = columns.len();
         let mut keys: Vec<(usize, bool)> = Vec::with_capacity(q.order_by.len());
@@ -352,7 +383,7 @@ impl Database {
         // elided: the scan walks the index in key order instead,
         // and `LIMIT k` then pulls only the first `k` rows.
         let mut elided_sort = false;
-        if !naive
+        if rules.elide_sorts
             && body.len() == 1
             && keys.len() == 1
             && hidden.is_empty()
@@ -435,11 +466,11 @@ impl Database {
         cores: &[SelectCore],
         ctx: &EvalCtx<'_>,
         cte_cols: &HashMap<String, Vec<String>>,
-        naive: bool,
+        rules: Rules,
     ) -> Result<Vec<CorePlan>> {
         let mut out: Vec<CorePlan> = Vec::with_capacity(cores.len());
         for core in cores {
-            let plan = self.plan_core(core, ctx, cte_cols, naive)?;
+            let plan = self.plan_core(core, ctx, cte_cols, rules)?;
             if let Some(first) = out.first() {
                 if plan.out_columns.len() != first.out_columns.len() {
                     return Err(DbError::Schema(format!(
@@ -462,7 +493,7 @@ impl Database {
         core: &SelectCore,
         ctx: &EvalCtx<'_>,
         cte_cols: &HashMap<String, Vec<String>>,
-        naive: bool,
+        rules: Rules,
     ) -> Result<CorePlan> {
         let conjuncts: Vec<Expr> = core
             .filter
@@ -477,10 +508,10 @@ impl Database {
         // is a base table with ANALYZE statistics, so plans (and the row
         // orders existing results bake in) for un-analyzed schemas are
         // byte-stable.
-        let order: Vec<usize> = if naive {
-            (0..core.from.len()).collect()
-        } else {
+        let order: Vec<usize> = if rules.reorder_joins {
             self.join_order(core, &conjuncts, cte_cols)
+        } else {
+            (0..core.from.len()).collect()
         };
         let identity_order = order.iter().enumerate().all(|(k, &j)| k == j);
 
@@ -551,8 +582,8 @@ impl Database {
         // For each source after the first, take the first equality
         // conjunct `src.col = expr-over-earlier-bindings` (either operand
         // order) as a hash-join key. The pre-planner interpreter made the
-        // same choice, so join selection runs in naive mode too — but
-        // there the conjunct is NOT consumed, reproducing the
+        // same choice, so join selection runs without `rules.pushdown`
+        // too — but then the conjunct is NOT consumed, reproducing the
         // interpreter's re-check of the whole filter on joined rows.
         for i in 1..scans.len() {
             let prefix = SliceEnv {
@@ -587,9 +618,7 @@ impl Database {
                                             right_ci: col,
                                             left_key: (**b).clone(),
                                         };
-                                        if !naive {
-                                            consumed[ci_conj] = true;
-                                        }
+                                        consumed[ci_conj] = rules.pushdown;
                                         break 'conj;
                                     }
                                 }
@@ -600,7 +629,7 @@ impl Database {
             }
         }
 
-        if !naive {
+        if rules.pushdown {
             // --- predicate pushdown --------------------------------------
             // A conjunct whose column references land in exactly one
             // binding filters inside that binding's scan. Conjuncts that
@@ -622,8 +651,14 @@ impl Database {
                 }
             }
 
-            // --- access selection ----------------------------------------
-            for (scan, _) in &mut scans {
+            // --- access selection and index joins ------------------------
+            // A hash join whose build side is left a sequential scan of a
+            // table indexed on the join column probes that index per
+            // outer row instead. No statistics gate: the hash join clones
+            // every inner row into its build side, the probe touches only
+            // matching rows. An inner side with its own literal probe keeps
+            // it and stays a hash join.
+            for (scan, kind) in &mut scans {
                 if scan.is_cte {
                     continue;
                 }
@@ -634,6 +669,17 @@ impl Database {
                 let (consumed, access) = Self::choose_access(t, scan.binding(), &pushed);
                 scan.probe = consumed.map(|pi| scan.pushed.remove(pi));
                 scan.access = access;
+                if let JoinKind::Hash { right_ci, left_key } = kind {
+                    if rules.index_joins
+                        && matches!(scan.access, Access::Seq)
+                        && t.has_index(*right_ci)
+                    {
+                        *kind = JoinKind::Index {
+                            right_ci: *right_ci,
+                            left_key: left_key.clone(),
+                        };
+                    }
+                }
             }
         }
 
@@ -643,12 +689,16 @@ impl Database {
         // probe — so plans and EXPLAIN output for un-analyzed schemas are
         // unchanged. With statistics, estimates come from distinct counts
         // and equi-depth histograms. CTE sizes are unknown at plan time.
-        for (scan, _) in &mut scans {
+        // An index join's inner side estimates one probe's bucket.
+        for (scan, kind) in &mut scans {
             scan.est_rows = if scan.is_cte {
                 0
             } else if let Some(t) = self.tables.get(&scan.key) {
                 scan.stats_est = t.statistics().is_some();
-                Self::estimate_scan(scan, t)
+                match kind {
+                    JoinKind::Index { right_ci, .. } => bucket_rows(t, *right_ci),
+                    _ => Self::estimate_scan(scan, t),
+                }
             } else {
                 0
             };
@@ -1153,21 +1203,9 @@ impl Database {
                         return s.columns[*ci].est_eq_rows(v);
                     }
                 }
-                let distinct = t.index_distinct(*ci) as u64;
-                if distinct == 0 {
-                    0
-                } else {
-                    total.div_ceil(distinct)
-                }
+                bucket_rows(t, *ci)
             }
-            Access::IndexIn { ci, .. } | Access::IndexInList { ci, .. } => {
-                let distinct = t.index_distinct(*ci) as u64;
-                if distinct == 0 {
-                    0
-                } else {
-                    total.div_ceil(distinct)
-                }
-            }
+            Access::IndexIn { ci, .. } | Access::IndexInList { ci, .. } => bucket_rows(t, *ci),
             Access::Range {
                 ci, lower, upper, ..
             } => {
@@ -1285,6 +1323,17 @@ impl Database {
         };
         render_scan(&scan, ind, lines, None);
         Ok(())
+    }
+}
+
+/// Average index-bucket size of column `ci`: the legacy estimate of one
+/// point probe's rows.
+fn bucket_rows(t: &Table, ci: usize) -> u64 {
+    let distinct = t.index_distinct(ci) as u64;
+    if distinct == 0 {
+        0
+    } else {
+        (t.len() as u64).div_ceil(distinct)
     }
 }
 
@@ -1420,21 +1469,40 @@ fn render_joins(
         _ => {
             let join_suffix = actual_suffix(prof.map(|p| &p.joins[n - 2]));
             let (scan, kind) = &core.scans[n - 1];
-            match kind {
-                JoinKind::Hash { right_ci, left_key } => push(
-                    lines,
-                    ind,
-                    format!(
-                        "HashJoin ({}.{} = {}){join_suffix}",
-                        scan.binding(),
-                        scan.columns()[*right_ci],
-                        expr_to_sql(left_key)
-                    ),
+            let join = |op: &str, right_ci: usize, left_key: &Expr| {
+                let col = &scan.columns()[right_ci];
+                format!(
+                    "{op} ({}.{col} = {})",
+                    scan.binding(),
+                    expr_to_sql(left_key)
+                )
+            };
+            // An index join's inner side renders as the point probe it
+            // issues per outer row.
+            let (op, probed) = match kind {
+                JoinKind::Hash { right_ci, left_key } => {
+                    (join("HashJoin", *right_ci, left_key), None)
+                }
+                JoinKind::Index { right_ci, left_key } => (
+                    join("IndexJoin", *right_ci, left_key),
+                    Some(ScanPlan {
+                        access: Access::IndexEq {
+                            ci: *right_ci,
+                            key: left_key.clone(),
+                        },
+                        ..scan.clone()
+                    }),
                 ),
-                JoinKind::Loop => push(lines, ind, format!("NestedLoop{join_suffix}")),
-            }
+                JoinKind::Loop => ("NestedLoop".to_string(), None),
+            };
+            push(lines, ind, format!("{op}{join_suffix}"));
             render_joins(core, n - 1, ind + 1, lines, prof);
-            render_scan(scan, ind + 1, lines, prof.map(|p| &p.scans[n - 1]));
+            render_scan(
+                probed.as_ref().unwrap_or(scan),
+                ind + 1,
+                lines,
+                prof.map(|p| &p.scans[n - 1]),
+            );
         }
     }
 }

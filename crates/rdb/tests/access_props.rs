@@ -3,15 +3,19 @@
 //!
 //! One random script of INSERT / DELETE / UPDATE (indexed columns
 //! included) / BEGIN / SAVEPOINT / ROLLBACK [TO] / COMMIT runs against
-//! three databases holding the same 3-column table:
+//! three databases holding the same 3-column table `t` and a 2-column
+//! table `u` whose key column joins `t`'s keys:
 //!
 //! * `oracle` — no indexes, `set_planner_naive(true)`: every statement is
-//!   a sequential scan in slot order;
-//! * `mem` — two indexes (mixed NULL / int / text keys), memory backend;
+//!   a sequential scan in slot order, every join a hash join;
+//! * `mem` — indexes on `t.a`, `t.b` and `u.k` (mixed NULL / int / text
+//!   keys, duplicates), memory backend;
 //! * `paged` — the same on the paged backend with an 8-frame pool.
 //!
 //! After every statement a battery of `col = k`, `IN (list)`,
-//! `IN (subquery)`, `BETWEEN`, `LIKE 'p%'` and `ORDER BY col LIMIT k`
+//! `IN (subquery)`, `BETWEEN`, `LIKE 'p%'`, `ORDER BY col LIMIT k` and
+//! equi-join (index joins, with and without a pushed inner filter, a
+//! self-join, and an inner side with its own literal probe)
 //! queries must agree across the three, a snapshot taken before the
 //! script must still answer them as it did then (`query_at` at a stale
 //! epoch), the table and the delete-trigger log must be slot-for-slot
@@ -89,6 +93,8 @@ enum Op {
     Delete(String),
     UpdateA(String, String),
     UpdateB(String, String),
+    InsertU(String),
+    DeleteU(String),
     Txn(&'static str),
 }
 
@@ -98,6 +104,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => arb_pred().prop_map(Op::Delete),
         3 => (arb_mixed_key(), arb_pred()).prop_map(|(v, p)| Op::UpdateA(v, p)),
         2 => (arb_text_key(), arb_pred()).prop_map(|(v, p)| Op::UpdateB(v, p)),
+        1 => arb_mixed_key().prop_map(Op::InsertU),
+        1 => arb_mixed_key().prop_map(Op::DeleteU),
         3 => prop::sample::select(vec![
             "BEGIN",
             "SAVEPOINT s",
@@ -110,11 +118,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 const SCHEMA: &str = "CREATE TABLE t (a INTEGER, b TEXT, c INTEGER);
+     CREATE TABLE u (k INTEGER, d INTEGER);
      CREATE TABLE log (c INTEGER);
      CREATE TRIGGER log_del AFTER DELETE ON t FOR EACH ROW BEGIN
         INSERT INTO log VALUES (OLD.c);
      END;";
-const INDEXES: &str = "CREATE INDEX t_a ON t (a); CREATE INDEX t_b ON t (b) USING HASH;";
+const INDEXES: &str =
+    "CREATE INDEX t_a ON t (a); CREATE INDEX t_b ON t (b) USING HASH; CREATE INDEX u_k ON u (k);";
 
 /// The query battery. The flag says whether row order is part of the
 /// answer.
@@ -145,6 +155,20 @@ fn battery() -> Vec<(String, bool)> {
             true,
         ));
         qs.push((format!("SELECT c FROM t ORDER BY {col}"), true));
+    }
+    // Joins keep their row order: an index join emits each probe's
+    // bucket in slot order, as the oracle's hash join does.
+    for sql in [
+        "SELECT u.d, t.c FROM u, t WHERE t.a = u.k",
+        "SELECT u.d, t.c FROM u, t WHERE t.b = u.k",
+        "SELECT t.c, u.d FROM t, u WHERE u.k = t.a",
+        "SELECT u.d, t.c, t.a FROM u, t WHERE t.a = u.k AND t.c > 1005",
+        "SELECT t.c, u.d FROM t, u WHERE u.k = t.b AND u.d < 2004",
+        "SELECT x.c, y.c FROM t x, t y WHERE y.a = x.a",
+        "SELECT x.c, y.c FROM t x, t y WHERE y.b = x.b AND y.c < x.c",
+        "SELECT u.d, t.c FROM u, t WHERE t.a = u.k AND t.b = 'pa'",
+    ] {
+        qs.push((sql.to_string(), true));
     }
     qs
 }
@@ -202,6 +226,7 @@ proptest! {
     #[test]
     fn indexed_access_agrees_with_sequential_scans(
         seed in prop::collection::vec((arb_mixed_key(), arb_text_key()), 4..16),
+        seed_u in prop::collection::vec(arb_mixed_key(), 2..10),
         ops in prop::collection::vec(arb_op(), 1..24),
     ) {
         let scratch = Scratch::new();
@@ -212,10 +237,15 @@ proptest! {
         let mut paged = Database::open_with(&scratch.0, paged_cfg).unwrap();
         paged.set_wal_sync(false);
         let mut next_c = 1000i64;
+        let mut next_d = 2000i64;
         let mut inserts = String::new();
         for (a, b) in &seed {
             inserts.push_str(&format!("INSERT INTO t VALUES ({a}, {b}, {next_c});"));
             next_c += 1;
+        }
+        for k in &seed_u {
+            inserts.push_str(&format!("INSERT INTO u VALUES ({k}, {next_d});"));
+            next_d += 1;
         }
         oracle.run_script(SCHEMA).unwrap();
         oracle.run_script(&inserts).unwrap();
@@ -240,6 +270,11 @@ proptest! {
                 Op::Delete(p) => format!("DELETE FROM t WHERE {p}"),
                 Op::UpdateA(v, p) => format!("UPDATE t SET a = {v} WHERE {p}"),
                 Op::UpdateB(v, p) => format!("UPDATE t SET b = {v} WHERE {p}"),
+                Op::InsertU(k) => {
+                    next_d += 1;
+                    format!("INSERT INTO u VALUES ({k}, {next_d})")
+                }
+                Op::DeleteU(k) => format!("DELETE FROM u WHERE k = {k}"),
                 Op::Txn(s) => s.to_string(),
             };
             // Same outcome everywhere — affected count, or the same
@@ -252,6 +287,7 @@ proptest! {
 
             let expect = answers(&oracle, &battery, None);
             let table = oracle.query("SELECT * FROM t").unwrap().rows;
+            let table_u = oracle.query("SELECT * FROM u").unwrap().rows;
             let log = oracle.query("SELECT * FROM log").unwrap().rows;
             for ((db, who), snap) in [(&mem, "mem"), (&paged, "paged")].into_iter().zip(snaps) {
                 let live = answers(db, &battery, None);
@@ -271,6 +307,7 @@ proptest! {
                 // Slot-for-slot: the same rows were hit, and the delete
                 // trigger fired for them in ascending slot order.
                 prop_assert_eq!(&db.query("SELECT * FROM t").unwrap().rows, &table, "{}", who);
+                prop_assert_eq!(&db.query("SELECT * FROM u").unwrap().rows, &table_u, "{}", who);
                 prop_assert_eq!(&db.query("SELECT * FROM log").unwrap().rows, &log, "{}", who);
                 assert_indexes_match_slots(db, who);
             }
@@ -293,7 +330,7 @@ proptest! {
         }
         drop(paged);
         let reopened = Database::open_with(&scratch.0, paged_cfg).unwrap();
-        for table in ["t", "log"] {
+        for table in ["t", "u", "log"] {
             let slots = |db: &Database| {
                 let t = db.table(table).unwrap();
                 t.iter_live().map(|(p, r)| (p, r.clone())).collect::<Vec<_>>()

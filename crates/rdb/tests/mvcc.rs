@@ -219,6 +219,75 @@ fn stale_snapshot_keeps_the_key_order_an_elided_sort_promised() {
     db.end_snapshot(snap);
 }
 
+#[test]
+fn pinned_reader_index_join_sees_its_epoch_fresh_reader_probes_the_live_index() {
+    // The sorted outer union's child fetch: parents joined to the child
+    // relation through its parentId index. (The join is spelled
+    // SELECT-first: a session routes a statement opening with `WITH` to
+    // the write path, which would take the writer token.)
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE p (id INTEGER, num INTEGER);
+         CREATE TABLE c (id INTEGER, parentId INTEGER, v VARCHAR(10));
+         CREATE INDEX p_id ON p (id);
+         CREATE INDEX c_parent ON c (parentId);
+         INSERT INTO p VALUES (1, 1), (2, 2), (3, 9);
+         INSERT INTO c VALUES (10, 1, 'a'), (11, 1, 'b'), (20, 2, 'c'), (30, 3, 'd');",
+    )
+    .unwrap();
+    let shared = SharedDatabase::new(db);
+    let sql = "SELECT P.id, T.id, T.v FROM p P, c T WHERE T.parentId = P.id AND P.num < 5";
+    let plan = shared.query(&format!("EXPLAIN {sql}")).unwrap();
+    assert!(
+        plan.rows
+            .iter()
+            .any(|r| r[0].to_string().contains("IndexJoin (T.parentId = P.id)")),
+        "{plan:?}"
+    );
+    let rows = |sess: &mut xmlup_rdb::session::Session| match sess.execute(sql).unwrap() {
+        SqlOutcome::Rows(rs) => rs.rows,
+        other => panic!("{other:?}"),
+    };
+    let row = |p: i64, id: i64, v: &str| vec![Value::Int(p), Value::Int(id), Value::Str(v.into())];
+
+    let mut pinned = shared.session();
+    pinned.execute("BEGIN").unwrap();
+    let epoch = rows(&mut pinned);
+    assert_eq!(epoch, [row(1, 10, "a"), row(1, 11, "b"), row(2, 20, "c")]);
+
+    // A writer replaces children of both pinned parents.
+    shared.execute("DELETE FROM c WHERE id = 10").unwrap();
+    shared.execute("DELETE FROM c WHERE parentId = 2").unwrap();
+    shared
+        .execute("INSERT INTO c VALUES (12, 1, 'e'), (21, 2, 'f'), (22, 2, 'g')")
+        .unwrap();
+
+    // The pinned reader still sees its epoch: the live index describes
+    // the new heap, so the join hashes the reconstructed rows instead.
+    assert_eq!(rows(&mut pinned), epoch);
+    pinned.execute("COMMIT").unwrap();
+
+    // A fresh reader gets the new rows by probing the index.
+    let work = || shared.with_read(|db| (db.stats().index_lookups, db.stats().hash_join_builds));
+    let before = work();
+    let fresh = shared.query(sql).unwrap().rows;
+    let after = work();
+    assert_eq!(
+        fresh,
+        [
+            row(1, 11, "b"),
+            row(1, 12, "e"),
+            row(2, 21, "f"),
+            row(2, 22, "g")
+        ]
+    );
+    assert!(
+        after.0 > before.0,
+        "no index lookups: {before:?} -> {after:?}"
+    );
+    assert_eq!(after.1, before.1, "the fresh read built a hash table");
+}
+
 /// Run `f` on its own thread and fail if it has not finished in 3 s —
 /// the symptom of a writer token leaked by a panicked holder.
 fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {

@@ -51,16 +51,23 @@ fn scrub_times(s: &str) -> String {
 /// each, with the shredded-storage index layout. Row counts are exact
 /// so per-operator actuals are predictable.
 fn forest_db() -> Database {
+    forest(
+        "CREATE INDEX n1_id ON n1 (id);
+         CREATE INDEX n2_parent ON n2 (parentId);
+         CREATE INDEX n3_parent ON n3 (parentId);",
+    )
+}
+
+/// The forest rows under the given index DDL.
+fn forest(indexes: &str) -> Database {
     let mut db = Database::new();
     db.run_script(
         "CREATE TABLE n1 (id INTEGER, parentId INTEGER, num INTEGER);
          CREATE TABLE n2 (id INTEGER, parentId INTEGER, num INTEGER);
-         CREATE TABLE n3 (id INTEGER, parentId INTEGER, num INTEGER);
-         CREATE INDEX n1_id ON n1 (id);
-         CREATE INDEX n2_parent ON n2 (parentId);
-         CREATE INDEX n3_parent ON n3 (parentId);",
+         CREATE TABLE n3 (id INTEGER, parentId INTEGER, num INTEGER);",
     )
     .unwrap();
+    db.run_script(indexes).unwrap();
     for i in 0..8i64 {
         db.execute(&format!("INSERT INTO n1 VALUES ({i}, 0, {i})"))
             .unwrap();
@@ -82,15 +89,33 @@ fn forest_db() -> Database {
 // EXPLAIN ANALYZE goldens
 // ---------------------------------------------------------------------
 
+const FOREST_CHAIN: &str = "EXPLAIN ANALYZE SELECT n3.id FROM n1, n2, n3 \
+     WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 4";
+
 #[test]
 fn explain_analyze_hash_join_rows_golden() {
     let mut db = forest_db();
-    // 4 roots pass the filter -> 8 n2 rows -> 24 n3 rows.
-    let plan = explain(
-        &mut db,
-        "EXPLAIN ANALYZE SELECT n3.id FROM n1, n2, n3 \
-         WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 4",
-    );
+    // 4 roots pass the filter -> 8 n2 rows -> 24 n3 rows. Both children
+    // are indexed on parentId, so each join probes once per outer row:
+    // loops counts the probes, est rows the average bucket.
+    let plan = explain(&mut db, FOREST_CHAIN);
+    let expected = "\
+Project [id] (actual rows=24 loops=1 time=X)
+  IndexJoin (n3.parentId = n2.id) (actual rows=24 loops=1 time=X)
+    IndexJoin (n2.parentId = n1.id) (actual rows=8 loops=1 time=X)
+      SeqScan n1 [filter: (n1.num < 4)] (est rows=8) (actual rows=4 loops=1 time=X)
+      IndexScan n2 (parentId = n1.id) (est rows=2) (actual rows=8 loops=4 time=X)
+    IndexScan n3 (parentId = n2.id) (est rows=3) (actual rows=24 loops=8 time=X)
+Execution time: X";
+    assert_eq!(scrub_times(&plan), expected, "raw plan:\n{plan}");
+}
+
+#[test]
+fn explain_analyze_hash_join_rows_golden_unindexed() {
+    // The same chain without the parentId indexes hashes every child
+    // relation once.
+    let mut db = forest("CREATE INDEX n1_id ON n1 (id);");
+    let plan = explain(&mut db, FOREST_CHAIN);
     let expected = "\
 Project [id] (actual rows=24 loops=1 time=X)
   HashJoin (n3.parentId = n2.id) (actual rows=24 loops=1 time=X)
@@ -193,10 +218,15 @@ fn explain_analyze_profiles_the_production_path() {
         .unwrap();
     // (query, plan line it must exercise, the same query without its
     // ORDER BY … LIMIT when the limit applies above the profiled tree).
-    let battery: [(&str, &str, Option<&str>); 13] = [
+    let battery: [(&str, &str, Option<&str>); 14] = [
         (
             "SELECT n3.id FROM n1, n2, n3 \
              WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 4",
+            "IndexJoin",
+            None,
+        ),
+        (
+            "SELECT n1.id, n2.id FROM n2, n1 WHERE n1.parentId = n2.parentId AND n2.num = 1",
             "HashJoin",
             None,
         ),

@@ -120,28 +120,33 @@ fn garbage_collect_not_in_stays_seq_scan() {
 }
 
 #[test]
-fn outer_union_join_uses_hash_join() {
+fn outer_union_join_uses_index_join() {
     let mut db = edge_db();
     // The outer-union reconstruction shape from the shredder:
-    // `FROM Q P, child T WHERE T.parentId = P.C1` with Q a CTE.
+    // `FROM Q P, child T WHERE T.parentId = P.C1` with Q a CTE. The
+    // child's parentId index answers each parent's children.
     let plan = explain(
         &mut db,
         "EXPLAIN WITH Q1(C1) AS (SELECT id FROM n1 WHERE num < 10) \
          SELECT T.id, T.num FROM Q1 P, n2 T WHERE T.parentId = P.C1",
     );
     assert!(
-        plan.contains("HashJoin (T.parentId = P.C1)"),
-        "outer-union reconstruction should hash join:\n{plan}"
+        plan.contains("IndexJoin (T.parentId = P.C1)"),
+        "outer-union reconstruction should index join:\n{plan}"
+    );
+    assert!(
+        plan.contains("IndexScan n2 (parentId = P.C1) AS T"),
+        "{plan}"
     );
     assert!(plan.contains("CteScan Q1 AS P"), "{plan}");
-    // Three-way chain joins hash at every level.
+    // Three-way chain joins probe at every level.
     let plan = explain(
         &mut db,
         "EXPLAIN SELECT n3.id FROM n1, n2, n3 \
          WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 10",
     );
-    assert!(plan.contains("HashJoin (n2.parentId = n1.id)"), "{plan}");
-    assert!(plan.contains("HashJoin (n3.parentId = n2.id)"), "{plan}");
+    assert!(plan.contains("IndexJoin (n2.parentId = n1.id)"), "{plan}");
+    assert!(plan.contains("IndexJoin (n3.parentId = n2.id)"), "{plan}");
     assert!(
         plan.contains("SeqScan n1 [filter: (n1.num < 10)]"),
         "single-binding predicate should be pushed into the n1 scan:\n{plan}"
@@ -327,7 +332,10 @@ fn planned_results_match_naive_interpretation() {
     }
     // The planned side actually used its machinery.
     let s = planned.stats();
-    assert!(s.hash_join_builds > 0, "no hash joins built: {s:?}");
+    assert!(
+        s.hash_join_builds > 0 || s.index_lookups > 0,
+        "no joins built or probed: {s:?}"
+    );
     assert!(s.predicates_pushed > 0, "no predicates pushed: {s:?}");
     assert!(s.index_scans > 0, "no index scans chosen: {s:?}");
     // The naive side still hash joins (the interpreter did) but never
@@ -336,6 +344,59 @@ fn planned_results_match_naive_interpretation() {
     assert!(s.hash_join_builds > 0);
     assert_eq!(s.predicates_pushed, 0);
     assert_eq!(s.index_scans, 0);
+}
+
+#[test]
+fn index_joins_match_naive_interpretation() {
+    // The sorted outer union (Figure 5) over the edge fixture: one CTE
+    // per level, each child CTE joining its parent's CTE through the
+    // child's parentId index (n2_parent, then n3_parent).
+    let outer_union = "WITH \
+        Q1(C1, C2, C3, C4, C5, C6) AS \
+          (SELECT T.id, T.num, NULL, NULL, NULL, NULL FROM n1 T WHERE T.num < 20), \
+        Q2(C1, C2, C3, C4, C5, C6) AS \
+          (SELECT P.C1, NULL, T.id, T.num, NULL, NULL FROM Q1 P, n2 T WHERE T.parentId = P.C1), \
+        Q3(C1, C2, C3, C4, C5, C6) AS \
+          (SELECT P.C1, NULL, P.C3, NULL, T.id, T.num FROM Q2 P, n3 T WHERE T.parentId = P.C3) \
+        (SELECT * FROM Q1) UNION ALL (SELECT * FROM Q2) UNION ALL (SELECT * FROM Q3)";
+    let sorted = format!("{outer_union} ORDER BY C1, C3, C5");
+    // No ORDER BY on most of them: an index join emits each bucket in
+    // slot order, as the hash join it replaces did, so even row order
+    // must agree.
+    let queries = [
+        outer_union,
+        &sorted,
+        "SELECT T.id, T.num FROM n1 P, n2 T WHERE T.parentId = P.id AND P.num < 30",
+        "SELECT T.id FROM n1 P, n2 T WHERE T.parentId = P.id AND T.num > 10",
+        "SELECT T.id FROM n2 P, n3 T WHERE T.parentId = P.id AND T.num + P.num > 12",
+        "SELECT A.id, B.id FROM n2 A, n2 B WHERE B.parentId = A.parentId AND A.num < 8",
+        "SELECT T.id FROM n1 P, n2 T WHERE T.parentId = P.id AND T.parentId = 3",
+    ];
+    let mut planned = edge_db();
+    let mut naive = edge_db();
+    naive.set_planner_naive(true);
+    for sql in queries {
+        let a = planned.query(sql).unwrap();
+        let b = naive.query(sql).unwrap();
+        assert!(!a.rows.is_empty(), "vacuous: `{sql}`");
+        assert_eq!(a.columns, b.columns, "columns diverge for `{sql}`");
+        assert_eq!(a.rows, b.rows, "rows diverge for `{sql}`");
+    }
+    let plan = explain(&mut planned, &format!("EXPLAIN {outer_union}"));
+    assert!(plan.contains("IndexJoin (T.parentId = P.C1)"), "{plan}");
+    assert!(plan.contains("IndexJoin (T.parentId = P.C3)"), "{plan}");
+    assert!(!plan.contains("HashJoin"), "{plan}");
+    // An inner side with its own literal probe keeps it and hash joins.
+    let plan = explain(
+        &mut planned,
+        "EXPLAIN SELECT T.id FROM n1 P, n2 T WHERE T.parentId = P.id AND T.parentId = 3",
+    );
+    assert!(plan.contains("HashJoin (T.parentId = P.id)"), "{plan}");
+    assert!(plan.contains("IndexScan n2 (parentId = 3) AS T"), "{plan}");
+    assert!(planned.stats().index_lookups > 0);
+    let s = naive.stats();
+    assert!(s.hash_join_builds > 0, "{s:?}");
+    assert_eq!(s.index_lookups, 0, "the oracle never probes: {s:?}");
 }
 
 #[test]
