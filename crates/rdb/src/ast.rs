@@ -56,9 +56,8 @@ pub enum Stmt {
         /// Suppress the missing-table error.
         if_exists: bool,
     },
-    /// `CREATE INDEX name ON table (column)`. A trailing `USING ORDERED`
-    /// or `USING HASH` is accepted and ignored (there is one index kind;
-    /// older scripts and WALs carry the clause).
+    /// `CREATE INDEX name ON table (column)`. There is one index kind, so
+    /// no `USING` clause.
     CreateIndex {
         /// Index name (bookkeeping only).
         name: String,

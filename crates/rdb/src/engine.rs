@@ -19,7 +19,7 @@ use crate::plan::{PlanSlot, SelectPlan};
 use crate::sql::stmt_to_sql;
 use crate::storage::{
     self, checkpoint::Slots, BackendKind, CatalogTable, CheckpointCatalog, MemoryBackend,
-    StorageBackend, StorageConfig, StorageMetrics,
+    StorageBackend, StorageConfig, StorageMetrics, TableImage,
 };
 use crate::table::{Table, TableSchema};
 use crate::txn::{FaultState, Savepoint, TxnState, UndoRecord};
@@ -329,9 +329,9 @@ pub struct Database {
     /// [`crate::mvcc`]).
     pub(crate) mvcc: MvccState,
     /// Storage backend underneath the in-memory tables (see
-    /// [`crate::storage`]): it mirrors row mutations if it keeps its own
-    /// copy, and writes and reads the checkpoints.
-    storage: Arc<dyn StorageBackend>,
+    /// [`crate::storage`]): it writes and reads the checkpoints, and
+    /// statements never call it.
+    storage: Box<dyn StorageBackend>,
     /// Per-statement execution aggregates (`rdb_statements`), keyed by
     /// literal-normalized fingerprint. Off by default.
     pub(crate) statements: crate::sysview::StatementStore,
@@ -443,7 +443,7 @@ impl Database {
             slow_threshold: OptDurCell::default(),
             slow_log: Mutex::new(Vec::new()),
             mvcc: MvccState::default(),
-            storage: Arc::new(MemoryBackend::default()),
+            storage: Box::new(MemoryBackend::default()),
             statements: crate::sysview::StatementStore::default(),
             sessions: Arc::new(crate::sysview::SessionRegistry::default()),
             created: std::time::Instant::now(),
@@ -1439,25 +1439,12 @@ impl Database {
             }
             UndoRecord::CreatedTable { name } => {
                 self.tables.remove(&name);
-                if self.storage.is_persistent() {
-                    self.storage.drop_table(&name);
-                }
             }
             UndoRecord::DroppedTable {
                 name,
                 table,
                 triggers,
             } => {
-                // The forward DROP reclaimed the table's pages; rebuild
-                // them from the restored heap before reinstating it (the
-                // stashed table still carries its backing, so later
-                // mutations mirror as usual).
-                if self.storage.is_persistent() {
-                    self.storage.create_table(&name);
-                    for (pos, row) in table.iter_live() {
-                        self.storage.put_row(&name, pos as u64, row);
-                    }
-                }
                 self.tables.insert(name, *table);
                 for (at, trig) in triggers {
                     self.triggers.insert(at.min(self.triggers.len()), trig);
@@ -1551,9 +1538,8 @@ impl Database {
     /// [`Database::open`] with an explicit [`StorageConfig`]. With the
     /// paged backend the checkpoint's rows come out of the page store's
     /// B-trees (a directory that only holds the memory backend's snapshot
-    /// is migrated by seeding the page store from it), and all table
-    /// mutations from then on — including the WAL replay — are mirrored
-    /// into the store. Opening a paged store with the memory backend is
+    /// is migrated: its first paged checkpoint writes every table into
+    /// the page store). Opening a paged store with the memory backend is
     /// refused.
     pub fn open_with(path: impl AsRef<Path>, config: StorageConfig) -> Result<Database> {
         let _span = Span::enter("db.recover");
@@ -1675,8 +1661,11 @@ impl Database {
             ));
         }
         let generation = d.generation + 1;
-        let (catalog, slots) = self.checkpoint_catalog(generation);
-        let report = self.storage.checkpoint(&catalog, &slots)?;
+        let (catalog, images) = self.checkpoint_catalog(generation);
+        let report = self.storage.checkpoint(&catalog, &images)?;
+        for t in self.tables.values_mut() {
+            t.checkpointed();
+        }
         let d = self.durable.as_mut().expect("checked above");
         let mut w = d.wal.lock().unwrap();
         w.flush()
@@ -1896,17 +1885,14 @@ impl Database {
 
     /// Reconstruct state from a checkpoint (open-time only): `slots[i]`
     /// is the slot vector of `catalog.tables[i]`, trailing tombstones
-    /// included, so WAL replay lands rows at the logged positions. A
-    /// backend that keeps its own copy already holds these rows; its
-    /// mirror is attached so the replay reaches it too.
+    /// included, so WAL replay lands rows at the logged positions. Each
+    /// table starts with no changed slots; the replay marks the ones it
+    /// touches, like any statement.
     fn restore(&mut self, catalog: CheckpointCatalog, slots: Vec<Slots>) -> Result<()> {
         for (t, slots) in catalog.tables.into_iter().zip(slots) {
             let key = t.key.clone();
-            let mut table = Self::table_from_checkpoint(t, slots)?;
-            if self.storage.is_persistent() {
-                table.attach_backing(self.storage.clone(), &key);
-            }
-            self.tables.insert(key, table);
+            self.tables
+                .insert(key, Self::table_from_checkpoint(t, slots)?);
         }
         for sql in &catalog.triggers {
             let (stmt, _) = parse_stmt_with_params(sql)?;
@@ -1935,10 +1921,11 @@ impl Database {
 
     /// What a checkpoint of the current state holds: the catalog
     /// (schemas, slot-vector lengths, indexed columns, statistics,
-    /// triggers, id counter) and, borrowed, each table's slot vector.
-    /// Tables are sorted by key so the checkpoint bytes are deterministic.
-    fn checkpoint_catalog(&self, generation: u64) -> (CheckpointCatalog, Vec<&[Option<Row>]>) {
-        let mut tables: Vec<(CatalogTable, &[Option<Row>])> = self
+    /// triggers, id counter) and, borrowed, each table's slot vector and
+    /// changed slots. Tables are sorted by key so the checkpoint bytes
+    /// are deterministic.
+    fn checkpoint_catalog(&self, generation: u64) -> (CheckpointCatalog, Vec<TableImage<'_>>) {
+        let mut tables: Vec<(CatalogTable, TableImage)> = self
             .tables
             .iter()
             .map(|(key, t)| {
@@ -1949,18 +1936,22 @@ impl Database {
                     indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
                     stats: t.statistics().cloned(),
                 };
-                (entry, t.slots_raw())
+                let image = TableImage {
+                    slots: t.slots_raw(),
+                    changed: t.changed_slots(),
+                };
+                (entry, image)
             })
             .collect();
         tables.sort_by(|a, b| a.0.key.cmp(&b.0.key));
-        let (tables, slots) = tables.into_iter().unzip();
+        let (tables, images) = tables.into_iter().unzip();
         let catalog = CheckpointCatalog {
             generation,
             next_id: self.next_id.get(),
             tables,
             triggers: self.trigger_sql(),
         };
-        (catalog, slots)
+        (catalog, images)
     }
 
     /// Apply the WAL's records: complete `TxnBegin … TxnCommit` frames
@@ -2098,12 +2089,6 @@ impl Database {
                         columns: columns.clone(),
                     }),
                 );
-                if self.storage.is_persistent() {
-                    self.storage.create_table(&key);
-                    if let Some(t) = self.tables.get_mut(&key) {
-                        t.attach_backing(self.storage.clone(), &key);
-                    }
-                }
                 self.record_undo(UndoRecord::CreatedTable { name: key });
                 Ok(ExecResult::Ddl)
             }
@@ -2129,9 +2114,6 @@ impl Database {
                             }
                         }
                         self.triggers = kept;
-                        if self.storage.is_persistent() {
-                            self.storage.drop_table(&key);
-                        }
                         self.record_undo(UndoRecord::DroppedTable {
                             name: key,
                             table: Box::new(table),

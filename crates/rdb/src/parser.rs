@@ -283,13 +283,6 @@ impl Parser {
             self.expect_tok(&Tok::LParen)?;
             let column = self.ident()?;
             self.expect_tok(&Tok::RParen)?;
-            // One index kind: the clause is accepted because existing
-            // scripts and WALs carry it, and ignored.
-            if self.eat_kw("USING") && !self.eat_kw("ORDERED") && !self.eat_kw("HASH") {
-                return Err(DbError::SqlParse(
-                    "expected ORDERED or HASH after USING".into(),
-                ));
-            }
             Ok(Stmt::CreateIndex {
                 name,
                 table,
@@ -1264,15 +1257,11 @@ mod tests {
         );
         let plain = parse_stmt("CREATE INDEX i ON t (num)").unwrap();
         assert!(matches!(plain, Stmt::CreateIndex { .. }));
-        for kind in ["ORDERED", "HASH"] {
-            let with_kind = parse_stmt(&format!("CREATE INDEX i ON t (num) USING {kind}"));
-            assert_eq!(
-                with_kind.unwrap(),
-                plain,
-                "USING {kind} is accepted and ignored"
-            );
+        // One index kind, so no `USING` clause to name it.
+        for kind in ["ORDERED", "HASH", "BTREE"] {
+            let with_kind = format!("CREATE INDEX i ON t (num) USING {kind}");
+            assert!(parse_stmt(&with_kind).is_err(), "{with_kind}");
         }
-        assert!(parse_stmt("CREATE INDEX i ON t (num) USING BTREE").is_err());
     }
 
     #[test]

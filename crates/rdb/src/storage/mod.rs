@@ -4,20 +4,22 @@
 //! The engine's tables are in-memory slot vectors ([`crate::Table`]);
 //! this module decides what sits underneath them:
 //!
-//! * [`MemoryBackend`] — the default. No second copy of the rows: the
-//!   mirror hooks are no-ops and a checkpoint writes every slot vector
-//!   to `snapshot.bin`.
+//! * [`MemoryBackend`] — the default. No second copy of the rows: a
+//!   checkpoint writes every slot vector to `snapshot.bin`.
 //! * [`PagedStore`](paged::PagedStore) — a slotted-page file with one
 //!   copy-on-write B-tree per table (keyed on row id / slot position)
-//!   and a clock buffer pool. Every table mutation is written through
-//!   into the pages, which are the durable image and nothing more: no
-//!   statement reads them, only recovery does. A checkpoint flushes only
-//!   the dirty frames and publishes `pages.meta`, so its cost is
-//!   O(pages touched), not O(database).
+//!   and a clock buffer pool. The trees are the durable image and
+//!   nothing more: no statement reads or writes them. A checkpoint
+//!   brings them up to the heap from each table's changed slots, flushes
+//!   only the dirty frames and publishes `pages.meta`, so its cost is
+//!   O(slots changed), not O(database); only recovery reads them.
 //!
+//! Statements write the tables and the WAL only. Each [`crate::Table`]
+//! records which slots changed since the last checkpoint.
 //! The engine knows neither file: [`Database::checkpoint`](crate::Database::checkpoint)
-//! hands [`StorageBackend::checkpoint`] a [`CheckpointCatalog`] and the
-//! borrowed slot vectors and truncates the WAL when it returns;
+//! hands [`StorageBackend::checkpoint`] a [`CheckpointCatalog`] and one
+//! borrowed [`TableImage`] per table (slots + changed positions), and
+//! truncates the WAL and clears the changed positions when it returns;
 //! [`Database::open_with`](crate::Database::open_with) calls [`open`],
 //! which reads whichever checkpoint the directory holds and hands back
 //! the backend plus the catalog and slot vectors to rebuild tables from.
@@ -44,7 +46,6 @@ use crate::table::TableSchema;
 use crate::value::Row;
 use checkpoint::{Slots, Snapshot};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Which storage backend a database runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,52 +164,45 @@ pub struct CheckpointReport {
     pub bytes_written: u64,
 }
 
+/// One table as a checkpoint sees it: the whole slot vector and which
+/// slots changed since the previous checkpoint.
+#[derive(Debug, Clone, Copy)]
+pub struct TableImage<'a> {
+    /// Every slot in position order, `None` for a tombstone.
+    pub slots: &'a [Option<Row>],
+    /// Slot positions changed since the previous checkpoint, one bit per
+    /// position (word `pos / 64`, bit `pos % 64`), possibly naming
+    /// positions past `slots` (rows since undone); `None` when the table
+    /// is new since then, so every slot counts.
+    pub changed: Option<&'a [u64]>,
+}
+
 /// A storage backend underneath the engine's in-memory tables.
 ///
-/// Mutation hooks (`create_table` … `delete_row`) are infallible mirror
-/// calls invoked from [`crate::Table`]'s slot mutations — forward DML,
-/// rollback undo, and WAL replay all pass through them. A backend that
-/// can fail (I/O) records the error internally and surfaces it from
-/// `checkpoint`, which then fails and leaves the WAL in place. The hooks
-/// default to "no second copy": nothing to mirror. Nothing here reads
-/// rows back; the engine reads its tables, and a backend's own copy is
-/// read only by [`open`].
+/// Statements never call it: they write the tables and the WAL only.
+/// The backend sees the rows once per checkpoint, and nothing here reads
+/// rows back; a backend's own copy is read only by [`open`].
 pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
-    /// Whether the backend keeps its own durable copy of table data
-    /// (mirror hooks are only attached to tables when it does).
-    fn is_persistent(&self) -> bool;
-
-    /// A table was created under `table` (lower-cased key).
-    fn create_table(&self, _table: &str) {}
-
-    /// A table was dropped; reclaim its pages.
-    fn drop_table(&self, _table: &str) {}
-
-    /// Slot `pos` of `table` now holds `row` (insert or full-row update).
-    fn put_row(&self, _table: &str, _pos: u64, _row: &Row) {}
-
-    /// Slot `pos` of `table` no longer holds a row.
-    fn delete_row(&self, _table: &str, _pos: u64) {}
-
-    /// Best-effort page count for one table's on-disk structure, or
-    /// `None` when the backend has no page-level representation (the
-    /// in-memory backend) or does not know the table. Feeds the
-    /// `rdb_tables.pages` system-view column.
+    /// Best-effort page count for one table's on-disk structure as of
+    /// the last checkpoint, or `None` when the backend has no page-level
+    /// representation (the in-memory backend) or the last checkpoint
+    /// did not hold the table. Feeds the `rdb_tables.pages` system-view
+    /// column.
     fn table_pages(&self, _table: &str) -> Option<u64> {
         None
     }
 
-    /// Commit a checkpoint of `catalog`; `slots[i]` is the slot vector
-    /// of `catalog.tables[i]` (a backend that mirrors the rows already
-    /// has them and ignores it). When this returns the checkpoint is
-    /// durable and the caller may truncate the WAL.
+    /// Commit a checkpoint of `catalog`; `tables[i]` is the image of
+    /// `catalog.tables[i]`. When this returns `Ok` the checkpoint is
+    /// durable and the caller may truncate the WAL and forget which
+    /// slots changed.
     fn checkpoint(
         &self,
         catalog: &CheckpointCatalog,
-        slots: &[&[Option<Row>]],
+        tables: &[TableImage],
     ) -> Result<CheckpointReport>;
 
     /// Current storage-layer counters.
@@ -216,8 +210,8 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
 }
 
 /// The default backend: the engine's tables are the only copy of the
-/// rows, so every mirror hook is a no-op and a checkpoint writes all of
-/// them to `snapshot.bin`.
+/// rows, so a checkpoint writes all of them to `snapshot.bin` and never
+/// asks which changed.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryBackend {
     /// Directory of a durable database; `None` under [`Database::new`](crate::Database::new).
@@ -229,19 +223,16 @@ impl StorageBackend for MemoryBackend {
         BackendKind::Memory
     }
 
-    fn is_persistent(&self) -> bool {
-        false
-    }
-
     fn checkpoint(
         &self,
         catalog: &CheckpointCatalog,
-        slots: &[&[Option<Row>]],
+        tables: &[TableImage],
     ) -> Result<CheckpointReport> {
         let dir = self.dir.as_deref().ok_or_else(|| {
             DbError::Storage("checkpoint requires a durable database (Database::open)".into())
         })?;
-        let bytes = checkpoint::write_snapshot(dir, catalog, slots)?;
+        let slots: Vec<&[Option<Row>]> = tables.iter().map(|t| t.slots).collect();
+        let bytes = checkpoint::write_snapshot(dir, catalog, &slots)?;
         Ok(CheckpointReport {
             pages_written: bytes.div_ceil(pager::PAGE_SIZE as u64),
             bytes_written: bytes,
@@ -257,9 +248,9 @@ impl StorageBackend for MemoryBackend {
 /// checkpoint the directory holds and hand back the backend plus, if
 /// there is a checkpoint, its catalog and one slot vector per catalog
 /// table — decoded from `snapshot.bin`, or scanned out of the B-trees
-/// `pages.meta` roots, or (paged backend over a directory the memory
-/// backend checkpointed) decoded from `snapshot.bin` and seeded into a
-/// fresh page store.
+/// `pages.meta` roots. A paged open of a directory the memory backend
+/// checkpointed decodes `snapshot.bin` over an empty page store, which
+/// writes every table whole at its first checkpoint.
 ///
 /// `wal_generation` is the generation in the directory's WAL header, if
 /// it has one. A WAL newer than the checkpoint extends a checkpoint this
@@ -270,7 +261,7 @@ pub fn open(
     dir: &Path,
     config: StorageConfig,
     wal_generation: Option<u64>,
-) -> Result<(Arc<dyn StorageBackend>, Option<Snapshot>)> {
+) -> Result<(Box<dyn StorageBackend>, Option<Snapshot>)> {
     let meta = checkpoint::read_meta(dir)?;
     if meta.is_some() && config.backend == BackendKind::Memory {
         return Err(DbError::Storage(format!(
@@ -296,11 +287,11 @@ pub fn open(
     }
     if config.backend == BackendKind::Memory {
         let dir = Some(dir.to_path_buf());
-        return Ok((Arc::new(MemoryBackend { dir }), snapshot));
+        return Ok((Box::new(MemoryBackend { dir }), snapshot));
     }
     let store = PagedStore::attach(dir, config.pool_frames, meta.as_ref())?;
-    let recovered = match (meta, snapshot) {
-        (Some((catalog, ..)), _) => {
+    let recovered = match meta {
+        Some((catalog, ..)) => {
             let mut slots = Vec::with_capacity(catalog.tables.len());
             for t in &catalog.tables {
                 let mut table: Slots = vec![None; t.slots_len as usize];
@@ -316,18 +307,7 @@ pub fn open(
             }
             Some((catalog, slots))
         }
-        (None, Some((catalog, slots))) => {
-            for (t, table) in catalog.tables.iter().zip(&slots) {
-                store.create_table(&t.key);
-                for (pos, row) in table.iter().enumerate() {
-                    if let Some(row) = row {
-                        store.put_row(&t.key, pos as u64, row);
-                    }
-                }
-            }
-            Some((catalog, slots))
-        }
-        (None, None) => None,
+        None => snapshot,
     };
-    Ok((Arc::new(store), recovered))
+    Ok((Box::new(store), recovered))
 }

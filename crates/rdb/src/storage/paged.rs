@@ -2,29 +2,30 @@
 //! slotted-page file, cached by a clock buffer pool, checkpointed
 //! incrementally.
 //!
-//! All mutations land in pool frames (dirty, no I/O beyond eviction
-//! write-back); a checkpoint flushes exactly the dirty frames, fsyncs
-//! the page file, and commits by publishing a small meta file (catalog,
-//! table roots, freelist; see [`super::checkpoint`]). Shadow paging guarantees
-//! the previous checkpoint's pages were never overwritten, so a crash at
-//! any instant recovers from the old meta plus the WAL.
+//! Statements never touch the store: they write the in-memory heap and
+//! the WAL, and each [`crate::Table`] records which slots changed. A
+//! checkpoint brings the trees up to the heap — it frees the trees of
+//! dropped tables, writes a table new since the last checkpoint whole,
+//! and otherwise puts or deletes exactly the changed slots — then
+//! flushes the dirty frames, fsyncs the page file, and commits by
+//! publishing a small meta file (catalog, table roots, freelist; see
+//! [`super::checkpoint`]). Shadow paging guarantees the previous
+//! checkpoint's pages were never overwritten, so a crash at any instant
+//! recovers from the old meta plus the WAL. The trees are read only by
+//! [`super::open`] at recovery.
 //!
-//! Mirror writes arrive from [`crate::Table`] on every slot mutation
-//! (forward DML, rollback undo, and WAL replay all funnel through the
-//! same six mutation methods), so the page store tracks the in-memory
-//! heap byte for byte between checkpoints. It is written, never read,
-//! while the database is open: statements read the heap, and the trees
-//! are scanned only by [`super::open`] at recovery. Mirror paths cannot
-//! return errors to their callers, so an I/O failure *poisons* the
-//! store: the error is stored and surfaced by the next `CHECKPOINT`,
-//! which fails and keeps the WAL, while queries keep answering from the
-//! heap.
+//! An error while the trees are brought up to the heap leaves them
+//! half-applied, so it *poisons* the store: that `CHECKPOINT` fails and
+//! keeps the WAL, every later one fails with the stored error, and
+//! queries keep answering from the heap.
 
 use super::btree::{bt_delete, bt_free, bt_page_count, bt_put, bt_scan};
 use super::checkpoint::{self, PageAlloc, PageMeta};
 use super::pager::{Pager, DATA_FILE, PAGE_SIZE};
 use super::pool::PageHeap;
-use super::{BackendKind, CheckpointCatalog, CheckpointReport, StorageBackend, StorageMetrics};
+use super::{
+    BackendKind, CheckpointCatalog, CheckpointReport, StorageBackend, StorageMetrics, TableImage,
+};
 use crate::error::{DbError, Result};
 use crate::value::Row;
 use crate::wal::{self, Reader};
@@ -54,15 +55,68 @@ fn decode_row(bytes: &[u8]) -> Result<Row> {
 #[derive(Debug)]
 struct StoreInner {
     heap: PageHeap,
-    /// B-tree root per lower-cased table key (0 = empty tree).
+    /// B-tree root per lower-cased table key (0 = empty tree), as of the
+    /// last checkpoint once one has run.
     roots: HashMap<String, u64>,
-    /// First mirror-path I/O error; surfaces at the next checkpoint
-    /// instead of being silently dropped.
+    /// The error that left the trees half-applied; every later
+    /// checkpoint fails with it.
     poisoned: Option<String>,
 }
 
-/// The paged storage backend. Interior-mutable behind one mutex so the
-/// mirror hooks work from `&self` (every table holds it in an `Arc`).
+impl StoreInner {
+    /// Bring the trees up to the heap the checkpoint describes.
+    fn apply(&mut self, catalog: &CheckpointCatalog, tables: &[TableImage]) -> Result<()> {
+        let mut dropped: Vec<String> = self
+            .roots
+            .keys()
+            .filter(|k| !catalog.tables.iter().any(|t| &t.key == *k))
+            .cloned()
+            .collect();
+        dropped.sort_unstable();
+        for key in dropped {
+            if let Some(root) = self.roots.remove(&key) {
+                bt_free(&mut self.heap, root)?;
+            }
+        }
+        for (t, image) in catalog.tables.iter().zip(tables) {
+            let h = &mut self.heap;
+            let root = match (image.changed, self.roots.get(&t.key).copied()) {
+                (Some(changed), Some(mut root)) => {
+                    for (w, &word) in changed.iter().enumerate() {
+                        let mut bits = word;
+                        while bits != 0 {
+                            let pos = w * 64 + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            root = match image.slots.get(pos) {
+                                Some(Some(row)) => bt_put(h, root, pos as u64, &encode_row(row))?,
+                                _ => bt_delete(h, root, pos as u64)?,
+                            };
+                        }
+                    }
+                    root
+                }
+                // New since the last checkpoint (perhaps dropped and
+                // re-created under the same key), or never written here
+                // (a migrated snapshot): write it whole.
+                (_, old) => {
+                    bt_free(h, old.unwrap_or(0))?;
+                    let mut root = 0;
+                    for (pos, slot) in image.slots.iter().enumerate() {
+                        if let Some(row) = slot {
+                            root = bt_put(h, root, pos as u64, &encode_row(row))?;
+                        }
+                    }
+                    root
+                }
+            };
+            self.roots.insert(t.key.clone(), root);
+        }
+        Ok(())
+    }
+}
+
+/// The paged storage backend, behind one mutex so the trait works from
+/// `&self`.
 #[derive(Debug)]
 pub struct PagedStore {
     dir: PathBuf,
@@ -72,8 +126,8 @@ pub struct PagedStore {
 impl PagedStore {
     /// Open the page store inside `dir` with a buffer pool of
     /// `pool_frames` frames, at the state `meta` committed. Without a
-    /// meta the page file is reset: the store's content is whatever the
-    /// caller seeds it with (fresh schema or a migrated snapshot).
+    /// meta the page file is reset and holds no tree: the first
+    /// checkpoint writes every table whole.
     pub(super) fn attach(
         dir: &Path,
         pool_frames: usize,
@@ -109,23 +163,14 @@ impl PagedStore {
         f(&mut inner)
     }
 
-    /// Run a mirror-path mutation; an error poisons the store instead of
-    /// propagating (the mutation callers cannot fail).
-    fn mirror(&self, f: impl FnOnce(&mut StoreInner) -> Result<()>) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.poisoned.is_some() {
-            return;
-        }
-        if let Err(e) = f(&mut inner) {
-            inner.poisoned = Some(e.to_string());
-        }
-    }
-
     /// All live rows of `table` in slot order: the recovery scan
     /// [`super::open`] rebuilds the heap from.
     pub(super) fn scan_table(&self, table: &str) -> Result<Vec<(u64, Row)>> {
         self.with_inner(|inner| {
-            let root = root_of(inner, table)?;
+            let root =
+                inner.roots.get(table).copied().ok_or_else(|| {
+                    DbError::Storage(format!("page store has no table `{table}`"))
+                })?;
             let mut rows = Vec::new();
             for (pos, bytes) in bt_scan(&mut inner.heap, root)? {
                 rows.push((pos, decode_row(&bytes)?));
@@ -135,56 +180,9 @@ impl PagedStore {
     }
 }
 
-fn root_of(inner: &StoreInner, table: &str) -> Result<u64> {
-    inner
-        .roots
-        .get(table)
-        .copied()
-        .ok_or_else(|| DbError::Storage(format!("page store has no table `{table}`")))
-}
-
 impl StorageBackend for PagedStore {
     fn kind(&self) -> BackendKind {
         BackendKind::Paged
-    }
-
-    fn is_persistent(&self) -> bool {
-        true
-    }
-
-    fn create_table(&self, table: &str) {
-        self.mirror(|inner| {
-            inner.roots.insert(table.to_string(), 0);
-            Ok(())
-        });
-    }
-
-    fn drop_table(&self, table: &str) {
-        self.mirror(|inner| {
-            if let Some(root) = inner.roots.remove(table) {
-                bt_free(&mut inner.heap, root)?;
-            }
-            Ok(())
-        });
-    }
-
-    fn put_row(&self, table: &str, pos: u64, row: &Row) {
-        let payload = encode_row(row);
-        self.mirror(|inner| {
-            let root = root_of(inner, table)?;
-            let new_root = bt_put(&mut inner.heap, root, pos, &payload)?;
-            inner.roots.insert(table.to_string(), new_root);
-            Ok(())
-        });
-    }
-
-    fn delete_row(&self, table: &str, pos: u64) {
-        self.mirror(|inner| {
-            let root = root_of(inner, table)?;
-            let new_root = bt_delete(&mut inner.heap, root, pos)?;
-            inner.roots.insert(table.to_string(), new_root);
-            Ok(())
-        });
     }
 
     fn table_pages(&self, table: &str) -> Option<u64> {
@@ -196,14 +194,20 @@ impl StorageBackend for PagedStore {
     fn checkpoint(
         &self,
         catalog: &CheckpointCatalog,
-        _slots: &[&[Option<Row>]],
+        tables: &[TableImage],
     ) -> Result<CheckpointReport> {
         self.with_inner(|inner| {
-            // 1. Flush exactly the dirty pool frames and make them
+            // 1. Bring the trees up to the heap. A failure here leaves
+            //    them half-applied: poison the store.
+            if let Err(e) = inner.apply(catalog, tables) {
+                inner.poisoned = Some(e.to_string());
+                return Err(e);
+            }
+            // 2. Flush exactly the dirty pool frames and make them
             //    durable. Shadow paging means none of these writes can
             //    touch a page the previous checkpoint still references.
             let (pages, bytes) = inner.heap.flush()?;
-            // 2. Publish the meta that points at them.
+            // 3. Publish the meta that points at them.
             let alloc = PageAlloc {
                 page_count: inner.heap.page_count,
                 lsn: inner.heap.lsn,
@@ -215,7 +219,7 @@ impl StorageBackend for PagedStore {
                 .map(|t| inner.roots.get(&t.key).copied().unwrap_or(0))
                 .collect();
             let meta_bytes = checkpoint::write_meta(&self.dir, catalog, &alloc, &roots)?;
-            // 3. The rename is the commit point: pending frees become
+            // 4. The rename is the commit point: pending frees become
             //    reusable and the new tree's pages stop being fresh.
             inner.heap.checkpoint_committed();
             Ok(CheckpointReport {

@@ -3,11 +3,9 @@
 use crate::ast::ColumnDef;
 use crate::error::{DbError, Result};
 use crate::stats::TableStatistics;
-use crate::storage::StorageBackend;
 use crate::value::{Row, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Schema of one table.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,16 +45,6 @@ pub(crate) struct VersionEntry {
     pub prior: Option<Row>,
 }
 
-/// Write-through attachment to a persistent storage backend: every slot
-/// mutation of the owning table is mirrored into `store` under `key`.
-/// Forward DML, rollback undo, and WAL replay all funnel through the
-/// same slot mutations, so the backend tracks the heap exactly.
-#[derive(Debug, Clone)]
-pub(crate) struct Backing {
-    store: Arc<dyn StorageBackend>,
-    key: String,
-}
-
 /// One secondary index: key → slot positions, keys in
 /// [`Value::sort_cmp`] order, positions **ascending** within a key, no
 /// empty buckets. That makes the map a pure function of the slot vector,
@@ -91,9 +79,12 @@ pub struct Table {
     /// Version records for snapshot visibility (empty unless the owning
     /// database has MVCC enabled; see `crate::mvcc`).
     history: Vec<VersionEntry>,
-    /// Persistent-backend mirror; `None` on the in-memory backend.
-    /// Excluded from `PartialEq` (it is plumbing, not table state).
-    backing: Option<Backing>,
+    /// Slot positions changed since the last checkpoint, one bit per
+    /// position (word `pos / 64`, bit `pos % 64`); `None` when the table
+    /// is new since the last checkpoint, so every slot counts. Set by the
+    /// slot mutations below, cleared by [`Table::checkpointed`]. Excluded
+    /// from `PartialEq`: it describes the durable image, not the table.
+    changed: Option<Vec<u64>>,
 }
 
 impl PartialEq for Table {
@@ -147,39 +138,36 @@ impl Table {
             indexes: HashMap::new(),
             stats: None,
             history: Vec::new(),
-            backing: None,
+            changed: None,
         }
     }
 
     // ------------------------------------------------------------------
-    // storage-backend mirroring (see `crate::storage`)
+    // changed slots since the last checkpoint (see `crate::storage`)
     // ------------------------------------------------------------------
 
-    /// Attach a persistent backend: from now on every slot mutation is
-    /// written through into `store` under `key`. Nothing reads it back
-    /// but recovery; every statement reads the heap.
-    pub(crate) fn attach_backing(&mut self, store: Arc<dyn StorageBackend>, key: &str) {
-        self.backing = Some(Backing {
-            store,
-            key: key.to_string(),
-        });
-    }
-
-    /// Mirror the current content of slot `pos` into the backend (no-op
-    /// when unattached or the slot is a tombstone).
-    fn mirror_slot(&self, pos: usize) {
-        if let Some(b) = &self.backing {
-            if let Some(row) = self.slots.get(pos).and_then(Option::as_ref) {
-                b.store.put_row(&b.key, pos as u64, row);
+    /// Note that slot `pos` changed (no-op while every slot counts).
+    fn mark_changed(&mut self, pos: usize) {
+        if let Some(bits) = &mut self.changed {
+            let word = pos / 64;
+            if bits.len() <= word {
+                bits.resize(word + 1, 0);
             }
+            bits[word] |= 1 << (pos % 64);
         }
     }
 
-    /// Mirror the deletion of slot `pos` into the backend.
-    fn mirror_delete(&self, pos: usize) {
-        if let Some(b) = &self.backing {
-            b.store.delete_row(&b.key, pos as u64);
-        }
+    /// Slot positions changed since the last checkpoint, one bit per
+    /// position; `None` when the table is new since then. Positions may
+    /// lie past the slot vector (an undone insert).
+    pub(crate) fn changed_slots(&self) -> Option<&[u64]> {
+        self.changed.as_deref()
+    }
+
+    /// A checkpoint holding the current slots committed: nothing has
+    /// changed since.
+    pub(crate) fn checkpointed(&mut self) {
+        self.changed = Some(Vec::new());
     }
 
     /// Number of live rows.
@@ -258,11 +246,9 @@ impl Table {
         if let Some(s) = &mut self.stats {
             s.note_insert(&row);
         }
-        if let Some(b) = &self.backing {
-            b.store.put_row(&b.key, pos as u64, &row);
-        }
         self.slots.push(Some(row));
         self.live += 1;
+        self.mark_changed(pos);
         Ok(pos)
     }
 
@@ -281,7 +267,7 @@ impl Table {
         if let Some(s) = &mut self.stats {
             s.note_delete(&row);
         }
-        self.mirror_delete(pos);
+        self.mark_changed(pos);
         Some(row)
     }
 
@@ -302,7 +288,7 @@ impl Table {
         if let Some(s) = &mut self.stats {
             s.note_update(column_idx, &old, new);
         }
-        self.mirror_slot(pos);
+        self.mark_changed(pos);
         Ok(old)
     }
 
@@ -330,7 +316,7 @@ impl Table {
         if slot.replace(row).is_none() {
             self.live += 1;
         }
-        self.mirror_slot(pos);
+        self.mark_changed(pos);
     }
 
     /// Undo an insert of the row at `pos`. Rollback applies records
@@ -381,7 +367,7 @@ impl Table {
             indexes,
             stats,
             history: Vec::new(),
-            backing: None,
+            changed: Some(Vec::new()),
         }
     }
 

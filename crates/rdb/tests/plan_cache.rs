@@ -1,5 +1,5 @@
 //! Plan-cache invalidation by the statistics subsystem: `ANALYZE` and
-//! `CREATE INDEX ... USING ORDERED` are epoch-bumping DDL, so every
+//! `CREATE INDEX ...` are epoch-bumping DDL, so every
 //! cached plan — text-keyed and prepared — must replan and may change
 //! its access path.
 
@@ -65,8 +65,7 @@ fn ordered_index_ddl_invalidates_cached_plans() {
     assert_eq!(db.stats().plans_built, 0, "cached");
     // The ordered index arrives; the cached plan is stale and the next
     // execution switches to a range seek.
-    db.execute("CREATE INDEX t_num ON t (num) USING ORDERED")
-        .unwrap();
+    db.execute("CREATE INDEX t_num ON t (num)").unwrap();
     db.reset_stats();
     let rs = db.query(sql).unwrap();
     assert_eq!(rs.rows.len(), 16, "num in 21..25 over 100 rows");
@@ -87,8 +86,7 @@ fn prepared_statement_replans_after_analyze_and_ordered_index() {
     db.reset_stats();
     db.query_prepared(&p, &[Value::Int(20)]).unwrap();
     assert_eq!(db.stats().plans_built, 0, "prepared slot reused");
-    db.execute("CREATE INDEX t_num ON t (num) USING ORDERED")
-        .unwrap();
+    db.execute("CREATE INDEX t_num ON t (num)").unwrap();
     db.execute("ANALYZE t").unwrap();
     db.reset_stats();
     let after = db.query_prepared(&p, &[Value::Int(20)]).unwrap();

@@ -466,7 +466,7 @@ fn trigger_cascade_unchanged_by_planner() {
 /// statistics on every table.
 fn ordered_db() -> Database {
     let mut db = edge_db();
-    db.run_script("CREATE INDEX n1_num ON n1 (num) USING ORDERED; ANALYZE;")
+    db.run_script("CREATE INDEX n1_num ON n1 (num); ANALYZE;")
         .unwrap();
     db
 }
@@ -480,8 +480,8 @@ fn inlined_db() -> Database {
          CREATE TABLE author (bookId INTEGER, pos INTEGER, name VARCHAR(20));
          CREATE INDEX book_id ON book (id);
          CREATE INDEX author_book ON author (bookId);
-         CREATE INDEX book_title ON book (title) USING ORDERED;
-         CREATE INDEX book_year ON book (year) USING ORDERED;",
+         CREATE INDEX book_title ON book (title);
+         CREATE INDEX book_year ON book (year);",
     )
     .unwrap();
     let insb = db.prepare("INSERT INTO book VALUES ($1, $2, $3)").unwrap();
@@ -706,11 +706,11 @@ fn planner_v2_battery_matches_naive_on_edge_shredding() {
     ];
     let mut planned = edge_db();
     planned
-        .run_script("CREATE INDEX n1_num ON n1 (num) USING ORDERED; ANALYZE;")
+        .run_script("CREATE INDEX n1_num ON n1 (num); ANALYZE;")
         .unwrap();
     let mut naive = edge_db();
     naive
-        .run_script("CREATE INDEX n1_num ON n1 (num) USING ORDERED; ANALYZE;")
+        .run_script("CREATE INDEX n1_num ON n1 (num); ANALYZE;")
         .unwrap();
     naive.set_planner_naive(true);
     planned.reset_stats();
@@ -772,7 +772,7 @@ fn statistics_survive_checkpoint_and_recovery() {
         let mut db = Database::open(&dir).unwrap();
         db.run_script(
             "CREATE TABLE t (id INTEGER, num INTEGER);
-             CREATE INDEX t_num ON t (num) USING ORDERED;",
+             CREATE INDEX t_num ON t (num);",
         )
         .unwrap();
         let ins = db.prepare("INSERT INTO t VALUES ($1, $2)").unwrap();

@@ -11,8 +11,10 @@
 //!    `BTreeMap` oracle under a minimal buffer pool (eviction pressure
 //!    on every descent), including overflow-chain values.
 //! 4. End-to-end paged engine: DML + checkpoint + reopen, WAL replay
-//!    without a checkpoint, rollback mirroring, DDL undo, and migration
-//!    of a memory-backend snapshot directory.
+//!    without a checkpoint, statements that never touch the pool,
+//!    rollback and DDL undo reaching the checkpoint, a table re-created
+//!    between checkpoints, and migration of a memory-backend snapshot
+//!    directory.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -24,7 +26,7 @@ use xmlup_rdb::storage::checkpoint::{
 };
 use xmlup_rdb::storage::pager::{Page, PageKind, Pager, PAGE_HDR, PAGE_SIZE, SLOT_ENTRY};
 use xmlup_rdb::storage::pool::PageHeap;
-use xmlup_rdb::storage::{self, CatalogTable, CheckpointCatalog};
+use xmlup_rdb::storage::{self, CatalogTable, CheckpointCatalog, TableImage};
 use xmlup_rdb::wal;
 use xmlup_rdb::{
     BackendKind, ColumnDef, DataType, Database, DbError, StorageConfig, TableSchema, Value,
@@ -464,18 +466,22 @@ fn paged_store_survives_eviction_and_reopen() {
     {
         let (store, checkpoint) = storage::open(scratch.path(), paged(1), None).unwrap();
         assert!(checkpoint.is_none(), "fresh directory has no checkpoint");
-        store.create_table("t");
-        for i in 0..n {
-            store.put_row("t", i, &int_row(i as i64));
-        }
+        // A table new since the last checkpoint is written whole, so the
+        // reopen has a meta to recover from.
+        let slots: Vec<_> = (0..n).map(|i| Some(int_row(i as i64))).collect();
+        let image = TableImage {
+            slots: &slots,
+            changed: None,
+        };
+        let report = store
+            .checkpoint(&one_table_catalog(1, n), &[image])
+            .unwrap();
+        assert!(report.pages_written > 0 && report.bytes_written > 0);
         let stats = store.metrics().pool;
         assert!(
             stats.evictions > 0 && stats.writebacks > 0,
             "an 8-frame pool over {n} rows must evict (stats: {stats:?})"
         );
-        // Commit a checkpoint so the reopen has a meta to recover from.
-        let report = store.checkpoint(&one_table_catalog(1, n), &[]).unwrap();
-        assert!(report.pages_written > 0 && report.bytes_written > 0);
     }
     // The recovery scan is the only reader of the B-tree: the slots it
     // hands back are every row written before the checkpoint.
@@ -490,18 +496,27 @@ fn paged_store_survives_eviction_and_reopen() {
 fn incremental_checkpoint_writes_only_dirty_pages() {
     let scratch = Scratch::new();
     let (store, _) = storage::open(scratch.path(), paged(4096), None).unwrap();
-    store.create_table("t");
-    for i in 0..2000u64 {
-        store.put_row("t", i, &int_row(i as i64));
-    }
-    let full = store.checkpoint(&one_table_catalog(1, 2000), &[]).unwrap();
+    let mut slots: Vec<_> = (0..2000).map(|i| Some(int_row(i))).collect();
+    let image = TableImage {
+        slots: &slots,
+        changed: None,
+    };
+    let full = store
+        .checkpoint(&one_table_catalog(1, 2000), &[image])
+        .unwrap();
     // Touch a handful of rows: the next checkpoint must write far fewer
     // pages than the first (CoW amplifies a row to its root path, but
     // that is still O(touched), not O(database)).
-    for i in 0..20u64 {
-        store.put_row("t", i, &int_row(-(i as i64)));
+    for (i, slot) in slots.iter_mut().enumerate().take(20) {
+        *slot = Some(int_row(-(i as i64)));
     }
-    let incr = store.checkpoint(&one_table_catalog(2, 2000), &[]).unwrap();
+    let image = TableImage {
+        slots: &slots,
+        changed: Some(&[(1 << 20) - 1]),
+    };
+    let incr = store
+        .checkpoint(&one_table_catalog(2, 2000), &[image])
+        .unwrap();
     assert!(
         incr.pages_written * 5 <= full.pages_written,
         "dirty-only checkpoint must be ≥5x smaller: full={} incr={}",
@@ -664,8 +679,128 @@ fn paged_database_recovers_from_wal_without_checkpoint() {
     assert!(db.stats().recovered_txns > 0, "WAL replay ran");
 }
 
+/// One write path: statements write the heap and the WAL, never the
+/// page store. On a checkpointed store several times larger than its
+/// 8-frame pool, DML, its rollback, DDL and DDL rollback leave every
+/// pool counter where it was; the next `CHECKPOINT` brings the trees up
+/// to date, and a reopen from them sees exactly what the statements
+/// left.
 #[test]
-fn paged_rollback_and_ddl_undo_mirror_into_store() {
+fn statements_write_the_heap_never_the_pool() {
+    let scratch = Scratch::new();
+    let mut db = Database::open_with(scratch.path(), paged(8)).unwrap();
+    db.set_wal_sync(false);
+    let mut script = String::from(
+        "CREATE TABLE item (id INTEGER, label VARCHAR(60));
+         CREATE INDEX item_id ON item (id);
+         CREATE TABLE gone (id INTEGER);
+         INSERT INTO gone VALUES (1), (2);",
+    );
+    for chunk in (0..1500i64).collect::<Vec<_>>().chunks(100) {
+        let values: Vec<String> = chunk
+            .iter()
+            .map(|i| format!("({i}, 'item {i:05} outgrows the pool')"))
+            .collect();
+        script.push_str(&format!("INSERT INTO item VALUES {};", values.join(", ")));
+    }
+    db.run_script(&script).unwrap();
+    db.checkpoint().unwrap();
+    let before = db.storage_metrics();
+    assert!(
+        before.pages_allocated > 8 && before.pool.evictions > 0,
+        "the rows must not fit the pool: {before:?}"
+    );
+    db.run_script(
+        "INSERT INTO item VALUES (5000, 'new');
+         UPDATE item SET label = 'changed' WHERE id = 700;
+         DELETE FROM item WHERE id < 10;
+         BEGIN;
+         INSERT INTO item VALUES (6000, 'undone');
+         DELETE FROM item WHERE id = 1000;
+         UPDATE item SET label = 'undone' WHERE id = 1001;
+         ROLLBACK;
+         CREATE TABLE fresh (id INTEGER);
+         INSERT INTO fresh VALUES (7);
+         DROP TABLE gone;
+         BEGIN;
+         DROP TABLE item;
+         CREATE TABLE tmp (id INTEGER);
+         INSERT INTO tmp VALUES (1);
+         ROLLBACK;",
+    )
+    .unwrap();
+    let after = db.storage_metrics();
+    let counters = |m: &xmlup_rdb::StorageMetrics| {
+        (
+            m.pool.hits,
+            m.pool.misses,
+            m.pool.evictions,
+            m.pages_allocated,
+        )
+    };
+    assert_eq!(
+        counters(&after),
+        counters(&before),
+        "a statement touched the page store"
+    );
+    let item = select_all(&db, "item");
+    assert_eq!(item.len(), 1500 + 1 - 10);
+    db.checkpoint().unwrap();
+    let pool = db.storage_metrics().pool;
+    assert!(
+        pool.hits + pool.misses > before.pool.hits + before.pool.misses,
+        "the checkpoint brings the trees up to the heap"
+    );
+    drop(db);
+    let db = Database::open_with(scratch.path(), paged(8)).unwrap();
+    assert_eq!(select_all(&db, "item"), item);
+    assert_eq!(select_all(&db, "fresh"), vec![vec![Value::Int(7)]]);
+    for table in ["gone", "tmp"] {
+        assert!(
+            db.query(&format!("SELECT * FROM {table}")).is_err(),
+            "{table}"
+        );
+    }
+}
+
+/// A table dropped and re-created under the same name between two
+/// checkpoints is written whole into a new tree: none of the old tree's
+/// rows survive the reopen. A dropped table that is not re-created
+/// leaves the store at the same checkpoint.
+#[test]
+fn a_table_recreated_between_checkpoints_keeps_only_its_new_rows() {
+    let scratch = Scratch::new();
+    let mut db = Database::open_with(scratch.path(), paged(8)).unwrap();
+    db.set_wal_sync(false);
+    let mut script = String::from(
+        "CREATE TABLE t (id INTEGER, v VARCHAR(20));
+         CREATE TABLE u (id INTEGER);
+         INSERT INTO u VALUES (1);",
+    );
+    for i in 0..300 {
+        script.push_str(&format!("INSERT INTO t VALUES ({i}, 'old {i}');"));
+    }
+    db.run_script(&script).unwrap();
+    db.checkpoint().unwrap();
+    db.run_script(
+        "DROP TABLE t;
+         CREATE TABLE t (id INTEGER, v VARCHAR(20));
+         INSERT INTO t VALUES (0, 'new 0'), (1, 'new 1'), (2, 'new 2');
+         DROP TABLE u;",
+    )
+    .unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = Database::open_with(scratch.path(), paged(8)).unwrap();
+    let want: Vec<_> = (0..3)
+        .map(|i| vec![Value::Int(i), Value::Str(format!("new {i}"))])
+        .collect();
+    assert_eq!(select_all(&db, "t"), want);
+    assert!(db.query("SELECT * FROM u").is_err(), "u stays dropped");
+}
+
+#[test]
+fn paged_rollback_and_ddl_undo_reach_the_checkpoint() {
     let scratch = Scratch::new();
     let cfg = StorageConfig::paged();
     let mut db = Database::open_with(scratch.path(), cfg).unwrap();

@@ -115,9 +115,7 @@ fn views_join_against_each_other() {
 #[test]
 fn indexes_view_reports_entries() {
     let mut db = forest_db();
-    // The `USING` clause is accepted and ignored: one index kind.
-    db.execute("CREATE INDEX n1_num ON n1 (num) USING ORDERED")
-        .unwrap();
+    db.execute("CREATE INDEX n1_num ON n1 (num)").unwrap();
     let rs = db
         .query(
             "SELECT table_name, column_name, entries FROM rdb_indexes \
