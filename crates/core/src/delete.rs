@@ -220,7 +220,8 @@ fn delete_via_asr(
     let where_clause = filter.map(|f| format!(" WHERE {f}")).unwrap_or_default();
     // 1. Mark every path through a deleted root. The filter (and its
     //    parameters) only appears here; the remaining steps have constant
-    //    statement text per relation and hit the plan cache on their own.
+    //    statement text per relation and hit the plan cache on their own,
+    //    DDL in between or not.
     let mark = db.prepare(&format!(
         "UPDATE {a} SET mark = TRUE WHERE {id_col} IN (SELECT id FROM {table}{where_clause})",
         a = asr.table

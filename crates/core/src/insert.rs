@@ -250,8 +250,8 @@ fn table_insert(
         ))?;
         if i == 0 {
             // Prepared so the root id is bound, not embedded: the statement
-            // shape stays constant across copies (the CREATEs above clear
-            // the plan cache, but the handle keeps its compiled plan).
+            // shape stays constant across copies (the CREATEs above move
+            // the schema epoch, which replans it but does not re-parse it).
             let load = db.prepare(&format!(
                 "INSERT INTO tmp_{t} SELECT * FROM {t} WHERE id = ?",
                 t = relation.table
@@ -291,22 +291,21 @@ fn table_insert(
     let span = max_id - min_id + 1;
     let next = db.allocate_ids(span);
     let offset = next - min_id;
-    // 3. Re-insert shifted tuples, one statement per relation.
+    // 3. Re-insert shifted tuples, one statement per relation. The offset
+    //    is bound, so each relation's statement text repeats across copies.
     for &s in &subtree {
         let relation = &mapping.relations[s];
         let data_cols: Vec<String> = relation.columns.iter().map(|c| c.name.clone()).collect();
         let select_cols = if data_cols.is_empty() {
-            format!("id + {offset}, parentId + {offset}")
+            "id + $1, parentId + $1".to_string()
         } else {
-            format!(
-                "id + {offset}, parentId + {offset}, {}",
-                data_cols.join(", ")
-            )
+            format!("id + $1, parentId + $1, {}", data_cols.join(", "))
         };
-        db.execute(&format!(
+        let shift = db.prepare(&format!(
             "INSERT INTO {t} SELECT {select_cols} FROM tmp_{t}",
             t = relation.table
         ))?;
+        db.execute_prepared(&shift, &[Value::Int(offset)])?;
     }
     // 4. Reattach the copied root to its destination parent (with a fresh
     //    appended position on ordered mappings — the verbatim-copied pos_

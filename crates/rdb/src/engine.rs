@@ -1,5 +1,6 @@
 //! SQL execution engine: statement dispatch, query evaluation with
 //! index-accelerated joins, trigger firing, and execution statistics.
+//! Client statements enter through the `statement` module.
 //!
 //! The engine is deliberately shaped like the slice of IBM DB2 the paper's
 //! middleware exercised: everything arrives as SQL text (or a pre-parsed
@@ -14,9 +15,9 @@ use crate::error::{DbError, Result};
 use crate::exec::{EvalCtx, PlanProf, RowEnv, SliceEnv};
 use crate::mvcc::MvccState;
 use crate::obs::{self, Metric, SlowQuery, Span};
-use crate::parser::{parse_script_with_text, parse_stmt_with_params};
-use crate::plan::{PlanSlot, SelectPlan};
+use crate::parser::parse_stmt_with_params;
 use crate::sql::stmt_to_sql;
+use crate::statement::PlanCache;
 use crate::storage::{
     self, checkpoint::Slots, BackendKind, CatalogTable, CheckpointCatalog, MemoryBackend,
     StorageBackend, StorageConfig, StorageMetrics, TableImage,
@@ -36,12 +37,6 @@ use std::sync::Mutex;
 /// with always-firing triggers would otherwise loop; see the cascading
 /// delete discussion in paper Section 6.1.2).
 const MAX_TRIGGER_DEPTH: usize = 100;
-
-/// Upper bound on cached statement plans. The paper's workloads cycle
-/// through a few dozen statement shapes per relation, so the cache stays
-/// far below this in practice; the bound only protects against clients
-/// that submit unbounded families of distinct SQL texts.
-const PLAN_CACHE_CAPACITY: usize = 512;
 
 /// The engine's counter table: the one place a counter is declared.
 /// Each `field: "help"` line yields the public [`Stats`] field (the help
@@ -191,104 +186,6 @@ impl ExecResult {
     }
 }
 
-/// A statement compiled once and executable many times with bound
-/// parameter values — the engine-side analogue of the JDBC
-/// `PreparedStatement`s the paper's middleware holds against DB2.
-///
-/// Obtained from [`Database::prepare`]; executed with
-/// [`Database::execute_prepared`]. The compiled plan is owned by the
-/// handle, so later DDL (which clears the plan cache) does not invalidate
-/// it: names are resolved against the catalog at execution time.
-#[derive(Debug, Clone)]
-pub struct PreparedStmt {
-    stmt: Arc<Stmt>,
-    params: usize,
-    sql: String,
-    /// Physical-plan slot shared with the SQL-text plan cache entry for
-    /// the same text; replanned lazily when the schema epoch moves.
-    slot: Arc<PlanSlot>,
-}
-
-impl PreparedStmt {
-    /// Number of parameter slots the statement binds.
-    pub fn param_count(&self) -> usize {
-        self.params
-    }
-
-    /// The SQL text the statement was compiled from.
-    pub fn sql(&self) -> &str {
-        &self.sql
-    }
-}
-
-/// Bounded LRU cache of compiled plans keyed on SQL text.
-#[derive(Debug)]
-struct PlanCache {
-    plans: HashMap<String, CachedPlan>,
-    /// Monotonic use counter driving LRU eviction.
-    tick: u64,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct CachedPlan {
-    stmt: Arc<Stmt>,
-    params: usize,
-    last_used: u64,
-    slot: Arc<PlanSlot>,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            plans: HashMap::new(),
-            tick: 0,
-            capacity: PLAN_CACHE_CAPACITY,
-        }
-    }
-}
-
-impl PlanCache {
-    fn get(&mut self, sql: &str) -> Option<(Arc<Stmt>, usize, Arc<PlanSlot>)> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.plans.get_mut(sql).map(|p| {
-            p.last_used = tick;
-            (p.stmt.clone(), p.params, p.slot.clone())
-        })
-    }
-
-    fn insert(&mut self, sql: &str, stmt: Arc<Stmt>, params: usize, slot: Arc<PlanSlot>) {
-        if self.plans.len() >= self.capacity && !self.plans.contains_key(sql) {
-            // Evict the least recently used plan. O(n), but only on the
-            // rare capacity-overflow path.
-            if let Some(victim) = self
-                .plans
-                .iter()
-                .min_by_key(|(_, p)| p.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.plans.remove(&victim);
-            }
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.plans.insert(
-            sql.to_string(),
-            CachedPlan {
-                stmt,
-                params,
-                last_used: tick,
-                slot,
-            },
-        );
-    }
-
-    fn clear(&mut self) {
-        self.plans.clear();
-    }
-}
-
 /// The in-memory relational database.
 #[derive(Debug)]
 pub struct Database {
@@ -298,12 +195,13 @@ pub struct Database {
     next_id: IdCell,
     /// Simulated per-client-statement overhead (see
     /// [`Database::set_statement_cost`]).
-    statement_cost: DurCell,
-    /// Compiled plans for SQL text seen by `execute`/`prepare`, cleared
-    /// on any DDL.
-    plan_cache: Mutex<PlanCache>,
-    /// Bumped on every DDL (and plan-cache clear); physical plans carry
-    /// the epoch they were built under and replan when it moves.
+    pub(crate) statement_cost: DurCell,
+    /// Parsed statements and their plan slots for SQL text seen by
+    /// `execute`/`query`/`prepare` (see the `statement` module).
+    pub(crate) plan_cache: Mutex<PlanCache>,
+    /// Bumped on every DDL, every rollback that undoes DDL, and every
+    /// [`Database::set_planner_naive`]; physical plans carry the epoch
+    /// they were built under and replan when it moves.
     pub(crate) schema_epoch: Counter,
     /// When set, the planner skips predicate pushdown and index-access
     /// selection and re-checks the whole filter on joined rows,
@@ -314,17 +212,17 @@ pub struct Database {
     txn: TxnState,
     /// Armed fault-injection counters (see
     /// [`Database::fail_after_statements`]).
-    fault: FaultState,
+    pub(crate) fault: FaultState,
     /// Durable-storage attachment, present iff the database was created
     /// with [`Database::open`]. `None` while recovery replays the log so
     /// replayed work is not re-logged.
     durable: Option<DurableState>,
     /// Slow-query threshold; statements at or above it are recorded in
     /// `slow_log`. `None` disables the log (the default).
-    slow_threshold: OptDurCell,
+    pub(crate) slow_threshold: OptDurCell,
     /// Retained slow-query records, oldest first, capped at
     /// [`obs::SLOW_QUERY_CAPACITY`](crate::obs).
-    slow_log: Mutex<Vec<SlowQuery>>,
+    pub(crate) slow_log: Mutex<Vec<SlowQuery>>,
     /// MVCC epoch, snapshot registry, and concurrency metrics (see
     /// [`crate::mvcc`]).
     pub(crate) mvcc: MvccState,
@@ -406,25 +304,6 @@ fn reset_wal(file: &mut fs::File, generation: u64) -> std::io::Result<()> {
     file.sync_data()
 }
 
-/// One timed statement execution, as handed from the logged funnels to
-/// [`Database::account_statement`].
-struct StatementSample {
-    /// Record into the per-statement store (tracking on + success).
-    track: bool,
-    /// Slow-query threshold in effect, if any.
-    threshold: Option<std::time::Duration>,
-    /// Wall-clock execution time.
-    elapsed: std::time::Duration,
-    /// Rows returned (queries) or affected (DML).
-    rows: u64,
-    /// WAL bytes appended while the statement ran.
-    wal_bytes: u64,
-    /// Rows scanned/inserted/deleted/updated by the statement.
-    rows_touched: u64,
-    /// `(phase, total ns)` span breakdown collected during the statement.
-    phases: Vec<(&'static str, u64)>,
-}
-
 impl Database {
     /// Create an empty database.
     pub fn new() -> Self {
@@ -456,33 +335,6 @@ impl Database {
     /// [`SharedDatabase`](crate::session::SharedDatabase).
     pub(crate) fn session_registry(&self) -> Arc<crate::sysview::SessionRegistry> {
         self.sessions.clone()
-    }
-
-    /// Simulate a fixed per-*client*-statement overhead (the round-trip +
-    /// SQL-compilation cost a JDBC application pays against a real RDBMS
-    /// such as the paper's DB2 setup). Statements executed inside trigger
-    /// bodies are not charged — they run inside the engine. Zero by
-    /// default; the benchmark harness enables it so that strategies
-    /// trading statement count against set-oriented work (tuple- vs
-    /// table-based insert, Section 6.2) face the paper's trade-off.
-    pub fn set_statement_cost(&mut self, cost: std::time::Duration) {
-        self.statement_cost.set(cost);
-    }
-
-    /// The configured per-client-statement overhead.
-    pub fn statement_cost(&self) -> std::time::Duration {
-        self.statement_cost.get()
-    }
-
-    #[inline]
-    fn charge_statement(&self) {
-        let cost = self.statement_cost.get();
-        if !cost.is_zero() {
-            let start = std::time::Instant::now();
-            while start.elapsed() < cost {
-                std::hint::spin_loop();
-            }
-        }
     }
 
     /// Snapshot of the execution counters.
@@ -523,7 +375,7 @@ impl Database {
             Metric::gauge(
                 "rdb_plan_cache_entries",
                 "Compiled plans cached by SQL text",
-                self.plan_cache.lock().unwrap().plans.len() as u64,
+                self.plan_cache.lock().unwrap().len() as u64,
             ),
             Metric::gauge(
                 "rdb_wal_size_bytes",
@@ -789,32 +641,11 @@ impl Database {
         &self.triggers
     }
 
-    /// Look up the compiled plan for `sql`, parsing and caching on a
-    /// miss. The trailing `bool` reports whether the cache hit — the
-    /// per-statement statistics store counts hits per fingerprint.
-    fn plan_for(&self, sql: &str) -> Result<(Arc<Stmt>, usize, Arc<PlanSlot>, bool)> {
-        if let Some((stmt, params, slot)) = self.plan_cache.lock().unwrap().get(sql) {
-            StatsCells::bump(&self.stats.plan_cache_hits, 1);
-            return Ok((stmt, params, slot, true));
-        }
-        StatsCells::bump(&self.stats.plan_cache_misses, 1);
-        StatsCells::bump(&self.stats.statements_parsed, 1);
-        let parse_span = Span::enter("sql.parse");
-        let (stmt, params) = parse_stmt_with_params(sql)?;
-        drop(parse_span);
-        let stmt = Arc::new(stmt);
-        let slot = Arc::new(PlanSlot::default());
-        self.plan_cache
-            .lock()
-            .unwrap()
-            .insert(sql, stmt.clone(), params, slot.clone());
-        Ok((stmt, params, slot, false))
-    }
-
-    /// Drop all cached statement plans and advance the schema epoch so
-    /// physical plans held by prepared statements replan lazily.
-    fn invalidate_plans(&self) {
-        self.plan_cache.lock().unwrap().clear();
+    /// Advance the schema epoch: every plan slot's SELECT plan is stale
+    /// and replans on its next execution. DDL, a rollback that undoes DDL
+    /// and [`Database::set_planner_naive`] call this; nothing else
+    /// retires a cached statement.
+    fn bump_schema_epoch(&self) {
         self.schema_epoch.set(self.schema_epoch.get() + 1);
     }
 
@@ -827,403 +658,14 @@ impl Database {
     /// as the A side of interpreter-vs-planner comparisons.
     pub fn set_planner_naive(&mut self, naive: bool) {
         self.planner_naive.set(naive);
-        self.invalidate_plans();
-    }
-
-    /// Physical plan for a top-level SELECT: reuse the statement's plan
-    /// slot when its epoch is current, otherwise compile and store. The
-    /// returned plan is pinned in `ctx.keepalive` for the statement.
-    fn select_plan_for(&self, q: &SelectStmt, ctx: &EvalCtx<'_>) -> Result<Arc<SelectPlan>> {
-        let plan = match &ctx.plan_slot {
-            Some(slot) => {
-                let epoch = self.schema_epoch.get();
-                let cached = slot
-                    .plan
-                    .lock()
-                    .unwrap()
-                    .as_ref()
-                    .filter(|(e, _)| *e == epoch)
-                    .map(|(_, p)| p.clone());
-                match cached {
-                    Some(p) => p,
-                    None => {
-                        let p = Arc::new(self.build_select_plan(q, ctx)?);
-                        *slot.plan.lock().unwrap() = Some((epoch, p.clone()));
-                        p
-                    }
-                }
-            }
-            None => Arc::new(self.build_select_plan(q, ctx)?),
-        };
-        ctx.keepalive.borrow_mut().push(plan.clone());
-        Ok(plan)
-    }
-
-    /// Execute one SQL statement. Repeat executions of the same SQL text
-    /// reuse the cached plan instead of re-parsing.
-    pub fn execute(&mut self, sql: &str) -> Result<ExecResult> {
-        let (stmt, _, slot, hit) = self.plan_for(sql)?;
-        StatsCells::bump(&self.stats.client_statements, 1);
-        self.charge_statement();
-        let mut ctx = EvalCtx::new();
-        ctx.plan_slot = Some(slot);
-        ctx.plan_cache_hit = hit;
-        self.exec_client_logged(&stmt, &ctx, Some(sql))
-    }
-
-    /// Compile `sql` into a reusable [`PreparedStmt`]. `?` placeholders
-    /// bind positionally; `$n` placeholders name their 1-based slot.
-    /// Preparation does not count as a client statement — only
-    /// [`Database::execute_prepared`] calls do.
-    pub fn prepare(&self, sql: &str) -> Result<PreparedStmt> {
-        let (stmt, params, slot, _) = self.plan_for(sql)?;
-        Ok(PreparedStmt {
-            stmt,
-            params,
-            sql: sql.to_string(),
-            slot,
-        })
-    }
-
-    /// Execute a prepared statement with `params` bound to its
-    /// placeholders. The statement is not re-parsed; parameter values are
-    /// substituted during evaluation.
-    pub fn execute_prepared(
-        &mut self,
-        stmt: &PreparedStmt,
-        params: &[Value],
-    ) -> Result<ExecResult> {
-        if params.len() != stmt.params {
-            return Err(DbError::Execution(format!(
-                "prepared statement binds {} parameter(s), got {}: {}",
-                stmt.params,
-                params.len(),
-                stmt.sql
-            )));
-        }
-        StatsCells::bump(&self.stats.client_statements, 1);
-        self.charge_statement();
-        let mut ctx = EvalCtx::with_params(params);
-        ctx.plan_slot = Some(stmt.slot.clone());
-        // A prepared statement reuses its compiled plan by construction.
-        ctx.plan_cache_hit = true;
-        self.exec_client_logged(&stmt.stmt, &ctx, Some(&stmt.sql))
-    }
-
-    /// Execute a prepared read-only query and return its result set.
-    /// Shares the `&self` read path with [`Database::query`].
-    pub fn query_prepared(&self, stmt: &PreparedStmt, params: &[Value]) -> Result<ResultSet> {
-        self.query_prepared_at(stmt, params, None)
-    }
-
-    /// [`Database::query_prepared`] against a pinned MVCC snapshot.
-    pub fn query_prepared_at(
-        &self,
-        stmt: &PreparedStmt,
-        params: &[Value],
-        snapshot: Option<u64>,
-    ) -> Result<ResultSet> {
-        if params.len() != stmt.params {
-            return Err(DbError::Execution(format!(
-                "prepared statement binds {} parameter(s), got {}: {}",
-                stmt.params,
-                params.len(),
-                stmt.sql
-            )));
-        }
-        StatsCells::bump(&self.stats.client_statements, 1);
-        self.charge_statement();
-        let mut ctx = EvalCtx::with_params(params);
-        ctx.plan_slot = Some(stmt.slot.clone());
-        ctx.snapshot = snapshot;
-        ctx.plan_cache_hit = true;
-        self.query_logged(&stmt.stmt, &ctx, Some(&stmt.sql))
-    }
-
-    /// Execute a pre-parsed statement (counts as one client statement).
-    pub fn execute_stmt(&mut self, stmt: &Stmt) -> Result<ExecResult> {
-        StatsCells::bump(&self.stats.client_statements, 1);
-        self.charge_statement();
-        self.exec_client_logged(stmt, &EvalCtx::new(), None)
-    }
-
-    /// Execute a `;`-separated script.
-    ///
-    /// On failure the error is a [`DbError::ScriptStatement`] carrying
-    /// the failing statement's 0-based index and SQL text. Under
-    /// autocommit every statement *preceding* the failing one stays
-    /// applied (each committed on its own); the failing statement itself
-    /// rolls back atomically. If the script opened an explicit
-    /// transaction (`BEGIN`) that is still uncommitted at the point of
-    /// failure, the preceding statements of that transaction remain
-    /// pending — the caller decides whether to `COMMIT` or `ROLLBACK`
-    /// them.
-    pub fn run_script(&mut self, sql: &str) -> Result<Vec<ExecResult>> {
-        let stmts = parse_script_with_text(sql)?;
-        StatsCells::bump(&self.stats.statements_parsed, stmts.len() as u64);
-        let mut out = Vec::with_capacity(stmts.len());
-        for (index, (s, text)) in stmts.iter().enumerate() {
-            StatsCells::bump(&self.stats.client_statements, 1);
-            self.charge_statement();
-            match self.exec_client_logged(s, &EvalCtx::new(), Some(text)) {
-                Ok(r) => out.push(r),
-                Err(cause) => {
-                    return Err(DbError::ScriptStatement {
-                        index,
-                        sql: text.clone(),
-                        cause: Box::new(cause),
-                    })
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Run a read-only query (`SELECT`, `EXPLAIN`, or
-    /// `EXPLAIN ANALYZE <select>`) and return its result set.
-    ///
-    /// Takes `&self`: concurrent sessions holding a shared reference can
-    /// query simultaneously while a writer serializes through the
-    /// `&mut self` statement paths (see [`crate::session`]). Reads see
-    /// the live committed state; for a transaction-consistent view across
-    /// statements use [`Database::query_at`] with a pinned snapshot.
-    pub fn query(&self, sql: &str) -> Result<ResultSet> {
-        self.query_at(sql, None)
-    }
-
-    /// [`Database::query`] against a pinned MVCC snapshot (from
-    /// [`Database::begin_snapshot`]): every table is reconstructed as of
-    /// that epoch, so a sequence of `query_at` calls with the same
-    /// snapshot observes one transaction-consistent state regardless of
-    /// concurrently committing writers.
-    pub fn query_at(&self, sql: &str, snapshot: Option<u64>) -> Result<ResultSet> {
-        let (stmt, _, slot, hit) = self.plan_for(sql)?;
-        StatsCells::bump(&self.stats.client_statements, 1);
-        self.charge_statement();
-        let mut ctx = EvalCtx::new();
-        ctx.plan_slot = Some(slot);
-        ctx.snapshot = snapshot;
-        ctx.plan_cache_hit = hit;
-        self.query_logged(&stmt, &ctx, Some(sql))
-    }
-
-    /// Run a statement that returns rows through the full `&mut`
-    /// statement funnel — needed for `EXPLAIN ANALYZE` over DML, which
-    /// really executes its statement and therefore mutates.
-    pub fn query_mut(&mut self, sql: &str) -> Result<ResultSet> {
-        match self.execute(sql)? {
-            ExecResult::Rows(rs) => Ok(rs),
-            other => Err(DbError::Execution(format!("not a query: {other:?}"))),
-        }
+        self.bump_schema_epoch();
     }
 
     // ------------------------------------------------------------------
     // transactions
     // ------------------------------------------------------------------
 
-    /// [`exec_client`] plus per-statement accounting. When a slow-query
-    /// threshold is set the statement is timed, its spans are collected
-    /// (even with tracing off), and on breach a [`SlowQuery`] record —
-    /// attributed to the current session, snapshot epoch, and statement
-    /// fingerprint — lands in the log with the SQL text (rendered from
-    /// the AST when `sql` is not at hand), per-phase breakdown, and rows
-    /// touched. When statement tracking is on, every successful
-    /// execution is aggregated into the fingerprint store behind
-    /// `rdb_statements`. With neither configured this is two atomic
-    /// reads on top of [`exec_client`].
-    fn exec_client_logged(
-        &mut self,
-        stmt: &Stmt,
-        ctx: &EvalCtx<'_>,
-        sql: Option<&str>,
-    ) -> Result<ExecResult> {
-        let threshold = self.slow_threshold.get();
-        let track = self.statements.enabled();
-        if threshold.is_none() && !track {
-            return self.exec_client(stmt, ctx);
-        }
-        let touched_before = self.rows_touched();
-        let wal_before = self.stats.wal_bytes.get();
-        obs::stmt_collect_begin();
-        let start = std::time::Instant::now();
-        let result = self.exec_client(stmt, ctx);
-        let elapsed = start.elapsed();
-        let phases = obs::stmt_collect_end();
-        let rows = match &result {
-            Ok(ExecResult::Rows(rs)) => rs.rows.len() as u64,
-            Ok(ExecResult::Affected(n)) => *n as u64,
-            _ => 0,
-        };
-        self.account_statement(
-            stmt,
-            ctx,
-            sql,
-            StatementSample {
-                track: track && result.is_ok(),
-                threshold,
-                elapsed,
-                rows,
-                wal_bytes: self.stats.wal_bytes.get() - wal_before,
-                rows_touched: self.rows_touched() - touched_before,
-                phases,
-            },
-        );
-        result
-    }
-
-    /// [`exec_read`] plus per-statement accounting — the `&self` twin of
-    /// [`exec_client_logged`], sharing the same thresholds, stores, and
-    /// record shapes so read-path statements land in the same places.
-    fn query_logged(&self, stmt: &Stmt, ctx: &EvalCtx<'_>, sql: Option<&str>) -> Result<ResultSet> {
-        if ctx.snapshot.is_some() {
-            StatsCells::bump(&self.mvcc.snapshot_reads, 1);
-        }
-        let threshold = self.slow_threshold.get();
-        let track = self.statements.enabled();
-        if threshold.is_none() && !track {
-            return self.exec_read(stmt, ctx);
-        }
-        let touched_before = self.rows_touched();
-        obs::stmt_collect_begin();
-        let start = std::time::Instant::now();
-        let result = self.exec_read(stmt, ctx);
-        let elapsed = start.elapsed();
-        let phases = obs::stmt_collect_end();
-        let rows = result.as_ref().map_or(0, |rs| rs.rows.len() as u64);
-        self.account_statement(
-            stmt,
-            ctx,
-            sql,
-            StatementSample {
-                track: track && result.is_ok(),
-                threshold,
-                elapsed,
-                rows,
-                wal_bytes: 0,
-                rows_touched: self.rows_touched() - touched_before,
-                phases,
-            },
-        );
-        result
-    }
-
-    /// Shared tail of the logged funnels: aggregate the sample into the
-    /// statement store (when tracking) and into the slow-query log (when
-    /// the threshold is breached). The fingerprint is read from the plan
-    /// slot — computed at most once per SQL text — or computed on the
-    /// spot for slot-less paths (`run_script`, `execute_stmt`).
-    fn account_statement(
-        &self,
-        stmt: &Stmt,
-        ctx: &EvalCtx<'_>,
-        sql: Option<&str>,
-        sample: StatementSample,
-    ) {
-        let slow = sample.threshold.is_some_and(|t| sample.elapsed >= t);
-        if !sample.track && !slow {
-            return;
-        }
-        let compute = || {
-            Arc::new(match sql {
-                Some(s) => crate::sysview::fingerprint(s),
-                None => crate::sysview::fingerprint(&stmt_to_sql(stmt)),
-            })
-        };
-        let fp = match &ctx.plan_slot {
-            Some(slot) => slot.fingerprint.get_or_init(compute).clone(),
-            None => compute(),
-        };
-        if sample.track {
-            self.statements.record(
-                &fp,
-                sample.rows,
-                sample.elapsed.as_nanos() as u64,
-                ctx.plan_cache_hit,
-                sample.wal_bytes,
-            );
-        }
-        if slow {
-            let mut log = self.slow_log.lock().unwrap();
-            if log.len() >= obs::SLOW_QUERY_CAPACITY {
-                log.remove(0);
-            }
-            log.push(SlowQuery {
-                sql: match sql {
-                    Some(s) => s.to_string(),
-                    None => stmt_to_sql(stmt),
-                },
-                total_ns: sample.elapsed.as_nanos() as u64,
-                phases: sample.phases,
-                rows_touched: sample.rows_touched,
-                session_id: crate::sysview::current_session(),
-                snapshot_epoch: ctx.snapshot,
-                fingerprint: fp.hash,
-            });
-        }
-    }
-
-    /// Read-only statement funnel: `SELECT`, plain `EXPLAIN`, and
-    /// `EXPLAIN ANALYZE` over a SELECT. Mirrors [`exec_client`]'s
-    /// bookkeeping (fault injection, statement counters, rollback stat
-    /// on error) without touching the undo/redo machinery — a failed
-    /// read has nothing to roll back.
-    fn exec_read(&self, stmt: &Stmt, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
-        let _span = Span::enter("sql.execute");
-        self.fault.check_statement()?;
-        StatsCells::bump(&self.stats.total_statements, 1);
-        let result = match stmt {
-            Stmt::Select(q) => {
-                let plan = self.select_plan_for(q, ctx)?;
-                self.exec_select_plan(&plan, ctx)
-            }
-            Stmt::Explain { analyze, stmt } => match (*analyze, stmt.as_ref()) {
-                (false, _) => self.explain_stmt(stmt, ctx),
-                (true, Stmt::Select(q)) => self.explain_analyze_select(q, ctx),
-                (true, _) => Err(DbError::Execution(
-                    "EXPLAIN ANALYZE of DML executes the statement; \
-                     use a write path (`execute`/`query_mut`)"
-                        .into(),
-                )),
-            },
-            other => Err(DbError::Execution(format!(
-                "not a query: {}",
-                stmt_to_sql(other)
-            ))),
-        };
-        if result.is_err() {
-            StatsCells::bump(&self.stats.txn_rollbacks, 1);
-        }
-        result
-    }
-
-    /// `EXPLAIN ANALYZE` for a SELECT: runs the plan with a per-operator
-    /// profile and renders actuals. Shared by the `&self` read path and
-    /// [`exec_explain_analyze`].
-    fn explain_analyze_select(&self, q: &SelectStmt, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
-        let mut lines: Vec<String> = Vec::new();
-        let start = std::time::Instant::now();
-        let plan = self.select_plan_for(q, ctx)?;
-        let prof = PlanProf::for_plan(&plan);
-        self.exec_select_plan_prof(&plan, ctx, Some(&prof))?;
-        let total_ns = start.elapsed().as_nanos() as u64;
-        crate::plan::render_select_plan_prof(&plan, 0, &mut lines, Some(&prof));
-        lines.push(format!("Execution time: {}", obs::fmt_ns(total_ns)));
-        Ok(ResultSet {
-            columns: vec!["plan".into()],
-            rows: lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),
-        })
-    }
-
-    /// Rows scanned + inserted + deleted + updated so far (slow-query
-    /// "rows touched" bookkeeping).
-    fn rows_touched(&self) -> u64 {
-        self.stats.rows_scanned.get()
-            + self.stats.rows_inserted.get()
-            + self.stats.rows_deleted.get()
-            + self.stats.rows_updated.get()
-    }
-
-    /// Client-statement funnel: every public execution path lands here.
+    /// Write funnel: every `&mut self` client statement lands here.
     ///
     /// Non-control statements run under statement-level atomicity — on
     /// error, everything the statement did (including trigger-body
@@ -1231,7 +673,7 @@ impl Database {
     /// the error is returned, matching how a real RDBMS aborts a failed
     /// statement. Outside an explicit transaction a successful statement
     /// autocommits (its undo records are discarded).
-    fn exec_client(&mut self, stmt: &Stmt, ctx: &EvalCtx<'_>) -> Result<ExecResult> {
+    pub(crate) fn exec_client(&mut self, stmt: &Stmt, ctx: &EvalCtx<'_>) -> Result<ExecResult> {
         let _span = Span::enter("sql.execute");
         if stmt.is_txn_control() || matches!(stmt, Stmt::Checkpoint) {
             // Control statements manage the log; they are not run under
@@ -1396,8 +838,8 @@ impl Database {
     }
 
     /// Undo all records above `mark`, newest first. If any undone record
-    /// was DDL the plan cache is invalidated, mirroring the forward DDL
-    /// path (satellite: ROLLBACK of DDL must not leave stale plans).
+    /// was DDL the schema epoch moves, mirroring the forward DDL path, so
+    /// no plan built against the undone catalog is served again.
     fn rollback_to_mark(&mut self, mark: usize) {
         let mut ddl = false;
         while self.txn.log.len() > mark {
@@ -1406,7 +848,7 @@ impl Database {
             self.apply_undo(rec);
         }
         if ddl {
-            self.invalidate_plans();
+            self.bump_schema_epoch();
         }
     }
 
@@ -1596,7 +1038,6 @@ impl Database {
         // Replay ran with `durable` unset so nothing re-logged itself;
         // wipe its undo/stats bookkeeping before arming the appender.
         db.txn = TxnState::default();
-        db.invalidate_plans();
         db.stats = StatsCells::default();
         db.stats.recovered_txns.set(recovered);
         db.stats.wal_replayed_bytes.set(replayed_bytes);
@@ -2046,8 +1487,8 @@ impl Database {
             return Err(DbError::TriggerDepth(format!("depth {depth}")));
         }
         StatsCells::bump(&self.stats.total_statements, 1);
-        // Any DDL may change what cached plans would resolve to (tables,
-        // indexes, triggers), so the plan cache is dropped wholesale.
+        // Any DDL may change what a SELECT plan would resolve to (tables,
+        // indexes, statistics), so every plan slot replans.
         let is_ddl = matches!(
             stmt,
             Stmt::CreateTable { .. }
@@ -2058,7 +1499,7 @@ impl Database {
                 | Stmt::DropTrigger { .. }
         );
         if is_ddl {
-            self.invalidate_plans();
+            self.bump_schema_epoch();
         }
         let result = match stmt {
             Stmt::CreateTable {
@@ -2214,18 +1655,14 @@ impl Database {
                 sets,
                 filter,
             } => self.exec_update(table, sets, filter.as_ref(), ctx),
-            Stmt::Select(q) => {
-                let plan = self.select_plan_for(q, ctx)?;
-                Ok(ExecResult::Rows(self.exec_select_plan(&plan, ctx)?))
-            }
-            Stmt::Explain { analyze, stmt } => {
-                if *analyze {
-                    Ok(ExecResult::Rows(
-                        self.exec_explain_analyze(stmt, ctx, depth)?,
-                    ))
-                } else {
-                    Ok(ExecResult::Rows(self.explain_stmt(stmt, ctx)?))
-                }
+            Stmt::Explain {
+                analyze: true,
+                stmt: inner,
+            } if !matches!(inner.as_ref(), Stmt::Select(_)) => Ok(ExecResult::Rows(
+                self.exec_explain_analyze(inner, ctx, depth)?,
+            )),
+            Stmt::Select(_) | Stmt::Explain { .. } => {
+                Ok(ExecResult::Rows(self.exec_query(stmt, ctx)?))
             }
             Stmt::Begin | Stmt::Commit | Stmt::Rollback { .. } | Stmt::Savepoint { .. } => {
                 if depth > 0 {
@@ -2265,13 +1702,63 @@ impl Database {
         result
     }
 
-    /// `EXPLAIN ANALYZE`: execute the statement for real and render its
-    /// plan tree annotated with per-operator actuals (rows produced,
-    /// loop counts, wall time) against the planner's estimates. As in
-    /// PostgreSQL the statement really runs, so DML under
-    /// `EXPLAIN ANALYZE` mutates the database. Per-operator profiling
-    /// state is allocated per execution and never stored on the
-    /// (possibly cached, shared) plan.
+    /// The statements that answer with rows and write nothing: SELECT,
+    /// plain `EXPLAIN`, and `EXPLAIN ANALYZE` over a SELECT. The one arm
+    /// both the read funnel and [`Database::exec_internal`] run them
+    /// through.
+    pub(crate) fn exec_query(&self, stmt: &Stmt, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
+        match stmt {
+            Stmt::Select(q) => {
+                let plan = self.select_plan_for(q, ctx)?;
+                self.exec_select_plan(&plan, ctx)
+            }
+            Stmt::Explain {
+                analyze: false,
+                stmt,
+            } => self.explain_stmt(stmt, ctx),
+            Stmt::Explain {
+                analyze: true,
+                stmt,
+            } => match stmt.as_ref() {
+                Stmt::Select(q) => self.explain_analyze_select(q, ctx),
+                _ => Err(DbError::Execution(
+                    "EXPLAIN ANALYZE of DML executes the statement; \
+                     use a write path (`execute`/`query_mut`)"
+                        .into(),
+                )),
+            },
+            other => Err(DbError::Execution(format!(
+                "not a query: {}",
+                stmt_to_sql(other)
+            ))),
+        }
+    }
+
+    /// `EXPLAIN ANALYZE` for a SELECT: runs the plan with a per-operator
+    /// profile and renders actuals (rows produced, loop counts, wall time)
+    /// against the planner's estimates. The profiling state is allocated
+    /// per execution and never stored on the (possibly cached, shared)
+    /// plan.
+    fn explain_analyze_select(&self, q: &SelectStmt, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
+        let mut lines: Vec<String> = Vec::new();
+        let start = std::time::Instant::now();
+        let plan = self.select_plan_for(q, ctx)?;
+        let prof = PlanProf::for_plan(&plan);
+        self.exec_select_plan_prof(&plan, ctx, Some(&prof))?;
+        let total_ns = start.elapsed().as_nanos() as u64;
+        crate::plan::render_select_plan_prof(&plan, 0, &mut lines, Some(&prof));
+        lines.push(format!("Execution time: {}", obs::fmt_ns(total_ns)));
+        Ok(ResultSet {
+            columns: vec!["plan".into()],
+            rows: lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),
+        })
+    }
+
+    /// `EXPLAIN ANALYZE` of DML (or DDL): execute the statement for real
+    /// — as in PostgreSQL, so it mutates the database — and report the
+    /// plan the non-analyzing EXPLAIN would print plus an `Actual:` line
+    /// derived from the statement's stats deltas (DML has no cursor tree
+    /// to profile).
     fn exec_explain_analyze(
         &mut self,
         stmt: &Stmt,
@@ -2280,27 +1767,19 @@ impl Database {
     ) -> Result<ResultSet> {
         let mut lines: Vec<String> = Vec::new();
         let start = std::time::Instant::now();
-        match stmt {
-            Stmt::Select(q) => return self.explain_analyze_select(q, ctx),
-            other => {
-                // DML (and DDL) has no cursor tree; report the plan the
-                // non-analyzing EXPLAIN would print plus an `Actual:`
-                // line derived from the statement's stats deltas.
-                let before = self.stats.snapshot();
-                let result = self.exec_internal(other, ctx, depth)?;
-                let total_ns = start.elapsed().as_nanos() as u64;
-                let after = self.stats.snapshot();
-                self.explain_into(other, ctx, 0, &mut lines)?;
-                lines.push(format!(
-                    "Actual: rows={} scanned={} index_lookups={} triggers={} time={}",
-                    result.affected(),
-                    after.rows_scanned - before.rows_scanned,
-                    after.index_lookups - before.index_lookups,
-                    after.trigger_firings - before.trigger_firings,
-                    obs::fmt_ns(total_ns)
-                ));
-            }
-        }
+        let before = self.stats.snapshot();
+        let result = self.exec_internal(stmt, ctx, depth)?;
+        let total_ns = start.elapsed().as_nanos() as u64;
+        let after = self.stats.snapshot();
+        self.explain_into(stmt, ctx, 0, &mut lines)?;
+        lines.push(format!(
+            "Actual: rows={} scanned={} index_lookups={} triggers={} time={}",
+            result.affected(),
+            after.rows_scanned - before.rows_scanned,
+            after.index_lookups - before.index_lookups,
+            after.trigger_firings - before.trigger_firings,
+            obs::fmt_ns(total_ns)
+        ));
         Ok(ResultSet {
             columns: vec!["plan".into()],
             rows: lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),

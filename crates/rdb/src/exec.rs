@@ -196,8 +196,8 @@ pub(crate) struct EvalCtx<'a> {
     /// replaced mid-statement — otherwise a later allocation could alias
     /// a cached entry.
     pub keepalive: RefCell<Vec<std::sync::Arc<dyn std::any::Any>>>,
-    /// Shared plan slot for the top-level statement, set by
-    /// `execute`/`execute_prepared` after construction. Only the outer
+    /// Shared plan slot for the top-level statement, set by the
+    /// statement entry points after construction. Only the outer
     /// SELECT consults it; nested selects (subqueries, triggers) always
     /// plan fresh, so the slot can never serve the wrong statement.
     pub plan_slot: Option<std::sync::Arc<PlanSlot>>,

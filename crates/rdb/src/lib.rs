@@ -49,6 +49,7 @@ mod plan;
 pub mod server;
 pub mod session;
 pub mod sql;
+mod statement;
 pub mod stats;
 pub mod storage;
 pub mod sysview;
@@ -60,7 +61,7 @@ pub mod wal;
 pub use ast::{
     BinOp, ColumnDef, Expr, InsertSource, SelectStmt, Stmt, TriggerEvent, TriggerGranularity, UnOp,
 };
-pub use engine::{Database, ExecResult, PreparedStmt, ResultSet, Stats, Trigger};
+pub use engine::{Database, ExecResult, ResultSet, Stats, Trigger};
 pub use error::{DbError, Result};
 pub use http::{MetricsHandle, MetricsServer};
 pub use obs::{Metric, MetricKind, PhaseStat, SlowQuery, Span, TraceEvent};
@@ -68,6 +69,7 @@ pub use parser::{parse_script, parse_script_with_text, parse_stmt, parse_stmt_wi
 pub use server::{Server, ServerHandle};
 pub use session::{Session, SharedDatabase, WriterGate, WriterTicket};
 pub use sql::stmt_to_sql;
+pub use statement::PreparedStmt;
 pub use stats::{ColumnStatistics, TableStatistics};
 pub use storage::{
     BackendKind, MemoryBackend, PagedStore, PoolStats, StorageBackend, StorageConfig,

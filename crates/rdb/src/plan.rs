@@ -239,7 +239,11 @@ pub(crate) struct SelectPlan {
 /// A shared, epoch-stamped slot for a statement's compiled [`SelectPlan`].
 /// The same slot is held by the SQL-text plan cache and by every
 /// [`PreparedStmt`](crate::PreparedStmt) for that text, so replanning
-/// after DDL benefits all holders at once.
+/// benefits all holders at once. The schema epoch is the only thing that
+/// retires the plan: DDL, a rollback that undoes DDL, and
+/// [`Database::set_planner_naive`] bump it, and the next execution
+/// through any holder replans. The parsed statement beside the slot
+/// stays valid across all three.
 #[derive(Debug, Default)]
 pub(crate) struct PlanSlot {
     /// The compiled plan, stamped with the schema epoch it was built at.

@@ -104,8 +104,8 @@ pub enum UndoRecord {
 
 impl UndoRecord {
     /// Whether undoing this record changes the catalog (tables, indexes,
-    /// triggers) — if so, the plan cache must be invalidated on
-    /// rollback, mirroring the forward DDL path.
+    /// triggers) — if so, the rollback moves the schema epoch, mirroring
+    /// the forward DDL path.
     pub fn is_ddl(&self) -> bool {
         matches!(
             self,

@@ -152,8 +152,34 @@ fn statements_parsed_stays_flat_while_client_statements_grows() {
     assert_eq!(s.client_statements - client_before, 100);
 }
 
+/// The repeated text of the DDL tests: a SELECT whose plan depends on
+/// the catalog (whether `Item` exists, whether `qty` is indexed).
+const PROBE: &str = "SELECT COUNT(*) FROM Item WHERE qty = 4";
+
+/// Re-run a text cached before a schema change: it must come from the
+/// text cache (one more hit, no parse) with a freshly built plan.
+fn rerun_cached(db: &Database, sql: &str) -> Result<xmlup_rdb::ResultSet, DbError> {
+    let before = db.stats();
+    let answer = db.query(sql);
+    let s = db.stats();
+    assert_eq!(
+        s.plan_cache_hits,
+        before.plan_cache_hits + 1,
+        "`{sql}` missed the cache"
+    );
+    assert_eq!(
+        s.statements_parsed, before.statements_parsed,
+        "`{sql}` was re-parsed"
+    );
+    assert!(
+        s.plans_built > before.plans_built,
+        "`{sql}` ran a stale plan"
+    );
+    answer
+}
+
 #[test]
-fn ddl_invalidates_the_cache() {
+fn ddl_replans_without_reparsing() {
     for ddl in [
         "DROP TABLE Item",
         "CREATE INDEX item_qty ON Item (qty)",
@@ -162,23 +188,42 @@ fn ddl_invalidates_the_cache() {
          DELETE FROM Item WHERE id = -1; END",
     ] {
         let mut db = item_db();
-        db.query("SELECT COUNT(*) FROM Item").unwrap();
-        db.query("SELECT COUNT(*) FROM Item").unwrap();
-        let hits_before = db.stats().plan_cache_hits;
-        let parsed_before = db.stats().statements_parsed;
+        db.execute("INSERT INTO Item VALUES (1, 4, 'tire', TRUE, NULL)")
+            .unwrap();
+        db.query(PROBE).unwrap();
+        let built = db.stats().plans_built;
+        db.query(PROBE).unwrap();
+        assert_eq!(
+            db.stats().plans_built,
+            built,
+            "an unchanged schema replanned"
+        );
+        let index_scans = db.stats().index_scans;
         db.execute(ddl).unwrap();
-        // Re-running the cached text must re-parse after the DDL.
-        if !ddl.starts_with("DROP TABLE") {
-            db.query("SELECT COUNT(*) FROM Item").unwrap();
-            let s = db.stats();
-            assert_eq!(s.plan_cache_hits, hits_before, "cache cleared by `{ddl}`");
-            assert!(
-                s.statements_parsed > parsed_before,
-                "re-parsed after `{ddl}`"
-            );
-        } else {
-            let err = db.query("SELECT COUNT(*) FROM Item").unwrap_err();
+        let answer = rerun_cached(&db, PROBE);
+        if ddl.starts_with("DROP TABLE") {
+            let err = answer.unwrap_err();
             assert!(matches!(err, DbError::NoSuchTable(_)), "got {err:?}");
+            continue;
+        }
+        assert_eq!(
+            answer.unwrap().scalar(),
+            Some(&Value::Int(1)),
+            "after `{ddl}`"
+        );
+        if ddl.starts_with("CREATE INDEX") {
+            assert!(
+                db.stats().index_scans > index_scans,
+                "the new index went unused"
+            );
+            let plan = db.query(&format!("EXPLAIN {PROBE}")).unwrap();
+            assert!(
+                plan.rows
+                    .iter()
+                    .any(|r| r[0].to_string().contains("IndexScan")),
+                "EXPLAIN after `{ddl}`: {:?}",
+                plan.rows
+            );
         }
     }
 }
@@ -187,8 +232,8 @@ fn ddl_invalidates_the_cache() {
 fn prepared_handle_survives_ddl() {
     let mut db = item_db();
     let sel = db.prepare("SELECT COUNT(*) FROM Item").unwrap();
-    // DDL clears the plan cache, but the handle owns its compiled plan
-    // and names resolve at execution time.
+    // The handle shares its text's plan slot; the DDL moves the schema
+    // epoch, so the next execution replans, and names resolve then.
     db.execute("CREATE TABLE Other (id INTEGER)").unwrap();
     let rs = db.query_prepared(&sel, &[]).unwrap();
     assert_eq!(rs.scalar().and_then(Value::as_int), Some(0));
@@ -202,40 +247,38 @@ fn unbound_parameter_in_plain_execute_errors() {
 }
 
 #[test]
-fn rollback_of_ddl_invalidates_the_cache() {
-    // Satellite regression: a transaction creates a table and caches a
-    // plan against it; ROLLBACK undoes the DDL, so the cached plan must
-    // not survive (it would resolve against a table that no longer
-    // exists — or, worse, shadow a later table of the same name).
+fn rollback_of_ddl_replans_without_reparsing() {
+    // A transaction creates a table and plans a query against it; the
+    // ROLLBACK undoes the DDL, so the cached text must replan and find
+    // no table (a stale plan would resolve against the dropped one — or
+    // shadow a later table of the same name).
     let mut db = item_db();
     db.execute("BEGIN").unwrap();
     db.execute("CREATE TABLE Tmp (x INTEGER)").unwrap();
     db.execute("INSERT INTO Tmp VALUES (1)").unwrap();
     db.query("SELECT COUNT(*) FROM Tmp").unwrap();
     db.execute("ROLLBACK").unwrap();
-    let err = db.query("SELECT COUNT(*) FROM Tmp").unwrap_err();
+    let err = rerun_cached(&db, "SELECT COUNT(*) FROM Tmp").unwrap_err();
     assert!(
         matches!(err, DbError::NoSuchTable(_)),
         "stale plan served after rollback of DDL: {err:?}"
     );
 
-    // And the mirror image: cached plans from *before* the transaction
-    // must be re-validated after a rollback that undid a DROP TABLE.
+    // And the mirror image: a text cached *before* the transaction
+    // replans against the table a rolled-back DROP TABLE restored.
     let mut db = item_db();
-    db.query("SELECT COUNT(*) FROM Item").unwrap();
-    db.query("SELECT COUNT(*) FROM Item").unwrap();
+    db.run_script(
+        "INSERT INTO Item VALUES (1, 4, 'tire', TRUE, NULL),
+                                 (2, 4, 'wiper', FALSE, NULL);",
+    )
+    .unwrap();
+    db.query(PROBE).unwrap();
+    db.query(PROBE).unwrap();
     db.execute("BEGIN").unwrap();
     db.execute("DROP TABLE Item").unwrap();
     db.execute("ROLLBACK").unwrap();
-    let hits_before = db.stats().plan_cache_hits;
-    let parsed_before = db.stats().statements_parsed;
-    db.query("SELECT COUNT(*) FROM Item").unwrap();
-    let s = db.stats();
-    assert_eq!(s.plan_cache_hits, hits_before, "cache cleared by rollback");
-    assert!(
-        s.statements_parsed > parsed_before,
-        "re-parsed after rollback"
-    );
+    let rs = rerun_cached(&db, PROBE).unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(2)));
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use crate::error::Result;
 use crate::inline::Mapping;
-use crate::loader::sql_literal;
+use crate::loader::insert_rows;
 use std::collections::HashMap;
 use xmlup_rdb::{Database, Value};
 
@@ -111,21 +111,7 @@ impl AsrIndex {
             self.walk(mapping, 0, rid, &children, &mut path, &mut rows);
         }
         // Bulk insert in chunks to bound statement size.
-        for chunk in rows.chunks(256) {
-            let tuples: Vec<String> = chunk
-                .iter()
-                .map(|r| {
-                    let vals: Vec<String> = r.iter().map(sql_literal).collect();
-                    format!("({})", vals.join(", "))
-                })
-                .collect();
-            db.execute(&format!(
-                "INSERT INTO {} VALUES {}",
-                self.table,
-                tuples.join(", ")
-            ))?;
-        }
-        Ok(())
+        insert_rows(db, &self.table, rows, 256)
     }
 
     fn walk(

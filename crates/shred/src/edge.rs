@@ -8,7 +8,7 @@
 //! `'elem'`, `'attr'`, or `'text'`; `ord` is the position among siblings.
 
 use crate::error::Result;
-use crate::loader::sql_literal;
+use crate::loader::{insert_rows, sql_literal};
 use xmlup_rdb::{Database, Value};
 use xmlup_xml::{Attr, Document, NodeId, NodeKind};
 
@@ -31,16 +31,7 @@ pub fn shred(db: &mut Database, doc: &Document) -> Result<usize> {
     let mut rows: Vec<Vec<Value>> = Vec::new();
     walk(db, doc, doc.root(), 0, 0, &mut rows);
     let n = rows.len();
-    for chunk in rows.chunks(256) {
-        let tuples: Vec<String> = chunk
-            .iter()
-            .map(|r| {
-                let vals: Vec<String> = r.iter().map(sql_literal).collect();
-                format!("({})", vals.join(", "))
-            })
-            .collect();
-        db.execute(&format!("INSERT INTO Edge VALUES {}", tuples.join(", ")))?;
-    }
+    insert_rows(db, EDGE_TABLE, rows, 256)?;
     Ok(n)
 }
 

@@ -138,23 +138,13 @@ impl Loader<'_> {
     }
 
     fn flush(&mut self, rel_idx: usize) -> Result<()> {
-        if self.buffers[rel_idx].is_empty() {
-            return Ok(());
-        }
         let rows = std::mem::take(&mut self.buffers[rel_idx]);
-        let tuples: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                let vals: Vec<String> = r.iter().map(sql_literal).collect();
-                format!("({})", vals.join(", "))
-            })
-            .collect();
-        self.db.execute(&format!(
-            "INSERT INTO {} VALUES {}",
-            self.mapping.relations[rel_idx].table,
-            tuples.join(", ")
-        ))?;
-        Ok(())
+        insert_rows(
+            self.db,
+            &self.mapping.relations[rel_idx].table,
+            rows,
+            LOAD_BATCH,
+        )
     }
 
     fn flush_all(&mut self) -> Result<()> {
@@ -206,6 +196,25 @@ pub fn extract_column(doc: &Document, node: NodeId, path: &[String], kind: &Colu
             None => Value::Null,
         },
     }
+}
+
+/// Insert `rows` (all of one width) into `table` with multi-row
+/// `INSERT … VALUES` statements of up to `chunk` rows, every value bound
+/// to a `?`. The full chunks share one statement text, so the engine
+/// parses it once and the plan cache holds no single-use row texts.
+pub fn insert_rows(db: &mut Database, table: &str, rows: Vec<Row>, chunk: usize) -> Result<()> {
+    let mut rows = rows.into_iter().peekable();
+    while let Some(first) = rows.peek() {
+        let tuple = format!("({})", vec!["?"; first.len()].join(", "));
+        let part: Vec<Row> = rows.by_ref().take(chunk).collect();
+        let stmt = db.prepare(&format!(
+            "INSERT INTO {table} VALUES {}",
+            vec![tuple; part.len()].join(", ")
+        ))?;
+        let params: Vec<Value> = part.into_iter().flatten().collect();
+        db.execute_prepared(&stmt, &params)?;
+    }
+    Ok(())
 }
 
 /// Render a value as a SQL literal.

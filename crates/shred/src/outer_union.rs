@@ -120,8 +120,10 @@ pub fn plan(mapping: &Mapping, root_rel: usize, filter: Option<&str>) -> OuterUn
 }
 
 /// Execute an outer-union plan. The query is prepared against the
-/// engine's plan cache, so repeat executions of the same plan shape skip
-/// re-parsing the (large) Figure 5 query text.
+/// engine's plan cache, so repeat executions of the same query text skip
+/// re-parsing the (large) Figure 5 query, DDL in between or not. A root
+/// filter that splices a literal makes one text per literal; bind it with
+/// [`execute_params`] to share one.
 pub fn execute(db: &mut Database, p: &OuterUnionPlan) -> Result<ResultSet> {
     execute_params(db, p, &[])
 }

@@ -69,3 +69,22 @@ fn per_tuple_delete_workload_parses_each_shape_once() {
     );
     assert!(after_second.client_statements > after_first.client_statements);
 }
+
+#[test]
+fn table_insert_ddl_leaves_delete_shapes_cached() {
+    // The table-insert strategy runs CREATE/DROP TABLE for its temp
+    // tables on every copy. DDL moves the schema epoch and nothing else,
+    // so the delete shapes parsed before the inserts are still cached
+    // after them: the second delete round parses nothing.
+    let (mut repo, rel) = repo(DeleteStrategy::PerTupleTrigger, InsertStrategy::Table, 1);
+    run_delete(&mut repo, rel, Workload::random10()).unwrap();
+    run_insert(&mut repo, rel, Workload::random10()).unwrap();
+    let before = repo.stats();
+    run_delete(&mut repo, rel, Workload::random10()).unwrap();
+    let after = repo.stats();
+    assert!(after.client_statements > before.client_statements);
+    assert_eq!(
+        after.statements_parsed, before.statements_parsed,
+        "the inserts' temp-table DDL evicted the delete shapes"
+    );
+}
