@@ -15,9 +15,10 @@
 //! 3. **Access selection** — a pushed conjunct of the shape
 //!    `col = <row-independent>`, `col IN (subquery)` or `col IN (list)`
 //!    over an indexed base-table column turns the scan into an index
-//!    probe; failing that, bounds on an indexed column turn it into a
-//!    range seek ([`Database::choose_access`], shared with DELETE/UPDATE
-//!    target selection and their `EXPLAIN`).
+//!    probe (of several, the smallest estimated bucket); failing that,
+//!    bounds on an indexed column turn it into a range seek
+//!    ([`Database::choose_access`], shared with DELETE/UPDATE target
+//!    selection and their `EXPLAIN`).
 //! 4. **Index joins** — a hash join whose build side is still a
 //!    sequential scan of a base table indexed on the join column probes
 //!    that index once per outer row instead.
@@ -1028,19 +1029,22 @@ impl Database {
 
     /// The one access chooser, shared by SELECT planning, DELETE/UPDATE
     /// target selection and DML `EXPLAIN`. `conjuncts` all reference only
-    /// `binding`'s row. The first conjunct of the shape
+    /// `binding`'s row. Of the conjuncts of the shape
     /// `col = <row-independent>`, `col IN (subquery)` or
-    /// `col IN (<row-independent list>)` over an indexed column becomes a
-    /// point probe and is *consumed* (its index is returned: the probe
-    /// answers it exactly, so it need not be re-checked). Failing that,
-    /// bounds on an indexed column become a range seek, which consumes
-    /// nothing. Otherwise the scan stays sequential.
+    /// `col IN (<row-independent list>)` over an indexed column, the one
+    /// with the smallest estimated bucket (average bucket size, times the
+    /// list length for an IN list; ties go to the earlier conjunct)
+    /// becomes a point probe and is *consumed* (its index is returned: the
+    /// probe answers it exactly, so it need not be re-checked). Failing
+    /// that, bounds on an indexed column become a range seek, which
+    /// consumes nothing. Otherwise the scan stays sequential.
     pub(crate) fn choose_access(
         t: &Table,
         binding: &str,
         conjuncts: &[&Expr],
     ) -> (Option<usize>, Access) {
         use crate::ast::BinOp::Eq;
+        let mut best: Option<(usize, Access, u64)> = None;
         for (i, conj) in conjuncts.iter().enumerate() {
             let probe = match conj {
                 Expr::Binary {
@@ -1051,39 +1055,45 @@ impl Database {
                     .into_iter()
                     .find_map(|(colside, keyside)| {
                         let ci = Self::indexed_column(t, binding, colside)?;
-                        Self::row_independent(keyside).then(|| Access::IndexEq {
-                            ci,
-                            key: (**keyside).clone(),
+                        Self::row_independent(keyside).then(|| {
+                            let key = (**keyside).clone();
+                            (Access::IndexEq { ci, key }, bucket_rows(t, ci))
                         })
                     }),
                 Expr::InSubquery {
                     expr,
                     query,
                     negated: false,
-                } => Self::indexed_column(t, binding, expr).map(|ci| Access::IndexIn {
-                    ci,
-                    query: query.clone(),
+                } => Self::indexed_column(t, binding, expr).map(|ci| {
+                    let query = query.clone();
+                    (Access::IndexIn { ci, query }, bucket_rows(t, ci))
                 }),
                 Expr::InList {
                     expr,
                     list,
                     negated: false,
                 } if list.iter().all(Self::row_independent) => {
-                    Self::indexed_column(t, binding, expr).map(|ci| Access::IndexInList {
-                        ci,
-                        list: list.clone(),
+                    Self::indexed_column(t, binding, expr).map(|ci| {
+                        let est = bucket_rows(t, ci).saturating_mul(list.len() as u64);
+                        let list = list.clone();
+                        (Access::IndexInList { ci, list }, est)
                     })
                 }
                 _ => None,
             };
-            if let Some(access) = probe {
-                return (Some(i), access);
+            if let Some((access, est)) = probe {
+                if best.as_ref().is_none_or(|(_, _, b)| est < *b) {
+                    best = Some((i, access, est));
+                }
             }
         }
-        (
-            None,
-            Self::pick_range_access(t, binding, conjuncts).unwrap_or(Access::Seq),
-        )
+        match best {
+            Some((i, access, _)) => (Some(i), access),
+            None => (
+                None,
+                Self::pick_range_access(t, binding, conjuncts).unwrap_or(Access::Seq),
+            ),
+        }
     }
 
     /// A range seek over an indexed column that `conjuncts` bound —

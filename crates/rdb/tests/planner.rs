@@ -2,7 +2,7 @@
 //! paper's workload queries, LIMIT pushdown, plan-slot epoch behaviour,
 //! and planned-vs-naive A/B equivalence.
 
-use xmlup_rdb::{Database, Value};
+use xmlup_rdb::{Database, ExecResult, Value};
 
 fn explain(db: &mut Database, sql: &str) -> String {
     let rs = db.query(sql).unwrap();
@@ -76,6 +76,91 @@ fn cascading_delete_children_lookup_uses_index_scan() {
     assert!(
         plan.contains("IndexScan n2 (parentId = 7)"),
         "child delete should probe the parentId index:\n{plan}"
+    );
+}
+
+/// `pub(id, parentId, year)`: 280 rows, four per parent, `year` taking
+/// seven values; `year`, `parentId` and `id` indexed.
+fn year_parent_db() -> Database {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE pub (id INTEGER, parentId INTEGER, year INTEGER);
+         CREATE INDEX pub_year ON pub (year);
+         CREATE INDEX pub_parent ON pub (parentId);
+         CREATE INDEX pub_id ON pub (id);",
+    )
+    .unwrap();
+    let ins = db.prepare("INSERT INTO pub VALUES ($1, $2, $3)").unwrap();
+    for i in 0..280i64 {
+        db.execute_prepared(
+            &ins,
+            &[Value::Int(i), Value::Int(i / 4), Value::Int(1990 + i % 7)],
+        )
+        .unwrap();
+    }
+    db
+}
+
+#[test]
+fn point_probe_takes_the_smallest_bucket_not_the_first_conjunct() {
+    let mut db = year_parent_db();
+    // `year = 1995` names 40 rows, `parentId = 10` four: the parentId
+    // probe wins although the year conjunct comes first.
+    let sql = "SELECT id FROM pub WHERE year = 1995 AND parentId = 10";
+    let plan = explain(&mut db, &format!("EXPLAIN {sql}"));
+    assert!(
+        plan.contains("IndexScan pub (parentId = 10)"),
+        "the smaller bucket should be probed:\n{plan}"
+    );
+    db.reset_stats();
+    let rs = db.query(sql).unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Int(40)]]);
+    assert!(
+        db.stats().rows_scanned <= 4,
+        "one parent's bucket at most, scanned {}",
+        db.stats().rows_scanned
+    );
+
+    // The translation's semi-join shape: an IN-subquery probe also
+    // estimates one bucket per key, and DELETE shares the chooser.
+    let del =
+        "DELETE FROM pub WHERE year = 1995 AND parentId IN (SELECT id FROM pub WHERE id = 10)";
+    let plan = explain(&mut db, &format!("EXPLAIN {del}"));
+    assert!(
+        plan.contains("IndexScan pub (parentId IN (subquery))"),
+        "the semi-join probe should win over the year probe:\n{plan}"
+    );
+    db.reset_stats();
+    assert_eq!(db.execute(del).unwrap(), ExecResult::Affected(1));
+    assert!(
+        db.stats().rows_scanned <= 5,
+        "subquery row plus one parent's bucket at most, scanned {}",
+        db.stats().rows_scanned
+    );
+
+    // An IN list costs one bucket per element: twenty parents (80 rows)
+    // lose to the year's 40.
+    let list: Vec<String> = (0..20).map(|p| p.to_string()).collect();
+    let plan = explain(
+        &mut db,
+        &format!(
+            "EXPLAIN SELECT id FROM pub WHERE parentId IN ({}) AND year = 1990",
+            list.join(", ")
+        ),
+    );
+    assert!(
+        plan.contains("IndexScan pub (year = 1990)"),
+        "the IN list's twenty buckets outweigh one year bucket:\n{plan}"
+    );
+
+    // Equal buckets keep the written order.
+    let plan = explain(
+        &mut db,
+        "EXPLAIN SELECT id FROM pub WHERE year = 1991 AND year = 1992",
+    );
+    assert!(
+        plan.contains("IndexScan pub (year = 1991)"),
+        "a tie goes to the earlier conjunct:\n{plan}"
     );
 }
 

@@ -5,7 +5,10 @@ use crate::inline::{ColumnKind, Mapping, Relation, POS_GAP};
 use xmlup_rdb::{Database, Row, Value};
 use xmlup_xml::{Attr, Document, NodeId};
 
-/// Create the mapping's tables (and `parentId` indexes) in `db`.
+/// Create the mapping's tables and their indexes in `db`: `id` and
+/// `parentId` on every relation, plus each leaf-valued column (PCDATA or
+/// attribute) of the root's child relations, where every path's first
+/// step selects on data. Deeper steps seek through `parentId` instead.
 pub fn create_schema(db: &mut Database, mapping: &Mapping) -> Result<()> {
     for rel in &mapping.relations {
         db.execute(&rel.create_table_sql())?;
@@ -17,6 +20,18 @@ pub fn create_schema(db: &mut Database, mapping: &Mapping) -> Result<()> {
             "CREATE INDEX idx_{t}_parent ON {t} (parentId)",
             t = rel.table
         ))?;
+        if rel.parent != Some(mapping.root()) {
+            continue;
+        }
+        for c in &rel.columns {
+            if matches!(c.kind, ColumnKind::Pcdata | ColumnKind::Attribute(_)) {
+                db.execute(&format!(
+                    "CREATE INDEX idx_{t}_{c} ON {t} ({c})",
+                    t = rel.table,
+                    c = c.name
+                ))?;
+            }
+        }
     }
     Ok(())
 }
@@ -369,6 +384,97 @@ mod tests {
         let mut db = Database::new();
         create_schema(&mut db, &mapping).unwrap();
         (db, mapping, doc)
+    }
+
+    /// The indexed column names of every relation, in mapping order.
+    fn indexed_columns(db: &Database, mapping: &Mapping) -> Vec<(String, Vec<String>)> {
+        mapping
+            .relations
+            .iter()
+            .map(|rel| {
+                let t = db.table(&rel.table).unwrap();
+                let cols = t
+                    .indexed_columns()
+                    .into_iter()
+                    .map(|ci| t.schema.columns[ci].name.clone())
+                    .collect();
+                (rel.element.clone(), cols)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_the_roots_children_get_value_indexes() {
+        let (db, mapping, _) = setup();
+        let got = indexed_columns(&db, &mapping);
+        let want = [
+            ("CustDB", vec!["id", "parentId"]),
+            (
+                "Customer",
+                vec!["id", "parentId", "Name", "Address_City", "Address_State"],
+            ),
+            ("Order", vec!["id", "parentId"]),
+            ("OrderLine", vec!["id", "parentId"]),
+        ];
+        assert_eq!(got.len(), want.len());
+        for ((element, cols), (want_element, want_cols)) in got.iter().zip(want) {
+            assert_eq!(element, want_element);
+            assert_eq!(cols, &want_cols, "indexes of {element}");
+        }
+        // Customer's one column the list leaves out is the presence flag.
+        let cust = &mapping.relations[mapping.relation_by_element("Customer").unwrap()];
+        let unindexed: Vec<_> = cust
+            .columns
+            .iter()
+            .filter(|c| !got[1].1.contains(&c.name))
+            .collect();
+        assert_eq!(unindexed.len(), 1);
+        assert_eq!(unindexed[0].kind, ColumnKind::Presence);
+    }
+
+    #[test]
+    fn ordered_mapping_never_indexes_positions() {
+        let dtd = Dtd::parse(CUSTOMER_DTD).unwrap();
+        let mapping = Mapping::from_dtd_ordered(&dtd, "CustDB").unwrap();
+        let mut db = Database::new();
+        create_schema(&mut db, &mapping).unwrap();
+        for (element, cols) in indexed_columns(&db, &mapping) {
+            assert!(
+                !cols.iter().any(|c| c == "pos_"),
+                "{element} indexes its position column: {cols:?}"
+            );
+            let values = cols.len() - 2;
+            let want = if element == "Customer" { 3 } else { 0 };
+            assert_eq!(values, want, "value indexes of {element}: {cols:?}");
+        }
+    }
+
+    #[test]
+    fn attributes_of_the_roots_children_are_indexed() {
+        let dtd = Dtd::parse(
+            "<!ELEMENT db (lab*)>
+             <!ELEMENT lab (name, room*)>
+             <!ATTLIST lab ID ID #REQUIRED>
+             <!ELEMENT room (#PCDATA)>
+             <!ATTLIST room floor CDATA #IMPLIED>
+             <!ELEMENT name (#PCDATA)>",
+        )
+        .unwrap();
+        let mapping = Mapping::from_dtd(&dtd, "db").unwrap();
+        let mut db = Database::new();
+        create_schema(&mut db, &mapping).unwrap();
+        let got = indexed_columns(&db, &mapping);
+        let lab = &got.iter().find(|(e, _)| e == "lab").unwrap().1;
+        let lab_rel = &mapping.relations[mapping.relation_by_element("lab").unwrap()];
+        for c in &lab_rel.columns {
+            assert!(
+                lab.contains(&c.name),
+                "lab.{} is not indexed: {lab:?}",
+                c.name
+            );
+        }
+        let room = &got.iter().find(|(e, _)| e == "room").unwrap().1;
+        assert_eq!(room, &["id", "parentId"]);
     }
 
     #[test]
