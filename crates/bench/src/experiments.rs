@@ -3,7 +3,7 @@
 //! order preservation), and the observability overhead guards CI gates
 //! on. Each returns the series it measured (for programmatic checks) and
 //! can print itself in the paper's layout. How fast the *engine* is —
-//! plan cache, transactions, WAL, planner, paged storage, throughput —
+//! plan cache, transactions, WAL, planner, checkpoints, throughput —
 //! is measured by `xmlup-e2e` (`benchmark/`), not here.
 
 use crate::timing::{time_runs, Millis};

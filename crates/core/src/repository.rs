@@ -6,7 +6,7 @@ use crate::delete::{self, DeleteStrategy};
 use crate::error::{CoreError, Result};
 use crate::insert::{self, InsertStrategy};
 use crate::translate::{self, TranslatedOp};
-use xmlup_rdb::{BackendKind, Database, Span, Stats, StorageConfig, Value};
+use xmlup_rdb::{BackendKind, Database, Span, Stats, Value};
 use xmlup_shred::{loader, outer_union, AsrIndex, Mapping};
 use xmlup_xml::dtd::Dtd;
 use xmlup_xml::{Document, NodeId};
@@ -34,13 +34,13 @@ pub struct RepoConfig {
     /// translation; larger windows amortize the per-statement cost that
     /// dominates §6's tuple-binding numbers.
     pub batch_size: usize,
-    /// Storage backend for durable repositories: heap tables serialized
-    /// as a full snapshot per checkpoint (`Memory`, the default) or the
-    /// paged B-tree store with incremental checkpoints (`Paged`).
-    /// Ignored by in-memory constructors ([`XmlRepository::new`]).
+    /// No effect: every durable repository checkpoints to
+    /// `snapshot.bin`. Kept only because the end-to-end benchmark still
+    /// sets it; ROADMAP item 2(b)'s benchmark change deletes it.
     pub backend: BackendKind,
-    /// Buffer-pool frame budget for the paged backend (pages held in
-    /// memory at once). Ignored by the memory backend.
+    /// No effect: there is no buffer pool. Kept only because the
+    /// end-to-end benchmark still sets it; ROADMAP item 2(b)'s benchmark
+    /// change deletes it.
     pub pool_frames: usize,
 }
 
@@ -120,11 +120,7 @@ impl XmlRepository {
         mapping: Mapping,
         config: RepoConfig,
     ) -> Result<Self> {
-        let storage = StorageConfig {
-            backend: config.backend,
-            pool_frames: config.pool_frames,
-        };
-        let mut db = Database::open_with(path, storage)?;
+        let mut db = Database::open(path)?;
         db.set_statement_cost(std::time::Duration::from_micros(config.statement_cost_us));
         if db.table_names().is_empty() {
             loader::create_schema(&mut db, &mapping)?;

@@ -18,10 +18,8 @@ use crate::obs::{self, Metric, SlowQuery, Span};
 use crate::parser::parse_stmt_with_params;
 use crate::sql::stmt_to_sql;
 use crate::statement::PlanCache;
-use crate::storage::{
-    self, checkpoint::Slots, BackendKind, CatalogTable, CheckpointCatalog, MemoryBackend,
-    StorageBackend, StorageConfig, StorageMetrics, TableImage,
-};
+use crate::storage::checkpoint::{self, Slots};
+use crate::storage::{self, CatalogTable, CheckpointCatalog, StorageMetrics};
 use crate::table::{Table, TableSchema};
 use crate::txn::{FaultState, Savepoint, TxnState, UndoRecord};
 use crate::value::{Row, Value};
@@ -108,8 +106,7 @@ engine_counters! {
     predicates_pushed: "Filter conjuncts pushed down into scans at plan time",
     wal_replayed_bytes: "WAL payload bytes replayed by the most recent open (header excluded; set once at open; reset_stats zeroes it)",
     recovery_micros: "Wall-clock time of the most recent open's recovery (snapshot load + WAL replay), in microseconds",
-    checkpoint_pages_written: "Pages written by checkpoints: dirty buffer-pool frames plus meta on the paged backend, snapshot size in page units on the memory backend",
-    checkpoint_bytes_written: "Bytes written by checkpoints (page images + meta, or the full snapshot)",
+    checkpoint_bytes_written: "Bytes written by checkpoints (each writes snapshot.bin whole)",
     range_seeks: "Range seeks answered by an ordered index (bounded scans that narrowed their candidate set through a range probe)",
     ordered_index_scans: "Scans that walked an ordered index in key order (ORDER BY pushdown and ordered-range access paths)",
     sorts_elided: "Sorts elided because an ordered index already produced the requested ORDER BY order",
@@ -226,10 +223,6 @@ pub struct Database {
     /// MVCC epoch, snapshot registry, and concurrency metrics (see
     /// [`crate::mvcc`]).
     pub(crate) mvcc: MvccState,
-    /// Storage backend underneath the in-memory tables (see
-    /// [`crate::storage`]): it writes and reads the checkpoints, and
-    /// statements never call it.
-    storage: Box<dyn StorageBackend>,
     /// Per-statement execution aggregates (`rdb_statements`), keyed by
     /// literal-normalized fingerprint. Off by default.
     pub(crate) statements: crate::sysview::StatementStore,
@@ -240,7 +233,7 @@ pub struct Database {
     /// `rdb_uptime_seconds` gauge.
     pub(crate) created: std::time::Instant,
     /// Unix timestamp (seconds) of the most recent crash recovery
-    /// performed by [`Database::open_with`]; 0 when the database never
+    /// performed by [`Database::open`]; 0 when the database never
     /// recovered. Exposed as the `rdb_recovery_timestamp_seconds` gauge.
     pub(crate) recovered_at: Counter,
 }
@@ -255,7 +248,7 @@ impl Default for Database {
 /// open WAL appender, and the checkpoint generation bookkeeping.
 #[derive(Debug)]
 struct DurableState {
-    /// Directory holding `wal.bin` and the backend's checkpoint files.
+    /// Directory holding `wal.bin` and `snapshot.bin`.
     dir: PathBuf,
     /// Buffered appender positioned at the WAL's end.
     wal: Mutex<std::io::BufWriter<fs::File>>,
@@ -322,7 +315,6 @@ impl Database {
             slow_threshold: OptDurCell::default(),
             slow_log: Mutex::new(Vec::new()),
             mvcc: MvccState::default(),
-            storage: Box::new(MemoryBackend::default()),
             statements: crate::sysview::StatementStore::default(),
             sessions: Arc::new(crate::sysview::SessionRegistry::default()),
             created: std::time::Instant::now(),
@@ -438,39 +430,6 @@ impl Database {
                 self.statements.evictions(),
             ),
         ]);
-        if self.storage.kind() != BackendKind::Memory {
-            let sm = self.storage.metrics();
-            m.push(Metric::counter(
-                "rdb_storage_pool_hits_total",
-                "Buffer-pool page requests answered from a resident frame",
-                sm.pool.hits,
-            ));
-            m.push(Metric::counter(
-                "rdb_storage_pool_misses_total",
-                "Buffer-pool page requests that read the page file",
-                sm.pool.misses,
-            ));
-            m.push(Metric::counter(
-                "rdb_storage_pool_evictions_total",
-                "Buffer-pool frames reclaimed by the clock hand",
-                sm.pool.evictions,
-            ));
-            m.push(Metric::counter(
-                "rdb_storage_pool_writebacks_total",
-                "Dirty frames written back at eviction time",
-                sm.pool.writebacks,
-            ));
-            m.push(Metric::gauge(
-                "rdb_storage_pool_frames",
-                "Configured buffer-pool frame budget",
-                sm.pool_frames,
-            ));
-            m.push(Metric::gauge(
-                "rdb_storage_pages_allocated",
-                "Highest allocated page id in the page store",
-                sm.pages_allocated,
-            ));
-        }
         {
             // Writer-admission wait histogram (recorded in ns, reported
             // in µs to match the metric name).
@@ -565,7 +524,6 @@ impl Database {
         let s = self.stats();
         let mut rows = vec![
             ("checkpoints_total", s.checkpoints),
-            ("pages_written_total", s.checkpoint_pages_written),
             ("bytes_written_total", s.checkpoint_bytes_written),
             ("recovered_txns", s.recovered_txns),
             ("wal_replayed_bytes", s.wal_replayed_bytes),
@@ -576,12 +534,6 @@ impl Database {
             rows.push(("generation", d.generation));
         }
         rows
-    }
-
-    /// Best-effort per-table page count from the storage backend
-    /// (`None` on the in-memory backend, which has no pages).
-    pub(crate) fn table_pages_hint(&self, table: &str) -> Option<u64> {
-        self.storage.table_pages(table)
     }
 
     /// The system-wide "next available id" counter used by the id
@@ -973,17 +925,10 @@ impl Database {
     /// log holds acknowledged commits this open cannot place, so the open
     /// fails with [`DbError::Storage`] and no file is modified. A file
     /// shorter than a header is a log torn at creation, i.e. empty.
+    ///
+    /// A directory written by the removed paged backend (it holds
+    /// `pages.meta`) is refused the same way.
     pub fn open(path: impl AsRef<Path>) -> Result<Database> {
-        Self::open_with(path, StorageConfig::default())
-    }
-
-    /// [`Database::open`] with an explicit [`StorageConfig`]. With the
-    /// paged backend the checkpoint's rows come out of the page store's
-    /// B-trees (a directory that only holds the memory backend's snapshot
-    /// is migrated: its first paged checkpoint writes every table into
-    /// the page store). Opening a paged store with the memory backend is
-    /// refused.
-    pub fn open_with(path: impl AsRef<Path>, config: StorageConfig) -> Result<Database> {
         let _span = Span::enter("db.recover");
         let recover_start = std::time::Instant::now();
         let dir = path.as_ref().to_path_buf();
@@ -1001,10 +946,8 @@ impl Database {
         };
         // Everything that can refuse the open has run before the first
         // write below.
-        let (backend, checkpoint) =
-            storage::open(&dir, config, log.as_ref().map(|log| log.generation))?;
+        let checkpoint = storage::open(&dir, log.as_ref().map(|log| log.generation))?;
         let mut db = Database::new();
-        db.storage = backend;
         let mut generation = 0u64;
         if let Some((catalog, slots)) = checkpoint {
             generation = catalog.generation;
@@ -1084,12 +1027,12 @@ impl Database {
         Ok(())
     }
 
-    /// Write a checkpoint: hand the catalog (schemas, indexed columns,
-    /// statistics, triggers, id counter) and the tables' rows to the
-    /// storage backend, which commits them atomically, then truncate the
-    /// WAL to a header of the new generation. A crash at any point leaves
-    /// either the old checkpoint (with its WAL) or the new one (with a
-    /// stale WAL that [`Database::open`] resets) — never a torn one.
+    /// Write a checkpoint: publish the catalog (schemas, indexed columns,
+    /// statistics, triggers, id counter) and every table's slots as
+    /// `snapshot.bin`, then truncate the WAL to a header of the new
+    /// generation. A crash at any point leaves either the old checkpoint
+    /// (with its WAL) or the new one (with a stale WAL that
+    /// [`Database::open`] resets) — never a torn one.
     pub fn checkpoint(&mut self) -> Result<()> {
         let Some(d) = &self.durable else {
             return Err(DbError::Storage(
@@ -1102,11 +1045,8 @@ impl Database {
             ));
         }
         let generation = d.generation + 1;
-        let (catalog, images) = self.checkpoint_catalog(generation);
-        let report = self.storage.checkpoint(&catalog, &images)?;
-        for t in self.tables.values_mut() {
-            t.checkpointed();
-        }
+        let (catalog, slots) = self.checkpoint_catalog(generation);
+        let bytes = checkpoint::write_snapshot(&d.dir, &catalog, &slots)?;
         let d = self.durable.as_mut().expect("checked above");
         let mut w = d.wal.lock().unwrap();
         w.flush()
@@ -1123,20 +1063,15 @@ impl Database {
         d.appended_len.set(wal::WAL_HEADER_LEN as u64);
         d.synced_len.set(wal::WAL_HEADER_LEN as u64);
         StatsCells::bump(&self.stats.checkpoints, 1);
-        StatsCells::bump(&self.stats.checkpoint_pages_written, report.pages_written);
-        StatsCells::bump(&self.stats.checkpoint_bytes_written, report.bytes_written);
+        StatsCells::bump(&self.stats.checkpoint_bytes_written, bytes);
         Ok(())
     }
 
-    /// Which storage backend the database runs on.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.storage.kind()
-    }
-
-    /// Storage-layer counters: buffer-pool hits/misses/evictions, pages
-    /// allocated, store LSN. All zero on the memory backend.
+    /// Buffer-pool counters. There is no buffer pool, so they are all
+    /// zero; kept only for the end-to-end benchmark (see
+    /// [`StorageMetrics`]).
     pub fn storage_metrics(&self) -> StorageMetrics {
-        self.storage.metrics()
+        StorageMetrics::default()
     }
 
     /// Whether this database was opened durably ([`Database::open`]).
@@ -1326,9 +1261,7 @@ impl Database {
 
     /// Reconstruct state from a checkpoint (open-time only): `slots[i]`
     /// is the slot vector of `catalog.tables[i]`, trailing tombstones
-    /// included, so WAL replay lands rows at the logged positions. Each
-    /// table starts with no changed slots; the replay marks the ones it
-    /// touches, like any statement.
+    /// included, so WAL replay lands rows at the logged positions.
     fn restore(&mut self, catalog: CheckpointCatalog, slots: Vec<Slots>) -> Result<()> {
         for (t, slots) in catalog.tables.into_iter().zip(slots) {
             let key = t.key.clone();
@@ -1361,38 +1294,32 @@ impl Database {
     }
 
     /// What a checkpoint of the current state holds: the catalog
-    /// (schemas, slot-vector lengths, indexed columns, statistics,
-    /// triggers, id counter) and, borrowed, each table's slot vector and
-    /// changed slots. Tables are sorted by key so the checkpoint bytes
-    /// are deterministic.
-    fn checkpoint_catalog(&self, generation: u64) -> (CheckpointCatalog, Vec<TableImage<'_>>) {
-        let mut tables: Vec<(CatalogTable, TableImage)> = self
+    /// (schemas, indexed columns, statistics, triggers, id counter) and,
+    /// borrowed, each table's slot vector. Tables are sorted by key so
+    /// the checkpoint bytes are deterministic.
+    fn checkpoint_catalog(&self, generation: u64) -> (CheckpointCatalog, Vec<&[Option<Row>]>) {
+        let mut tables: Vec<(CatalogTable, &[Option<Row>])> = self
             .tables
             .iter()
             .map(|(key, t)| {
                 let entry = CatalogTable {
                     key: key.clone(),
                     schema: t.schema.clone(),
-                    slots_len: t.slots_raw().len() as u64,
                     indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
                     stats: t.statistics().cloned(),
                 };
-                let image = TableImage {
-                    slots: t.slots_raw(),
-                    changed: t.changed_slots(),
-                };
-                (entry, image)
+                (entry, t.slots_raw())
             })
             .collect();
         tables.sort_by(|a, b| a.0.key.cmp(&b.0.key));
-        let (tables, images) = tables.into_iter().unzip();
+        let (tables, slots) = tables.into_iter().unzip();
         let catalog = CheckpointCatalog {
             generation,
             next_id: self.next_id.get(),
             tables,
             triggers: self.trigger_sql(),
         };
-        (catalog, images)
+        (catalog, slots)
     }
 
     /// Apply the WAL's records: complete `TxnBegin … TxnCommit` frames
@@ -2253,8 +2180,8 @@ mod tests {
     }
 
     /// Dashboards key on these names: the Prometheus families of a
-    /// memory-backend database (phase series appear only once tracing has
-    /// recorded spans, `rdb_storage_*` only on the paged backend).
+    /// database (phase series appear only once tracing has recorded
+    /// spans).
     #[test]
     fn metric_family_names_are_pinned() {
         let text = Database::new().metrics_text();
@@ -2268,7 +2195,6 @@ mod tests {
         let expected = [
             "rdb_active_sessions",
             "rdb_checkpoint_bytes_written_total",
-            "rdb_checkpoint_pages_written_total",
             "rdb_checkpoints_total",
             "rdb_client_statements_total",
             "rdb_hash_join_builds_total",

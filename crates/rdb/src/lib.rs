@@ -71,10 +71,7 @@ pub use session::{Session, SharedDatabase, WriterGate, WriterTicket};
 pub use sql::stmt_to_sql;
 pub use statement::PreparedStmt;
 pub use stats::{ColumnStatistics, TableStatistics};
-pub use storage::{
-    BackendKind, MemoryBackend, PagedStore, PoolStats, StorageBackend, StorageConfig,
-    StorageMetrics,
-};
+pub use storage::{BackendKind, PoolStats, StorageMetrics};
 pub use sysview::{
     fingerprint, is_system_view, view_columns, Fingerprint, SessionInfo, SessionState,
     StatementStats, SYSTEM_VIEWS,

@@ -11,10 +11,9 @@
 //! count, min/max, bucket boundaries) is frozen until the next `ANALYZE`;
 //! values outside the analyzed range are clamped into the edge buckets.
 //!
-//! Statistics persist through checkpoints on both backends (the full
-//! snapshot and the paged store's meta file) so a restart does not lose
-//! them, and `ANALYZE` itself is WAL-logged as DDL so replay rebuilds
-//! identical statistics.
+//! Statistics persist through checkpoints (`snapshot.bin`) so a restart
+//! does not lose them, and `ANALYZE` itself is WAL-logged as DDL so
+//! replay rebuilds identical statistics.
 
 use crate::value::{Row, Value};
 use crate::wal::{put_list, put_opt, put_u64, put_value, Reader};

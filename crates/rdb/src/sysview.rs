@@ -52,7 +52,7 @@ pub const SYSTEM_VIEWS: &[&str] = &[
 /// `name` is not a system view.
 pub fn view_columns(name: &str) -> Option<&'static [&'static str]> {
     Some(match name {
-        "rdb_tables" => &["name", "rows", "pages", "indexes", "backend", "analyzed"],
+        "rdb_tables" => &["name", "rows", "indexes", "analyzed"],
         "rdb_columns" => &[
             "table_name",
             "column_name",
@@ -600,7 +600,6 @@ impl Database {
     }
 
     fn rows_tables(&self) -> Vec<Row> {
-        let backend = self.backend_kind().to_string();
         self.table_names()
             .into_iter()
             .map(|name| {
@@ -614,9 +613,7 @@ impl Database {
                 vec![
                     s(name.clone()),
                     int(t.len() as u64),
-                    opt_int(self.table_pages_hint(&name)),
                     s(indexes.join(", ")),
-                    s(backend.clone()),
                     Value::Bool(t.statistics().is_some()),
                 ]
             })

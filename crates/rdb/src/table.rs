@@ -79,12 +79,6 @@ pub struct Table {
     /// Version records for snapshot visibility (empty unless the owning
     /// database has MVCC enabled; see `crate::mvcc`).
     history: Vec<VersionEntry>,
-    /// Slot positions changed since the last checkpoint, one bit per
-    /// position (word `pos / 64`, bit `pos % 64`); `None` when the table
-    /// is new since the last checkpoint, so every slot counts. Set by the
-    /// slot mutations below, cleared by [`Table::checkpointed`]. Excluded
-    /// from `PartialEq`: it describes the durable image, not the table.
-    changed: Option<Vec<u64>>,
 }
 
 impl PartialEq for Table {
@@ -138,36 +132,7 @@ impl Table {
             indexes: HashMap::new(),
             stats: None,
             history: Vec::new(),
-            changed: None,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // changed slots since the last checkpoint (see `crate::storage`)
-    // ------------------------------------------------------------------
-
-    /// Note that slot `pos` changed (no-op while every slot counts).
-    fn mark_changed(&mut self, pos: usize) {
-        if let Some(bits) = &mut self.changed {
-            let word = pos / 64;
-            if bits.len() <= word {
-                bits.resize(word + 1, 0);
-            }
-            bits[word] |= 1 << (pos % 64);
-        }
-    }
-
-    /// Slot positions changed since the last checkpoint, one bit per
-    /// position; `None` when the table is new since then. Positions may
-    /// lie past the slot vector (an undone insert).
-    pub(crate) fn changed_slots(&self) -> Option<&[u64]> {
-        self.changed.as_deref()
-    }
-
-    /// A checkpoint holding the current slots committed: nothing has
-    /// changed since.
-    pub(crate) fn checkpointed(&mut self) {
-        self.changed = Some(Vec::new());
     }
 
     /// Number of live rows.
@@ -248,7 +213,6 @@ impl Table {
         }
         self.slots.push(Some(row));
         self.live += 1;
-        self.mark_changed(pos);
         Ok(pos)
     }
 
@@ -267,7 +231,6 @@ impl Table {
         if let Some(s) = &mut self.stats {
             s.note_delete(&row);
         }
-        self.mark_changed(pos);
         Some(row)
     }
 
@@ -288,7 +251,6 @@ impl Table {
         if let Some(s) = &mut self.stats {
             s.note_update(column_idx, &old, new);
         }
-        self.mark_changed(pos);
         Ok(old)
     }
 
@@ -316,7 +278,6 @@ impl Table {
         if slot.replace(row).is_none() {
             self.live += 1;
         }
-        self.mark_changed(pos);
     }
 
     /// Undo an insert of the row at `pos`. Rollback applies records
@@ -367,7 +328,6 @@ impl Table {
             indexes,
             stats,
             history: Vec::new(),
-            changed: Some(Vec::new()),
         }
     }
 

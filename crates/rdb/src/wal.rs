@@ -4,7 +4,7 @@
 //! nothing else. The engine (`crate::engine`) decides *when* records are
 //! emitted, buffered, flushed, and replayed; see `Database::open`,
 //! `Database::checkpoint`, and the commit paths there. The checkpoint
-//! files the log is truncated against live in `crate::storage::checkpoint`.
+//! file the log is truncated against lives in `crate::storage::checkpoint`.
 //!
 //! # WAL format
 //!

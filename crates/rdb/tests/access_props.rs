@@ -9,8 +9,8 @@
 //! * `oracle` — no indexes, `set_planner_naive(true)`: every statement is
 //!   a sequential scan in slot order, every join a hash join;
 //! * `mem` — indexes on `t.a`, `t.b` and `u.k` (mixed NULL / int / text
-//!   keys, duplicates), memory backend;
-//! * `paged` — the same on the paged backend with an 8-frame pool.
+//!   keys, duplicates), in memory only;
+//! * `durable` — the same, opened durably (`Database::open`).
 //!
 //! After every statement a battery of `col = k`, `IN (list)`,
 //! `IN (subquery)`, `BETWEEN`, `LIKE 'p%'`, `ORDER BY col LIMIT k` and
@@ -23,19 +23,17 @@
 //! slot order), and each maintained index must equal one rebuilt from the
 //! slots.
 //!
-//! Queries read the heap on both backends, so the page store's copy is
-//! checked the one way it is ever read: `paged` checkpoints at a quarter,
-//! a half and three quarters of the script (each later checkpoint applies
-//! only the slots changed since the one before), crashes at the end, and
-//! is reopened (8 frames again) from its B-trees and WAL tail — then
-//! every table must be slot-for-slot the oracle's and the battery must
-//! agree again.
+//! Queries read the heap, so the checkpoint is checked the one way it is
+//! ever read: `durable` checkpoints at a quarter, a half and three
+//! quarters of the script, crashes at the end, and is reopened from its
+//! snapshot and WAL tail — then every table must be slot-for-slot the
+//! oracle's and the battery must agree again.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use xmlup_rdb::{Database, ResultSet, StorageConfig, Value};
+use xmlup_rdb::{Database, ResultSet, Value};
 
 /// Unique scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -235,9 +233,8 @@ proptest! {
         let mut oracle = Database::new();
         oracle.set_planner_naive(true);
         let mut mem = Database::new();
-        let paged_cfg = StorageConfig { pool_frames: 8, ..StorageConfig::paged() };
-        let mut paged = Database::open_with(&scratch.0, paged_cfg).unwrap();
-        paged.set_wal_sync(false);
+        let mut durable = Database::open(&scratch.0).unwrap();
+        durable.set_wal_sync(false);
         let mut next_c = 1000i64;
         let mut next_d = 2000i64;
         let mut inserts = String::new();
@@ -251,7 +248,7 @@ proptest! {
         }
         oracle.run_script(SCHEMA).unwrap();
         oracle.run_script(&inserts).unwrap();
-        for db in [&mut mem, &mut paged] {
+        for db in [&mut mem, &mut durable] {
             db.run_script(SCHEMA).unwrap();
             db.run_script(INDEXES).unwrap();
             db.run_script(&inserts).unwrap();
@@ -260,11 +257,10 @@ proptest! {
         // The stale epoch: what the battery answered before the script.
         let battery = battery();
         let at_snapshot = answers(&oracle, &battery, None);
-        let snaps = [mem.begin_snapshot(), paged.begin_snapshot()];
+        let snaps = [mem.begin_snapshot(), durable.begin_snapshot()];
 
         // Checkpoints at a quarter, a half and three quarters of the
-        // script (when no transaction is open): the first writes every
-        // table whole, the later ones apply only the changed slots.
+        // script (when no transaction is open).
         let mut checkpoints = 0usize;
         for (step, op) in ops.iter().enumerate() {
             let sql = match op {
@@ -285,7 +281,7 @@ proptest! {
             // Same outcome everywhere — affected count, or the same
             // refusal (ROLLBACK TO without a savepoint, ...).
             let expect = oracle.execute(&sql).map_err(|e| e.to_string());
-            for (db, who) in [(&mut mem, "mem"), (&mut paged, "paged")] {
+            for (db, who) in [(&mut mem, "mem"), (&mut durable, "durable")] {
                 let got = db.execute(&sql).map_err(|e| e.to_string());
                 prop_assert_eq!(&got, &expect, "{}: {}", who, sql);
             }
@@ -294,7 +290,7 @@ proptest! {
             let table = oracle.query("SELECT * FROM t").unwrap().rows;
             let table_u = oracle.query("SELECT * FROM u").unwrap().rows;
             let log = oracle.query("SELECT * FROM log").unwrap().rows;
-            for ((db, who), snap) in [(&mem, "mem"), (&paged, "paged")].into_iter().zip(snaps) {
+            for ((db, who), snap) in [(&mem, "mem"), (&durable, "durable")].into_iter().zip(snaps) {
                 let live = answers(db, &battery, None);
                 let stale = answers(db, &battery, Some(snap));
                 for (i, (q, _)) in battery.iter().enumerate() {
@@ -316,26 +312,26 @@ proptest! {
                 prop_assert_eq!(&db.query("SELECT * FROM log").unwrap().rows, &log, "{}", who);
                 assert_indexes_match_slots(db, who);
             }
-            if checkpoints < 3 && 4 * step >= (checkpoints + 1) * ops.len() && !paged.in_transaction() {
-                paged.checkpoint().unwrap();
+            if checkpoints < 3 && 4 * step >= (checkpoints + 1) * ops.len() && !durable.in_transaction() {
+                durable.checkpoint().unwrap();
                 checkpoints += 1;
             }
         }
         let checkpointed = checkpoints > 0;
 
-        // Crash (drop without close) and reopen from the B-trees plus,
+        // Crash (drop without close) and reopen from the snapshot plus,
         // usually, a WAL tail. A crash ends an open transaction.
-        if paged.in_transaction() {
+        if durable.in_transaction() {
             oracle.execute("ROLLBACK").unwrap();
             if !checkpointed {
-                paged.execute("ROLLBACK").unwrap();
+                durable.execute("ROLLBACK").unwrap();
             }
         }
         if !checkpointed {
-            paged.checkpoint().unwrap();
+            durable.checkpoint().unwrap();
         }
-        drop(paged);
-        let reopened = Database::open_with(&scratch.0, paged_cfg).unwrap();
+        drop(durable);
+        let reopened = Database::open(&scratch.0).unwrap();
         for table in ["t", "u", "log"] {
             let slots = |db: &Database| {
                 let t = db.table(table).unwrap();

@@ -1,11 +1,11 @@
 //! On-disk format compatibility and distrust of what the disk says.
 //!
 //! `fixtures/format_v2/` holds two tiny store directories written by
-//! commit 9a6a494, the last one whose snapshot and page-meta codecs were
-//! separate (snapshot magic `XUPSNAP2`, page-meta magic `XUPPGME2`):
-//! `memory/` (`snapshot.bin` + `wal.bin`) and `paged/` (`pages.meta` +
-//! `pages.bin` + `wal.bin`, `pool_frames` 8). They pin the bytes: the one
-//! codec must read them and write them back identically. Both were
+//! commit 9a6a494: `memory/` (`snapshot.bin`, magic `XUPSNAP2`, +
+//! `wal.bin`) and `paged/` (`pages.meta` + `pages.bin` + `wal.bin`),
+//! written by the paged backend that was removed since. `memory/` pins
+//! the bytes: the codec must read them and write them back identically.
+//! `paged/` must be refused with every file left as found. Both were
 //! produced by `Database::run_script` of this script followed by
 //! `close()`; its tail after `CHECKPOINT` lives only in the WAL:
 //!
@@ -34,11 +34,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use xmlup_rdb::storage::checkpoint::{
-    decode_meta, decode_snapshot, encode_meta, encode_snapshot, PageAlloc, META_MAGIC, SNAP_MAGIC,
-};
+use xmlup_rdb::storage::checkpoint::{decode_snapshot, encode_snapshot, SNAP_MAGIC};
 use xmlup_rdb::storage::{CatalogTable, CheckpointCatalog};
-use xmlup_rdb::{wal, ColumnDef, DataType, Database, DbError, StorageConfig, TableSchema, Value};
+use xmlup_rdb::{wal, ColumnDef, DataType, Database, DbError, TableSchema, Value};
 
 /// Unique scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -112,9 +110,10 @@ fn assert_fixture_state(db: &Database) {
     assert!(db.table("item").unwrap().statistics().is_some());
 }
 
-fn reopen_and_recheckpoint(which: &str, config: StorageConfig, file: &str, magic: &[u8; 8]) {
-    let scratch = Scratch::with_fixture(which);
-    let mut db = Database::open_with(&scratch.0, config).unwrap();
+#[test]
+fn parent_format_snapshot_opens_and_recheckpoints() {
+    let scratch = Scratch::with_fixture("memory");
+    let mut db = Database::open(&scratch.0).unwrap();
     assert_fixture_state(&db);
     // The trigger came back live.
     db.execute("DELETE FROM item WHERE id = 1").unwrap();
@@ -125,40 +124,16 @@ fn reopen_and_recheckpoint(which: &str, config: StorageConfig, file: &str, magic
         .unwrap();
     db.checkpoint().unwrap();
     db.close().unwrap();
-    assert_eq!(&fs::read(scratch.0.join(file)).unwrap()[..8], magic);
-    let db = Database::open_with(&scratch.0, config).unwrap();
+    assert_eq!(
+        &fs::read(scratch.0.join("snapshot.bin")).unwrap()[..8],
+        SNAP_MAGIC
+    );
+    let db = Database::open(&scratch.0).unwrap();
     assert_eq!(
         strs(&db, "SELECT name FROM item ORDER BY id"),
         ["pomelo", "NULL", "apple", "fig"]
     );
     assert_eq!(db.table("item").unwrap().indexed_columns(), vec![0, 1, 2]);
-}
-
-const PAGED: StorageConfig = StorageConfig {
-    backend: xmlup_rdb::BackendKind::Paged,
-    pool_frames: 8,
-};
-
-#[test]
-fn parent_format_snapshot_opens_and_recheckpoints() {
-    reopen_and_recheckpoint(
-        "memory",
-        StorageConfig::default(),
-        "snapshot.bin",
-        SNAP_MAGIC,
-    );
-}
-
-#[test]
-fn parent_format_page_store_opens_and_recheckpoints() {
-    reopen_and_recheckpoint("paged", PAGED, "pages.meta", META_MAGIC);
-}
-
-#[test]
-fn parent_format_snapshot_migrates_to_the_page_store() {
-    let scratch = Scratch::with_fixture("memory");
-    let db = Database::open_with(&scratch.0, StorageConfig::paged()).unwrap();
-    assert_fixture_state(&db);
 }
 
 /// The format did not move: what the parent commit wrote decodes, and
@@ -170,16 +145,6 @@ fn parent_format_bytes_are_reproduced_exactly() {
     let borrowed: Vec<&[Option<Vec<Value>>]> = slots.iter().map(Vec::as_slice).collect();
     assert_eq!(encode_snapshot(&catalog, &borrowed), bytes, "snapshot.bin");
 
-    let bytes = fs::read(fixture("paged/pages.meta")).unwrap();
-    let (meta_catalog, alloc, roots) = decode_meta(&bytes).unwrap();
-    assert_eq!(
-        encode_meta(&meta_catalog, &alloc, &roots),
-        bytes,
-        "pages.meta"
-    );
-
-    // And the two files describe the same catalog.
-    assert_eq!(meta_catalog, catalog);
     // So does a checkpoint of the opened store: same state, same bytes.
     let scratch = Scratch::with_fixture("memory");
     fs::remove_file(scratch.0.join("wal.bin")).unwrap();
@@ -191,7 +156,7 @@ fn parent_format_bytes_are_reproduced_exactly() {
     assert_eq!(after, decode_snapshot(&before).unwrap());
 }
 
-/// `[magic][len][crc][body]`, the framing both checkpoint files share.
+/// `[magic][len][crc][body]`, the checkpoint file's framing.
 fn framed(magic: &[u8], body: &[u8]) -> Vec<u8> {
     let mut out = magic.to_vec();
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -202,23 +167,27 @@ fn framed(magic: &[u8], body: &[u8]) -> Vec<u8> {
 
 #[test]
 fn previous_format_version_is_refused_and_left_as_found() {
-    // A store written before the current format version (magic digit 1)
-    // is not read on a guess: the open fails and changes nothing.
-    for (which, config, file) in [
-        ("memory", StorageConfig::default(), "snapshot.bin"),
-        ("memory", PAGED, "snapshot.bin"),
-        ("paged", PAGED, "pages.meta"),
+    // A store this build cannot read is not read on a guess: the open
+    // fails, naming why, and changes no file — the WAL's acknowledged
+    // tail included. Two such stores: a snapshot written before the
+    // current format version (magic digit 1), and a store of the removed
+    // paged backend.
+    for (which, downgrade, why) in [
+        ("memory", true, "bad magic"),
+        ("paged", false, "pages.meta"),
     ] {
         let scratch = Scratch::with_fixture(which);
-        let mut bytes = fs::read(scratch.0.join(file)).unwrap();
-        bytes[7] = b'1';
-        fs::write(scratch.0.join(file), &bytes).unwrap();
+        if downgrade {
+            let mut bytes = fs::read(scratch.0.join("snapshot.bin")).unwrap();
+            bytes[7] = b'1';
+            fs::write(scratch.0.join("snapshot.bin"), &bytes).unwrap();
+        }
         let before = dir_image(&scratch.0);
-        match Database::open_with(&scratch.0, config) {
-            Err(DbError::Storage(why)) => assert!(why.contains("bad magic"), "{why}"),
+        match Database::open(&scratch.0) {
+            Err(DbError::Storage(e)) => assert!(e.contains(why), "{which}: {e}"),
             other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
         }
-        assert!(dir_image(&scratch.0) == before, "{which}/{file}: modified");
+        assert!(dir_image(&scratch.0) == before, "{which}: modified");
     }
 }
 
@@ -226,25 +195,18 @@ fn previous_format_version_is_refused_and_left_as_found() {
 fn crc_valid_garbage_is_a_decode_error() {
     // Raw garbage behind the magic fails the frame check...
     assert!(decode_snapshot(b"XUPSNAP2\xff\xff\xff\xffgarbage!garbage!").is_err());
-    assert!(decode_meta(b"XUPPGME2\xff\xff\xff\xffgarbage!garbage!").is_err());
     // ...and a CRC-valid frame whose body is cut anywhere, or is noise,
     // fails in the body parser instead of panicking or allocating by a
     // length it read.
-    let snapshot_ok: fn(&[u8]) -> bool = |b| decode_snapshot(b).is_ok();
-    let meta_ok: fn(&[u8]) -> bool = |b| decode_meta(b).is_ok();
-    for (file, decode) in [
-        ("memory/snapshot.bin", snapshot_ok),
-        ("paged/pages.meta", meta_ok),
-    ] {
-        let bytes = fs::read(fixture(file)).unwrap();
-        let (magic, body) = (&bytes[..8], &bytes[16..]);
-        assert!(decode(&framed(magic, body)), "{file}: intact body decodes");
-        for cut in 0..body.len() {
-            assert!(!decode(&framed(magic, &body[..cut])), "{file} cut at {cut}");
-        }
-        let noise: Vec<u8> = (0..body.len()).map(|i| (i * 131 + 7) as u8).collect();
-        assert!(!decode(&framed(magic, &noise)), "{file}: noise body");
+    let decode = |b: &[u8]| decode_snapshot(b).is_ok();
+    let bytes = fs::read(fixture("memory/snapshot.bin")).unwrap();
+    let (magic, body) = (&bytes[..8], &bytes[16..]);
+    assert!(decode(&framed(magic, body)), "intact body decodes");
+    for cut in 0..body.len() {
+        assert!(!decode(&framed(magic, &body[..cut])), "cut at {cut}");
     }
+    let noise: Vec<u8> = (0..body.len()).map(|i| (i * 131 + 7) as u8).collect();
+    assert!(!decode(&framed(magic, &noise)), "noise body");
 }
 
 /// Every file of a store directory, byte for byte.
@@ -261,7 +223,7 @@ fn dir_image(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
 
 #[test]
 fn index_columns_read_from_disk_are_checked() {
-    let table = |indexed: Vec<u32>, slots_len: u64| CheckpointCatalog {
+    let table = |indexed: Vec<u32>| CheckpointCatalog {
         generation: 1,
         next_id: 1,
         tables: vec![CatalogTable {
@@ -275,7 +237,6 @@ fn index_columns_read_from_disk_are_checked() {
                     })
                     .into(),
             },
-            slots_len,
             indexed,
             stats: None,
         }],
@@ -288,30 +249,11 @@ fn index_columns_read_from_disk_are_checked() {
     let slots = [Some(row)];
     fs::write(
         scratch.0.join("snapshot.bin"),
-        encode_snapshot(&table(vec![0, 7], 1), &[&slots]),
+        encode_snapshot(&table(vec![0, 7]), &[&slots]),
     )
     .unwrap();
-    for config in [StorageConfig::default(), StorageConfig::paged()] {
-        match Database::open_with(&scratch.0, config) {
-            Err(DbError::Storage(why)) => assert!(why.contains("unknown column 7"), "{why}"),
-            other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    // Page meta: same lie, told by the paged backend's commit point.
-    let scratch = Scratch::new();
-    let alloc = PageAlloc {
-        page_count: 0,
-        lsn: 0,
-        free: vec![],
-    };
-    fs::write(
-        scratch.0.join("pages.meta"),
-        encode_meta(&table(vec![2], 0), &alloc, &[0]),
-    )
-    .unwrap();
-    match Database::open_with(&scratch.0, StorageConfig::paged()) {
-        Err(DbError::Storage(why)) => assert!(why.contains("unknown column 2"), "{why}"),
+    match Database::open(&scratch.0) {
+        Err(DbError::Storage(why)) => assert!(why.contains("unknown column 7"), "{why}"),
         other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
     }
 
@@ -320,7 +262,7 @@ fn index_columns_read_from_disk_are_checked() {
     let slots = [Some(vec![Value::Int(1)])];
     fs::write(
         scratch.0.join("snapshot.bin"),
-        encode_snapshot(&table(vec![1], 1), &[&slots]),
+        encode_snapshot(&table(vec![1]), &[&slots]),
     )
     .unwrap();
     assert!(matches!(

@@ -74,15 +74,14 @@ fn strs(rows: &[Vec<Value>], col: usize) -> Vec<String> {
 #[test]
 fn tables_view_filters_orders_and_limits() {
     let db = forest_db();
-    // Plain scan: both tables, name/rows/backend populated.
-    let rs = db
-        .query("SELECT name, rows, backend FROM rdb_tables ORDER BY name")
-        .unwrap();
-    assert_eq!(rs.columns, vec!["name", "rows", "backend"]);
+    // Plain scan: both tables, every column populated.
+    let rs = db.query("SELECT * FROM rdb_tables ORDER BY name").unwrap();
+    assert_eq!(rs.columns, vec!["name", "rows", "indexes", "analyzed"]);
     assert_eq!(strs(&rs.rows, 0), vec!["n1", "n2"]);
     assert_eq!(rs.rows[0][1], Value::Int(8));
     assert_eq!(rs.rows[1][1], Value::Int(16));
-    assert_eq!(rs.rows[0][2], Value::Str("memory".into()));
+    assert_eq!(strs(&rs.rows, 2), vec!["id", "parentId"]);
+    assert_eq!(rs.rows[0][3], Value::Bool(false));
     // WHERE composes.
     let rs = db
         .query("SELECT rows FROM rdb_tables WHERE name = 'n2'")

@@ -11,7 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use xmlup_rdb::{Database, DbError, StorageConfig, Table, Value};
+use xmlup_rdb::{Database, DbError, Table, Value};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -67,10 +67,10 @@ fn dir_image(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// `open_with` must fail with a storage error and touch nothing.
-fn assert_refused_untouched(dir: &Path, config: StorageConfig) -> String {
+/// `open` must fail with a storage error and touch nothing.
+fn assert_refused_untouched(dir: &Path) -> String {
     let before = dir_image(dir);
-    let why = match Database::open_with(dir, config) {
+    let why = match Database::open(dir) {
         Err(DbError::Storage(why)) => why,
         other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
     };
@@ -264,24 +264,23 @@ fn torn_tail_is_truncated_on_recovery() {
     );
 }
 
-fn interrupted_checkpoint(config: StorageConfig, checkpoint_files: &[&str]) {
+#[test]
+fn stale_wal_from_interrupted_checkpoint_is_discarded() {
     let scratch = Scratch::new("stale-wal");
-    let mut db = Database::open_with(scratch.path(), config).unwrap();
+    let snapshot = scratch.path().join("snapshot.bin");
+    let mut db = Database::open(scratch.path()).unwrap();
     db.run_script(SCHEMA).unwrap();
     db.run_script("INSERT INTO t VALUES (1, 'a')").unwrap();
     let pre_checkpoint_wal = fs::read(scratch.path().join("wal.bin")).unwrap();
     db.checkpoint().unwrap();
     let before = dump(&db);
-    let first_checkpoint: Vec<Vec<u8>> = checkpoint_files
-        .iter()
-        .map(|f| fs::read(scratch.path().join(f)).unwrap())
-        .collect();
+    let first_checkpoint = fs::read(&snapshot).unwrap();
     drop(db);
 
     // Crash window: checkpoint published but WAL truncation never
     // landed — the old (generation 0) WAL is still in place.
     fs::write(scratch.path().join("wal.bin"), &pre_checkpoint_wal).unwrap();
-    let mut db2 = Database::open_with(scratch.path(), config).unwrap();
+    let mut db2 = Database::open(scratch.path()).unwrap();
     assert_eq!(dump(&db2), before, "stale WAL must not replay twice");
     assert_eq!(db2.stats().recovered_txns, 0);
     assert_eq!(
@@ -297,55 +296,34 @@ fn interrupted_checkpoint(config: StorageConfig, checkpoint_files: &[&str]) {
     db2.run_script("INSERT INTO t VALUES (2, 'b')").unwrap();
     let after = dump(&db2);
     db2.close().unwrap();
-    let second_checkpoint: Vec<Vec<u8>> = checkpoint_files
-        .iter()
-        .map(|f| fs::read(scratch.path().join(f)).unwrap())
-        .collect();
-    for (f, bytes) in checkpoint_files.iter().zip(&first_checkpoint) {
-        fs::write(scratch.path().join(f), bytes).unwrap();
-    }
-    let why = assert_refused_untouched(scratch.path(), config);
+    let second_checkpoint = fs::read(&snapshot).unwrap();
+    fs::write(&snapshot, &first_checkpoint).unwrap();
+    let why = assert_refused_untouched(scratch.path());
     assert!(why.contains("newer than the checkpoint"), "{why}");
-    for (f, bytes) in checkpoint_files.iter().zip(&second_checkpoint) {
-        fs::write(scratch.path().join(f), bytes).unwrap();
-    }
-    assert_eq!(
-        dump(&Database::open_with(scratch.path(), config).unwrap()),
-        after
-    );
-}
-
-#[test]
-fn stale_wal_from_interrupted_checkpoint_is_discarded() {
-    interrupted_checkpoint(StorageConfig::default(), &["snapshot.bin"]);
-    interrupted_checkpoint(StorageConfig::paged(), &["pages.meta"]);
+    fs::write(&snapshot, &second_checkpoint).unwrap();
+    assert_eq!(dump(&Database::open(scratch.path()).unwrap()), after);
 }
 
 #[test]
 fn undecodable_wal_header_is_refused_not_reset() {
-    for config in [StorageConfig::default(), StorageConfig::paged()] {
-        let scratch = Scratch::new("bad-header");
-        let mut db = Database::open_with(scratch.path(), config).unwrap();
-        db.run_script(SCHEMA).unwrap();
-        db.checkpoint().unwrap();
-        db.run_script("INSERT INTO t VALUES (1, 'a')").unwrap();
-        let before = dump(&db);
-        db.close().unwrap();
+    let scratch = Scratch::new("bad-header");
+    let mut db = Database::open(scratch.path()).unwrap();
+    db.run_script(SCHEMA).unwrap();
+    db.checkpoint().unwrap();
+    db.run_script("INSERT INTO t VALUES (1, 'a')").unwrap();
+    let before = dump(&db);
+    db.close().unwrap();
 
-        let wal_path = scratch.path().join("wal.bin");
-        let good = fs::read(&wal_path).unwrap();
-        let mut bad = good.clone();
-        bad[3] ^= 0x20; // one byte of the magic
-        fs::write(&wal_path, &bad).unwrap();
-        let why = assert_refused_untouched(scratch.path(), config);
-        assert!(why.contains("WAL header"), "{why}");
+    let wal_path = scratch.path().join("wal.bin");
+    let good = fs::read(&wal_path).unwrap();
+    let mut bad = good.clone();
+    bad[3] ^= 0x20; // one byte of the magic
+    fs::write(&wal_path, &bad).unwrap();
+    let why = assert_refused_untouched(scratch.path());
+    assert!(why.contains("WAL header"), "{why}");
 
-        fs::write(&wal_path, &good).unwrap();
-        assert_eq!(
-            dump(&Database::open_with(scratch.path(), config).unwrap()),
-            before
-        );
-    }
+    fs::write(&wal_path, &good).unwrap();
+    assert_eq!(dump(&Database::open(scratch.path()).unwrap()), before);
 }
 
 #[test]

@@ -22,8 +22,6 @@
 //!          [--fail-at N]        fail the Nth client SQL statement
 //!          [--fail-table T:N]   fail the Nth write to table T
 //!          [--db-path DIR]      durable store rooted at DIR
-//!          [--backend memory|paged]  storage backend for the durable store
-//!          [--pool-frames N]    paged-backend buffer pool budget (pages)
 //!          [--checkpoint-every N]  CHECKPOINT after every N operations
 //!          [--crash-and-recover]   kill + reopen + verify at the fault
 //!          [--metrics-out FILE]    dump the final metric registry as JSON
@@ -31,7 +29,7 @@
 //! ```
 
 use xmlup_core::{DeleteStrategy, InsertStrategy, RepoConfig, XmlRepository};
-use xmlup_rdb::{BackendKind, Table, Value};
+use xmlup_rdb::{Table, Value};
 use xmlup_shred::Mapping;
 use xmlup_workload::driver::{
     pick_targets, run_delete_recovering, run_insert_recovering, RecoveryReport, Workload,
@@ -50,8 +48,6 @@ struct Args {
     fail_at: Option<u64>,
     fail_table: Option<(String, u64)>,
     db_path: Option<String>,
-    backend: BackendKind,
-    pool_frames: usize,
     checkpoint_every: Option<usize>,
     crash_and_recover: bool,
     metrics_out: Option<String>,
@@ -66,7 +62,7 @@ fn usage() -> ! {
          \x20               [--batch-size N]\n\
          \x20               [--scale N] [--depth N] [--fanout N] [--seed N]\n\
          \x20               [--fail-at N] [--fail-table TABLE:N]\n\
-         \x20               [--db-path DIR] [--backend memory|paged] [--pool-frames N]\n\
+         \x20               [--db-path DIR]\n\
          \x20               [--checkpoint-every N] [--crash-and-recover]\n\
          \x20               [--metrics-out FILE] [--track-statements]"
     );
@@ -92,8 +88,6 @@ fn parse_args() -> Args {
         fail_at: None,
         fail_table: None,
         db_path: None,
-        backend: BackendKind::Memory,
-        pool_frames: 1024,
         checkpoint_every: None,
         crash_and_recover: false,
         metrics_out: None,
@@ -144,10 +138,6 @@ fn parse_args() -> Args {
                 args.fail_table = Some((t.to_string(), n.parse().unwrap_or_else(|_| usage())));
             }
             "--db-path" => args.db_path = Some(value(&mut i)),
-            "--backend" => {
-                args.backend = BackendKind::parse(&value(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--pool-frames" => args.pool_frames = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--checkpoint-every" => {
                 args.checkpoint_every = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
@@ -180,12 +170,6 @@ fn parse_args() -> Args {
     if args.checkpoint_every == Some(0) {
         flag_error("--checkpoint-every expects N >= 1");
     }
-    if args.backend != BackendKind::Memory && args.db_path.is_none() {
-        flag_error("--backend paged requires --db-path: the page store lives on disk");
-    }
-    if args.pool_frames == 0 {
-        flag_error("--pool-frames expects N >= 1");
-    }
     if args.batch_size == 0 {
         flag_error("--batch-size expects N >= 1");
     }
@@ -201,8 +185,7 @@ fn config_of(args: &Args) -> RepoConfig {
         build_asr: needs_asr,
         statement_cost_us: 0,
         batch_size: args.batch_size,
-        backend: args.backend,
-        pool_frames: args.pool_frames,
+        ..RepoConfig::default()
     }
 }
 
@@ -373,16 +356,12 @@ fn run_durable(args: &Args, path: &str) {
                 i += 1;
                 if let Some(every) = args.checkpoint_every {
                     if report.completed % every == 0 {
-                        let s = repo.db.stats();
-                        let (pages0, bytes0) =
-                            (s.checkpoint_pages_written, s.checkpoint_bytes_written);
+                        let bytes0 = repo.db.stats().checkpoint_bytes_written;
                         repo.db.execute("CHECKPOINT").expect("checkpoint");
                         checkpoints += 1;
-                        let s = repo.db.stats();
                         println!(
-                            "checkpoint #{checkpoints}: {} pages / {} bytes written",
-                            s.checkpoint_pages_written - pages0,
-                            s.checkpoint_bytes_written - bytes0
+                            "checkpoint #{checkpoints}: {} bytes written",
+                            repo.db.stats().checkpoint_bytes_written - bytes0
                         );
                     }
                 }
@@ -473,8 +452,6 @@ fn clone_args(a: &Args) -> Args {
         fail_at: a.fail_at,
         fail_table: a.fail_table.clone(),
         db_path: a.db_path.clone(),
-        backend: a.backend,
-        pool_frames: a.pool_frames,
         checkpoint_every: a.checkpoint_every,
         crash_and_recover: a.crash_and_recover,
         metrics_out: a.metrics_out.clone(),

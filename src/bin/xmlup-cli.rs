@@ -6,17 +6,13 @@
 //!
 //! ```text
 //! xmlup-cli [--relational] [--ordered] [--dtd FILE] [--root NAME]
-//!           [--db-path DIR] [--backend memory|paged] [--pool-frames N]
-//!           [--load NAME=FILE]... [--serve ADDR] [--metrics-addr ADDR]
-//!           [SCRIPT]
+//!           [--db-path DIR] [--load NAME=FILE]... [--serve ADDR]
+//!           [--metrics-addr ADDR] [SCRIPT]
 //! ```
 //!
-//! `--db-path DIR` makes the relational store durable (WAL + checkpoints
-//! rooted at DIR; implies `--relational`, requires `--dtd`). `--backend`
-//! picks the storage engine behind it: `memory` (heap tables, full
-//! snapshot per checkpoint — the default) or `paged` (slotted-page
-//! B-tree store with a buffer pool of `--pool-frames` pages and
-//! incremental checkpoints).
+//! `--db-path DIR` makes the relational store durable (a WAL plus a full
+//! snapshot per checkpoint, rooted at DIR; implies `--relational`,
+//! requires `--dtd`).
 //!
 //! `--serve ADDR` switches the CLI into server mode after any `--load`s:
 //! the relational store is shared behind the engine's session layer
@@ -47,7 +43,6 @@
 
 use std::io::{BufRead, Write};
 use xmlup::core::{DeleteStrategy, InsertStrategy, RepoConfig, XmlRepository};
-use xmlup::rdb::BackendKind;
 use xmlup::shred::Mapping;
 use xmlup::xml::dtd::Dtd;
 use xmlup::xml::{parse_with, serializer, ParseOptions};
@@ -73,8 +68,6 @@ fn main() {
     let mut serve_addr: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
     let mut db_path: Option<String> = None;
-    let mut backend = BackendKind::Memory;
-    let mut pool_frames = 1024usize;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--relational" => relational = true,
@@ -84,20 +77,6 @@ fn main() {
             "--serve" => serve_addr = args.next(),
             "--metrics-addr" => metrics_addr = args.next(),
             "--db-path" => db_path = args.next(),
-            "--backend" => match args.next().as_deref().and_then(BackendKind::parse) {
-                Some(k) => backend = k,
-                None => {
-                    eprintln!("--backend expects memory|paged");
-                    std::process::exit(2);
-                }
-            },
-            "--pool-frames" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => pool_frames = n,
-                _ => {
-                    eprintln!("--pool-frames expects N >= 1");
-                    std::process::exit(2);
-                }
-            },
             "--load" => {
                 if let Some(spec) = args.next() {
                     if let Some((n, f)) = spec.split_once('=') {
@@ -144,10 +123,6 @@ fn main() {
         // A durable store is necessarily relational.
         relational = true;
     }
-    if backend != BackendKind::Memory && db_path.is_none() {
-        eprintln!("--backend paged requires --db-path (the page store lives on disk)");
-        std::process::exit(2);
-    }
     if relational && cli.dtd.is_none() {
         eprintln!("--relational requires --dtd (the inlining mapping is DTD-driven)");
         std::process::exit(2);
@@ -165,13 +140,9 @@ fn main() {
                 } else {
                     Mapping::from_dtd(dtd, &root)
                 };
-                let cfg = RepoConfig {
-                    backend,
-                    pool_frames,
-                    ..RepoConfig::default()
-                };
                 mapping.map_err(|e| e.to_string()).and_then(|m| {
-                    XmlRepository::open_durable(path, m, cfg).map_err(|e| e.to_string())
+                    XmlRepository::open_durable(path, m, RepoConfig::default())
+                        .map_err(|e| e.to_string())
                 })
             }
             None => {
@@ -186,11 +157,7 @@ fn main() {
         match built {
             Ok(r) => {
                 if let Some(path) = &db_path {
-                    println!(
-                        "durable store at {path}: backend {}, {} tuples",
-                        r.db.backend_kind(),
-                        r.tuple_count()
-                    );
+                    println!("durable store at {path}: {} tuples", r.tuple_count());
                     if r.tuple_count() > 0 {
                         // A recovered store already holds the document;
                         // block a second `--load` from doubling it.
@@ -245,13 +212,11 @@ fn main() {
 fn print_help() {
     println!(
         "xmlup-cli [--relational] [--ordered] [--dtd FILE] [--root NAME] \
-         [--db-path DIR] [--backend memory|paged] [--pool-frames N] \
-         [--load NAME=FILE]... [--serve ADDR] [--metrics-addr ADDR] [SCRIPT]\n\
+         [--db-path DIR] [--load NAME=FILE]... [--serve ADDR] \
+         [--metrics-addr ADDR] [SCRIPT]\n\
          Statements end with `;;`. Dot-commands: .load .show .sql .tables \
          .stats .metrics .trace .strategy .help .quit\n\
-         --db-path DIR makes the store durable (implies --relational); \
-         --backend paged selects the slotted-page B-tree store with a \
-         --pool-frames page buffer pool and incremental checkpoints.\n\
+         --db-path DIR makes the store durable (implies --relational).\n\
          --serve ADDR shares the store over the line-based SQL protocol \
          (one session per connection; BEGIN/COMMIT/ROLLBACK per session); \
          --metrics-addr ADDR adds an HTTP endpoint serving /metrics \

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xmlup_core::{RepoConfig, SharedRepository, XmlRepository};
 use xmlup_rdb::session::SqlOutcome;
-use xmlup_rdb::{Database, SharedDatabase, StorageConfig, Value};
+use xmlup_rdb::{Database, SharedDatabase, Value};
 use xmlup_shred::edge;
 use xmlup_workload::{fixed_document, synthetic_dtd, SyntheticParams};
 
@@ -274,14 +274,9 @@ fn edge_dump(db: &Database) -> (Vec<Vec<Value>>, i64) {
     (rs.rows, db.peek_next_id())
 }
 
-/// Open (or recover) a durable Edge store on the paged backend with a
-/// deliberately tiny buffer pool.
+/// Open (or recover) a durable Edge store.
 fn durable_edge(path: &Path) -> Database {
-    let cfg = StorageConfig {
-        pool_frames: 8,
-        ..StorageConfig::paged()
-    };
-    let mut db = Database::open_with(path, cfg).unwrap();
+    let mut db = Database::open(path).unwrap();
     if db.table_names().is_empty() {
         db.bump_next_id(1);
         edge::create_schema(&mut db).unwrap();
@@ -292,13 +287,13 @@ fn durable_edge(path: &Path) -> Database {
     db
 }
 
-/// Incremental checkpoints race committed writer transactions while
-/// reader sessions hold MVCC snapshots across both: the readers must
-/// never see a non-baseline count (a checkpoint flushing dirty pages
-/// must not leak in-flight or post-snapshot state into a pinned
-/// snapshot), and after a crash the store recovers to exactly the
-/// committed prefix — every committed transaction, nothing else —
-/// whether it landed before or after the last incremental checkpoint.
+/// Checkpoints race committed writer transactions while reader
+/// sessions hold MVCC snapshots across both: the readers must never see
+/// a non-baseline count (a checkpoint must not leak in-flight or
+/// post-snapshot state into a pinned snapshot), and after a crash the
+/// store recovers to exactly the committed prefix — every committed
+/// transaction, nothing else — whether it landed before or after the
+/// last checkpoint.
 #[test]
 fn checkpoint_under_snapshots_recovers_committed_prefix() {
     let scratch = Scratch::new();
@@ -398,7 +393,7 @@ fn checkpoint_under_snapshots_recovers_committed_prefix() {
     assert!(checkpoints > 0);
 
     // One more committed transaction AFTER the last checkpoint, so
-    // recovery must compose the incremental page image with a WAL
+    // recovery must compose the checkpoint's snapshot with a WAL
     // suffix. This one changes the count on purpose.
     shared.with_write(|db| {
         db.begin().unwrap();
@@ -408,8 +403,8 @@ fn checkpoint_under_snapshots_recovers_committed_prefix() {
     let (committed, stats) = shared.with_write(|db| (edge_dump(db), db.stats()));
     assert!(stats.checkpoints > 0);
     assert!(
-        stats.checkpoint_pages_written > 0,
-        "paged checkpoints must report pages written"
+        stats.checkpoint_bytes_written > 0,
+        "checkpoints must report bytes written"
     );
 
     // Crash: drop every handle without close, reopen, compare.

@@ -8,20 +8,15 @@
 //!
 //! "Byte-identical" is [`Table`]'s `PartialEq` over the full physical
 //! state (slots including tombstones, live counts, index buckets in
-//! order) plus the engine's id counter.
-//!
-//! The whole matrix runs twice: on the in-memory backend (full snapshot
-//! per checkpoint) and on the paged backend (slotted-page B-tree store,
-//! incremental checkpoints, a buffer pool smaller than the dataset so
-//! recovery reloads evicted pages). The physical oracle holds for both:
+//! order) plus the engine's id counter. It holds across a checkpoint:
 //! index contents are a pure function of the slot vector, so the indexes
-//! DML and rollback maintain equal the ones a rebuild from pages
+//! DML and rollback maintain equal the ones a rebuild from the snapshot
 //! produces.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xmlup_core::{DeleteStrategy, InsertStrategy, RepoConfig, XmlRepository};
-use xmlup_rdb::{BackendKind, Database, StorageConfig, Table};
+use xmlup_rdb::{Database, Table};
 use xmlup_shred::{edge, Mapping};
 use xmlup_workload::driver::{pick_targets, Workload};
 use xmlup_workload::{fixed_document, synthetic_dtd, SyntheticParams};
@@ -67,26 +62,23 @@ fn snapshot(db: &Database) -> (Vec<(String, Table)>, i64) {
 
 const PARAMS: (usize, usize, usize) = (20, 3, 2);
 
-fn config(ds: DeleteStrategy, backend: BackendKind) -> RepoConfig {
+fn config(ds: DeleteStrategy) -> RepoConfig {
     RepoConfig {
         delete_strategy: ds,
         insert_strategy: InsertStrategy::Tuple,
         build_asr: ds == DeleteStrategy::Asr,
         statement_cost_us: 0,
-        backend,
-        // Smaller than the synthetic dataset, so the paged runs evict.
-        pool_frames: 8,
         ..RepoConfig::default()
     }
 }
 
 /// Open (or recover) a durable Shared-Inlining repo; load the synthetic
 /// document only when the store is fresh.
-fn durable_repo(path: &Path, ds: DeleteStrategy, backend: BackendKind) -> (XmlRepository, usize) {
+fn durable_repo(path: &Path, ds: DeleteStrategy) -> (XmlRepository, usize) {
     let (sf, depth, fanout) = PARAMS;
     let dtd = synthetic_dtd(depth);
     let mapping = Mapping::from_dtd(&dtd, "root").unwrap();
-    let mut repo = XmlRepository::open_durable(path, mapping, config(ds, backend)).unwrap();
+    let mut repo = XmlRepository::open_durable(path, mapping, config(ds)).unwrap();
     if repo.tuple_count() == 0 {
         repo.load(&fixed_document(&SyntheticParams::new(sf, depth, fanout)))
             .unwrap();
@@ -99,7 +91,7 @@ fn durable_repo(path: &Path, ds: DeleteStrategy, backend: BackendKind) -> (XmlRe
 fn oracle_repo(ds: DeleteStrategy) -> (XmlRepository, usize) {
     let (sf, depth, fanout) = PARAMS;
     let dtd = synthetic_dtd(depth);
-    let mut repo = XmlRepository::new(&dtd, "root", config(ds, BackendKind::Memory)).unwrap();
+    let mut repo = XmlRepository::new(&dtd, "root", config(ds)).unwrap();
     repo.load(&fixed_document(&SyntheticParams::new(sf, depth, fanout)))
         .unwrap();
     let n1 = repo.mapping.relation_by_element("n1").unwrap();
@@ -113,14 +105,9 @@ fn oracle_repo(ds: DeleteStrategy) -> (XmlRepository, usize) {
 /// recovered store and converge on the oracle's final state, XML
 /// round-trip included. `checkpoint_at` additionally checkpoints after
 /// that many operations, so recovery crosses a snapshot + WAL boundary.
-fn inline_crash_case(
-    ds: DeleteStrategy,
-    fail_at: u64,
-    checkpoint_at: Option<usize>,
-    backend: BackendKind,
-) {
+fn inline_crash_case(ds: DeleteStrategy, fail_at: u64, checkpoint_at: Option<usize>) {
     let scratch = Scratch::new();
-    let (mut repo, rel) = durable_repo(scratch.path(), ds, backend);
+    let (mut repo, rel) = durable_repo(scratch.path(), ds);
     let targets = pick_targets(&repo, rel, Workload::random10());
     repo.db.fail_after_statements(fail_at);
 
@@ -146,8 +133,7 @@ fn inline_crash_case(
 
     // Crash: drop the handle without rollback or close, then recover.
     drop(repo);
-    let (mut recovered, rel) = durable_repo(scratch.path(), ds, backend);
-    assert_eq!(recovered.db.backend_kind(), backend);
+    let (mut recovered, rel) = durable_repo(scratch.path(), ds);
     assert_eq!(
         snapshot(&recovered.db),
         committed,
@@ -193,7 +179,7 @@ fn inline_crash_mid_workload_recovers_exactly() {
         DeleteStrategy::Asr,
     ] {
         for fail_at in [2, 5, 9] {
-            inline_crash_case(ds, fail_at, None, BackendKind::Memory);
+            inline_crash_case(ds, fail_at, None);
         }
     }
 }
@@ -202,50 +188,13 @@ fn inline_crash_mid_workload_recovers_exactly() {
 fn inline_crash_after_checkpoint_recovers_exactly() {
     // The fault fires a few operations past the checkpoint, so recovery
     // must compose the snapshot with the WAL suffix written after it.
-    inline_crash_case(DeleteStrategy::Cascading, 7, Some(1), BackendKind::Memory);
-    inline_crash_case(
-        DeleteStrategy::PerTupleTrigger,
-        7,
-        Some(1),
-        BackendKind::Memory,
-    );
-}
-
-#[test]
-fn paged_inline_crash_mid_workload_recovers_exactly() {
-    // WAL-only recovery on the paged backend: no checkpoint ever ran, so
-    // reopen replays the whole log into a freshly seeded page store.
-    for ds in [
-        DeleteStrategy::PerTupleTrigger,
-        DeleteStrategy::Cascading,
-        DeleteStrategy::Asr,
-    ] {
-        for fail_at in [2, 9] {
-            inline_crash_case(ds, fail_at, None, BackendKind::Paged);
-        }
-    }
-}
-
-#[test]
-fn paged_inline_crash_after_checkpoint_recovers_exactly() {
-    // Recovery composes the incremental page image (meta + B-trees) with
-    // the WAL suffix written after the checkpoint.
-    inline_crash_case(DeleteStrategy::Cascading, 7, Some(1), BackendKind::Paged);
-    inline_crash_case(
-        DeleteStrategy::PerTupleTrigger,
-        7,
-        Some(1),
-        BackendKind::Paged,
-    );
+    inline_crash_case(DeleteStrategy::Cascading, 7, Some(1));
+    inline_crash_case(DeleteStrategy::PerTupleTrigger, 7, Some(1));
 }
 
 /// Build (or recover) a durable Edge-mapping store.
-fn durable_edge(path: &Path, backend: BackendKind) -> Database {
-    let storage = StorageConfig {
-        backend,
-        pool_frames: 8,
-    };
-    let mut db = Database::open_with(path, storage).unwrap();
+fn durable_edge(path: &Path) -> Database {
+    let mut db = Database::open(path).unwrap();
     if db.table_names().is_empty() {
         let doc = xmlup_xml::parse(xmlup_xml::samples::CUSTOMER_XML)
             .unwrap()
@@ -273,23 +222,13 @@ fn edge_id_of(db: &mut Database, name: &str) -> i64 {
 /// the committed copy. The recovered store then completes the copy.
 #[test]
 fn edge_crash_mid_copy_recovers_committed_state() {
-    edge_crash_case(BackendKind::Memory);
-}
-
-#[test]
-fn paged_edge_crash_mid_copy_recovers_committed_state() {
-    edge_crash_case(BackendKind::Paged);
-}
-
-fn edge_crash_case(backend: BackendKind) {
     let scratch = Scratch::new();
-    let mut db = durable_edge(scratch.path(), backend);
+    let mut db = durable_edge(scratch.path());
     let root = edge_id_of(&mut db, "CustDB");
     let cust = edge_id_of(&mut db, "Customer");
 
-    // Checkpoint the freshly shredded document (incremental on the
-    // paged backend), so recovery composes the page image with the
-    // committed copy's WAL suffix.
+    // Checkpoint the freshly shredded document, so recovery composes the
+    // snapshot with the committed copy's WAL suffix.
     db.checkpoint().unwrap();
 
     let first = edge::copy_subtree(&mut db, cust, root).unwrap();
@@ -308,7 +247,7 @@ fn edge_crash_case(backend: BackendKind) {
     let committed = snapshot(&db);
 
     drop(db); // crash without close
-    let mut recovered = durable_edge(scratch.path(), backend);
+    let mut recovered = durable_edge(scratch.path());
     assert_eq!(snapshot(&recovered), committed);
     assert!(recovered.stats().recovered_txns > 0);
 

@@ -1,24 +1,23 @@
-//! Backend-equivalence acceptance test for the paged storage engine
-//! (ISSUE: pager + B-tree tables + buffer pool behind `StorageBackend`):
-//! the *same* randomized update script, executed against a durable store
-//! on the in-memory backend and against one on the paged backend, must
-//! leave both stores with byte-identical SELECT-visible state and the
-//! identical XML document — under the Shared Inlining mapping AND the
-//! Edge mapping.
+//! Checkpoint equivalence between a database's two backends: rows in
+//! memory only (`Database::new`, `XmlRepository::new`), or durable
+//! (`Database::open`, `XmlRepository::open_durable`: the same heap,
+//! checkpointed to `snapshot.bin` behind a WAL). The *same* randomized
+//! update script, run on one store of each kind, must leave both with
+//! identical SELECT-visible state and the identical XML document, under
+//! the Shared Inlining mapping AND the Edge mapping.
 //!
-//! The paged store runs with a buffer pool far smaller than the dataset
-//! so the write-through mirror evicts and writes back pages, and the
-//! two stores checkpoint on *different* schedules mid-script, so
-//! full-snapshot and incremental checkpoints interleave with the updates
-//! without being allowed to perturb visible state. After the script the paged store is
-//! crashed (dropped without close), reopened, and compared once more —
-//! recovery through meta + WAL must reproduce the same state.
+//! The durable store checkpoints between the script's steps, so
+//! checkpoints interleave with the updates without being allowed to
+//! perturb visible state. After the script the durable store is crashed
+//! (dropped without close), reopened, and compared once more: recovery
+//! through the snapshot + WAL must reproduce the same state and the same
+//! document.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xmlup_core::{DeleteStrategy, InsertStrategy, RepoConfig, XmlRepository};
-use xmlup_rdb::{BackendKind, Database, StorageConfig, Value};
+use xmlup_rdb::{Database, Value};
 use xmlup_shred::{edge, Mapping};
 use xmlup_workload::driver::{pick_targets, Workload};
 use xmlup_workload::{fixed_document, synthetic_dtd, SyntheticParams};
@@ -48,16 +47,10 @@ impl Drop for Scratch {
     }
 }
 
-/// Tiny pool so the synthetic dataset overflows it and the script runs
-/// through eviction + reload, not just cached pages.
-const SMALL_POOL: usize = 8;
-
-fn repo_config(backend: BackendKind) -> RepoConfig {
+fn repo_config() -> RepoConfig {
     RepoConfig {
         delete_strategy: DeleteStrategy::Cascading,
         insert_strategy: InsertStrategy::Tuple,
-        backend,
-        pool_frames: SMALL_POOL,
         ..RepoConfig::default()
     }
 }
@@ -81,20 +74,6 @@ fn visible_state(db: &Database) -> (Vec<(String, Vec<Vec<Value>>)>, i64) {
     (tables, db.peek_next_id())
 }
 
-/// Queries read the heap, so only the mirror's writes reach the pool:
-/// the script must still have evicted (and so written back) pages
-/// before the crash, or recovery would only ever see cached frames.
-fn assert_write_back_exercised(db: &Database) -> Result<(), TestCaseError> {
-    let sm = db.storage_metrics();
-    prop_assert!(
-        sm.pool.evictions > 0,
-        "{} pages never evicted from a {SMALL_POOL}-frame pool",
-        sm.pages_allocated
-    );
-    Ok(())
-}
-
-/// At least 60 subtrees, so even the smallest shape outgrows the pool.
 fn params() -> impl Strategy<Value = SyntheticParams> {
     (60usize..120, 2usize..4, 1usize..3, any::<u64>()).prop_map(|(sf, d, f, seed)| {
         SyntheticParams {
@@ -145,10 +124,17 @@ fn apply(repo: &mut XmlRepository, rel: usize, op: Op) {
     }
 }
 
-fn inline_repo(path: &Path, p: &SyntheticParams, backend: BackendKind) -> (XmlRepository, usize) {
+/// The store at `path` (in memory only when `None`), loaded with the
+/// document on first open, and its `n1` relation.
+fn inline_repo(path: Option<&Path>, p: &SyntheticParams) -> (XmlRepository, usize) {
     let dtd = synthetic_dtd(p.depth);
-    let mapping = Mapping::from_dtd(&dtd, "root").unwrap();
-    let mut repo = XmlRepository::open_durable(path, mapping, repo_config(backend)).unwrap();
+    let mut repo = match path {
+        Some(path) => {
+            let mapping = Mapping::from_dtd(&dtd, "root").unwrap();
+            XmlRepository::open_durable(path, mapping, repo_config()).unwrap()
+        }
+        None => XmlRepository::new(&dtd, "root", repo_config()).unwrap(),
+    };
     if repo.tuple_count() == 0 {
         repo.load(&fixed_document(p)).unwrap();
     }
@@ -156,47 +142,39 @@ fn inline_repo(path: &Path, p: &SyntheticParams, backend: BackendKind) -> (XmlRe
     (repo, rel)
 }
 
+/// The whole stored document, serialised.
+fn inline_document(repo: &mut XmlRepository) -> String {
+    let root = repo.mapping.relation_by_element("root").unwrap();
+    let (doc, _) = repo.fetch(root, None).unwrap();
+    xmlup_xml::serializer::to_string(&doc)
+}
+
 fn run_inline_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> {
-    let (mem_dir, paged_dir) = (Scratch::new(), Scratch::new());
-    let (mut mem, rel) = inline_repo(mem_dir.path(), p, BackendKind::Memory);
-    let (mut paged, prel) = inline_repo(paged_dir.path(), p, BackendKind::Paged);
-    prop_assert_eq!(rel, prel);
-    prop_assert_eq!(paged.db.backend_kind(), BackendKind::Paged);
+    let dir = Scratch::new();
+    let (mut mem, rel) = inline_repo(None, p);
+    let (mut durable, drel) = inline_repo(Some(dir.path()), p);
+    prop_assert_eq!(rel, drel);
 
     let script = script_for(&mem, rel, seed);
     for (i, &op) in script.iter().enumerate() {
         apply(&mut mem, rel, op);
-        apply(&mut paged, rel, op);
-        // Divergent checkpoint schedules: full snapshots on the memory
-        // store, incremental flushes on the paged one.
-        if i % 5 == 2 {
-            mem.checkpoint().unwrap();
-        }
+        apply(&mut durable, rel, op);
         if i % 3 == 1 {
-            paged.checkpoint().unwrap();
+            durable.checkpoint().unwrap();
         }
     }
 
-    prop_assert_eq!(visible_state(&mem.db), visible_state(&paged.db));
+    let expected = visible_state(&mem.db);
+    prop_assert_eq!(visible_state(&durable.db), expected.clone());
+    let document = inline_document(&mut mem);
+    prop_assert_eq!(inline_document(&mut durable), document.clone());
 
-    // The published XML is the same document.
-    let root = mem.mapping.relation_by_element("root").unwrap();
-    let (mem_doc, _) = mem.fetch(root, None).unwrap();
-    let (paged_doc, _) = paged.fetch(root, None).unwrap();
-    prop_assert_eq!(
-        xmlup_xml::serializer::to_string(&mem_doc),
-        xmlup_xml::serializer::to_string(&paged_doc)
-    );
-
-    assert_write_back_exercised(&paged.db)?;
-
-    // Crash the paged store and recover: same visible state again.
-    let expected = visible_state(&paged.db);
-    drop(paged);
-    let (paged2, _) = inline_repo(paged_dir.path(), p, BackendKind::Paged);
-    prop_assert_eq!(visible_state(&paged2.db), expected);
-    paged2.close_durable().unwrap();
-    mem.close_durable().unwrap();
+    // Crash the durable store and recover: same state, same document.
+    drop(durable);
+    let (mut recovered, _) = inline_repo(Some(dir.path()), p);
+    prop_assert_eq!(visible_state(&recovered.db), expected);
+    prop_assert_eq!(inline_document(&mut recovered), document);
+    recovered.close_durable().unwrap();
     Ok(())
 }
 
@@ -204,8 +182,10 @@ fn run_inline_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> 
 // Edge mapping
 // ----------------------------------------------------------------------
 
-fn edge_db(path: &Path, p: &SyntheticParams, config: StorageConfig) -> Database {
-    let mut db = Database::open_with(path, config).unwrap();
+/// The Edge store at `path` (in memory only when `None`), shredded on
+/// first open.
+fn edge_db(path: Option<&Path>, p: &SyntheticParams) -> Database {
+    let mut db = path.map_or_else(Database::new, |path| Database::open(path).unwrap());
     if db.table_names().is_empty() {
         db.bump_next_id(1);
         edge::create_schema(&mut db).unwrap();
@@ -235,22 +215,18 @@ fn edge_children(db: &Database) -> (i64, Vec<i64>) {
 }
 
 fn run_edge_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> {
-    let (mem_dir, paged_dir) = (Scratch::new(), Scratch::new());
-    let paged_cfg = StorageConfig {
-        pool_frames: SMALL_POOL,
-        ..StorageConfig::paged()
-    };
-    let mut mem = edge_db(mem_dir.path(), p, StorageConfig::default());
-    let mut paged = edge_db(paged_dir.path(), p, paged_cfg);
+    let dir = Scratch::new();
+    let mut mem = edge_db(None, p);
+    let mut durable = edge_db(Some(dir.path()), p);
 
     let (root, children) = edge_children(&mem);
-    prop_assert_eq!((root, children.clone()), edge_children(&paged));
+    prop_assert_eq!((root, children.clone()), edge_children(&durable));
 
     for i in 0..8usize {
         let src = children[(seed as usize + i) % children.len()];
         // Copy one subtree; every other round delete the copy again via
         // the cascade trigger (same script on both stores).
-        for db in [&mut mem, &mut paged] {
+        for db in [&mut mem, &mut durable] {
             let max_before: i64 = db.query("SELECT MAX(id) FROM Edge").unwrap().rows[0][0]
                 .as_int()
                 .unwrap();
@@ -262,29 +238,24 @@ fn run_edge_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> {
                 .unwrap();
             }
         }
-        if i % 4 == 1 {
-            mem.checkpoint().unwrap();
-        }
         if i % 2 == 1 {
-            paged.checkpoint().unwrap();
+            durable.checkpoint().unwrap();
         }
     }
 
-    prop_assert_eq!(visible_state(&mem), visible_state(&paged));
-    prop_assert_eq!(
-        xmlup_xml::serializer::to_string(&edge::unshred(&mut mem).unwrap()),
-        xmlup_xml::serializer::to_string(&edge::unshred(&mut paged).unwrap())
-    );
+    let document =
+        |db: &mut Database| xmlup_xml::serializer::to_string(&edge::unshred(db).unwrap());
+    let expected = visible_state(&mem);
+    prop_assert_eq!(visible_state(&durable), expected.clone());
+    let expected_doc = document(&mut mem);
+    prop_assert_eq!(document(&mut durable), expected_doc.clone());
 
-    assert_write_back_exercised(&paged)?;
-
-    // Crash + recover the paged store.
-    let expected = visible_state(&paged);
-    drop(paged);
-    let paged2 = edge_db(paged_dir.path(), p, paged_cfg);
-    prop_assert_eq!(visible_state(&paged2), expected);
-    paged2.close().unwrap();
-    mem.close().unwrap();
+    // Crash + recover the durable store.
+    drop(durable);
+    let mut recovered = edge_db(Some(dir.path()), p);
+    prop_assert_eq!(visible_state(&recovered), expected);
+    prop_assert_eq!(document(&mut recovered), expected_doc);
+    recovered.close().unwrap();
     Ok(())
 }
 
@@ -292,9 +263,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Shared Inlining: the same randomized delete/copy script leaves the
-    /// memory-backend and paged-backend stores SELECT-identical, XML
-    /// round-trip included, with eviction exercised and a crash+recover
-    /// of the paged store at the end.
+    /// in-memory and the checkpointed durable store SELECT-identical, XML
+    /// round-trip included, and a crash + recover of the durable store
+    /// changes neither.
     #[test]
     fn inline_backends_equivalent(p in params(), seed in any::<u64>()) {
         run_inline_case(&p, seed)?;

@@ -1,11 +1,11 @@
 //! Target selection seeks: the mapping indexes the leaf columns of the
 //! root's child relations, so the first step of `root/n1[num=x]/n2[num=y]`
 //! probes `n1.num` instead of scanning every `n1`, and the indexes come
-//! back when a durable store is reopened, on both backends.
+//! back when a durable store is reopened.
 
 use std::path::PathBuf;
 use xmlup_core::{RepoConfig, XmlRepository};
-use xmlup_rdb::{BackendKind, Value};
+use xmlup_rdb::Value;
 use xmlup_shred::Mapping;
 use xmlup_workload::{fixed_document, synthetic_dtd, SyntheticParams};
 
@@ -62,41 +62,36 @@ fn root_predicate_probes_and_its_index_survives_reopen() {
     let params = SyntheticParams::new(2000, 2, 2);
     let doc = fixed_document(&params);
     let mapping = Mapping::from_dtd(&synthetic_dtd(params.depth), "root").unwrap();
-    for backend in [BackendKind::Memory, BackendKind::Paged] {
-        let scratch = Scratch::new(&format!("{backend:?}"));
-        let config = RepoConfig {
-            backend,
-            ..RepoConfig::default()
-        };
-        let mut repo = XmlRepository::open_durable(&scratch.0, mapping.clone(), config).unwrap();
-        repo.load(&doc).unwrap();
-        assert_eq!(repo.db.table("n1").unwrap().len(), 2000);
+    let scratch = Scratch::new("reopen");
+    let config = RepoConfig::default();
+    let mut repo = XmlRepository::open_durable(&scratch.0, mapping.clone(), config).unwrap();
+    repo.load(&doc).unwrap();
+    assert_eq!(repo.db.table("n1").unwrap().len(), 2000);
 
-        let (a, b) = a_target(&mut repo);
-        let scanned = delete_scanned(&mut repo, &a, &b);
-        assert!(
-            scanned <= 50,
-            "{backend:?}: the delete scanned {scanned} rows; root/n1[num=x] should probe n1.num"
-        );
-        repo.checkpoint().unwrap();
-        let (a2, b2) = a_target(&mut repo);
-        repo.close_durable().unwrap();
+    let (a, b) = a_target(&mut repo);
+    let scanned = delete_scanned(&mut repo, &a, &b);
+    assert!(
+        scanned <= 50,
+        "the delete scanned {scanned} rows; root/n1[num=x] should probe n1.num"
+    );
+    repo.checkpoint().unwrap();
+    let (a2, b2) = a_target(&mut repo);
+    repo.close_durable().unwrap();
 
-        let mut repo = XmlRepository::open_durable(&scratch.0, mapping.clone(), config).unwrap();
-        let rs = repo
-            .db
-            .query(&format!("EXPLAIN SELECT id FROM n1 WHERE num = '{a2}'"))
-            .unwrap();
-        let plan: Vec<String> = rs.rows.iter().map(|r| text(&r[0])).collect();
-        assert!(
-            plan.iter().any(|l| l.contains("IndexScan n1 (num = ")),
-            "{backend:?}: after reopen the root predicate should still probe:\n{}",
-            plan.join("\n")
-        );
-        let scanned = delete_scanned(&mut repo, &a2, &b2);
-        assert!(
-            scanned <= 50,
-            "{backend:?}: after reopen the delete scanned {scanned} rows"
-        );
-    }
+    let mut repo = XmlRepository::open_durable(&scratch.0, mapping.clone(), config).unwrap();
+    let rs = repo
+        .db
+        .query(&format!("EXPLAIN SELECT id FROM n1 WHERE num = '{a2}'"))
+        .unwrap();
+    let plan: Vec<String> = rs.rows.iter().map(|r| text(&r[0])).collect();
+    assert!(
+        plan.iter().any(|l| l.contains("IndexScan n1 (num = ")),
+        "after reopen the root predicate should still probe:\n{}",
+        plan.join("\n")
+    );
+    let scanned = delete_scanned(&mut repo, &a2, &b2);
+    assert!(
+        scanned <= 50,
+        "after reopen the delete scanned {scanned} rows"
+    );
 }
