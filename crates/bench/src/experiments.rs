@@ -568,14 +568,12 @@ pub fn storage_ablation(scaling: &[usize]) -> Vec<(usize, Millis, Millis, Millis
 
         let make_inline = || {
             let mut db = xmlup_rdb::Database::new();
-            db.set_statement_cost(std::time::Duration::from_micros(STATEMENT_COST_US));
             loader::create_schema(&mut db, &mapping).unwrap();
             loader::shred(&mut db, &mapping, &doc).unwrap();
             db
         };
         let make_edge = || {
             let mut db = xmlup_rdb::Database::new();
-            db.set_statement_cost(std::time::Duration::from_micros(STATEMENT_COST_US));
             db.bump_next_id(1);
             edge::create_schema(&mut db).unwrap();
             edge::shred(&mut db, &doc).unwrap();
@@ -585,34 +583,62 @@ pub fn storage_ablation(scaling: &[usize]) -> Vec<(usize, Millis, Millis, Millis
 
         // Query: the string values of every level-3 element — one table
         // scan inlined vs. a four-way self-join over Edge.
-        let inline_q = time_runs(RUNS, make_inline, |db| {
-            db.query("SELECT str FROM n3").unwrap();
-        });
-        let edge_q = time_runs(RUNS, make_edge, |db| {
-            db.query(
-                "SELECT v.value FROM Edge e3, Edge s, Edge v
+        let inline_q = time_runs(
+            RUNS,
+            make_inline,
+            charged(|db| {
+                db.query("SELECT str FROM n3").unwrap();
+            }),
+        );
+        let edge_q = time_runs(
+            RUNS,
+            make_edge,
+            charged(|db| {
+                db.query(
+                    "SELECT v.value FROM Edge e3, Edge s, Edge v
                  WHERE e3.name = 'n3' AND s.parentId = e3.id AND s.name = 'str'
                    AND v.parentId = s.id AND v.kind = 'text'",
-            )
-            .unwrap();
-        });
+                )
+                .unwrap();
+            }),
+        );
         // Delete: remove every n1 subtree. Inline: per-tuple triggers would
         // apply; compare raw orphan-cascade on both stores.
-        let inline_d = time_runs(RUNS, make_inline, |db| {
-            db.execute("DELETE FROM n1").unwrap();
-            db.execute("DELETE FROM n2 WHERE parentId NOT IN (SELECT id FROM n1)")
-                .unwrap();
-            db.execute("DELETE FROM n3 WHERE parentId NOT IN (SELECT id FROM n2)")
-                .unwrap();
-        });
-        let edge_d = time_runs(RUNS, make_edge, |db| {
-            // One statement; the self-referential per-tuple trigger
-            // cascades through the whole fragment forest.
-            db.execute("DELETE FROM Edge WHERE name = 'n1'").unwrap();
-        });
+        let inline_d = time_runs(
+            RUNS,
+            make_inline,
+            charged(|db| {
+                db.execute("DELETE FROM n1").unwrap();
+                db.execute("DELETE FROM n2 WHERE parentId NOT IN (SELECT id FROM n1)")
+                    .unwrap();
+                db.execute("DELETE FROM n3 WHERE parentId NOT IN (SELECT id FROM n2)")
+                    .unwrap();
+            }),
+        );
+        let edge_d = time_runs(
+            RUNS,
+            make_edge,
+            charged(|db| {
+                // One statement; the self-referential per-tuple trigger
+                // cascades through the whole fragment forest.
+                db.execute("DELETE FROM Edge WHERE name = 'n1'").unwrap();
+            }),
+        );
         rows.push((sf, inline_q, edge_q, inline_d, edge_d));
     }
     rows
+}
+
+/// `op` as one middleware call against a bare `Database`: afterwards,
+/// charge [`STATEMENT_COST_US`] for each client statement it issued, as
+/// `XmlRepository` does for its entry points.
+fn charged(mut op: impl FnMut(&mut xmlup_rdb::Database)) -> impl FnMut(&mut xmlup_rdb::Database) {
+    move |db| {
+        let before = db.stats().client_statements;
+        op(db);
+        let issued = db.stats().client_statements - before;
+        xmlup_core::repository::simulate_round_trips(issued, STATEMENT_COST_US);
+    }
 }
 
 /// Print the storage ablation.

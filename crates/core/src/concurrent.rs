@@ -18,8 +18,9 @@
 //!   long-running analytical reader never blocks updates, and an update
 //!   committing mid-read can never tear the reader's view.
 //!
-//! Construction enables MVCC version retention on the underlying engine;
-//! the version GC stays bounded by the oldest live [`RepoSnapshot`].
+//! Snapshots need no setup on the engine: a commit keeps its row undo
+//! records only while a live [`RepoSnapshot`] predates it, so the
+//! version GC stays bounded by the oldest one.
 //!
 //! A writer that panics poisons the repository exactly as it does the
 //! engine session layer (policy in [`xmlup_rdb::session`]): the writer
@@ -75,9 +76,8 @@ pub struct SharedRepository {
 }
 
 impl SharedRepository {
-    /// Wrap `repo` for concurrent use (enables MVCC on its engine).
-    pub fn new(mut repo: XmlRepository) -> Self {
-        repo.db.enable_mvcc(true);
+    /// Wrap `repo` for concurrent use.
+    pub fn new(repo: XmlRepository) -> Self {
         SharedRepository {
             inner: Arc::new(Inner {
                 repo: RwLock::new(repo),

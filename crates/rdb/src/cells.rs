@@ -36,6 +36,16 @@ impl Counter {
     pub fn add(&self, by: u64) -> u64 {
         self.0.fetch_add(by, Ordering::Relaxed) + by
     }
+
+    /// Subtract `by` in one atomic step, stopping at zero.
+    #[inline]
+    pub fn sub_saturating(&self, by: u64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(by))
+            });
+    }
 }
 
 /// A `Cell<i64>` replacement backed by an `AtomicI64`.
@@ -75,22 +85,6 @@ impl FlagCell {
     #[inline]
     pub fn set(&self, v: bool) {
         self.0.store(v, Ordering::Relaxed);
-    }
-}
-
-/// A `Cell<Duration>` replacement storing whole nanoseconds.
-#[derive(Debug, Default)]
-pub(crate) struct DurCell(AtomicU64);
-
-impl DurCell {
-    #[inline]
-    pub fn get(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.0.load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    pub fn set(&self, d: std::time::Duration) {
-        self.0.store(d.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 

@@ -10,7 +10,7 @@
 //! firings, index lookups).
 
 use crate::ast::*;
-use crate::cells::{Counter, DurCell, FlagCell, IdCell, OptDurCell};
+use crate::cells::{Counter, FlagCell, IdCell, OptDurCell};
 use crate::error::{DbError, Result};
 use crate::exec::{EvalCtx, PlanProf, RowEnv, SliceEnv};
 use crate::mvcc::MvccState;
@@ -190,9 +190,6 @@ pub struct Database {
     triggers: Vec<Trigger>,
     pub(crate) stats: StatsCells,
     next_id: IdCell,
-    /// Simulated per-client-statement overhead (see
-    /// [`Database::set_statement_cost`]).
-    pub(crate) statement_cost: DurCell,
     /// Parsed statements and their plan slots for SQL text seen by
     /// `execute`/`query`/`prepare` (see the `statement` module).
     pub(crate) plan_cache: Mutex<PlanCache>,
@@ -305,7 +302,6 @@ impl Database {
             triggers: Vec::new(),
             stats: StatsCells::default(),
             next_id: IdCell::new(0),
-            statement_cost: DurCell::default(),
             plan_cache: Mutex::new(PlanCache::default()),
             schema_epoch: Counter::new(0),
             planner_naive: FlagCell::new(false),
@@ -649,9 +645,9 @@ impl Database {
                         return Err(e);
                     }
                     if !self.txn.log.is_empty() {
-                        self.txn.log.clear();
                         StatsCells::bump(&self.stats.txn_commits, 1);
                         self.mvcc_commit();
+                        self.txn.log.clear();
                     }
                 }
                 Ok(r)
@@ -694,9 +690,9 @@ impl Database {
         }
         let _span = Span::enter("txn.commit");
         self.wal_flush_commit()?;
-        self.txn.reset();
         StatsCells::bump(&self.stats.txn_commits, 1);
         self.mvcc_commit();
+        self.txn.reset();
         Ok(())
     }
 
@@ -789,6 +785,18 @@ impl Database {
         self.txn.log.len()
     }
 
+    /// The open transaction's undo log, oldest first — what a snapshot
+    /// reader rolls its copy of a table back through first.
+    pub(crate) fn undo_log(&self) -> &[UndoRecord] {
+        &self.txn.log
+    }
+
+    /// Take the undo log whole (a commit moving its records to the
+    /// snapshots that predate it).
+    pub(crate) fn take_undo_log(&mut self) -> Vec<UndoRecord> {
+        std::mem::take(&mut self.txn.log)
+    }
+
     /// Undo all records above `mark`, newest first. If any undone record
     /// was DDL the schema epoch moves, mirroring the forward DDL path, so
     /// no plan built against the undone catalog is served again.
@@ -809,26 +817,12 @@ impl Database {
     /// no-op rather than panicking.
     fn apply_undo(&mut self, rec: UndoRecord) {
         match rec {
-            UndoRecord::InsertedRow { table, pos } => {
-                if let Some(t) = self.tables.get_mut(&table) {
-                    t.undo_insert(pos);
-                }
-            }
-            UndoRecord::DeletedRow { table, pos, row } => {
-                if let Some(t) = self.tables.get_mut(&table) {
-                    t.restore_row(pos, row);
-                }
-            }
-            UndoRecord::UpdatedCell {
-                table,
-                pos,
-                column,
-                old,
-            } => {
-                if let Some(t) = self.tables.get_mut(&table) {
-                    // A vanished row means the log was corrupted; degrade
-                    // to a no-op like the other arms.
-                    let _ = t.update_cell(pos, column, old);
+            UndoRecord::InsertedRow { .. }
+            | UndoRecord::DeletedRow { .. }
+            | UndoRecord::UpdatedCell { .. } => {
+                let t = rec.row_table().and_then(|k| self.tables.get_mut(k));
+                if let Some(t) = t {
+                    t.undo_row(rec);
                 }
             }
             UndoRecord::CreatedTable { name } => {
@@ -1801,7 +1795,6 @@ impl Database {
         // error.
         let mut positions = Vec::with_capacity(n);
         let mut failure = None;
-        let mvcc_epoch = self.mvcc.enabled().then(|| self.mvcc.write_epoch());
         {
             let t = self.tables.get_mut(&key).unwrap();
             if has_insert_triggers {
@@ -1836,14 +1829,6 @@ impl Database {
             }
         }
         let applied = positions.len();
-        if let Some(epoch) = mvcc_epoch {
-            // Inserted slots had no prior row: snapshots older than this
-            // epoch must reconstruct them as absent.
-            let t = self.tables.get_mut(&key).expect("resolved above");
-            for &pos in &positions {
-                t.note_insert(epoch, pos);
-            }
-        }
         if self.durable.is_some() {
             // Redo is physical: the row as it landed, at its slot. A
             // partially-applied failing statement's records are truncated
@@ -1889,7 +1874,6 @@ impl Database {
             .iter()
             .any(|t| t.table == key && t.event == TriggerEvent::Delete);
         let mut failure = None;
-        let mvcc_epoch = self.mvcc.enabled().then(|| self.mvcc.write_epoch());
         let deleted: Vec<(usize, Row)> = {
             let t = self.tables.get_mut(&key).unwrap();
             let mut out = Vec::with_capacity(positions.len());
@@ -1897,11 +1881,6 @@ impl Database {
                 if let Err(e) = self.fault.check_table_write(&key) {
                     failure = Some(e);
                     break;
-                }
-                if let Some(epoch) = mvcc_epoch {
-                    // Before-image of the slot, captured ahead of the
-                    // physical delete.
-                    t.note_version(epoch, p);
                 }
                 if let Some(row) = t.delete(p) {
                     out.push((p, row));
@@ -1982,17 +1961,9 @@ impl Database {
         let n = pending.len();
         let mut failure = None;
         let mut cell_undo: Vec<(usize, usize, Value)> = Vec::new();
-        let mvcc_epoch = self.mvcc.enabled().then(|| self.mvcc.write_epoch());
         {
             let t = self.tables.get_mut(&key).unwrap();
             'rows: for (p, vals) in pending {
-                if let Some(epoch) = mvcc_epoch {
-                    // One before-image per row, ahead of the first cell
-                    // write; the visibility scan keeps the oldest entry
-                    // per slot, so later statements in the same epoch
-                    // don't clobber it.
-                    t.note_version(epoch, p);
-                }
                 for (&ci, v) in set_indices.iter().zip(vals) {
                     if let Err(e) = self.fault.check_table_write(&key) {
                         failure = Some(e);

@@ -458,7 +458,7 @@ impl<'a> ScanCur<'a> {
             }
             ScanSrc::Table(t) => t,
         };
-        if let Some(s) = self.stale_at(ex.ctx) {
+        if let Some(s) = self.stale_at(ex.db, ex.ctx) {
             // The live heap (and its indexes) moved past this statement's
             // snapshot: reconstruct the epoch's row image and scan that
             // instead.
@@ -476,9 +476,9 @@ impl<'a> ScanCur<'a> {
     /// The snapshot epoch this scan has to reconstruct its table at:
     /// `Some` when the statement reads at a snapshot the table's heap has
     /// moved past.
-    fn stale_at(&self, ctx: &EvalCtx<'_>) -> Option<u64> {
+    fn stale_at(&self, db: &Database, ctx: &EvalCtx<'_>) -> Option<u64> {
         match self.src {
-            ScanSrc::Table(t) => ctx.snapshot.filter(|&s| t.changed_since(s)),
+            ScanSrc::Table(t) => ctx.snapshot.filter(|&s| t.changed_since(s, db.undo_log())),
             ScanSrc::Mat(_) => None,
         }
     }
@@ -508,7 +508,7 @@ impl<'a> ScanCur<'a> {
         StatsCells::bump(&ex.db.stats.seq_scans, 1);
         self.prof_loop(1);
         let mut rows = Vec::new();
-        for row in t.rows_visible_at(s) {
+        for row in t.rows_visible_at(s, ex.db.undo_log()) {
             StatsCells::bump(&ex.db.stats.rows_scanned, 1);
             if self.accepts(self.plan.probe.as_slice(), &row, ex)? && self.passes(&row, ex)? {
                 rows.push(row);
@@ -1072,7 +1072,7 @@ impl Database {
             let join: Box<dyn Cursor + 'a> = match kind {
                 // Live indexes describe the current heap; over a stale
                 // snapshot the join hashes the epoch's reconstructed rows.
-                JoinKind::Index { right_ci, left_key } if right.stale_at(ctx).is_none() => {
+                JoinKind::Index { right_ci, left_key } if right.stale_at(self, ctx).is_none() => {
                     Box::new(IndexJoinCur {
                         left: cur,
                         right: Input {

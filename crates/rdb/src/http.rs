@@ -12,7 +12,7 @@
 //!   sorted by total execution time.
 //!
 //! Everything else is `404`; non-`GET` methods are `405`; a request
-//! line over [`MAX_HEADER_BYTES`] is `400` and a header block that takes
+//! line over 8 KiB (`MAX_HEADER_BYTES`) is `400` and a header block that takes
 //! the request past it `431`. Responses always carry `Content-Length`
 //! and `Connection: close`, and each request is served on the accept
 //! thread — metrics scrapes are rare and cheap, so there is no

@@ -3,27 +3,31 @@
 //! The paper's experiments run one JDBC client against DB2; the ROADMAP
 //! north-star serves many. This module gives the engine the read side of
 //! that story: every committed transaction advances a global *epoch*, and
-//! mutations record per-slot before-images stamped with the epoch they
-//! will commit under (see [`crate::table`]). A reader that pins a
-//! snapshot epoch `S` then reconstructs, at any later time, exactly the
-//! state that was committed when `S` was current — uncommitted or
-//! later-committed writes are invisible because their before-images
-//! (stamped `> S`) are layered back over the heap.
+//! a reader that pins a snapshot epoch `S` reconstructs, at any later
+//! time, exactly the state that was committed when `S` was current.
 //!
-//! The scheme is undo-based rather than copy-on-write: the live heap is
-//! always the newest version, readers pay a reconstruction cost only on
-//! tables that actually changed since their snapshot, and version
-//! retention is bounded by the oldest registered snapshot (entries older
-//! than every active snapshot are dropped at commit — the version GC).
+//! There is one before-image per mutated row: the transaction's undo
+//! record (`crate::txn::UndoRecord`). A reader rolls a copy of a table
+//! back through the open transaction's row records, newest first, and
+//! then through the records of every commit after `S`. Those a commit
+//! leaves behind only while a registered snapshot predates it: the
+//! commit *moves* its row records into the touched tables' history,
+//! stamped with its epoch. With no snapshot registered the records are
+//! dropped as rollback no longer needs them, and a commit does no
+//! per-table work. Retention is bounded by the oldest registered
+//! snapshot (records it no longer predates are dropped at commit — the
+//! version GC), and a rolled-back write never leaves a record behind.
 //!
 //! Writers are unaffected: they serialize through the existing
-//! transaction/WAL path and always see the newest state. This is
-//! snapshot isolation for readers, single-writer serialization for
-//! updates — the concurrency model DESIGN.md §11 documents.
+//! transaction/WAL path, always see the newest state, and copy nothing
+//! for readers. This is snapshot isolation for readers, single-writer
+//! serialization for updates — the concurrency model DESIGN.md §11
+//! documents.
 
-use crate::cells::{Counter, FlagCell};
+use crate::cells::Counter;
 use crate::engine::Database;
 use crate::obs::Histogram;
+use crate::txn::UndoRecord;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -31,12 +35,12 @@ use std::sync::Mutex;
 /// MVCC bookkeeping owned by the [`Database`].
 #[derive(Debug, Default)]
 pub(crate) struct MvccState {
-    /// Whether mutations retain version history. Off by default: a
-    /// single-threaded database pays nothing for the subsystem.
-    enabled: FlagCell,
-    /// Epoch of the most recently committed transaction. Mutations are
-    /// stamped `committed + 1`; commit publishes by advancing this.
+    /// Epoch of the most recently committed transaction; commit
+    /// publishes by advancing it.
     committed: AtomicU64,
+    /// Whether some table may still hold retained records, so a commit
+    /// has version GC to do.
+    retaining: bool,
     /// Active snapshot epochs → reference count. Keyed in a `BTreeMap`
     /// so the GC horizon (the oldest active snapshot) is the first key.
     snapshots: Mutex<BTreeMap<u64, usize>>,
@@ -49,32 +53,18 @@ pub(crate) struct MvccState {
 }
 
 impl MvccState {
-    pub fn enabled(&self) -> bool {
-        self.enabled.get()
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.set(on);
-    }
-
     pub fn committed(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
     }
 
-    /// The epoch in-flight mutations are stamped with.
-    pub fn write_epoch(&self) -> u64 {
-        self.committed() + 1
+    /// Publish a commit: it becomes visible to snapshots taken from now
+    /// on. Returns the commit's epoch.
+    pub fn publish_commit(&self) -> u64 {
+        self.committed.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Publish a commit: everything stamped `committed + 1` becomes
-    /// visible to snapshots taken from now on.
-    pub fn publish_commit(&self) {
-        self.committed.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Oldest epoch any active snapshot still needs; `committed` when no
-    /// snapshot is registered (then only open-transaction entries,
-    /// stamped `committed + 1`, survive GC).
+    /// Oldest epoch any registered snapshot still reads at; `committed`
+    /// when none is registered.
     pub fn gc_horizon(&self) -> u64 {
         let snaps = self.snapshots.lock().unwrap();
         snaps
@@ -87,35 +77,15 @@ impl MvccState {
 }
 
 impl Database {
-    /// Enable (or disable) multi-version snapshot reads. With MVCC on,
-    /// every mutation records a before-image stamped with its commit
-    /// epoch, [`Database::begin_snapshot`] pins a consistent read point,
-    /// and [`Database::query_at`] reads against it from `&self`. Off by
-    /// default — single-session databases pay nothing.
-    ///
-    /// Disabling drops all retained versions.
-    pub fn enable_mvcc(&mut self, on: bool) {
-        self.mvcc.set_enabled(on);
-        if !on {
-            for t in self.tables.values_mut() {
-                t.gc_versions(u64::MAX);
-            }
-        }
-    }
-
-    /// Whether MVCC version retention is enabled.
-    pub fn mvcc_enabled(&self) -> bool {
-        self.mvcc.enabled()
-    }
-
     /// Epoch of the most recently committed transaction.
     pub fn committed_epoch(&self) -> u64 {
         self.mvcc.committed()
     }
 
     /// Register a snapshot at the current committed epoch and return it.
-    /// The version GC will not discard any before-image the snapshot
-    /// could still need until [`Database::end_snapshot`] releases it.
+    /// Every commit from now on leaves its row records behind for it, and
+    /// the version GC keeps them until [`Database::end_snapshot`]
+    /// releases it. [`Database::query_at`] reads at the snapshot.
     /// Snapshots are reference-counted: concurrent sessions at the same
     /// epoch share one registry slot.
     pub fn begin_snapshot(&self) -> u64 {
@@ -147,7 +117,7 @@ impl Database {
         self.mvcc.snapshots.lock().unwrap().values().sum()
     }
 
-    /// Total MVCC version entries retained across all tables
+    /// Row records retained for snapshots across all tables
     /// (`snapshot_versions_retained`).
     pub fn snapshot_versions_retained(&self) -> u64 {
         self.tables
@@ -156,17 +126,46 @@ impl Database {
             .sum()
     }
 
-    /// Publish the just-committed transaction's versions and garbage-
-    /// collect entries no active snapshot can reach. Called by the
-    /// commit paths after the WAL flush succeeds; no-op with MVCC off.
+    /// Publish a commit and hand its before-images to the snapshots
+    /// that predate it. Called by the commit paths after the WAL flush
+    /// succeeds and before the undo log is cleared. First the records no
+    /// registered snapshot still predates are garbage-collected (skipped
+    /// while no table retains any — every commit of a database no
+    /// reader ever pinned). Then, when a registered snapshot is older
+    /// than the new epoch, the log's row records move into the touched
+    /// tables' history under that epoch; otherwise the caller drops them
+    /// with the log.
     pub(crate) fn mvcc_commit(&mut self) {
-        if !self.mvcc.enabled() {
-            return;
-        }
-        self.mvcc.publish_commit();
+        let epoch = self.mvcc.publish_commit();
         let horizon = self.mvcc.gc_horizon();
-        for t in self.tables.values_mut() {
-            t.gc_versions(horizon);
+        if self.mvcc.retaining {
+            let mut any = false;
+            for t in self.tables.values_mut() {
+                t.gc_versions(horizon);
+                any |= t.versions_retained() > 0;
+            }
+            self.mvcc.retaining = any;
+        }
+        if horizon < epoch {
+            let mut moved: Vec<UndoRecord> = Vec::new();
+            for rec in self.take_undo_log() {
+                match rec {
+                    // The records before a table's creation belong to an
+                    // earlier table of the same name.
+                    UndoRecord::CreatedTable { name } => {
+                        moved.retain(|r| r.row_table() != Some(name.as_str()))
+                    }
+                    rec if rec.row_table().is_some() => moved.push(rec),
+                    _ => {}
+                }
+            }
+            for rec in moved {
+                let key = rec.row_table().expect("row record");
+                if let Some(t) = self.tables.get_mut(key) {
+                    t.retain_version(epoch, rec);
+                    self.mvcc.retaining = true;
+                }
+            }
         }
     }
 
@@ -190,8 +189,9 @@ impl Database {
     }
 
     pub(crate) fn session_closed(&self) {
-        let n = self.mvcc.active_sessions.get();
-        self.mvcc.active_sessions.set(n.saturating_sub(1));
+        // One atomic step: sessions dropped on several threads at once
+        // run this under a shared guard.
+        self.mvcc.active_sessions.sub_saturating(1);
     }
 }
 
@@ -209,8 +209,7 @@ mod tests {
 
     #[test]
     fn snapshot_registry_refcounts() {
-        let mut db = Database::new();
-        db.enable_mvcc(true);
+        let db = Database::new();
         let s1 = db.begin_snapshot();
         let s2 = db.begin_snapshot();
         assert_eq!(s1, s2);

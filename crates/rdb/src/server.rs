@@ -10,7 +10,7 @@
 //! `BEGIN`/`COMMIT`/`ROLLBACK` scope a per-connection transaction via
 //! [`Session`]; a connection that drops mid-transaction is rolled back
 //! by the session's `Drop`. `QUIT` (or EOF) closes the connection, and a
-//! line longer than [`MAX_LINE_BYTES`] is answered `ERR line too long`
+//! line longer than 1 MiB (`MAX_LINE_BYTES`) is answered `ERR line too long`
 //! and closes it too.
 //! Lines starting with `.stat` are control commands handled by the
 //! server itself: `statements`/`sessions`/`tables` run a `SELECT` over

@@ -3,10 +3,13 @@
 //! [`SharedDatabase`] wraps one [`Database`] for concurrent use: readers
 //! run simultaneously under a shared `RwLock` guard and always read
 //! through a pinned MVCC snapshot (see [`crate::mvcc`]), so a reader can
-//! never observe a half-committed transaction; writers serialize through
-//! a writer-admission token (one engine-level transaction at a time,
-//! measured into the `write_lock_wait_us` histogram) and then take the
-//! exclusive lock per statement.
+//! never observe a half-committed transaction — one that runs between
+//! another session's write statements rolls its copy of a table back
+//! through that session's open undo log. Snapshots need no setup on the
+//! wrapped engine. Writers serialize through a writer-admission token
+//! (one engine-level transaction at a time, measured into the
+//! `write_lock_wait_us` histogram) and then take the exclusive lock per
+//! statement.
 //!
 //! [`Session`] is the unit of connection state: autocommit by default,
 //! `BEGIN` opens either a read transaction (a snapshot held across
@@ -133,17 +136,15 @@ impl Shared {
 }
 
 /// A concurrency facade over one [`Database`]: cheap to clone, safe to
-/// share across threads. Construction enables MVCC on the engine so
-/// every mutation retains the before-images snapshot readers need.
+/// share across threads.
 #[derive(Clone)]
 pub struct SharedDatabase {
     inner: Arc<Shared>,
 }
 
 impl SharedDatabase {
-    /// Wrap `db` for shared use (enables MVCC version retention).
-    pub fn new(mut db: Database) -> Self {
-        db.enable_mvcc(true);
+    /// Wrap `db` for shared use.
+    pub fn new(db: Database) -> Self {
         let registry = db.session_registry();
         SharedDatabase {
             inner: Arc::new(Shared {

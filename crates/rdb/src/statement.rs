@@ -124,22 +124,6 @@ impl PlanCache {
 }
 
 impl Database {
-    /// Simulate a fixed per-*client*-statement overhead (the round-trip +
-    /// SQL-compilation cost a JDBC application pays against a real RDBMS
-    /// such as the paper's DB2 setup). Statements executed inside trigger
-    /// bodies are not charged — they run inside the engine. Zero by
-    /// default; the benchmark harness enables it so that strategies
-    /// trading statement count against set-oriented work (tuple- vs
-    /// table-based insert, Section 6.2) face the paper's trade-off.
-    pub fn set_statement_cost(&mut self, cost: Duration) {
-        self.statement_cost.set(cost);
-    }
-
-    /// The configured per-client-statement overhead.
-    pub fn statement_cost(&self) -> Duration {
-        self.statement_cost.get()
-    }
-
     /// Execute one SQL statement. Repeat executions of the same SQL text
     /// reuse the cached statement instead of re-parsing.
     pub fn execute(&mut self, sql: &str) -> Result<ExecResult> {
@@ -301,9 +285,9 @@ impl Database {
         Ok(plan)
     }
 
-    /// The bookkeeping every client statement pays on entry: count it,
-    /// charge the simulated round trip, and build its evaluation context
-    /// with its plan slot and whether the cache hit.
+    /// The bookkeeping every client statement pays on entry: count it
+    /// and build its evaluation context with its plan slot and whether
+    /// the cache hit.
     fn client_ctx<'a>(
         &self,
         params: &'a [Value],
@@ -311,13 +295,6 @@ impl Database {
         hit: bool,
     ) -> EvalCtx<'a> {
         StatsCells::bump(&self.stats.client_statements, 1);
-        let cost = self.statement_cost.get();
-        if !cost.is_zero() {
-            let start = Instant::now();
-            while start.elapsed() < cost {
-                std::hint::spin_loop();
-            }
-        }
         let mut ctx = EvalCtx::with_params(params);
         ctx.plan_slot = slot;
         ctx.plan_cache_hit = hit;

@@ -14,10 +14,10 @@
 //! The module also owns the two instrumentation substrates the views
 //! read from:
 //!
-//! * [`StatementStore`] — a pg_stat_statements-style aggregate keyed by
+//! * `StatementStore` — a pg_stat_statements-style aggregate keyed by
 //!   a literal-normalized statement fingerprint, LRU-bounded, feeding
 //!   `rdb_statements`.
-//! * [`SessionRegistry`] — live per-session state (state machine,
+//! * `SessionRegistry` — live per-session state (state machine,
 //!   snapshot epoch, current statement, cumulative writer-lock wait),
 //!   feeding `rdb_sessions`.
 

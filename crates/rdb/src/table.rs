@@ -1,8 +1,14 @@
 //! In-memory table storage with ordered secondary indexes.
+//!
+//! A table also keeps the row undo records of recent commits that a
+//! registered snapshot still predates (its `history`). A stale snapshot
+//! read rolls a copy of the slots back through them with the same
+//! per-slot undo step rollback uses (see `crate::mvcc`).
 
 use crate::ast::ColumnDef;
 use crate::error::{DbError, Result};
 use crate::stats::TableStatistics;
+use crate::txn::{self, UndoRecord};
 use crate::value::{Row, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -30,21 +36,6 @@ impl TableSchema {
     }
 }
 
-/// One undo-style version record retained for MVCC snapshot reads:
-/// "before `epoch` committed, slot `pos` held `prior`" (`None` = the slot
-/// did not hold a live row). Entries are appended in mutation order, so
-/// epochs are non-decreasing and the *first* matching entry for a slot is
-/// the oldest — the one a snapshot reconstructs from.
-#[derive(Debug, Clone)]
-pub(crate) struct VersionEntry {
-    /// Epoch the mutation commits under (`committed + 1` at write time).
-    pub epoch: u64,
-    /// Slot position the mutation touched.
-    pub pos: usize,
-    /// The slot's content immediately before the mutation.
-    pub prior: Option<Row>,
-}
-
 /// One secondary index: key → slot positions, keys in
 /// [`Value::sort_cmp`] order, positions **ascending** within a key, no
 /// empty buckets. That makes the map a pure function of the slot vector,
@@ -61,8 +52,8 @@ type Index = BTreeMap<Value, Vec<usize>>;
 /// `PartialEq` compares the full physical state — slot vector (including
 /// tombstones), live count, and index contents — which is exactly the
 /// "byte-identical" equality the transaction layer's undo restores (see
-/// `crate::txn`). The MVCC version history is deliberately excluded: it
-/// is read-side reconstruction state, not part of the committed physical
+/// `crate::txn`). The snapshot history is deliberately excluded: it is
+/// read-side reconstruction state, not part of the committed physical
 /// image.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -76,9 +67,10 @@ pub struct Table {
     /// the slot mutations below, shape is frozen until the next analyze
     /// (see `crate::stats`).
     stats: Option<TableStatistics>,
-    /// Version records for snapshot visibility (empty unless the owning
-    /// database has MVCC enabled; see `crate::mvcc`).
-    history: Vec<VersionEntry>,
+    /// Row undo records of commits a registered snapshot predates, each
+    /// stamped with the epoch it committed under, oldest first (moved
+    /// here at commit; see `crate::mvcc`).
+    history: Vec<(u64, UndoRecord)>,
 }
 
 impl PartialEq for Table {
@@ -292,6 +284,24 @@ impl Table {
         }
     }
 
+    /// Undo one row record: the per-slot step of rollback and of a
+    /// snapshot read's reconstruction. Catalog records are the engine's
+    /// and are ignored here.
+    pub(crate) fn undo_row(&mut self, rec: UndoRecord) {
+        match rec {
+            UndoRecord::InsertedRow { pos, .. } => self.undo_insert(pos),
+            UndoRecord::DeletedRow { pos, row, .. } => self.restore_row(pos, row),
+            UndoRecord::UpdatedCell {
+                pos, column, old, ..
+            } => {
+                // A vanished row means the log was corrupted; degrade to
+                // a no-op like the other arms.
+                let _ = self.update_cell(pos, column, old);
+            }
+            _ => {}
+        }
+    }
+
     /// Drop the index on `column_idx` (undo of `CREATE INDEX`).
     pub(crate) fn drop_index(&mut self, column_idx: usize) {
         self.indexes.remove(&column_idx);
@@ -404,92 +414,54 @@ impl Table {
     }
 
     // ------------------------------------------------------------------
-    // MVCC version history (see `crate::mvcc`)
+    // snapshot reads (see `crate::mvcc`)
     //
-    // The engine records the *before* image of every slot a mutation is
-    // about to touch, stamped with the epoch the enclosing transaction
-    // will commit under. A reader holding snapshot epoch `S` reconstructs
-    // each slot from the oldest entry with `epoch > S` (its `prior` is the
-    // slot's content when `S` was current); slots with no such entry are
-    // unchanged since the snapshot and read straight from the heap.
+    // A reader at snapshot epoch `S` sees the heap rolled back through,
+    // newest first, the open transaction's row records for this table and
+    // then every retained record committed after `S`. That is an exact
+    // rollback of a copy: the records after `S` are a complete suffix of
+    // this table's writes, because the version GC only drops records no
+    // registered snapshot predates.
     // ------------------------------------------------------------------
 
-    /// Record the before-image of `pos` under `epoch` before a mutation.
-    /// No-op unless the owning database enabled version retention
-    /// (single-threaded databases pay nothing). Repeated writes to one
-    /// slot in one transaction are all recorded; only the first matters
-    /// for visibility and GC drops them together.
-    pub(crate) fn note_version(&mut self, epoch: u64, pos: usize) {
-        let prior = self.slots.get(pos).cloned().unwrap_or(None);
-        self.history.push(VersionEntry { epoch, pos, prior });
+    /// Whether a reader at snapshot `epoch` cannot read the live heap and
+    /// its indexes: a retained record committed after the snapshot, or
+    /// the open transaction (`open`, the engine's undo log) wrote here.
+    pub(crate) fn changed_since(&self, epoch: u64, open: &[UndoRecord]) -> bool {
+        self.history.last().is_some_and(|(e, _)| *e > epoch)
+            || txn::table_records(open, &self.schema.name).next().is_some()
     }
 
-    /// Record a freshly-inserted slot: its before-image is "no row", so
-    /// snapshots older than `epoch` must not see it. Called *after* the
-    /// insert with the returned position (the prior content of a new
-    /// slot is always empty, so nothing needs capturing beforehand).
-    pub(crate) fn note_insert(&mut self, epoch: u64, pos: usize) {
-        self.history.push(VersionEntry {
-            epoch,
-            pos,
-            prior: None,
-        });
-    }
-
-    /// Whether any version entry is newer than snapshot `epoch` — i.e.
-    /// whether a reader at that snapshot can trust the live heap and its
-    /// indexes directly. Entries are appended with non-decreasing epochs,
-    /// so only the newest needs checking.
-    pub fn changed_since(&self, epoch: u64) -> bool {
-        self.history.last().is_some_and(|e| e.epoch > epoch)
-    }
-
-    /// Materialize the rows visible at snapshot `epoch`: heap contents
-    /// with every newer mutation's before-image layered back on. The
-    /// executor only takes this path when [`Table::changed_since`] says
-    /// the heap has moved past the snapshot.
-    pub(crate) fn rows_visible_at(&self, epoch: u64) -> Vec<Row> {
-        let mut overrides: HashMap<usize, &Option<Row>> = HashMap::new();
-        for e in &self.history {
-            if e.epoch > epoch {
-                // First entry per slot wins: the oldest before-image is
-                // the slot's content when the snapshot was current.
-                overrides.entry(e.pos).or_insert(&e.prior);
-            }
+    /// The rows visible at snapshot `epoch`, in slot order: a copy of the
+    /// slot vector undone through the records newer than the snapshot.
+    /// The scan returns owned rows, so copying the slots costs what the
+    /// result needs anyway. The executor only takes this path when
+    /// [`Table::changed_since`] says the heap has moved past the snapshot.
+    pub(crate) fn rows_visible_at(&self, epoch: u64, open: &[UndoRecord]) -> Vec<Row> {
+        let mut image = Table::from_parts(self.schema.clone(), self.slots.clone(), &[], None);
+        let retained = self.history.iter().rev().take_while(|(e, _)| *e > epoch);
+        for rec in txn::table_records(open, &self.schema.name).chain(retained.map(|(_, r)| r)) {
+            image.undo_row(rec.clone());
         }
-        let max_pos = self
-            .slots
-            .len()
-            .max(overrides.keys().map(|p| p + 1).max().unwrap_or(0));
-        let mut rows = Vec::new();
-        for pos in 0..max_pos {
-            let visible = match overrides.get(&pos) {
-                Some(prior) => prior.as_ref(),
-                None => self.slots.get(pos).and_then(Option::as_ref),
-            };
-            if let Some(row) = visible {
-                rows.push(row.clone());
-            }
-        }
-        rows
+        image.slots.into_iter().flatten().collect()
     }
 
-    /// Drop version entries no active snapshot can still need: an entry
+    /// Retain a committed row record for the snapshots that predate
+    /// `epoch`, the epoch it committed under.
+    pub(crate) fn retain_version(&mut self, epoch: u64, rec: UndoRecord) {
+        self.history.push((epoch, rec));
+    }
+
+    /// Drop the records no registered snapshot can still need: a record
     /// stamped `epoch` serves snapshots strictly older than it, so once
-    /// the oldest active snapshot has reached `min_snapshot >= epoch` the
-    /// entry is garbage. Entries of the open (uncommitted) transaction
-    /// carry `committed + 1 > min_snapshot` and always survive.
+    /// the oldest registered snapshot is `min_snapshot >= epoch` it is
+    /// garbage.
     pub(crate) fn gc_versions(&mut self, min_snapshot: u64) {
-        if self
-            .history
-            .first()
-            .is_some_and(|e| e.epoch <= min_snapshot)
-        {
-            self.history.retain(|e| e.epoch > min_snapshot);
-        }
+        let stale = self.history.partition_point(|(e, _)| *e <= min_snapshot);
+        self.history.drain(..stale);
     }
 
-    /// Number of version entries currently retained.
+    /// Number of row records currently retained.
     pub fn versions_retained(&self) -> usize {
         self.history.len()
     }

@@ -6,7 +6,7 @@
 //! must leave the shredded relations exactly as they were. This module
 //! supplies the engine-side machinery: a logical undo log of
 //! before-images ([`UndoRecord`]), transaction/savepoint bookkeeping
-//! ([`TxnState`]), and a fault injector ([`FaultState`]) that lets tests
+//! (`TxnState`), and a fault injector (`FaultState`) that lets tests
 //! and the workload driver kill execution at a chosen statement or table
 //! write.
 //!
@@ -17,6 +17,12 @@
 //! That invariant is what makes the property tests in
 //! `tests/txn_props.rs` meaningful and is relied on by the fault
 //! injection acceptance test at the workspace root.
+//!
+//! The row records are also the engine's only before-images for
+//! snapshot reads: a reader rolls a copy of a table back through the open
+//! transaction's records, and a commit that a registered snapshot
+//! predates moves its records into the touched tables' history (see
+//! `crate::mvcc`).
 
 use crate::cells::Counter;
 use crate::engine::Trigger;
@@ -117,6 +123,32 @@ impl UndoRecord {
                 | UndoRecord::DroppedTrigger { .. }
         )
     }
+
+    /// The table a row record (`InsertedRow`, `DeletedRow`,
+    /// `UpdatedCell`) touched; `None` for the catalog records.
+    pub(crate) fn row_table(&self) -> Option<&str> {
+        match self {
+            UndoRecord::InsertedRow { table, .. }
+            | UndoRecord::DeletedRow { table, .. }
+            | UndoRecord::UpdatedCell { table, .. } => Some(table),
+            _ => None,
+        }
+    }
+}
+
+/// The row records `log` holds for table `name`, newest first. The walk
+/// stops at the record of the table's creation: anything older belongs
+/// to an earlier table of the same name.
+pub(crate) fn table_records<'a>(
+    log: &'a [UndoRecord],
+    name: &'a str,
+) -> impl Iterator<Item = &'a UndoRecord> + 'a {
+    log.iter()
+        .rev()
+        .take_while(move |r| {
+            !matches!(r, UndoRecord::CreatedTable { name: n } if n.eq_ignore_ascii_case(name))
+        })
+        .filter(move |r| r.row_table().is_some_and(|t| t.eq_ignore_ascii_case(name)))
 }
 
 /// A named savepoint: a mark into the undo log plus the id-counter value

@@ -18,7 +18,10 @@
 //! self-join, and an inner side with its own literal probe)
 //! queries must agree across the three, a snapshot taken before the
 //! script must still answer them as it did then (`query_at` at a stale
-//! epoch), the table and the delete-trigger log must be slot-for-slot
+//! epoch), a second snapshot taken at a generated step — possibly inside
+//! an open transaction — must answer them as the oracle did at the last
+//! point no transaction was open, the table and the delete-trigger log
+//! must be slot-for-slot
 //! identical (DELETE / UPDATE hit the same rows, deletes in ascending
 //! slot order), and each maintained index must equal one rebuilt from the
 //! slots.
@@ -182,11 +185,10 @@ fn answer(rs: xmlup_rdb::Result<ResultSet>, ordered: bool) -> Option<Vec<Vec<Val
     Some(rows)
 }
 
-fn answers(
-    db: &Database,
-    battery: &[(String, bool)],
-    snapshot: Option<u64>,
-) -> Vec<Option<Vec<Vec<Value>>>> {
+/// The battery's answers, one per query (`None` where it raised).
+type Answers = Vec<Option<Vec<Vec<Value>>>>;
+
+fn answers(db: &Database, battery: &[(String, bool)], snapshot: Option<u64>) -> Answers {
     battery
         .iter()
         .map(|(q, ordered)| answer(db.query_at(q, snapshot), *ordered))
@@ -228,6 +230,7 @@ proptest! {
         seed in prop::collection::vec((arb_mixed_key(), arb_text_key()), 4..16),
         seed_u in prop::collection::vec(arb_mixed_key(), 2..10),
         ops in prop::collection::vec(arb_op(), 1..24),
+        second_snapshot_at in 0usize..24,
     ) {
         let scratch = Scratch::new();
         let mut oracle = Database::new();
@@ -252,17 +255,23 @@ proptest! {
             db.run_script(SCHEMA).unwrap();
             db.run_script(INDEXES).unwrap();
             db.run_script(&inserts).unwrap();
-            db.enable_mvcc(true);
         }
         // The stale epoch: what the battery answered before the script.
         let battery = battery();
         let at_snapshot = answers(&oracle, &battery, None);
         let snaps = [mem.begin_snapshot(), durable.begin_snapshot()];
+        // What the battery answered when no transaction was last open —
+        // the committed state a snapshot taken now reads.
+        let mut committed = at_snapshot.clone();
+        let mut second: Option<([u64; 2], Answers)> = None;
 
         // Checkpoints at a quarter, a half and three quarters of the
         // script (when no transaction is open).
         let mut checkpoints = 0usize;
         for (step, op) in ops.iter().enumerate() {
+            if step == second_snapshot_at % ops.len() {
+                second = Some(([mem.begin_snapshot(), durable.begin_snapshot()], committed.clone()));
+            }
             let sql = match op {
                 Op::Insert(a, b) => {
                     next_c += 1;
@@ -287,12 +296,29 @@ proptest! {
             }
 
             let expect = answers(&oracle, &battery, None);
+            if !oracle.in_transaction() {
+                committed = expect.clone();
+            }
             let table = oracle.query("SELECT * FROM t").unwrap().rows;
             let table_u = oracle.query("SELECT * FROM u").unwrap().rows;
             let log = oracle.query("SELECT * FROM log").unwrap().rows;
-            for ((db, who), snap) in [(&mem, "mem"), (&durable, "durable")].into_iter().zip(snaps) {
+            for (i_db, ((db, who), snap)) in [(&mem, "mem"), (&durable, "durable")]
+                .into_iter()
+                .zip(snaps)
+                .enumerate()
+            {
                 let live = answers(db, &battery, None);
                 let stale = answers(db, &battery, Some(snap));
+                if let Some((snaps2, at_second)) = &second {
+                    let got = answers(db, &battery, Some(snaps2[i_db]));
+                    for (i, (q, _)) in battery.iter().enumerate() {
+                        if at_second[i].is_some() {
+                            prop_assert_eq!(
+                                &got[i], &at_second[i], "{} at second snapshot after {}: {}", who, sql, q
+                            );
+                        }
+                    }
+                }
                 for (i, (q, _)) in battery.iter().enumerate() {
                     // Where the sequential scan raises (LIKE meets an int
                     // key) a seek that never visits that row may not.

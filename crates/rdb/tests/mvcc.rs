@@ -15,7 +15,6 @@ fn seeded() -> Database {
          INSERT INTO t VALUES (1, 1, 'a'), (2, 1, 'b'), (3, 2, 'c');",
     )
     .unwrap();
-    db.enable_mvcc(true);
     db
 }
 
@@ -101,10 +100,66 @@ fn version_gc_is_bounded_by_the_oldest_snapshot() {
     db.execute("UPDATE t SET v = 'x3' WHERE id = 1").unwrap();
     assert_eq!(db.snapshot_versions_retained(), 0);
 
-    // With MVCC off, mutations retain nothing.
-    db.enable_mvcc(false);
+    // A rolled-back write leaves nothing behind, even for a pinned
+    // snapshot: its before-images never left the undo log.
+    let snap = db.begin_snapshot();
+    db.begin().unwrap();
     db.execute("UPDATE t SET v = 'x4' WHERE id = 1").unwrap();
+    db.savepoint("s").unwrap();
+    db.execute("DELETE FROM t WHERE id = 2").unwrap();
+    db.rollback_to("s").unwrap();
     assert_eq!(db.snapshot_versions_retained(), 0);
+    db.rollback().unwrap();
+    assert_eq!(db.snapshot_versions_retained(), 0);
+    let rs = db
+        .query_at("SELECT v FROM t WHERE id = 1", Some(snap))
+        .unwrap();
+    assert_eq!(rs.rows[0][0], Value::Str("x3".into()));
+    db.end_snapshot(snap);
+}
+
+#[test]
+fn a_table_recreated_in_a_transaction_does_not_inherit_the_old_tables_records() {
+    // DDL is not versioned: the reader sees the new table, rolled back
+    // through its own records only. The old table's insert at slot 3
+    // must not be replayed over the new table's one-slot heap.
+    let mut db = seeded();
+    let snap = db.begin_snapshot();
+    db.begin().unwrap();
+    db.execute("INSERT INTO t VALUES (4, 2, 'd')").unwrap();
+    db.execute("DROP TABLE t").unwrap();
+    db.execute("CREATE TABLE t (id INTEGER, grp INTEGER, v VARCHAR(10))")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (7, 7, 'z')").unwrap();
+    assert_eq!(count(&db, Some(snap), "SELECT COUNT(*) FROM t"), 0);
+    db.commit().unwrap();
+    assert_eq!(count(&db, Some(snap), "SELECT COUNT(*) FROM t"), 0);
+    assert_eq!(count(&db, None, "SELECT COUNT(*) FROM t"), 1);
+    assert_eq!(db.snapshot_versions_retained(), 1);
+    db.end_snapshot(snap);
+}
+
+#[test]
+fn sessions_dropped_on_many_threads_leave_the_gauge_at_zero() {
+    // Each thread opens its 200 sessions first and then, released
+    // together, drops them: the decrements overlap.
+    let shared = SharedDatabase::new(Database::new());
+    let start = Arc::new(std::sync::Barrier::new(8));
+    let threads: Vec<_> = (0..8)
+        .map(|_| {
+            let shared = shared.clone();
+            let start = start.clone();
+            std::thread::spawn(move || {
+                let sessions: Vec<_> = (0..200).map(|_| shared.session()).collect();
+                start.wait();
+                drop(sessions);
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    assert!(shared.metrics_text().contains("rdb_active_sessions 0"));
 }
 
 #[test]
@@ -196,7 +251,6 @@ fn stale_snapshot_keeps_the_key_order_an_elided_sort_promised() {
          INSERT INTO o VALUES (1, 5), (2, 9), (3, 5), (4, 1), (5, 9), (6, 5);",
     )
     .unwrap();
-    db.enable_mvcc(true);
     let sql = "SELECT id, k FROM o ORDER BY k DESC";
     let plan = db.query(&format!("EXPLAIN {sql}")).unwrap();
     let plan: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();

@@ -79,25 +79,20 @@ pub fn run_delete(repo: &mut XmlRepository, rel: usize, workload: Workload) -> R
 /// parents (the paper's self-copy query). Returns tuples created.
 pub fn run_insert(repo: &mut XmlRepository, rel: usize, workload: Workload) -> Result<usize> {
     let targets = pick_targets(repo, rel, workload);
-    let parent_rel = repo.mapping.relations[rel]
-        .parent
-        .expect("insert workload needs a non-root relation");
-    // Map each source to its parent tuple.
-    let table = repo.mapping.relations[rel].table.clone();
+    assert!(
+        repo.mapping.relations[rel].parent.is_some(),
+        "insert workload needs a non-root relation"
+    );
     let mut created = 0;
-    // Parameterized lookup: one parse for the whole target loop.
-    let lookup = repo
-        .db
-        .prepare(&format!("SELECT parentId FROM {table} WHERE id = ?"))?;
     for id in targets {
+        // Map each source to its parent tuple: one parameterized lookup
+        // (parsed once for the whole loop) through the repository, which
+        // charges its simulated round trip.
         let parent_id = repo
-            .db
-            .query_prepared(&lookup, &[xmlup_rdb::Value::Int(id)])?
-            .scalar()
-            .and_then(xmlup_rdb::Value::as_int)
+            .column_value(rel, id, "parentId")?
+            .as_int()
             .unwrap_or(0);
         created += repo.copy_subtree(rel, id, parent_id)?;
-        let _ = parent_rel;
     }
     Ok(created)
 }
