@@ -227,6 +227,10 @@ fn tuple_insert(
 // table-based
 // ----------------------------------------------------------------------
 
+/// Table-based copy of the subtree rooted at `src_id` under
+/// `dst_parent_id`. Its `tmp_*` tables are created and dropped inside the
+/// repository's transaction, so on a durable store the commit leaves them
+/// out of the WAL: only the copied rows and the id counter are logged.
 fn table_insert(
     db: &mut Database,
     mapping: &Mapping,

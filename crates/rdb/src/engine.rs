@@ -21,7 +21,7 @@ use crate::statement::PlanCache;
 use crate::storage::checkpoint::{self, Slots};
 use crate::storage::{self, CatalogTable, CheckpointCatalog, StorageMetrics};
 use crate::table::{Table, TableSchema};
-use crate::txn::{FaultState, Savepoint, TxnState, UndoRecord};
+use crate::txn::{self, DdlEffect, FaultState, Redo, Savepoint, TxnState, UndoRecord};
 use crate::value::{Row, Value};
 use crate::wal::{self, WalRecord};
 use std::collections::{HashMap, HashSet};
@@ -1158,7 +1158,7 @@ impl Database {
     /// non-durable database).
     fn wal_push(&self, rec: WalRecord) {
         if self.durable.is_some() {
-            self.txn.redo.lock().unwrap().push(rec);
+            self.txn.redo.lock().unwrap().push(rec.into());
         }
     }
 
@@ -1208,26 +1208,42 @@ impl Database {
     }
 
     /// Group-flush the buffered redo records as one committed WAL frame
-    /// (`TxnBegin`, the records, `TxnCommit`). On failure the buffer is
-    /// left intact — the caller decides whether to roll back; on success
-    /// it is cleared. No-op when non-durable or nothing is buffered.
+    /// (`TxnBegin`, the records, `TxnCommit`), leaving out the records of
+    /// every frame-local table ([`txn::frame_local`]). On failure the
+    /// buffer is left intact — the caller decides whether to roll back;
+    /// on success it is cleared. Nothing is written when non-durable or
+    /// when no record is left to log.
     fn wal_flush_commit(&self) -> Result<()> {
-        if self.durable.is_none() || self.txn.redo.lock().unwrap().is_empty() {
+        if self.durable.is_none() {
+            return Ok(());
+        }
+        let mut redo = self.txn.redo.lock().unwrap();
+        let left_out = txn::frame_local(&redo);
+        let kept = || {
+            redo.iter()
+                .zip(&left_out)
+                .filter(|(_, &out)| !out)
+                .map(|(r, _)| &r.rec)
+        };
+        let n = kept().count();
+        if n == 0 {
+            redo.clear();
             return Ok(());
         }
         let txn = self.next_wal_txn();
-        let (buf, n) = {
-            let records = self.txn.redo.lock().unwrap();
-            let mut buf = Vec::new();
-            wal::encode_frame(&WalRecord::TxnBegin { txn }, &mut buf);
-            for r in records.iter() {
-                wal::encode_frame(r, &mut buf);
-            }
-            wal::encode_frame(&WalRecord::TxnCommit { txn }, &mut buf);
-            (buf, records.len() as u64 + 2)
-        };
-        self.wal_append(&buf, n, 1)?;
-        self.txn.redo.lock().unwrap().clear();
+        let (begin, commit) = (WalRecord::TxnBegin { txn }, WalRecord::TxnCommit { txn });
+        let len = wal::frame_len(&begin)
+            + kept().map(wal::frame_len).sum::<usize>()
+            + wal::frame_len(&commit);
+        let mut buf = Vec::with_capacity(len);
+        wal::encode_frame(&begin, &mut buf);
+        for r in kept() {
+            wal::encode_frame(r, &mut buf);
+        }
+        wal::encode_frame(&commit, &mut buf);
+        debug_assert_eq!(buf.len(), len, "frame_len disagrees with encode_frame");
+        self.wal_append(&buf, n as u64 + 2, 1)?;
+        redo.clear();
         Ok(())
     }
 
@@ -1422,6 +1438,9 @@ impl Database {
         if is_ddl {
             self.bump_schema_epoch();
         }
+        // Taken before the statement runs: a dropped trigger's table is
+        // gone from the trigger list afterwards.
+        let ddl_effect = (is_ddl && self.durable.is_some()).then(|| self.ddl_effect(stmt));
         let result = match stmt {
             Stmt::CreateTable {
                 name,
@@ -1461,6 +1480,8 @@ impl Database {
                         if !*if_exists {
                             return Err(DbError::NoSuchTable(name.clone()));
                         }
+                        // Nothing to drop: a no-op, and not logged.
+                        return Ok(ExecResult::Ddl);
                     }
                     Some(table) => {
                         // Capture the triggers removed with the table at
@@ -1493,9 +1514,12 @@ impl Database {
                     .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
                 let new_on = t.schema.column_index(column).filter(|&ci| !t.has_index(ci));
                 t.create_index(column)?;
-                if let Some(column) = new_on {
-                    self.record_undo(UndoRecord::CreatedIndex { table: key, column });
-                }
+                let Some(column) = new_on else {
+                    // The column was already indexed: a no-op, and not
+                    // logged.
+                    return Ok(ExecResult::Ddl);
+                };
+                self.record_undo(UndoRecord::CreatedIndex { table: key, column });
                 Ok(ExecResult::Ddl)
             }
             Stmt::Analyze { table } => {
@@ -1612,15 +1636,39 @@ impl Database {
             }
         };
         // DDL is redone from the WAL as SQL text: one `Ddl` record per
-        // successful statement, rendered by the exact-roundtrip printer.
-        // (No-op DDL such as `CREATE TABLE IF NOT EXISTS` on an existing
-        // table returns early above and is not logged.)
-        if is_ddl && result.is_ok() {
-            self.wal_push(WalRecord::Ddl {
-                sql: stmt_to_sql(stmt),
+        // successful statement, rendered by the exact-roundtrip printer,
+        // with its typed effect for the commit's frame-local filter.
+        // (No-op DDL — `CREATE TABLE IF NOT EXISTS` on an existing table,
+        // `DROP TABLE IF EXISTS` on a missing one, `CREATE INDEX` on an
+        // indexed column — returns early above and is not logged.)
+        if let (Some(effect), Ok(_)) = (ddl_effect, &result) {
+            self.txn.redo.lock().unwrap().push(Redo {
+                rec: WalRecord::Ddl {
+                    sql: stmt_to_sql(stmt),
+                },
+                ddl: Some(effect),
             });
         }
         result
+    }
+
+    /// What the DDL statement `stmt` does, and to which table.
+    fn ddl_effect(&self, stmt: &Stmt) -> DdlEffect {
+        let key = |name: &str| name.to_ascii_lowercase();
+        match stmt {
+            Stmt::CreateTable { name, .. } => DdlEffect::CreateTable(key(name)),
+            Stmt::DropTable { name, .. } => DdlEffect::DropTable(key(name)),
+            Stmt::CreateIndex { table, .. } => DdlEffect::CreateIndex(key(table)),
+            Stmt::CreateTrigger { table, .. } => DdlEffect::Touches(Some(key(table))),
+            Stmt::DropTrigger { name } => DdlEffect::Touches(
+                self.triggers
+                    .iter()
+                    .find(|t| t.name.eq_ignore_ascii_case(name))
+                    .map(|t| t.table.clone()),
+            ),
+            Stmt::Analyze { table } => DdlEffect::Touches(table.as_deref().map(key)),
+            other => unreachable!("not DDL: {}", stmt_to_sql(other)),
+        }
     }
 
     /// The statements that answer with rows and write nothing: SELECT,
@@ -1837,10 +1885,13 @@ impl Database {
             let mut redo = self.txn.redo.lock().unwrap();
             for &pos in &positions {
                 if let Some(row) = t.row(pos) {
-                    redo.push(WalRecord::Insert {
-                        table: key.clone(),
-                        row: row.clone(),
-                    });
+                    redo.push(
+                        WalRecord::Insert {
+                            table: key.clone(),
+                            row: row.clone(),
+                        }
+                        .into(),
+                    );
                 }
             }
         }
@@ -1892,10 +1943,13 @@ impl Database {
         if self.durable.is_some() {
             let mut redo = self.txn.redo.lock().unwrap();
             for (pos, _) in &deleted {
-                redo.push(WalRecord::Delete {
-                    table: key.clone(),
-                    pos: *pos as u64,
-                });
+                redo.push(
+                    WalRecord::Delete {
+                        table: key.clone(),
+                        pos: *pos as u64,
+                    }
+                    .into(),
+                );
             }
         }
         // Triggers bind OLD per deleted row; clone only when one exists.
@@ -1986,12 +2040,15 @@ impl Database {
             let mut redo = self.txn.redo.lock().unwrap();
             for (pos, ci, _) in &cell_undo {
                 if let Some(row) = t.row(*pos) {
-                    redo.push(WalRecord::Update {
-                        table: key.clone(),
-                        pos: *pos as u64,
-                        column: *ci as u32,
-                        value: row[*ci].clone(),
-                    });
+                    redo.push(
+                        WalRecord::Update {
+                            table: key.clone(),
+                            pos: *pos as u64,
+                            column: *ci as u32,
+                            value: row[*ci].clone(),
+                        }
+                        .into(),
+                    );
                 }
             }
         }

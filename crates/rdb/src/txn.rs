@@ -30,6 +30,7 @@ use crate::error::{DbError, Result};
 use crate::table::Table;
 use crate::value::{Row, Value};
 use crate::wal::WalRecord;
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// One reversible effect recorded by the engine. Records are appended in
@@ -151,6 +152,102 @@ pub(crate) fn table_records<'a>(
         .filter(move |r| r.row_table().is_some_and(|t| t.eq_ignore_ascii_case(name)))
 }
 
+/// What a buffered `Ddl` redo record did, and to which table (lower-cased
+/// key), taken from its statement when it was pushed: the commit tells
+/// the records of a frame-local table apart by this, never by re-parsing
+/// the SQL text.
+#[derive(Debug)]
+pub(crate) enum DdlEffect {
+    /// `CREATE TABLE` created the table.
+    CreateTable(String),
+    /// `DROP TABLE` dropped the table.
+    DropTable(String),
+    /// `CREATE INDEX` indexed a column of the table.
+    CreateIndex(String),
+    /// Any other DDL (a trigger created or dropped, `ANALYZE`): the table
+    /// it concerns, or `None` for every table (`ANALYZE` with no name).
+    Touches(Option<String>),
+}
+
+/// One buffered redo record: the record the WAL gets and, for DDL, what
+/// the statement did.
+#[derive(Debug)]
+pub(crate) struct Redo {
+    pub rec: WalRecord,
+    pub ddl: Option<DdlEffect>,
+}
+
+impl From<WalRecord> for Redo {
+    fn from(rec: WalRecord) -> Self {
+        Redo { rec, ddl: None }
+    }
+}
+
+/// Which of a transaction's buffered records the commit leaves out
+/// (`true` at their index): those of every *frame-local* table instance,
+/// one whose `CREATE TABLE` and `DROP TABLE` both sit in `redo`. That is
+/// the pair itself and every row record and `CREATE INDEX` on the table
+/// between them. Recovery never sees the instance, and loses nothing: it
+/// ends dropped within the frame, and every other record is physical, so
+/// the rest of the frame replays to the same heap slot for slot. An
+/// instance that any other DDL between the pair concerns (a trigger on
+/// it, an `ANALYZE` of it) is kept whole.
+pub(crate) fn frame_local(redo: &[Redo]) -> Vec<bool> {
+    struct Instance {
+        create: usize,
+        members: Vec<usize>,
+        touched: bool,
+    }
+    let mut left_out = vec![false; redo.len()];
+    let mut open: HashMap<&str, Instance> = HashMap::new();
+    for (i, r) in redo.iter().enumerate() {
+        match &r.ddl {
+            Some(DdlEffect::CreateTable(key)) => {
+                open.insert(
+                    key,
+                    Instance {
+                        create: i,
+                        members: Vec::new(),
+                        touched: false,
+                    },
+                );
+            }
+            Some(DdlEffect::DropTable(key)) => {
+                if let Some(inst) = open.remove(key.as_str()).filter(|inst| !inst.touched) {
+                    for at in inst.members.into_iter().chain([inst.create, i]) {
+                        left_out[at] = true;
+                    }
+                }
+            }
+            Some(DdlEffect::CreateIndex(key)) => {
+                if let Some(inst) = open.get_mut(key.as_str()) {
+                    inst.members.push(i);
+                }
+            }
+            Some(DdlEffect::Touches(Some(key))) => {
+                if let Some(inst) = open.get_mut(key.as_str()) {
+                    inst.touched = true;
+                }
+            }
+            Some(DdlEffect::Touches(None)) => {
+                open.values_mut().for_each(|inst| inst.touched = true)
+            }
+            None => {
+                let table = match &r.rec {
+                    WalRecord::Insert { table, .. }
+                    | WalRecord::Delete { table, .. }
+                    | WalRecord::Update { table, .. } => table,
+                    _ => continue,
+                };
+                if let Some(inst) = open.get_mut(table.as_str()) {
+                    inst.members.push(i);
+                }
+            }
+        }
+    }
+    left_out
+}
+
 /// A named savepoint: a mark into the undo log plus the id-counter value
 /// at creation time.
 #[derive(Debug, Clone)]
@@ -176,10 +273,11 @@ pub(crate) struct TxnState {
     pub log: Vec<UndoRecord>,
     /// Buffered WAL redo records mirroring `log` (populated only on a
     /// durable database). Flushed as one `TxnBegin … TxnCommit` frame at
-    /// commit; truncated in lockstep with the undo log on rollback, so
-    /// an aborted transaction never reaches the disk at all. Lives in a
-    /// `Mutex` because `&self` paths (id allocation) also emit records.
-    pub redo: Mutex<Vec<WalRecord>>,
+    /// commit, less its frame-local tables ([`frame_local`]); truncated
+    /// in lockstep with the undo log on rollback, so an aborted
+    /// transaction never reaches the disk at all. Lives in a `Mutex`
+    /// because `&self` paths (id allocation) also emit records.
+    pub redo: Mutex<Vec<Redo>>,
     /// Inside an explicit `BEGIN … COMMIT/ROLLBACK` block.
     pub explicit: bool,
     /// Active savepoints, oldest first.
@@ -282,5 +380,95 @@ impl FaultState {
             )));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ddl(effect: DdlEffect) -> Redo {
+        Redo {
+            rec: WalRecord::Ddl { sql: String::new() },
+            ddl: Some(effect),
+        }
+    }
+
+    fn insert(table: &str) -> Redo {
+        WalRecord::Insert {
+            table: table.into(),
+            row: vec![Value::Int(1)],
+        }
+        .into()
+    }
+
+    fn create(t: &str) -> Redo {
+        ddl(DdlEffect::CreateTable(t.into()))
+    }
+
+    fn drop_table(t: &str) -> Redo {
+        ddl(DdlEffect::DropTable(t.into()))
+    }
+
+    #[test]
+    fn frame_local_leaves_out_the_instance_and_nothing_else() {
+        let redo = vec![
+            insert("t"), // a table from before the frame
+            create("tmp"),
+            ddl(DdlEffect::CreateIndex("tmp".into())),
+            insert("tmp"),
+            WalRecord::NextId { value: 9 }.into(),
+            insert("r"),
+            WalRecord::Delete {
+                table: "tmp".into(),
+                pos: 0,
+            }
+            .into(),
+            ddl(DdlEffect::Touches(Some("r".into()))),
+            drop_table("tmp"),
+            insert("tmp"), // a row for a later `tmp`: not this instance
+        ];
+        let out = frame_local(&redo);
+        assert_eq!(
+            out,
+            [false, true, true, true, false, false, true, false, true, false]
+        );
+    }
+
+    #[test]
+    fn frame_local_keeps_touched_unclosed_and_earlier_instances() {
+        // A trigger on the table keeps it whole.
+        let touched = [
+            create("tmp"),
+            ddl(DdlEffect::Touches(Some("tmp".into()))),
+            insert("tmp"),
+            drop_table("tmp"),
+        ];
+        assert_eq!(frame_local(&touched), [false; 4]);
+        // So does an `ANALYZE` of every table.
+        let analyzed = [
+            create("tmp"),
+            ddl(DdlEffect::Touches(None)),
+            drop_table("tmp"),
+        ];
+        assert_eq!(frame_local(&analyzed), [false; 3]);
+        // A table from before the frame, dropped in it; one created and
+        // never dropped.
+        let open = [
+            insert("old"),
+            drop_table("old"),
+            create("new"),
+            insert("new"),
+        ];
+        assert_eq!(frame_local(&open), [false; 4]);
+        // The same name twice: only the instance closed in the frame.
+        let twice = [
+            create("t"),
+            insert("t"),
+            drop_table("t"),
+            create("t"),
+            insert("t"),
+        ];
+        assert_eq!(frame_local(&twice), [true, true, true, false, false]);
     }
 }

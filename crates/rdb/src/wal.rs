@@ -29,6 +29,12 @@
 //! carried as SQL text (`crate::sql` renders it; recovery re-parses), and
 //! id-counter movement is an absolute `NextId` so replay order of
 //! discarded frames cannot skew it.
+//!
+//! A frame holds what outlives its transaction, not everything the
+//! transaction did: the engine leaves out a table created and dropped
+//! within the frame (`crate::txn::frame_local`), so recovery never sees
+//! it. The format is the same either way; a shorter frame is just fewer
+//! records.
 
 use crate::error::{DbError, Result};
 use crate::value::{Row, Value};
@@ -358,13 +364,46 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     r.done().then_some(rec)
 }
 
-/// Append one framed record (`len + crc + payload`) to `out`.
+/// Append one framed record (`len + crc + payload`) to `out`. The
+/// payload is encoded in place after a zeroed header, which is then
+/// filled in: no per-record buffer.
 pub fn encode_frame(rec: &WalRecord, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    encode_payload(rec, &mut payload);
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(&payload));
-    out.extend_from_slice(&payload);
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode_payload(rec, out);
+    let len = (out.len() - start - 8) as u32;
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The number of bytes [`encode_frame`] appends for `rec`, so a commit
+/// can reserve its whole frame buffer once.
+pub(crate) fn frame_len(rec: &WalRecord) -> usize {
+    fn str_len(s: &str) -> usize {
+        4 + s.len()
+    }
+    fn value_len(v: &Value) -> usize {
+        1 + match v {
+            Value::Null => 0,
+            Value::Int(_) => 8,
+            Value::Str(s) => str_len(s),
+            Value::Bool(_) => 1,
+        }
+    }
+    let payload = 1 + match rec {
+        WalRecord::TxnBegin { .. }
+        | WalRecord::TxnCommit { .. }
+        | WalRecord::TxnAbort { .. }
+        | WalRecord::NextId { .. } => 8,
+        WalRecord::Insert { table, row } => {
+            str_len(table) + 4 + row.iter().map(value_len).sum::<usize>()
+        }
+        WalRecord::Delete { table, .. } => str_len(table) + 8,
+        WalRecord::Update { table, value, .. } => str_len(table) + 8 + 4 + value_len(value),
+        WalRecord::Ddl { sql } => str_len(sql),
+    };
+    8 + payload
 }
 
 /// Encode a fresh WAL header for `generation`.
@@ -465,6 +504,15 @@ mod tests {
         assert_eq!(contents.generation, 7);
         assert_eq!(contents.records, sample_records());
         assert_eq!(contents.clean_len, bytes.len() as u64);
+    }
+
+    #[test]
+    fn frame_len_is_the_encoded_length() {
+        for rec in sample_records() {
+            let mut bytes = vec![0xAA];
+            encode_frame(&rec, &mut bytes);
+            assert_eq!(bytes.len() - 1, frame_len(&rec), "{rec:?}");
+        }
     }
 
     #[test]

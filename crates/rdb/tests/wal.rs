@@ -11,6 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use xmlup_rdb::wal::{self, WalRecord};
 use xmlup_rdb::{Database, DbError, Table, Value};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -435,4 +436,264 @@ fn in_memory_database_is_unaffected() {
     assert_eq!(s.wal_records, 0);
     assert_eq!(s.wal_bytes, 0);
     assert_eq!(s.wal_fsyncs, 0);
+}
+
+// ----------------------------------------------------------------------
+// frame-local tables: created and dropped in one transaction, never logged
+// ----------------------------------------------------------------------
+
+/// The records of the store's WAL file, decoded.
+fn wal_records(dir: &Path) -> Vec<WalRecord> {
+    wal::decode_wal(&fs::read(dir.join("wal.bin")).unwrap())
+        .unwrap()
+        .records
+}
+
+/// WAL records that name table `name`: row records on it and DDL whose
+/// text mentions it. Test table names are distinct words, so a substring
+/// match is exact enough.
+fn naming(dir: &Path, name: &str) -> Vec<WalRecord> {
+    wal_records(dir)
+        .into_iter()
+        .filter(|r| match r {
+            WalRecord::Insert { table, .. }
+            | WalRecord::Delete { table, .. }
+            | WalRecord::Update { table, .. } => table == name,
+            WalRecord::Ddl { sql } => sql.to_ascii_lowercase().contains(name),
+            _ => false,
+        })
+        .collect()
+}
+
+/// The `Ddl` texts among `records`.
+fn ddl_texts(records: &[WalRecord]) -> Vec<String> {
+    records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Ddl { sql } => Some(sql.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The value of metric family `name` (label-free).
+fn metric(db: &Database, name: &str) -> u64 {
+    db.metrics()
+        .into_iter()
+        .find(|m| m.name == name)
+        .unwrap_or_else(|| panic!("no metric {name}"))
+        .value
+}
+
+/// `r` with three committed rows, the target of every copy below.
+fn store_with_r(scratch: &Scratch) -> Database {
+    let mut db = Database::open(scratch.path()).unwrap();
+    db.run_script(
+        "CREATE TABLE r (id INTEGER, name VARCHAR(10));
+         INSERT INTO r VALUES (1, 'a'), (2, 'b'), (3, 'c');",
+    )
+    .unwrap();
+    db
+}
+
+/// Crash, reopen, and require the same physical state.
+fn reopen_equal(scratch: &Scratch, db: Database) -> Database {
+    let before = dump(&db);
+    let triggers = db.triggers().len();
+    drop(db);
+    let db2 = Database::open(scratch.path()).unwrap();
+    assert_eq!(dump(&db2), before);
+    assert_eq!(db2.triggers().len(), triggers);
+    db2
+}
+
+fn count(db: &Database, table: &str) -> Value {
+    db.query(&format!("SELECT COUNT(*) FROM {table}"))
+        .unwrap()
+        .rows[0][0]
+        .clone()
+}
+
+#[test]
+fn temp_table_created_and_dropped_in_one_txn_is_never_logged() {
+    let scratch = Scratch::new("local-table");
+    let mut db = store_with_r(&scratch);
+    db.run_script(
+        "BEGIN;
+         CREATE TABLE tmpcopy (id INTEGER, name VARCHAR(10));
+         CREATE INDEX tmpcopy_id ON tmpcopy (id);
+         INSERT INTO tmpcopy SELECT id + 10, name FROM r WHERE id < 3;
+         UPDATE tmpcopy SET name = 'z' WHERE id = 11;
+         DELETE FROM tmpcopy WHERE id = 12;
+         INSERT INTO tmpcopy VALUES (13, 'y');
+         INSERT INTO r SELECT * FROM tmpcopy;
+         DROP TABLE tmpcopy;
+         COMMIT;",
+    )
+    .unwrap();
+    assert_eq!(naming(scratch.path(), "tmpcopy"), vec![]);
+    let rows = naming(scratch.path(), "r");
+    assert_eq!(rows.len(), 1 + 3 + 2, "CREATE r, three rows, two copies");
+    let db = reopen_equal(&scratch, db);
+    assert!(db.table("tmpcopy").is_none());
+    assert_eq!(count(&db, "r"), Value::Int(5));
+}
+
+#[test]
+fn local_table_with_savepoint_rollback_is_never_logged() {
+    let scratch = Scratch::new("local-savepoint");
+    let mut db = store_with_r(&scratch);
+    db.run_script(
+        "BEGIN;
+         CREATE TABLE tmpcopy (id INTEGER, name VARCHAR(10));
+         SAVEPOINT s;
+         INSERT INTO tmpcopy VALUES (20, 'lost');
+         INSERT INTO r SELECT * FROM tmpcopy;
+         ROLLBACK TO s;
+         INSERT INTO tmpcopy VALUES (21, 'kept');
+         INSERT INTO r SELECT * FROM tmpcopy;
+         DROP TABLE tmpcopy;
+         COMMIT;",
+    )
+    .unwrap();
+    assert_eq!(naming(scratch.path(), "tmpcopy"), vec![]);
+    let db = reopen_equal(&scratch, db);
+    assert_eq!(count(&db, "r"), Value::Int(4));
+    let names = db.query("SELECT name FROM r WHERE id > 3").unwrap().rows;
+    assert_eq!(names, vec![vec![Value::Str("kept".into())]]);
+}
+
+#[test]
+fn only_the_instance_that_is_dropped_again_is_left_out() {
+    let scratch = Scratch::new("local-twice");
+    let mut db = store_with_r(&scratch);
+    db.run_script(
+        "BEGIN;
+         CREATE TABLE tmpcopy (id INTEGER);
+         INSERT INTO tmpcopy VALUES (1);
+         DROP TABLE tmpcopy;
+         CREATE TABLE tmpcopy (id INTEGER, name VARCHAR(10));
+         INSERT INTO tmpcopy VALUES (2, 'second');
+         COMMIT;",
+    )
+    .unwrap();
+    let logged = naming(scratch.path(), "tmpcopy");
+    assert_eq!(
+        ddl_texts(&logged).len(),
+        1,
+        "only the second CREATE: {logged:?}"
+    );
+    assert!(ddl_texts(&logged)[0].contains("name"));
+    assert_eq!(
+        logged[1],
+        WalRecord::Insert {
+            table: "tmpcopy".into(),
+            row: vec![Value::Int(2), Value::Str("second".into())],
+        }
+    );
+    assert_eq!(logged.len(), 2);
+    let db = reopen_equal(&scratch, db);
+    assert_eq!(count(&db, "tmpcopy"), Value::Int(1));
+}
+
+#[test]
+fn dropping_a_table_from_before_the_txn_is_logged() {
+    let scratch = Scratch::new("local-preexisting");
+    let mut db = store_with_r(&scratch);
+    db.run_script("CREATE TABLE old (id INTEGER); INSERT INTO old VALUES (1)")
+        .unwrap();
+    db.run_script(
+        "BEGIN;
+         INSERT INTO old VALUES (2);
+         DROP TABLE old;
+         CREATE TABLE old (id INTEGER);
+         INSERT INTO old VALUES (3);
+         DROP TABLE old;
+         COMMIT;",
+    )
+    .unwrap();
+    // The first CREATE (autocommit) and the first DROP are logged; the
+    // instance created and dropped inside the transaction is not.
+    let ddl = ddl_texts(&naming(scratch.path(), "old"));
+    assert_eq!(ddl.len(), 2, "{ddl:?}");
+    assert!(ddl[0].starts_with("CREATE TABLE"));
+    assert!(ddl[1].starts_with("DROP TABLE"));
+    let db = reopen_equal(&scratch, db);
+    assert!(db.table("old").is_none());
+}
+
+#[test]
+fn create_and_drop_in_two_autocommit_statements_are_both_logged() {
+    let scratch = Scratch::new("local-autocommit");
+    let mut db = store_with_r(&scratch);
+    db.execute("CREATE TABLE tmpcopy (id INTEGER)").unwrap();
+    db.execute("INSERT INTO tmpcopy VALUES (1)").unwrap();
+    db.execute("DROP TABLE tmpcopy").unwrap();
+    let logged = naming(scratch.path(), "tmpcopy");
+    assert_eq!(ddl_texts(&logged).len(), 2);
+    assert_eq!(logged.len(), 3, "CREATE, INSERT, DROP: {logged:?}");
+    let db = reopen_equal(&scratch, db);
+    assert!(db.table("tmpcopy").is_none());
+}
+
+#[test]
+fn trigger_on_a_local_table_keeps_the_whole_instance() {
+    let scratch = Scratch::new("local-trigger");
+    let mut db = store_with_r(&scratch);
+    db.run_script(
+        "BEGIN;
+         CREATE TABLE tmpcopy (id INTEGER, name VARCHAR(10));
+         CREATE TRIGGER tmpcopy_fwd AFTER INSERT ON tmpcopy FOR EACH ROW
+         BEGIN INSERT INTO r VALUES (NEW.id, NEW.name); END;
+         INSERT INTO tmpcopy VALUES (30, 'fired');
+         DROP TABLE tmpcopy;
+         COMMIT;",
+    )
+    .unwrap();
+    let logged = naming(scratch.path(), "tmpcopy");
+    let ddl = ddl_texts(&logged);
+    assert_eq!(ddl.len(), 3, "CREATE, CREATE TRIGGER, DROP: {ddl:?}");
+    assert_eq!(logged.len(), 4, "and the row: {logged:?}");
+    let db = reopen_equal(&scratch, db);
+    assert!(db.triggers().is_empty(), "dropped with its table");
+    assert_eq!(count(&db, "r"), Value::Int(4));
+}
+
+#[test]
+fn frame_of_only_a_local_table_writes_nothing() {
+    let scratch = Scratch::new("local-empty");
+    let mut db = store_with_r(&scratch);
+    let size = db.wal_size();
+    let (records, fsyncs) = (db.stats().wal_records, db.stats().wal_fsyncs);
+    db.run_script(
+        "BEGIN;
+         CREATE TABLE tmpcopy (id INTEGER);
+         INSERT INTO tmpcopy SELECT id FROM r;
+         DROP TABLE tmpcopy;
+         COMMIT;",
+    )
+    .unwrap();
+    assert_eq!(db.wal_size(), size);
+    assert_eq!(db.stats().wal_records, records);
+    assert_eq!(db.stats().wal_fsyncs, fsyncs, "nothing to fsync");
+    reopen_equal(&scratch, db);
+}
+
+#[test]
+fn no_op_ddl_is_not_logged() {
+    let scratch = Scratch::new("noop-ddl");
+    let mut db = store_with_r(&scratch);
+    db.execute("CREATE INDEX r_id ON r (id)").unwrap();
+    let size = db.wal_size();
+    let records = metric(&db, "rdb_wal_records_total");
+    for noop in [
+        "DROP TABLE IF EXISTS nosuch",
+        "CREATE INDEX r_id_again ON r (id)",
+        "CREATE TABLE IF NOT EXISTS r (id INTEGER)",
+    ] {
+        db.execute(noop).unwrap();
+        assert_eq!(db.wal_size(), size, "{noop} grew the WAL");
+        assert_eq!(metric(&db, "rdb_wal_records_total"), records, "{noop}");
+    }
+    reopen_equal(&scratch, db);
 }

@@ -1,11 +1,14 @@
 //! Property tests for the WAL (satellite of the durability PR):
 //!
 //! 1. Record framing round-trips over arbitrary `Value` rows — what the
-//!    codec writes, the codec reads back, for every record shape.
+//!    codec writes, the codec reads back, for every record shape — and
+//!    the bytes are exactly those of a reference encoder kept here, so
+//!    the on-disk format cannot drift.
 //! 2. Torn-tail tolerance: truncating a WAL at *every* byte offset never
 //!    panics the decoder and always yields a clean prefix of the frames
 //!    that were written — and end-to-end, `Database::open` on a WAL cut
-//!    at every offset recovers exactly the committed prefix.
+//!    at every offset recovers exactly the committed prefix, including
+//!    a transaction that copies through a table it creates and drops.
 
 use proptest::prelude::*;
 use xmlup_rdb::wal::{self, WalRecord};
@@ -41,6 +44,102 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
     ]
 }
 
+/// A table instance as one transaction logs it: `CREATE`, rows, `DROP`.
+fn arb_instance() -> impl Strategy<Value = Vec<WalRecord>> {
+    ("[a-z]{1,6}", prop::collection::vec(arb_value(), 0..6)).prop_map(|(name, cells)| {
+        let table = format!("tmp_{name}");
+        let mut records = vec![WalRecord::Ddl {
+            sql: format!("CREATE TABLE {table} (v TEXT)"),
+        }];
+        records.extend(cells.into_iter().map(|v| WalRecord::Insert {
+            table: table.clone(),
+            row: vec![v],
+        }));
+        records.push(WalRecord::Ddl {
+            sql: format!("DROP TABLE {table}"),
+        });
+        records
+    })
+}
+
+/// The frame format written out longhand, apart from the library's
+/// encoder: `[u32 len][u32 crc32][payload]`, little-endian, where the
+/// payload is a tag byte and then the record's fields (strings and rows
+/// length-prefixed, each value tagged).
+fn reference_frame(rec: &WalRecord) -> Vec<u8> {
+    fn put_str(p: &mut Vec<u8>, s: &str) {
+        p.extend((s.len() as u32).to_le_bytes());
+        p.extend(s.as_bytes());
+    }
+    fn put_value(p: &mut Vec<u8>, v: &Value) {
+        match v {
+            Value::Null => p.push(0),
+            Value::Int(i) => {
+                p.push(1);
+                p.extend(i.to_le_bytes());
+            }
+            Value::Str(s) => {
+                p.push(2);
+                put_str(p, s);
+            }
+            Value::Bool(b) => p.extend([3, u8::from(*b)]),
+        }
+    }
+    let mut p = Vec::new();
+    match rec {
+        WalRecord::TxnBegin { txn } => {
+            p.push(1);
+            p.extend(txn.to_le_bytes());
+        }
+        WalRecord::TxnCommit { txn } => {
+            p.push(2);
+            p.extend(txn.to_le_bytes());
+        }
+        WalRecord::TxnAbort { txn } => {
+            p.push(3);
+            p.extend(txn.to_le_bytes());
+        }
+        WalRecord::Insert { table, row } => {
+            p.push(4);
+            put_str(&mut p, table);
+            p.extend((row.len() as u32).to_le_bytes());
+            for v in row {
+                put_value(&mut p, v);
+            }
+        }
+        WalRecord::Delete { table, pos } => {
+            p.push(5);
+            put_str(&mut p, table);
+            p.extend(pos.to_le_bytes());
+        }
+        WalRecord::Update {
+            table,
+            pos,
+            column,
+            value,
+        } => {
+            p.push(6);
+            put_str(&mut p, table);
+            p.extend(pos.to_le_bytes());
+            p.extend(column.to_le_bytes());
+            put_value(&mut p, value);
+        }
+        WalRecord::Ddl { sql } => {
+            p.push(7);
+            put_str(&mut p, sql);
+        }
+        WalRecord::NextId { value } => {
+            p.push(8);
+            p.extend(value.to_le_bytes());
+        }
+    }
+    let mut frame = Vec::with_capacity(8 + p.len());
+    frame.extend((p.len() as u32).to_le_bytes());
+    frame.extend(wal::crc32(&p).to_le_bytes());
+    frame.extend(p);
+    frame
+}
+
 /// Encode `records` as a complete WAL byte image (header + frames).
 fn encode_all(records: &[WalRecord], generation: u64) -> Vec<u8> {
     let mut bytes = wal::encode_wal_header(generation);
@@ -63,9 +162,30 @@ proptest! {
     }
 
     #[test]
+    fn encode_frame_writes_the_reference_bytes(
+        records in prop::collection::vec(arb_record(), 0..20),
+        prefix in prop::collection::vec(any::<u8>(), 0..9),
+    ) {
+        // Appended after arbitrary bytes already in the buffer: the
+        // in-place header must land at the frame's own offset.
+        let mut bytes = prefix.clone();
+        let mut expected = prefix;
+        for r in &records {
+            wal::encode_frame(r, &mut bytes);
+            expected.extend(reference_frame(r));
+        }
+        prop_assert_eq!(bytes, expected);
+    }
+
+    #[test]
     fn truncation_at_every_offset_yields_clean_prefix(
         records in prop::collection::vec(arb_record(), 1..12),
+        instance in arb_instance(),
+        at in any::<usize>(),
     ) {
+        let mut records = records;
+        let at = at % (records.len() + 1);
+        records.splice(at..at, instance);
         let bytes = encode_all(&records, 3);
         for cut in 0..=bytes.len() {
             let truncated = &bytes[..cut];
@@ -110,7 +230,9 @@ proptest! {
 
 /// End-to-end: a real WAL produced by committed single-row transactions,
 /// cut at every byte offset, always recovers to exactly the committed
-/// prefix — never a partial transaction, never a panic.
+/// prefix — never a partial transaction, never a panic. One of them
+/// copies its row through a table it creates and drops, which the WAL
+/// leaves out.
 #[test]
 fn open_recovers_committed_prefix_at_every_truncation_offset() {
     let base = std::env::temp_dir().join(format!("xmlup-walprop-{}", std::process::id()));
@@ -120,10 +242,27 @@ fn open_recovers_committed_prefix_at_every_truncation_offset() {
     db.set_wal_sync(false); // keep the many reopens below cheap
     db.run_script("CREATE TABLE t (k INTEGER)").unwrap();
     for k in 0..6 {
-        db.execute(&format!("INSERT INTO t VALUES ({k})")).unwrap();
+        if k == 3 {
+            db.run_script(
+                "BEGIN;
+                 CREATE TABLE tmp_t (k INTEGER);
+                 INSERT INTO tmp_t VALUES (3);
+                 INSERT INTO t SELECT k FROM tmp_t;
+                 DROP TABLE tmp_t;
+                 COMMIT;",
+            )
+            .unwrap();
+        } else {
+            db.execute(&format!("INSERT INTO t VALUES ({k})")).unwrap();
+        }
     }
     drop(db);
     let wal_bytes = std::fs::read(seed_dir.join("wal.bin")).unwrap();
+    let logged = wal::decode_wal(&wal_bytes).unwrap().records;
+    assert!(
+        !logged.iter().any(|r| format!("{r:?}").contains("tmp_t")),
+        "the local table reached the WAL: {logged:?}"
+    );
 
     let cut_dir = base.join("cut");
     let mut prev = 0i64;
