@@ -66,12 +66,11 @@ pub enum Stmt {
         /// Indexed column.
         column: String,
     },
-    /// `ANALYZE [table]` — rebuild planner statistics (row counts,
-    /// distinct counts, min/max, equi-depth histograms) for one table or
-    /// every table. DDL-like: it is WAL-logged as SQL text and bumps the
-    /// schema epoch so cached plans replan against the new statistics.
+    /// `ANALYZE [table]` — a no-op that only checks the table name.
+    /// Older builds built planner statistics with it and logged it in the
+    /// WAL, so it still parses and their logs still replay.
     Analyze {
-        /// Table to analyze; `None` analyzes all tables.
+        /// The named table; `None` names every table.
         table: Option<String>,
     },
     /// `CREATE TRIGGER name AFTER DELETE ON table FOR EACH ROW BEGIN … END`
@@ -356,8 +355,7 @@ pub enum Expr {
     },
     /// `expr [NOT] LIKE 'pattern'` — SQL pattern match with `%` (any
     /// run) and `_` (any single character) wildcards. The pattern is a
-    /// string literal, fixed at parse time, which lets the planner turn
-    /// a non-wildcard prefix into an ordered-index range seek.
+    /// string literal, fixed at parse time.
     Like {
         /// Tested expression.
         expr: Box<Expr>,

@@ -107,10 +107,8 @@ engine_counters! {
     wal_replayed_bytes: "WAL payload bytes replayed by the most recent open (header excluded; set once at open; reset_stats zeroes it)",
     recovery_micros: "Wall-clock time of the most recent open's recovery (snapshot load + WAL replay), in microseconds",
     checkpoint_bytes_written: "Bytes written by checkpoints (each writes snapshot.bin whole)",
-    range_seeks: "Range seeks answered by an ordered index (bounded scans that narrowed their candidate set through a range probe)",
-    ordered_index_scans: "Scans that walked an ordered index in key order (ORDER BY pushdown and ordered-range access paths)",
-    sorts_elided: "Sorts elided because an ordered index already produced the requested ORDER BY order",
-    stats_rebuilds: "ANALYZE statistics rebuilds (one per table analyzed)",
+    ordered_index_scans: "Scans that walked an index in key order (ORDER BY pushdown)",
+    sorts_elided: "Sorts elided because an index walk already produced the requested ORDER BY order",
 }
 
 impl StatsCells {
@@ -843,11 +841,6 @@ impl Database {
                     t.drop_index(column);
                 }
             }
-            UndoRecord::Analyzed { table, prior } => {
-                if let Some(t) = self.tables.get_mut(&table) {
-                    t.set_statistics(prior.map(|b| *b));
-                }
-            }
             UndoRecord::CreatedTrigger { name } => {
                 self.triggers
                     .retain(|t| !t.name.eq_ignore_ascii_case(&name));
@@ -1266,7 +1259,7 @@ impl Database {
                 t.key
             )));
         }
-        Ok(Table::from_parts(t.schema, slots, &indexed, t.stats))
+        Ok(Table::from_parts(t.schema, slots, &indexed))
     }
 
     /// Reconstruct state from a checkpoint (open-time only): `slots[i]`
@@ -1304,7 +1297,7 @@ impl Database {
     }
 
     /// What a checkpoint of the current state holds: the catalog
-    /// (schemas, indexed columns, statistics, triggers, id counter) and,
+    /// (schemas, indexed columns, triggers, id counter) and,
     /// borrowed, each table's slot vector. Tables are sorted by key so
     /// the checkpoint bytes are deterministic.
     fn checkpoint_catalog(&self, generation: u64) -> (CheckpointCatalog, Vec<&[Option<Row>]>) {
@@ -1316,7 +1309,6 @@ impl Database {
                     key: key.clone(),
                     schema: t.schema.clone(),
                     indexed: t.indexed_columns().iter().map(|&ci| ci as u32).collect(),
-                    stats: t.statistics().cloned(),
                 };
                 (entry, t.slots_raw())
             })
@@ -1424,20 +1416,14 @@ impl Database {
             return Err(DbError::TriggerDepth(format!("depth {depth}")));
         }
         StatsCells::bump(&self.stats.total_statements, 1);
-        // Any DDL may change what a SELECT plan would resolve to (tables,
-        // indexes, statistics), so every plan slot replans.
         let is_ddl = matches!(
             stmt,
             Stmt::CreateTable { .. }
                 | Stmt::DropTable { .. }
                 | Stmt::CreateIndex { .. }
-                | Stmt::Analyze { .. }
                 | Stmt::CreateTrigger { .. }
                 | Stmt::DropTrigger { .. }
         );
-        if is_ddl {
-            self.bump_schema_epoch();
-        }
         // Taken before the statement runs: a dropped trigger's table is
         // gone from the trigger list afterwards.
         let ddl_effect = (is_ddl && self.durable.is_some()).then(|| self.ddl_effect(stmt));
@@ -1522,32 +1508,16 @@ impl Database {
                 self.record_undo(UndoRecord::CreatedIndex { table: key, column });
                 Ok(ExecResult::Ddl)
             }
-            Stmt::Analyze { table } => {
-                let keys: Vec<String> = match table {
-                    Some(name) => {
-                        let key = name.to_ascii_lowercase();
-                        if !self.tables.contains_key(&key) {
-                            return Err(DbError::NoSuchTable(name.clone()));
-                        }
-                        vec![key]
-                    }
-                    None => {
-                        let mut all: Vec<String> = self.tables.keys().cloned().collect();
-                        all.sort();
-                        all
-                    }
-                };
-                for key in keys {
-                    let t = self.tables.get_mut(&key).expect("existence checked above");
-                    let prior = t.analyze();
-                    StatsCells::bump(&self.stats.stats_rebuilds, 1);
-                    self.record_undo(UndoRecord::Analyzed {
-                        table: key,
-                        prior: prior.map(Box::new),
-                    });
+            // `ANALYZE [table]` still parses, so a WAL an older build
+            // logged one in replays. There are no statistics to build:
+            // past the table-name check it does nothing, and it is
+            // neither logged nor a reason to replan.
+            Stmt::Analyze { table } => match table {
+                Some(name) if !self.tables.contains_key(&name.to_ascii_lowercase()) => {
+                    Err(DbError::NoSuchTable(name.clone()))
                 }
-                Ok(ExecResult::Ddl)
-            }
+                _ => Ok(ExecResult::Ddl),
+            },
             Stmt::CreateTrigger {
                 name,
                 event,
@@ -1635,19 +1605,24 @@ impl Database {
                 Ok(ExecResult::Checkpoint)
             }
         };
-        // DDL is redone from the WAL as SQL text: one `Ddl` record per
-        // successful statement, rendered by the exact-roundtrip printer,
-        // with its typed effect for the commit's frame-local filter.
-        // (No-op DDL — `CREATE TABLE IF NOT EXISTS` on an existing table,
-        // `DROP TABLE IF EXISTS` on a missing one, `CREATE INDEX` on an
-        // indexed column — returns early above and is not logged.)
-        if let (Some(effect), Ok(_)) = (ddl_effect, &result) {
-            self.txn.redo.lock().unwrap().push(Redo {
-                rec: WalRecord::Ddl {
-                    sql: stmt_to_sql(stmt),
-                },
-                ddl: Some(effect),
-            });
+        // DDL that gets here changed the catalog (tables, indexes,
+        // triggers), so every plan slot replans, and it is redone from the
+        // WAL as SQL text: one `Ddl` record, rendered by the
+        // exact-roundtrip printer, with its typed effect for the commit's
+        // frame-local filter. No-op DDL (`CREATE TABLE IF NOT EXISTS` on
+        // an existing table, `DROP TABLE IF EXISTS` on a missing one,
+        // `CREATE INDEX` on an indexed column) returns early above and
+        // does neither.
+        if is_ddl && result.is_ok() {
+            self.bump_schema_epoch();
+            if let Some(effect) = ddl_effect {
+                self.txn.redo.lock().unwrap().push(Redo {
+                    rec: WalRecord::Ddl {
+                        sql: stmt_to_sql(stmt),
+                    },
+                    ddl: Some(effect),
+                });
+            }
         }
         result
     }
@@ -1659,14 +1634,15 @@ impl Database {
             Stmt::CreateTable { name, .. } => DdlEffect::CreateTable(key(name)),
             Stmt::DropTable { name, .. } => DdlEffect::DropTable(key(name)),
             Stmt::CreateIndex { table, .. } => DdlEffect::CreateIndex(key(table)),
-            Stmt::CreateTrigger { table, .. } => DdlEffect::Touches(Some(key(table))),
+            Stmt::CreateTrigger { table, .. } => DdlEffect::Touches(key(table)),
+            // A missing trigger fails the statement, which logs nothing.
             Stmt::DropTrigger { name } => DdlEffect::Touches(
                 self.triggers
                     .iter()
                     .find(|t| t.name.eq_ignore_ascii_case(name))
-                    .map(|t| t.table.clone()),
+                    .map(|t| t.table.clone())
+                    .unwrap_or_default(),
             ),
-            Stmt::Analyze { table } => DdlEffect::Touches(table.as_deref().map(key)),
             other => unreachable!("not DDL: {}", stmt_to_sql(other)),
         }
     }
@@ -2236,7 +2212,6 @@ mod tests {
             "rdb_plan_cache_misses_total",
             "rdb_plans_built_total",
             "rdb_predicates_pushed_total",
-            "rdb_range_seeks_total",
             "rdb_recovered_txns_total",
             "rdb_recovery_micros_total",
             "rdb_recovery_timestamp_seconds",
@@ -2252,7 +2227,6 @@ mod tests {
             "rdb_statement_store_evictions_total",
             "rdb_statement_tracking_enabled",
             "rdb_statements_parsed_total",
-            "rdb_stats_rebuilds_total",
             "rdb_tables",
             "rdb_total_statements_total",
             "rdb_tracked_statements",

@@ -500,10 +500,10 @@ impl<'a> ScanCur<'a> {
     /// epoch `s` and scan that image. The live indexes describe the
     /// *current* heap, so every access path degrades to one filtered pass
     /// over the reconstructed rows: the probe conjunct the planner took
-    /// out of `pushed` is re-applied from `plan.probe`, and range bounds
-    /// never left `pushed`. Correctness over speed: a table only
-    /// takes this path while a writer has committed past the reader's
-    /// snapshot, and version GC retires the detour as snapshots close.
+    /// out of `pushed` is re-applied from `plan.probe`. Correctness over
+    /// speed: a table only takes this path while a writer has committed
+    /// past the reader's snapshot, and version GC retires the detour as
+    /// snapshots close.
     fn start_snapshot(&self, ex: &ExecCtx<'_, '_>, t: &Table, s: u64) -> Result<ScanState<'a>> {
         StatsCells::bump(&ex.db.stats.seq_scans, 1);
         self.prof_loop(1);
@@ -517,13 +517,7 @@ impl<'a> ScanCur<'a> {
         // An ordered walk promised key order (and may have elided a
         // sort): restore it, stably, so equal keys keep position order
         // as the index walk would.
-        if let Access::Range {
-            ci,
-            ordered: true,
-            desc,
-            ..
-        } = &self.plan.access
-        {
+        if let Access::Ordered { ci, desc } = &self.plan.access {
             if *desc {
                 rows.sort_by(|a, b| b[*ci].sort_cmp(&a[*ci]));
             } else {
@@ -573,10 +567,10 @@ impl Database {
     /// through here, so access-path counters mean the same thing for
     /// every statement kind. `None` stands for "every live slot"
     /// (`Access::Seq`): the caller walks the table its own way. Point
-    /// probes and range seeks yield positions ascending; an ordered walk
-    /// yields them lazily in key order. Keys and bounds are
-    /// row-independent by construction and evaluated once. `prof`
-    /// collects `EXPLAIN ANALYZE` loop counts (one per probe).
+    /// probes yield positions ascending; an ordered walk yields them
+    /// lazily in key order. Keys are row-independent by construction and
+    /// evaluated once. `prof` collects `EXPLAIN ANALYZE` loop counts (one
+    /// per probe).
     pub(crate) fn resolve_access<'t>(
         &self,
         t: &'t Table,
@@ -618,45 +612,14 @@ impl Database {
                 loops(list.set.len());
                 Ok(Some(self.point_probe(t, *ci, list.set.iter())?))
             }
-            Access::Range {
-                ci,
-                lower,
-                upper,
-                ordered,
-                desc,
-            } => {
-                let eval_bound = |b: &Option<(Expr, bool)>| -> Result<Option<(Value, bool)>> {
-                    Ok(match b {
-                        Some((e, incl)) => Some((self.eval_expr(e, &empty, ctx, ctes)?, *incl)),
-                        None => None,
-                    })
-                };
-                let lo = eval_bound(lower)?;
-                let hi = eval_bound(upper)?;
+            Access::Ordered { ci, desc } => {
                 StatsCells::bump(&self.stats.index_scans, 1);
-                if lo.is_some() || hi.is_some() {
-                    StatsCells::bump(&self.stats.range_seeks, 1);
-                }
-                if *ordered {
-                    StatsCells::bump(&self.stats.ordered_index_scans, 1);
-                }
+                StatsCells::bump(&self.stats.ordered_index_scans, 1);
                 loops(1);
                 let walk = t
-                    .index_range(
-                        *ci,
-                        *ordered && *desc,
-                        lo.as_ref().map(|(v, i)| (v, *i)),
-                        hi.as_ref().map(|(v, i)| (v, *i)),
-                    )
+                    .index_range(*ci, *desc)
                     .ok_or_else(|| index_gone(t, *ci))?;
-                if *ordered {
-                    return Ok(Some(walk));
-                }
-                // The bounding conjuncts are re-checked per row, so the
-                // seek only narrows candidates; emit them in slot order.
-                let mut ps: Vec<usize> = walk.collect();
-                ps.sort_unstable();
-                Ok(Some(Box::new(ps.into_iter())))
+                Ok(Some(walk))
             }
         }
     }

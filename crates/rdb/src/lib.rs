@@ -50,7 +50,6 @@ pub mod server;
 pub mod session;
 pub mod sql;
 mod statement;
-pub mod stats;
 pub mod storage;
 pub mod sysview;
 pub mod table;
@@ -70,7 +69,6 @@ pub use server::{Server, ServerHandle};
 pub use session::{Session, SharedDatabase, WriterGate, WriterTicket};
 pub use sql::stmt_to_sql;
 pub use statement::PreparedStmt;
-pub use stats::{ColumnStatistics, TableStatistics};
 pub use storage::{BackendKind, PoolStats, StorageMetrics};
 pub use sysview::{
     fingerprint, is_system_view, view_columns, Fingerprint, SessionInfo, SessionState,

@@ -724,8 +724,7 @@ impl Parser {
         }
         // [NOT] BETWEEN lo AND hi — desugared at parse time into the
         // conjunction `left >= lo AND left <= hi` so the planner's
-        // conjunct machinery (pushdown, range-seek extraction) sees
-        // plain comparisons. Bounds parse at `additive` level so the
+        // conjunct machinery (pushdown) sees plain comparisons. Bounds parse at `additive` level so the
         // connecting AND is not swallowed.
         if self.peek_kw("BETWEEN") || (self.peek_kw("NOT") && self.peek2_kw("BETWEEN")) {
             let negated = self.eat_kw("NOT");
@@ -1245,10 +1244,6 @@ mod tests {
 
     #[test]
     fn analyze_and_ordered_index() {
-        assert_eq!(
-            parse_stmt("ANALYZE").unwrap(),
-            Stmt::Analyze { table: None }
-        );
         assert_eq!(
             parse_stmt("ANALYZE asr").unwrap(),
             Stmt::Analyze {

@@ -15,13 +15,18 @@
 //! 3. **Access selection** — a pushed conjunct of the shape
 //!    `col = <row-independent>`, `col IN (subquery)` or `col IN (list)`
 //!    over an indexed base-table column turns the scan into an index
-//!    probe (of several, the smallest estimated bucket); failing that,
-//!    bounds on an indexed column turn it into a range seek
-//!    ([`Database::choose_access`], shared with DELETE/UPDATE target
+//!    probe (of several, the smallest estimated bucket;
+//!    [`Database::choose_access`], shared with DELETE/UPDATE target
 //!    selection and their `EXPLAIN`).
 //! 4. **Index joins** — a hash join whose build side is still a
 //!    sequential scan of a base table indexed on the join column probes
 //!    that index once per outer row instead.
+//! 5. **Sort elision** — a single-key `ORDER BY` over one sequential
+//!    scan of a table indexed on the key walks that index in key order
+//!    instead of sorting.
+//!
+//! FROM order is the join order. There are no statistics: the only
+//! estimates are table sizes and average index-bucket sizes.
 //!
 //! Consuming an equality conjunct without re-checking it is sound
 //! because index buckets and hash-join tables group values by
@@ -40,53 +45,6 @@ use crate::sql::{expr_to_sql, stmt_to_sql};
 use crate::table::Table;
 use crate::value::Value;
 
-/// The literal prefix of a LIKE pattern: the characters before the first
-/// wildcard. `None` when the pattern starts with a wildcard (no usable
-/// prefix).
-fn like_prefix(pattern: &str) -> Option<String> {
-    let p: String = pattern
-        .chars()
-        .take_while(|c| *c != '%' && *c != '_')
-        .collect();
-    if p.is_empty() {
-        None
-    } else {
-        Some(p)
-    }
-}
-
-/// Smallest string strictly greater than every string starting with
-/// `prefix` under code-point order (which matches `str`'s byte order for
-/// UTF-8): increment the last incrementable character and drop the tail.
-/// `None` when no such string exists — the range is unbounded above.
-fn prefix_successor(prefix: &str) -> Option<String> {
-    let mut chars: Vec<char> = prefix.chars().collect();
-    while let Some(&last) = chars.last() {
-        let mut code = last as u32 + 1;
-        // Skip the surrogate gap, which `char` cannot represent.
-        if (0xD800..=0xDFFF).contains(&code) {
-            code = 0xE000;
-        }
-        if let Some(next) = char::from_u32(code) {
-            *chars.last_mut().unwrap() = next;
-            return Some(chars.into_iter().collect());
-        }
-        chars.pop();
-    }
-    None
-}
-
-/// Literal view of a planned range bound: `Some(None)` for unbounded,
-/// `Some(Some(..))` for a literal, `None` when the bound is an expression
-/// statistics cannot evaluate at plan time.
-fn literal_bound(b: &Option<(Expr, bool)>) -> Option<Option<(&Value, bool)>> {
-    match b {
-        None => Some(None),
-        Some((Expr::Literal(v), incl)) => Some(Some((v, *incl))),
-        Some(_) => None,
-    }
-}
-
 /// How a scan reaches its rows.
 #[derive(Debug, Clone)]
 pub(crate) enum Access {
@@ -100,20 +58,10 @@ pub(crate) enum Access {
     /// Probe the index on column `ci` with every distinct value of a
     /// row-independent IN-list (the batched-DML shape `id IN (…)`).
     IndexInList { ci: usize, list: Vec<Expr> },
-    /// Seek the index on column `ci` between row-independent
-    /// bounds (`(expr, inclusive)`; `None` is unbounded). The bounding
-    /// conjuncts stay in `pushed` and are re-checked per row, so the seek
-    /// only narrows candidates — three-valued logic and cross-type
-    /// comparison semantics are preserved by the re-check. With
-    /// `ordered`, positions are emitted in key order (reversed by `desc`)
-    /// instead of slot order, letting the plan elide an `ORDER BY` sort.
-    Range {
-        ci: usize,
-        lower: Option<(Expr, bool)>,
-        upper: Option<(Expr, bool)>,
-        ordered: bool,
-        desc: bool,
-    },
+    /// Walk the whole index on column `ci` in key order (reversed by
+    /// `desc`) instead of slot order, letting the plan elide an
+    /// `ORDER BY` sort.
+    Ordered { ci: usize, desc: bool },
 }
 
 /// One FROM source compiled to a physical scan.
@@ -148,11 +96,6 @@ pub(crate) struct ScanPlan {
     /// average index-bucket size for a probe, 0 for CTEs (unknown at
     /// plan time). Shown by `EXPLAIN ANALYZE` next to actual rows.
     pub est_rows: u64,
-    /// Whether `est_rows` came from `ANALYZE` statistics (histogram /
-    /// distinct-count estimation) rather than the legacy table-size
-    /// heuristics. Statistics-backed estimates also show in plain
-    /// `EXPLAIN`.
-    pub stats_est: bool,
 }
 
 impl ScanPlan {
@@ -255,26 +198,12 @@ pub(crate) struct PlanSlot {
     pub(crate) fingerprint: std::sync::OnceLock<Arc<crate::sysview::Fingerprint>>,
 }
 
-/// The optional planning rules, decided once per plan. The naive oracle
-/// ([`Database::set_planner_naive`]) runs none of them: FROM order, hash
-/// joins that leave their key conjunct in the filter, and sequential
-/// scans under a filter re-checked on every joined row — the
-/// pre-planner interpreter's behaviour.
-#[derive(Debug, Clone, Copy)]
-struct Rules {
-    /// Greedy statistics-driven join reordering.
-    reorder_joins: bool,
-    /// Consume hash-join key conjuncts, push single-binding conjuncts
-    /// into their scans and pick index access paths for them.
-    pushdown: bool,
-    /// Turn hash joins over an indexed inner column into index joins.
-    index_joins: bool,
-    /// Walk an index in key order instead of sorting.
-    elide_sorts: bool,
-}
-
 impl Database {
-    /// Compile a SELECT into a physical plan.
+    /// Compile a SELECT into a physical plan. The naive oracle
+    /// ([`Database::set_planner_naive`]) runs steps 2 to 5 of the module
+    /// doc not at all: hash joins leave their key conjunct in the filter,
+    /// and every scan is sequential under a filter re-checked on every
+    /// joined row — the pre-planner interpreter's behaviour.
     pub(crate) fn build_select_plan(
         &self,
         q: &SelectStmt,
@@ -282,17 +211,10 @@ impl Database {
     ) -> Result<SelectPlan> {
         let _span = crate::obs::Span::enter("sql.plan");
         StatsCells::bump(&self.stats.plans_built, 1);
-        let on = !self.planner_naive.get();
-        let rules = Rules {
-            reorder_joins: on,
-            pushdown: on,
-            index_joins: on,
-            elide_sorts: on,
-        };
         let mut cte_cols: HashMap<String, Vec<String>> = HashMap::new();
         let mut cte_plans: Vec<CtePlan> = Vec::new();
         for cte in &q.ctes {
-            let body = self.plan_cores(&cte.body, ctx, &cte_cols, rules)?;
+            let body = self.plan_cores(&cte.body, ctx, &cte_cols)?;
             let derived = body[0].out_columns.clone();
             let columns = match &cte.columns {
                 Some(cols) => {
@@ -317,7 +239,7 @@ impl Database {
                 body,
             });
         }
-        let mut body = self.plan_cores(&q.body, ctx, &cte_cols, rules)?;
+        let mut body = self.plan_cores(&q.body, ctx, &cte_cols)?;
         let columns = body[0].out_columns.clone();
         let visible = columns.len();
         let mut keys: Vec<(usize, bool)> = Vec::with_capacity(q.order_by.len());
@@ -388,7 +310,7 @@ impl Database {
         // elided: the scan walks the index in key order instead,
         // and `LIMIT k` then pulls only the first `k` rows.
         let mut elided_sort = false;
-        if rules.elide_sorts
+        if !self.planner_naive.get()
             && body.len() == 1
             && keys.len() == 1
             && hidden.is_empty()
@@ -423,29 +345,18 @@ impl Database {
                     let scan = &mut core.scans[0].0;
                     if !scan.is_cte && self.tables.get(&scan.key).is_some_and(|t| t.has_index(rci))
                     {
-                        match &mut scan.access {
-                            // A filtered scan with no LIMIT stays
-                            // sequential: visiting every index entry in
-                            // key order to spare the few survivors a sort
-                            // costs more than scanning and sorting them.
-                            a @ Access::Seq if q.limit.is_some() || scan.pushed.is_empty() => {
-                                *a = Access::Range {
-                                    ci: rci,
-                                    lower: None,
-                                    upper: None,
-                                    ordered: true,
-                                    desc: key_desc,
-                                };
-                                elided_sort = true;
-                            }
-                            Access::Range {
-                                ci, ordered, desc, ..
-                            } if *ci == rci => {
-                                *ordered = true;
-                                *desc = key_desc;
-                                elided_sort = true;
-                            }
-                            _ => {}
+                        // A filtered scan with no LIMIT stays sequential:
+                        // visiting every index entry in key order to spare
+                        // the few survivors a sort costs more than
+                        // scanning and sorting them.
+                        if matches!(scan.access, Access::Seq)
+                            && (q.limit.is_some() || scan.pushed.is_empty())
+                        {
+                            scan.access = Access::Ordered {
+                                ci: rci,
+                                desc: key_desc,
+                            };
+                            elided_sort = true;
                         }
                     }
                 }
@@ -471,11 +382,10 @@ impl Database {
         cores: &[SelectCore],
         ctx: &EvalCtx<'_>,
         cte_cols: &HashMap<String, Vec<String>>,
-        rules: Rules,
     ) -> Result<Vec<CorePlan>> {
         let mut out: Vec<CorePlan> = Vec::with_capacity(cores.len());
         for core in cores {
-            let plan = self.plan_core(core, ctx, cte_cols, rules)?;
+            let plan = self.plan_core(core, ctx, cte_cols)?;
             if let Some(first) = out.first() {
                 if plan.out_columns.len() != first.out_columns.len() {
                     return Err(DbError::Schema(format!(
@@ -498,8 +408,8 @@ impl Database {
         core: &SelectCore,
         ctx: &EvalCtx<'_>,
         cte_cols: &HashMap<String, Vec<String>>,
-        rules: Rules,
     ) -> Result<CorePlan> {
+        let pushdown = !self.planner_naive.get();
         let conjuncts: Vec<Expr> = core
             .filter
             .as_ref()
@@ -507,25 +417,11 @@ impl Database {
             .unwrap_or_default();
         let mut consumed = vec![false; conjuncts.len()];
 
-        // --- join order --------------------------------------------------
-        // `order[k]` is the FROM index planned as the k-th scan. Greedy
-        // smallest-estimate-first reordering only fires when every source
-        // is a base table with ANALYZE statistics, so plans (and the row
-        // orders existing results bake in) for un-analyzed schemas are
-        // byte-stable.
-        let order: Vec<usize> = if rules.reorder_joins {
-            self.join_order(core, &conjuncts, cte_cols)
-        } else {
-            (0..core.from.len()).collect()
-        };
-        let identity_order = order.iter().enumerate().all(|(k, &j)| k == j);
-
-        // --- sources -----------------------------------------------------
+        // --- sources, in FROM order ---------------------------------------
         let mut scans: Vec<(ScanPlan, JoinKind)> = Vec::with_capacity(core.from.len());
         let mut layout: Vec<(String, Vec<String>, usize)> = Vec::new();
         let mut width = 0usize;
-        for &fi in &order {
-            let tref = &core.from[fi];
+        for tref in &core.from {
             let binding = tref.binding().to_string();
             if layout
                 .iter()
@@ -560,7 +456,6 @@ impl Database {
                     pushed: Vec::new(),
                     probe: None,
                     est_rows: 0,
-                    stats_est: false,
                 },
                 JoinKind::Loop,
             ));
@@ -587,7 +482,7 @@ impl Database {
         // For each source after the first, take the first equality
         // conjunct `src.col = expr-over-earlier-bindings` (either operand
         // order) as a hash-join key. The pre-planner interpreter made the
-        // same choice, so join selection runs without `rules.pushdown`
+        // same choice, so join selection runs under the naive oracle
         // too — but then the conjunct is NOT consumed, reproducing the
         // interpreter's re-check of the whole filter on joined rows.
         for i in 1..scans.len() {
@@ -623,7 +518,7 @@ impl Database {
                                             right_ci: col,
                                             left_key: (**b).clone(),
                                         };
-                                        consumed[ci_conj] = rules.pushdown;
+                                        consumed[ci_conj] = pushdown;
                                         break 'conj;
                                     }
                                 }
@@ -634,7 +529,7 @@ impl Database {
             }
         }
 
-        if rules.pushdown {
+        if pushdown {
             // --- predicate pushdown --------------------------------------
             // A conjunct whose column references land in exactly one
             // binding filters inside that binding's scan. Conjuncts that
@@ -659,10 +554,10 @@ impl Database {
             // --- access selection and index joins ------------------------
             // A hash join whose build side is left a sequential scan of a
             // table indexed on the join column probes that index per
-            // outer row instead. No statistics gate: the hash join clones
-            // every inner row into its build side, the probe touches only
-            // matching rows. An inner side with its own literal probe keeps
-            // it and stays a hash join.
+            // outer row instead: the hash join clones every inner row into
+            // its build side, the probe touches only matching rows. An
+            // inner side with its own literal probe keeps it and stays a
+            // hash join.
             for (scan, kind) in &mut scans {
                 if scan.is_cte {
                     continue;
@@ -675,10 +570,7 @@ impl Database {
                 scan.probe = consumed.map(|pi| scan.pushed.remove(pi));
                 scan.access = access;
                 if let JoinKind::Hash { right_ci, left_key } = kind {
-                    if rules.index_joins
-                        && matches!(scan.access, Access::Seq)
-                        && t.has_index(*right_ci)
-                    {
+                    if matches!(scan.access, Access::Seq) && t.has_index(*right_ci) {
                         *kind = JoinKind::Index {
                             right_ci: *right_ci,
                             left_key: left_key.clone(),
@@ -689,23 +581,19 @@ impl Database {
         }
 
         // --- cardinality estimates ---------------------------------------
-        // Without ANALYZE statistics the legacy heuristics apply: table
-        // size for a sequential scan, average index-bucket size for a
-        // probe — so plans and EXPLAIN output for un-analyzed schemas are
-        // unchanged. With statistics, estimates come from distinct counts
-        // and equi-depth histograms. CTE sizes are unknown at plan time.
-        // An index join's inner side estimates one probe's bucket.
+        // Table size for a sequential scan or an index walk, average
+        // index-bucket size for a probe (and for an index join's inner
+        // side, one probe's bucket). CTE sizes are unknown at plan time.
         for (scan, kind) in &mut scans {
-            scan.est_rows = if scan.is_cte {
-                0
-            } else if let Some(t) = self.tables.get(&scan.key) {
-                scan.stats_est = t.statistics().is_some();
-                match kind {
-                    JoinKind::Index { right_ci, .. } => bucket_rows(t, *right_ci),
-                    _ => Self::estimate_scan(scan, t),
-                }
-            } else {
-                0
+            scan.est_rows = match (scan.is_cte, self.tables.get(&scan.key)) {
+                (false, Some(t)) => match (&*kind, &scan.access) {
+                    (JoinKind::Index { right_ci: ci, .. }, _)
+                    | (_, Access::IndexEq { ci, .. })
+                    | (_, Access::IndexIn { ci, .. })
+                    | (_, Access::IndexInList { ci, .. }) => bucket_rows(t, *ci),
+                    _ => t.len() as u64,
+                },
+                _ => 0,
             };
         }
 
@@ -732,23 +620,10 @@ impl Database {
                             "wildcards cannot be mixed with aggregates".into(),
                         ));
                     }
-                    if identity_order {
-                        for (_, cols, _) in &layout {
-                            out_columns.extend(cols.iter().cloned());
-                        }
-                        steps.push(ProjStep::All);
-                    } else {
-                        // Reordered join: `*` still expands in FROM order.
-                        for j in 0..order.len() {
-                            let k = order.iter().position(|&o| o == j).unwrap();
-                            let (_, cols, off) = &layout[k];
-                            out_columns.extend(cols.iter().cloned());
-                            steps.push(ProjStep::Range {
-                                off: *off,
-                                len: cols.len(),
-                            });
-                        }
+                    for (_, cols, _) in &layout {
+                        out_columns.extend(cols.iter().cloned());
                     }
+                    steps.push(ProjStep::All);
                 }
                 SelectItem::QualifiedWildcard(t) => {
                     if aggregate_mode {
@@ -851,167 +726,6 @@ impl Database {
         }
     }
 
-    // ------------------------------------------------------------------
-    // cost model
-    // ------------------------------------------------------------------
-
-    /// Choose the scan order for a core's FROM sources: greedy
-    /// smallest-estimate-first, preferring sources that share an equality
-    /// conjunct with an already-placed binding (so hash joins stay hash
-    /// joins). Returns the identity order unless every source is a base
-    /// table with ANALYZE statistics — cost comparisons need real
-    /// cardinalities, and gating on statistics keeps plans for
-    /// un-analyzed schemas byte-stable.
-    fn join_order(
-        &self,
-        core: &SelectCore,
-        conjuncts: &[Expr],
-        cte_cols: &HashMap<String, Vec<String>>,
-    ) -> Vec<usize> {
-        let n = core.from.len();
-        let identity: Vec<usize> = (0..n).collect();
-        if !(2..=4).contains(&n) {
-            return identity;
-        }
-        let mut layout: Vec<(String, Vec<String>, usize)> = Vec::new();
-        let mut tables: Vec<&Table> = Vec::new();
-        let mut width = 0usize;
-        for tref in &core.from {
-            let key = tref.name.to_ascii_lowercase();
-            if cte_cols.contains_key(&key) {
-                return identity;
-            }
-            // A missing table surfaces as NoSuchTable in the main pass.
-            let Some(t) = self.tables.get(&key) else {
-                return identity;
-            };
-            if t.statistics().is_none() {
-                return identity;
-            }
-            let cols = t.schema.column_names();
-            layout.push((tref.binding().to_string(), cols, width));
-            width += layout.last().map_or(0, |(_, c, _)| c.len());
-            tables.push(t);
-        }
-        let mut est: Vec<u64> = tables.iter().map(|t| (t.len() as u64).max(1)).collect();
-        let mut edges = vec![0u64; n];
-        for conj in conjuncts {
-            let Some(mask) = Self::binding_mask(conj, &layout) else {
-                continue;
-            };
-            if mask.count_ones() == 1 {
-                let j = mask.trailing_zeros() as usize;
-                if let Some(e) = Self::est_conjunct(tables[j], conj, &layout[j].0) {
-                    est[j] = est[j].min(e.max(1));
-                }
-            } else if mask.count_ones() == 2
-                && matches!(
-                    conj,
-                    Expr::Binary {
-                        op: crate::ast::BinOp::Eq,
-                        ..
-                    }
-                )
-            {
-                let a = mask.trailing_zeros() as usize;
-                let b = 63 - mask.leading_zeros() as usize;
-                edges[a] |= 1 << b;
-                edges[b] |= 1 << a;
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut placed = 0u64;
-        let mut remaining: Vec<usize> = (0..n).collect();
-        while !remaining.is_empty() {
-            let connected: Vec<usize> = if placed == 0 {
-                Vec::new()
-            } else {
-                remaining
-                    .iter()
-                    .copied()
-                    .filter(|&j| edges[j] & placed != 0)
-                    .collect()
-            };
-            let pool: &[usize] = if connected.is_empty() {
-                &remaining
-            } else {
-                &connected
-            };
-            // Ties keep the original FROM order (min index wins).
-            let pick = *pool.iter().min_by_key(|&&j| (est[j], j)).unwrap();
-            order.push(pick);
-            placed |= 1 << pick;
-            remaining.retain(|&j| j != pick);
-        }
-        order
-    }
-
-    /// Statistics-based row estimate for a single-binding conjunct over
-    /// base table `t`, or `None` when the shape is not estimable
-    /// (non-literal operands, unresolvable columns, no statistics).
-    fn est_conjunct(t: &Table, conj: &Expr, binding: &str) -> Option<u64> {
-        use crate::ast::BinOp::{Eq, Ge, Gt, Le, Lt};
-        let s = t.statistics()?;
-        let col_of = |e: &Expr| -> Option<usize> {
-            if let Expr::Column { table: qual, name } = e {
-                let qual_ok = qual
-                    .as_deref()
-                    .map(|q| q.eq_ignore_ascii_case(binding))
-                    .unwrap_or(true);
-                if qual_ok {
-                    let ci = t.schema.column_index(name)?;
-                    if ci < s.columns.len() {
-                        return Some(ci);
-                    }
-                }
-            }
-            None
-        };
-        match conj {
-            Expr::Binary { left, op, right } => {
-                for (colside, keyside, flipped) in [(left, right, false), (right, left, true)] {
-                    let (Some(ci), Expr::Literal(v)) = (col_of(colside), keyside.as_ref()) else {
-                        continue;
-                    };
-                    let c = &s.columns[ci];
-                    return Some(match (op, flipped) {
-                        (Eq, _) => c.est_eq_rows(v),
-                        (Gt, false) | (Lt, true) => c.est_range_rows(Some((v, false)), None),
-                        (Ge, false) | (Le, true) => c.est_range_rows(Some((v, true)), None),
-                        (Lt, false) | (Gt, true) => c.est_range_rows(None, Some((v, false))),
-                        (Le, false) | (Ge, true) => c.est_range_rows(None, Some((v, true))),
-                        _ => return None,
-                    });
-                }
-                None
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated: false,
-            } => {
-                let ci = col_of(expr)?;
-                let prefix = like_prefix(pattern)?;
-                let hi = prefix_successor(&prefix).map(Value::Str);
-                let lo = Value::Str(prefix);
-                Some(
-                    s.columns[ci]
-                        .est_range_rows(Some((&lo, true)), hi.as_ref().map(|h| (h, false))),
-                )
-            }
-            Expr::IsNull { expr, negated } => {
-                let ci = col_of(expr)?;
-                let nulls = s.columns[ci].null_count;
-                Some(if *negated {
-                    s.row_count.saturating_sub(nulls)
-                } else {
-                    nulls
-                })
-            }
-            _ => None,
-        }
-    }
-
     /// The column of `t` that `e` names under `binding` (unqualified, or
     /// qualified by the binding), when that column is indexed.
     fn indexed_column(t: &Table, binding: &str, e: &Expr) -> Option<usize> {
@@ -1035,9 +749,8 @@ impl Database {
     /// with the smallest estimated bucket (average bucket size, times the
     /// list length for an IN list; ties go to the earlier conjunct)
     /// becomes a point probe and is *consumed* (its index is returned: the
-    /// probe answers it exactly, so it need not be re-checked). Failing
-    /// that, bounds on an indexed column become a range seek, which
-    /// consumes nothing. Otherwise the scan stays sequential.
+    /// probe answers it exactly, so it need not be re-checked). Otherwise
+    /// the scan stays sequential.
     pub(crate) fn choose_access(
         t: &Table,
         binding: &str,
@@ -1089,151 +802,7 @@ impl Database {
         }
         match best {
             Some((i, access, _)) => (Some(i), access),
-            None => (
-                None,
-                Self::pick_range_access(t, binding, conjuncts).unwrap_or(Access::Seq),
-            ),
-        }
-    }
-
-    /// A range seek over an indexed column that `conjuncts` bound —
-    /// comparisons against a row-independent expression and
-    /// `LIKE 'prefix%'` patterns — when the seek is estimated (or, without
-    /// statistics, assumed) to be selective. The bounding conjuncts are
-    /// not consumed: the scan re-checks them per candidate row.
-    fn pick_range_access(t: &Table, binding: &str, conjuncts: &[&Expr]) -> Option<Access> {
-        use crate::ast::BinOp::{Ge, Gt, Le, Lt};
-        type RangeBounds = (Option<(Expr, bool)>, Option<(Expr, bool)>);
-        // Per indexed column in first-seen order; only the first lower
-        // and first upper bound are kept (any single bound is a superset
-        // of the conjunction, and every conjunct is re-checked).
-        let mut bounds: Vec<(usize, RangeBounds)> = Vec::new();
-        for p in conjuncts {
-            let (ci, lower, upper) = match p {
-                Expr::Binary { left, op, right } if matches!(op, Lt | Le | Gt | Ge) => {
-                    let hit = [(left, right, false), (right, left, true)]
-                        .into_iter()
-                        .find_map(|(colside, keyside, flipped)| {
-                            let ci = Self::indexed_column(t, binding, colside)?;
-                            if !Self::row_independent(keyside) {
-                                return None;
-                            }
-                            let (is_lower, incl) = match (op, flipped) {
-                                (Gt, false) | (Lt, true) => (true, false),
-                                (Ge, false) | (Le, true) => (true, true),
-                                (Lt, false) | (Gt, true) => (false, false),
-                                (Le, false) | (Ge, true) => (false, true),
-                                _ => unreachable!(),
-                            };
-                            let b = ((**keyside).clone(), incl);
-                            Some(if is_lower {
-                                (ci, Some(b), None)
-                            } else {
-                                (ci, None, Some(b))
-                            })
-                        });
-                    match hit {
-                        Some(h) => h,
-                        None => continue,
-                    }
-                }
-                Expr::Like {
-                    expr,
-                    pattern,
-                    negated: false,
-                } => {
-                    let Some(ci) = Self::indexed_column(t, binding, expr) else {
-                        continue;
-                    };
-                    let Some(prefix) = like_prefix(pattern) else {
-                        continue;
-                    };
-                    let upper =
-                        prefix_successor(&prefix).map(|s| (Expr::Literal(Value::Str(s)), false));
-                    (ci, Some((Expr::Literal(Value::Str(prefix)), true)), upper)
-                }
-                _ => continue,
-            };
-            if let Some((_, b)) = bounds.iter_mut().find(|(c, _)| *c == ci) {
-                if b.0.is_none() {
-                    b.0 = lower;
-                }
-                if b.1.is_none() {
-                    b.1 = upper;
-                }
-            } else {
-                bounds.push((ci, (lower, upper)));
-            }
-        }
-        // Prefer a column bounded on both sides, else the first bounded.
-        let i = bounds
-            .iter()
-            .position(|(_, b)| b.0.is_some() && b.1.is_some())
-            .or(if bounds.is_empty() { None } else { Some(0) })?;
-        let (ci, (lower, upper)) = bounds.swap_remove(i);
-        // Selectivity check: with statistics and literal bounds, seek only
-        // when it is expected to skip at least half the table. Without
-        // statistics an explicitly bounded column is assumed selective.
-        if let Some(s) = t.statistics() {
-            if ci < s.columns.len() {
-                if let (Some(lo), Some(hi)) = (literal_bound(&lower), literal_bound(&upper)) {
-                    let est = s.columns[ci].est_range_rows(lo, hi);
-                    if est.saturating_mul(2) > t.len() as u64 {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(Access::Range {
-            ci,
-            lower,
-            upper,
-            ordered: false,
-            desc: false,
-        })
-    }
-
-    /// Cardinality estimate for one scan. Statistics-backed when the
-    /// table has them; the legacy size heuristics otherwise.
-    fn estimate_scan(scan: &ScanPlan, t: &Table) -> u64 {
-        let total = t.len() as u64;
-        let stats = t.statistics();
-        match &scan.access {
-            Access::Seq => match stats {
-                Some(_) => {
-                    let mut est = total;
-                    for p in &scan.pushed {
-                        if let Some(e) = Self::est_conjunct(t, p, scan.binding()) {
-                            est = est.min(e);
-                        }
-                    }
-                    est
-                }
-                None => total,
-            },
-            Access::IndexEq { ci, key } => {
-                if let (Some(s), Expr::Literal(v)) = (stats, key) {
-                    if *ci < s.columns.len() {
-                        return s.columns[*ci].est_eq_rows(v);
-                    }
-                }
-                bucket_rows(t, *ci)
-            }
-            Access::IndexIn { ci, .. } | Access::IndexInList { ci, .. } => bucket_rows(t, *ci),
-            Access::Range {
-                ci, lower, upper, ..
-            } => {
-                if let Some(s) = stats {
-                    if *ci < s.columns.len() {
-                        if let (Some(lo), Some(hi)) = (literal_bound(lower), literal_bound(upper)) {
-                            return s.columns[*ci].est_range_rows(lo, hi);
-                        }
-                    }
-                }
-                // Bounded seek without statistics: assume a third of the
-                // table survives.
-                total.div_ceil(3)
-            }
+            None => (None, Access::Seq),
         }
     }
 
@@ -1333,15 +902,14 @@ impl Database {
             pushed: residual.into_iter().cloned().collect(),
             probe: None,
             est_rows: 0,
-            stats_est: false,
         };
         render_scan(&scan, ind, lines, None);
         Ok(())
     }
 }
 
-/// Average index-bucket size of column `ci`: the legacy estimate of one
-/// point probe's rows.
+/// Average index-bucket size of column `ci`: the estimate of one point
+/// probe's rows.
 fn bucket_rows(t: &Table, ci: usize) -> u64 {
     let distinct = t.index_distinct(ci) as u64;
     if distinct == 0 {
@@ -1546,44 +1114,12 @@ fn render_scan(scan: &ScanPlan, ind: usize, lines: &mut Vec<String>, prof: Optio
                 scan.columns()[*ci],
                 list.len()
             ),
-            Access::Range {
-                ci,
-                lower,
-                upper,
-                ordered,
-                desc,
-            } => {
-                let col = &scan.columns()[*ci];
-                let mut parts: Vec<String> = Vec::new();
-                if let Some((e, incl)) = lower {
-                    parts.push(format!(
-                        "{col} >{} {}",
-                        if *incl { "=" } else { "" },
-                        expr_to_sql(e)
-                    ));
-                }
-                if let Some((e, incl)) = upper {
-                    parts.push(format!(
-                        "{col} <{} {}",
-                        if *incl { "=" } else { "" },
-                        expr_to_sql(e)
-                    ));
-                }
-                let what = if parts.is_empty() {
-                    col.clone()
-                } else {
-                    parts.join(" AND ")
-                };
-                if *ordered {
-                    format!(
-                        "OrderedScan {} ({what}{})",
-                        scan.name,
-                        if *desc { " DESC" } else { "" }
-                    )
-                } else {
-                    format!("RangeScan {} ({what})", scan.name)
-                }
-            }
+            Access::Ordered { ci, desc } => format!(
+                "OrderedScan {} ({}{})",
+                scan.name,
+                scan.columns()[*ci],
+                if *desc { " DESC" } else { "" }
+            ),
         }
     };
     if !scan.binding().eq_ignore_ascii_case(&scan.name) {
@@ -1593,7 +1129,7 @@ fn render_scan(scan: &ScanPlan, ind: usize, lines: &mut Vec<String>, prof: Optio
         let rendered: Vec<String> = scan.pushed.iter().map(expr_to_sql).collect();
         line.push_str(&format!(" [filter: {}]", rendered.join(" AND ")));
     }
-    if prof.is_some() || scan.stats_est {
+    if prof.is_some() {
         line.push_str(&format!(" (est rows={})", scan.est_rows));
         line.push_str(&actual_suffix(prof));
     }

@@ -427,8 +427,6 @@ mod tests {
         roundtrip("DROP TABLE t");
         roundtrip("DROP TABLE IF EXISTS t");
         roundtrip("CREATE INDEX c_id ON Customer (id)");
-        roundtrip("ANALYZE");
-        roundtrip("ANALYZE Customer");
         roundtrip("DROP TRIGGER del_cust");
     }
 

@@ -8,12 +8,16 @@
 //! ```text
 //! generation u64, next_id i64, table count u32,
 //! per table: key, name, columns (name, type tag), slot count u64, slots,
-//!            indexed column list, statistics block,
+//!            indexed column list, statistics presence byte,
 //! trigger count u32, triggers as CREATE TRIGGER text
 //! ```
 //!
 //! Index contents are never written: they are rebuilt from the slots at
-//! open.
+//! open. The statistics presence byte is always written as `0`. Older
+//! builds wrote `1` after `ANALYZE`, followed by a statistics block
+//! (row count; per column: distinct and null counts, optional min and
+//! max, histogram buckets); [`decode_snapshot`] reads that block and
+//! drops it.
 //!
 //! The file is published by writing a temporary file, syncing it,
 //! renaming it over the old one and syncing the directory, so it is
@@ -23,7 +27,6 @@
 use super::{CatalogTable, CheckpointCatalog};
 use crate::ast::ColumnDef;
 use crate::error::{DbError, Result};
-use crate::stats::{put_stats, read_stats};
 use crate::table::TableSchema;
 use crate::value::{DataType, Row};
 use crate::wal::{
@@ -73,7 +76,7 @@ pub fn encode_snapshot(catalog: &CheckpointCatalog, slots: &[&[Option<Row>]]) ->
             put_opt(out, slot.as_ref(), put_row);
         }
         put_list(out, &t.indexed, |out, ci| put_u32(out, *ci));
-        put_stats(out, t.stats.as_ref());
+        out.push(0); // no statistics block
     });
     put_list(&mut out, &catalog.triggers, |out, sql| put_str(out, sql));
     let len = (out.len() - 16) as u32;
@@ -118,12 +121,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
                     slots.push(r.opt(Reader::row)?);
                 }
                 let indexed = r.list(Reader::u32)?;
-                let stats = read_stats(r)?;
+                r.opt(skip_statistics)?;
                 let entry = CatalogTable {
                     key,
                     schema: TableSchema { name, columns },
                     indexed,
-                    stats,
                 };
                 Some((entry, slots))
             })?
@@ -138,6 +140,20 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
         r.done().then_some((catalog, slots))
     };
     parse().ok_or_else(|| corrupt("truncated or malformed body"))
+}
+
+/// Read past the statistics block an older build wrote after `ANALYZE`.
+fn skip_statistics(r: &mut Reader<'_>) -> Option<()> {
+    r.u64()?; // row count
+    r.list(|r| {
+        r.u64()?; // distinct values
+        r.u64()?; // nulls
+        r.opt(Reader::value)?; // min
+        r.opt(Reader::value)?; // max
+        r.list(|r| r.value().and_then(|_| r.u64()))?; // bucket bound, rows
+        Some(())
+    })?;
+    Some(())
 }
 
 /// Publish `dir/snapshot.bin`: write the encoded checkpoint beside it as

@@ -67,8 +67,6 @@ pub struct CatalogTable {
     pub schema: TableSchema,
     /// Indexed column indices, ascending.
     pub indexed: Vec<u32>,
-    /// Optimizer statistics, if the table has been `ANALYZE`d.
-    pub stats: Option<crate::stats::TableStatistics>,
 }
 
 /// What a checkpoint remembers besides the rows: the generation, the id

@@ -52,17 +52,8 @@ pub const SYSTEM_VIEWS: &[&str] = &[
 /// `name` is not a system view.
 pub fn view_columns(name: &str) -> Option<&'static [&'static str]> {
     Some(match name {
-        "rdb_tables" => &["name", "rows", "indexes", "analyzed"],
-        "rdb_columns" => &[
-            "table_name",
-            "column_name",
-            "ordinal",
-            "distinct_values",
-            "nulls",
-            "min_value",
-            "max_value",
-            "buckets",
-        ],
+        "rdb_tables" => &["name", "rows", "indexes"],
+        "rdb_columns" => &["table_name", "column_name", "ordinal"],
         "rdb_indexes" => &["table_name", "column_name", "entries"],
         "rdb_metrics" => &["name", "kind", "labels", "value"],
         "rdb_sessions" => &[
@@ -610,12 +601,7 @@ impl Database {
                     .into_iter()
                     .map(|ci| cols[ci].as_str())
                     .collect();
-                vec![
-                    s(name.clone()),
-                    int(t.len() as u64),
-                    s(indexes.join(", ")),
-                    Value::Bool(t.statistics().is_some()),
-                ]
+                vec![s(name.clone()), int(t.len() as u64), s(indexes.join(", "))]
             })
             .collect()
     }
@@ -624,19 +610,8 @@ impl Database {
         let mut rows = Vec::new();
         for name in self.table_names() {
             let t = &self.tables[&name];
-            let stats = t.statistics();
             for (ci, col) in t.schema.column_names().into_iter().enumerate() {
-                let cs = stats.map(|ts| &ts.columns[ci]);
-                rows.push(vec![
-                    s(name.clone()),
-                    s(col),
-                    int(ci as u64),
-                    opt_int(cs.map(|c| c.distinct)),
-                    opt_int(cs.map(|c| c.null_count)),
-                    cs.and_then(|c| c.min.clone()).unwrap_or(Value::Null),
-                    cs.and_then(|c| c.max.clone()).unwrap_or(Value::Null),
-                    int(cs.map_or(0, |c| c.buckets.len() as u64)),
-                ]);
+                rows.push(vec![s(name.clone()), s(col), int(ci as u64)]);
             }
         }
         rows

@@ -7,11 +7,9 @@
 
 use crate::ast::ColumnDef;
 use crate::error::{DbError, Result};
-use crate::stats::TableStatistics;
 use crate::txn::{self, UndoRecord};
 use crate::value::{Row, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
 
 /// Schema of one table.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,10 +61,6 @@ pub struct Table {
     live: usize,
     /// column index → index on that column.
     indexes: HashMap<usize, Index>,
-    /// `ANALYZE`-built planner statistics; counters are maintained by
-    /// the slot mutations below, shape is frozen until the next analyze
-    /// (see `crate::stats`).
-    stats: Option<TableStatistics>,
     /// Row undo records of commits a registered snapshot predates, each
     /// stamped with the epoch it committed under, oldest first (moved
     /// here at commit; see `crate::mvcc`).
@@ -79,7 +73,6 @@ impl PartialEq for Table {
             && self.slots == other.slots
             && self.live == other.live
             && self.indexes == other.indexes
-            && self.stats == other.stats
     }
 }
 
@@ -122,7 +115,6 @@ impl Table {
             slots: Vec::new(),
             live: 0,
             indexes: HashMap::new(),
-            stats: None,
             history: Vec::new(),
         }
     }
@@ -166,26 +158,6 @@ impl Table {
         cols
     }
 
-    /// The table's `ANALYZE` statistics, if built.
-    pub fn statistics(&self) -> Option<&TableStatistics> {
-        self.stats.as_ref()
-    }
-
-    /// Install (or clear) statistics wholesale — the rollback path of
-    /// `ANALYZE` and snapshot restore.
-    pub(crate) fn set_statistics(&mut self, stats: Option<TableStatistics>) {
-        self.stats = stats;
-    }
-
-    /// Rebuild statistics from a full scan of the live rows (the
-    /// `ANALYZE` forward path). Returns the previous statistics so the
-    /// transaction layer can restore them on rollback.
-    pub(crate) fn analyze(&mut self) -> Option<TableStatistics> {
-        let new =
-            TableStatistics::build(self.slots.iter().filter_map(Option::as_ref), self.arity());
-        self.stats.replace(new)
-    }
-
     /// Insert a row (arity must match). Returns its slot position.
     pub fn insert(&mut self, row: Row) -> Result<usize> {
         if row.len() != self.arity() {
@@ -199,9 +171,6 @@ impl Table {
         let pos = self.slots.len();
         for (ci, idx) in self.indexes.iter_mut() {
             index_add(idx, &row[*ci], pos);
-        }
-        if let Some(s) = &mut self.stats {
-            s.note_insert(&row);
         }
         self.slots.push(Some(row));
         self.live += 1;
@@ -220,9 +189,6 @@ impl Table {
         for (ci, idx) in self.indexes.iter_mut() {
             index_remove(idx, &row[*ci], pos);
         }
-        if let Some(s) = &mut self.stats {
-            s.note_delete(&row);
-        }
         Some(row)
     }
 
@@ -235,13 +201,9 @@ impl Table {
             .and_then(Option::as_mut)
             .ok_or_else(|| DbError::Execution(format!("no live row at slot {pos}")))?;
         let old = std::mem::replace(&mut row[column_idx], value);
-        let new = &row[column_idx];
         if let Some(idx) = self.indexes.get_mut(&column_idx) {
             index_remove(idx, &old, pos);
-            index_add(idx, new, pos);
-        }
-        if let Some(s) = &mut self.stats {
-            s.note_update(column_idx, &old, new);
+            index_add(idx, &row[column_idx], pos);
         }
         Ok(old)
     }
@@ -263,9 +225,6 @@ impl Table {
         };
         for (ci, idx) in self.indexes.iter_mut() {
             index_add(idx, &row[*ci], pos);
-        }
-        if let Some(s) = &mut self.stats {
-            s.note_insert(&row);
         }
         if slot.replace(row).is_none() {
             self.live += 1;
@@ -324,7 +283,6 @@ impl Table {
         schema: TableSchema,
         slots: Vec<Option<Row>>,
         index_columns: &[usize],
-        stats: Option<TableStatistics>,
     ) -> Self {
         let live = slots.iter().filter(|s| s.is_some()).count();
         let indexes = index_columns
@@ -336,7 +294,6 @@ impl Table {
             slots,
             live,
             indexes,
-            stats,
             history: Vec::new(),
         }
     }
@@ -376,41 +333,22 @@ impl Table {
             .map(|m| m.get(key).map(Vec::as_slice).unwrap_or(&[]))
     }
 
-    /// Index walk in key order (descending when `desc`), positions
-    /// ascending within equal keys, between `(value, inclusive)` bounds
-    /// under [`Value::sort_cmp`]'s total order (`None` is unbounded).
-    /// Lazy, so `ORDER BY … LIMIT k` pulls only the first `k` entries.
-    /// Returns `None` when the column is not indexed. Callers re-check
-    /// the originating predicate per row, so the seek only needs to be a
-    /// superset under the total order.
-    pub fn index_range<'t>(
-        &'t self,
+    /// Walk the whole index on `column_idx` in key order (descending
+    /// when `desc`) under [`Value::sort_cmp`]'s total order, positions
+    /// ascending within equal keys. Lazy, so `ORDER BY … LIMIT k` pulls
+    /// only the first `k` entries. Returns `None` when the column is not
+    /// indexed.
+    pub fn index_range(
+        &self,
         column_idx: usize,
         desc: bool,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-    ) -> Option<Box<dyn Iterator<Item = usize> + 't>> {
-        let m = self.indexes.get(&column_idx)?;
-        // `BTreeMap::range` panics on inverted or empty-by-exclusion
-        // bounds; those are simply empty seeks.
-        if let (Some((lo, lo_incl)), Some((hi, hi_incl))) = (lower, upper) {
-            if lo > hi || (lo == hi && !(lo_incl && hi_incl)) {
-                return Some(Box::new(std::iter::empty()));
-            }
-        }
-        fn as_bound(b: Option<(&Value, bool)>) -> Bound<&Value> {
-            match b {
-                None => Bound::Unbounded,
-                Some((v, true)) => Bound::Included(v),
-                Some((v, false)) => Bound::Excluded(v),
-            }
-        }
-        let r = m.range::<Value, _>((as_bound(lower), as_bound(upper)));
-        if desc {
-            Some(Box::new(r.rev().flat_map(|(_, ps)| ps.iter().copied())))
+    ) -> Option<Box<dyn Iterator<Item = usize> + '_>> {
+        let buckets = self.indexes.get(&column_idx)?.values();
+        Some(if desc {
+            Box::new(buckets.rev().flat_map(|ps| ps.iter().copied()))
         } else {
-            Some(Box::new(r.flat_map(|(_, ps)| ps.iter().copied())))
-        }
+            Box::new(buckets.flat_map(|ps| ps.iter().copied()))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -438,7 +376,7 @@ impl Table {
     /// result needs anyway. The executor only takes this path when
     /// [`Table::changed_since`] says the heap has moved past the snapshot.
     pub(crate) fn rows_visible_at(&self, epoch: u64, open: &[UndoRecord]) -> Vec<Row> {
-        let mut image = Table::from_parts(self.schema.clone(), self.slots.clone(), &[], None);
+        let mut image = Table::from_parts(self.schema.clone(), self.slots.clone(), &[]);
         let retained = self.history.iter().rev().take_while(|(e, _)| *e > epoch);
         for rec in txn::table_records(open, &self.schema.name).chain(retained.map(|(_, r)| r)) {
             image.undo_row(rec.clone());
@@ -533,13 +471,8 @@ mod tests {
     }
 
     /// Positions of an index walk, collected.
-    fn walk(
-        t: &Table,
-        desc: bool,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-    ) -> Vec<usize> {
-        t.index_range(0, desc, lower, upper).unwrap().collect()
+    fn walk(t: &Table, desc: bool) -> Vec<usize> {
+        t.index_range(0, desc).unwrap().collect()
     }
 
     #[test]
@@ -550,36 +483,17 @@ mod tests {
         let p1 = t.insert(vec![Value::Int(1), Value::from("b")]).unwrap();
         let p2 = t.insert(vec![Value::Int(9), Value::from("c")]).unwrap();
         let p3 = t.insert(vec![Value::Int(5), Value::from("d")]).unwrap();
-        assert_eq!(walk(&t, false, None, None), vec![p1, p0, p3, p2]);
+        assert_eq!(walk(&t, false), vec![p1, p0, p3, p2]);
         assert_eq!(
-            walk(&t, true, None, None),
+            walk(&t, true),
             vec![p2, p0, p3, p1],
             "descending flips key order but keeps in-key position order"
         );
-        let lo = Value::Int(2);
-        let hi = Value::Int(8);
-        let mid = (Some((&lo, true)), Some((&hi, true)));
-        assert_eq!(walk(&t, false, mid.0, mid.1), vec![p0, p3]);
         t.delete(p0);
-        assert_eq!(walk(&t, false, mid.0, mid.1), vec![p3]);
+        assert_eq!(walk(&t, false), vec![p1, p3, p2]);
         t.update_cell(p3, 0, Value::Int(100)).unwrap();
-        assert!(walk(&t, false, mid.0, mid.1).is_empty());
-        assert_eq!(walk(&t, false, None, None), vec![p1, p2, p3]);
+        assert_eq!(walk(&t, false), vec![p1, p2, p3]);
         assert_eq!(t.index_lookup(0, &Value::Int(100)).unwrap(), &[p3]);
-    }
-
-    #[test]
-    fn inverted_range_is_empty_not_panic() {
-        let mut t = Table::new(schema());
-        t.create_index("id").unwrap();
-        t.insert(vec![Value::Int(1), Value::from("a")]).unwrap();
-        let lo = Value::Int(9);
-        let hi = Value::Int(2);
-        assert!(walk(&t, false, Some((&lo, true)), Some((&hi, true))).is_empty());
-        assert!(
-            walk(&t, false, Some((&hi, false)), Some((&hi, true))).is_empty(),
-            "equal bounds with one exclusive end are empty"
-        );
     }
 
     #[test]
@@ -603,7 +517,6 @@ mod tests {
                 t.schema.clone(),
                 t.slots_raw().to_vec(),
                 &t.indexed_columns(),
-                t.statistics().cloned(),
             )
         };
         assert_eq!(a, rebuilt(&a), "indexes are a pure function of the slots");

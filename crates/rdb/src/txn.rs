@@ -87,14 +87,6 @@ pub enum UndoRecord {
         /// Indexed column.
         column: usize,
     },
-    /// `ANALYZE` rebuilt a table's statistics: restore the previous ones
-    /// (possibly none).
-    Analyzed {
-        /// Lower-cased table key.
-        table: String,
-        /// Statistics before the analyze.
-        prior: Option<Box<crate::stats::TableStatistics>>,
-    },
     /// `CREATE TRIGGER` ran: remove the trigger again.
     CreatedTrigger {
         /// Trigger name.
@@ -119,7 +111,6 @@ impl UndoRecord {
             UndoRecord::CreatedTable { .. }
                 | UndoRecord::DroppedTable { .. }
                 | UndoRecord::CreatedIndex { .. }
-                | UndoRecord::Analyzed { .. }
                 | UndoRecord::CreatedTrigger { .. }
                 | UndoRecord::DroppedTrigger { .. }
         )
@@ -164,9 +155,8 @@ pub(crate) enum DdlEffect {
     DropTable(String),
     /// `CREATE INDEX` indexed a column of the table.
     CreateIndex(String),
-    /// Any other DDL (a trigger created or dropped, `ANALYZE`): the table
-    /// it concerns, or `None` for every table (`ANALYZE` with no name).
-    Touches(Option<String>),
+    /// A trigger created or dropped: the table it is on.
+    Touches(String),
 }
 
 /// One buffered redo record: the record the WAL gets and, for DDL, what
@@ -190,8 +180,8 @@ impl From<WalRecord> for Redo {
 /// between them. Recovery never sees the instance, and loses nothing: it
 /// ends dropped within the frame, and every other record is physical, so
 /// the rest of the frame replays to the same heap slot for slot. An
-/// instance that any other DDL between the pair concerns (a trigger on
-/// it, an `ANALYZE` of it) is kept whole.
+/// instance that a trigger created or dropped between the pair is on is
+/// kept whole.
 pub(crate) fn frame_local(redo: &[Redo]) -> Vec<bool> {
     struct Instance {
         create: usize,
@@ -224,13 +214,10 @@ pub(crate) fn frame_local(redo: &[Redo]) -> Vec<bool> {
                     inst.members.push(i);
                 }
             }
-            Some(DdlEffect::Touches(Some(key))) => {
+            Some(DdlEffect::Touches(key)) => {
                 if let Some(inst) = open.get_mut(key.as_str()) {
                     inst.touched = true;
                 }
-            }
-            Some(DdlEffect::Touches(None)) => {
-                open.values_mut().for_each(|inst| inst.touched = true)
             }
             None => {
                 let table = match &r.rec {
@@ -424,7 +411,7 @@ mod tests {
                 pos: 0,
             }
             .into(),
-            ddl(DdlEffect::Touches(Some("r".into()))),
+            ddl(DdlEffect::Touches("r".into())),
             drop_table("tmp"),
             insert("tmp"), // a row for a later `tmp`: not this instance
         ];
@@ -440,18 +427,11 @@ mod tests {
         // A trigger on the table keeps it whole.
         let touched = [
             create("tmp"),
-            ddl(DdlEffect::Touches(Some("tmp".into()))),
+            ddl(DdlEffect::Touches("tmp".into())),
             insert("tmp"),
             drop_table("tmp"),
         ];
         assert_eq!(frame_local(&touched), [false; 4]);
-        // So does an `ANALYZE` of every table.
-        let analyzed = [
-            create("tmp"),
-            ddl(DdlEffect::Touches(None)),
-            drop_table("tmp"),
-        ];
-        assert_eq!(frame_local(&analyzed), [false; 3]);
         // A table from before the frame, dropped in it; one created and
         // never dropped.
         let open = [

@@ -214,8 +214,7 @@ fn top_actual_rows(plan: &str) -> u64 {
 #[test]
 fn explain_analyze_profiles_the_production_path() {
     let mut db = forest_db();
-    db.run_script("CREATE INDEX n3_id ON n3 (id); ANALYZE n3;")
-        .unwrap();
+    db.execute("CREATE INDEX n3_id ON n3 (id)").unwrap();
     // (query, plan line it must exercise, the same query without its
     // ORDER BY … LIMIT when the limit applies above the profiled tree).
     let battery: [(&str, &str, Option<&str>); 14] = [
@@ -275,8 +274,8 @@ fn explain_analyze_profiles_the_production_path() {
             None,
         ),
         (
-            "SELECT num FROM n3 WHERE id >= 100 AND id < 112",
-            "RangeScan",
+            "SELECT id FROM n3 WHERE id >= 100 AND id < 112 ORDER BY id LIMIT 20",
+            "OrderedScan n3 (id)",
             None,
         ),
     ];

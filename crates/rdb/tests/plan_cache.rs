@@ -1,7 +1,6 @@
-//! Plan-cache invalidation by the statistics subsystem: `ANALYZE` and
-//! `CREATE INDEX ...` are epoch-bumping DDL, so every
-//! cached plan — text-keyed and prepared — must replan and may change
-//! its access path.
+//! Plan-cache invalidation by index DDL: `CREATE INDEX ...` is
+//! epoch-bumping DDL, so every cached plan — text-keyed and prepared —
+//! must replan and may change its access path.
 
 use xmlup_rdb::{Database, Value};
 
@@ -30,54 +29,33 @@ fn seeded_db() -> Database {
 }
 
 #[test]
-fn analyze_invalidates_cached_plans() {
-    let mut db = seeded_db();
-    let sql = "SELECT id FROM t WHERE num > 20";
-    db.query(sql).unwrap();
-    db.reset_stats();
-    db.query(sql).unwrap();
-    let s = db.stats();
-    assert_eq!(s.plans_built, 0, "second run must hit the cache: {s:?}");
-    assert_eq!(s.plan_cache_hits, 1, "{s:?}");
-    // ANALYZE rebuilds statistics and bumps the schema epoch: the very
-    // next execution replans against them.
-    db.execute("ANALYZE t").unwrap();
-    assert_eq!(db.stats().stats_rebuilds, 1, "ANALYZE rebuilds stats");
-    db.reset_stats();
-    db.query(sql).unwrap();
-    let s = db.stats();
-    assert_eq!(s.plans_built, 1, "ANALYZE must invalidate the plan: {s:?}");
-    // The replanned query is statistics-aware: plain EXPLAIN now shows
-    // an estimated cardinality it could not have shown before.
-    let plan = explain(&mut db, "EXPLAIN SELECT id FROM t WHERE num > 20");
-    assert!(plan.contains("est rows="), "{plan}");
-}
-
-#[test]
 fn ordered_index_ddl_invalidates_cached_plans() {
     let mut db = seeded_db();
-    let sql = "SELECT id FROM t WHERE num > 20";
-    let plan = explain(&mut db, "EXPLAIN SELECT id FROM t WHERE num > 20");
+    let sql = "SELECT id, num FROM t WHERE num > 20 ORDER BY num LIMIT 20";
+    let plan = explain(&mut db, &format!("EXPLAIN {sql}"));
     assert!(plan.contains("SeqScan t"), "no index yet:\n{plan}");
-    db.query(sql).unwrap();
+    assert!(plan.contains("Sort"), "no index yet:\n{plan}");
+    let before = db.query(sql).unwrap();
     db.reset_stats();
     db.query(sql).unwrap();
     assert_eq!(db.stats().plans_built, 0, "cached");
-    // The ordered index arrives; the cached plan is stale and the next
-    // execution switches to a range seek.
+    // The index arrives; the cached plan is stale and the next execution
+    // walks the index in key order instead of sorting.
     db.execute("CREATE INDEX t_num ON t (num)").unwrap();
     db.reset_stats();
     let rs = db.query(sql).unwrap();
     assert_eq!(rs.rows.len(), 16, "num in 21..25 over 100 rows");
+    assert_eq!(rs.rows, before.rows, "same rows, same order");
     let s = db.stats();
-    assert_eq!(s.plans_built, 1, "ordered-index DDL must replan: {s:?}");
-    assert!(s.range_seeks >= 1, "replanned query should seek: {s:?}");
-    let plan = explain(&mut db, "EXPLAIN SELECT id FROM t WHERE num > 20");
-    assert!(plan.contains("RangeScan t (num > 20)"), "{plan}");
+    assert_eq!(s.plans_built, 1, "index DDL must replan: {s:?}");
+    assert_eq!(s.sorts_elided, 1, "replanned query should walk: {s:?}");
+    let plan = explain(&mut db, &format!("EXPLAIN {sql}"));
+    assert!(plan.contains("OrderedScan t (num)"), "{plan}");
+    assert!(!plan.contains("Sort"), "{plan}");
 }
 
 #[test]
-fn prepared_statement_replans_after_analyze_and_ordered_index() {
+fn prepared_statement_replans_after_ordered_index() {
     let mut db = seeded_db();
     let p = db
         .prepare("SELECT id FROM t WHERE num > $1 ORDER BY id")
@@ -87,7 +65,6 @@ fn prepared_statement_replans_after_analyze_and_ordered_index() {
     db.query_prepared(&p, &[Value::Int(20)]).unwrap();
     assert_eq!(db.stats().plans_built, 0, "prepared slot reused");
     db.execute("CREATE INDEX t_num ON t (num)").unwrap();
-    db.execute("ANALYZE t").unwrap();
     db.reset_stats();
     let after = db.query_prepared(&p, &[Value::Int(20)]).unwrap();
     let s = db.stats();

@@ -544,15 +544,13 @@ fn trigger_cascade_unchanged_by_planner() {
 }
 
 // ---------------------------------------------------------------------
-// Cost-based planner v2: statistics, range seeks, ORDER BY pushdown
+// ORDER BY pushdown, and range / LIKE predicates against the naive oracle
 // ---------------------------------------------------------------------
 
-/// The edge fixture plus an ordered index on `n1(num)` and fresh
-/// statistics on every table.
+/// The edge fixture plus an index on `n1(num)`.
 fn ordered_db() -> Database {
     let mut db = edge_db();
-    db.run_script("CREATE INDEX n1_num ON n1 (num); ANALYZE;")
-        .unwrap();
+    db.execute("CREATE INDEX n1_num ON n1 (num)").unwrap();
     db
 }
 
@@ -593,44 +591,7 @@ fn inlined_db() -> Database {
             .unwrap();
         }
     }
-    db.execute("ANALYZE").unwrap();
     db
-}
-
-#[test]
-fn range_predicate_uses_range_seek() {
-    let mut db = ordered_db();
-    let plan = explain(
-        &mut db,
-        "EXPLAIN SELECT id FROM n1 WHERE num > 10 AND num <= 20",
-    );
-    assert!(
-        plan.contains("RangeScan n1 (num > 10 AND num <= 20)"),
-        "bounded predicate on the ordered column should seek:\n{plan}"
-    );
-    assert!(
-        plan.contains("est rows="),
-        "analyzed table should render a statistics estimate:\n{plan}"
-    );
-    db.reset_stats();
-    let rs = db
-        .query("SELECT id FROM n1 WHERE num > 10 AND num <= 20 ORDER BY id")
-        .unwrap();
-    assert!(!rs.rows.is_empty());
-    let s = db.stats();
-    assert!(s.range_seeks >= 1, "no range seek recorded: {s:?}");
-    assert!(
-        s.rows_scanned < 40,
-        "seek should touch only the in-range slice, scanned {}",
-        s.rows_scanned
-    );
-    // Same rows as the unindexed predicate evaluation.
-    let mut naive = edge_db();
-    naive.set_planner_naive(true);
-    let expect = naive
-        .query("SELECT id FROM n1 WHERE num > 10 AND num <= 20 ORDER BY id")
-        .unwrap();
-    assert_eq!(rs.rows, expect.rows);
 }
 
 #[test]
@@ -719,60 +680,6 @@ fn top_k_limit_matches_full_sort_prefix() {
 }
 
 #[test]
-fn like_prefix_uses_range_seek() {
-    let mut db = inlined_db();
-    let plan = explain(
-        &mut db,
-        "EXPLAIN SELECT id FROM book WHERE title LIKE 'xml%'",
-    );
-    assert!(
-        plan.contains("RangeScan book"),
-        "LIKE prefix should seek the ordered title index:\n{plan}"
-    );
-    db.reset_stats();
-    let rs = db
-        .query("SELECT id FROM book WHERE title LIKE 'xml%' ORDER BY id")
-        .unwrap();
-    assert_eq!(rs.rows.len(), 10, "60 books, every 6th titled xml-*");
-    assert!(db.stats().range_seeks >= 1);
-    assert!(
-        db.stats().rows_scanned < 60,
-        "prefix seek should not scan the whole table, scanned {}",
-        db.stats().rows_scanned
-    );
-    // A leading wildcard cannot seek.
-    let plan = explain(
-        &mut db,
-        "EXPLAIN SELECT id FROM book WHERE title LIKE '%-05'",
-    );
-    assert!(plan.contains("SeqScan book"), "{plan}");
-}
-
-#[test]
-fn analyzed_joins_reorder_by_selectivity() {
-    let mut db = edge_db();
-    db.execute("ANALYZE").unwrap();
-    // FROM lists the big unfiltered table first; statistics say the
-    // filtered n1 (≈4 of 40 rows) should be scanned first instead.
-    let plan = explain(
-        &mut db,
-        "EXPLAIN SELECT n2.id FROM n2, n1 WHERE n2.parentId = n1.id AND n1.num < 5",
-    );
-    let p1 = plan.find("Scan n1").expect("n1 scanned");
-    let p2 = plan.find("Scan n2").expect("n2 scanned");
-    assert!(p1 < p2, "selective n1 should be placed before n2:\n{plan}");
-    // Without statistics the FROM order is kept.
-    let mut fresh = edge_db();
-    let plan = explain(
-        &mut fresh,
-        "EXPLAIN SELECT n2.id FROM n2, n1 WHERE n2.parentId = n1.id AND n1.num < 5",
-    );
-    let p1 = plan.find("Scan n1").expect("n1 scanned");
-    let p2 = plan.find("Scan n2").expect("n2 scanned");
-    assert!(p2 < p1, "unanalyzed join must keep FROM order:\n{plan}");
-}
-
-#[test]
 fn planner_v2_battery_matches_naive_on_edge_shredding() {
     let queries = [
         "SELECT id FROM n1 WHERE num > 10 AND num <= 30 ORDER BY id",
@@ -789,14 +696,8 @@ fn planner_v2_battery_matches_naive_on_edge_shredding() {
         "SELECT COUNT(*) FROM n1 WHERE num > 10 AND num <= 30",
         "SELECT id FROM n1 WHERE num > 10 ORDER BY num LIMIT 4",
     ];
-    let mut planned = edge_db();
-    planned
-        .run_script("CREATE INDEX n1_num ON n1 (num); ANALYZE;")
-        .unwrap();
-    let mut naive = edge_db();
-    naive
-        .run_script("CREATE INDEX n1_num ON n1 (num); ANALYZE;")
-        .unwrap();
+    let mut planned = ordered_db();
+    let mut naive = ordered_db();
     naive.set_planner_naive(true);
     planned.reset_stats();
     naive.reset_stats();
@@ -807,11 +708,10 @@ fn planner_v2_battery_matches_naive_on_edge_shredding() {
         assert_eq!(a.rows, b.rows, "rows diverge for `{sql}`");
     }
     let s = planned.stats();
-    assert!(s.range_seeks > 0, "battery never range-seeked: {s:?}");
     assert!(s.ordered_index_scans > 0, "{s:?}");
     assert!(s.sorts_elided > 0, "{s:?}");
     let s = naive.stats();
-    assert_eq!(s.range_seeks, 0, "naive side must not seek: {s:?}");
+    assert_eq!(s.index_scans, 0, "naive side must not probe: {s:?}");
     assert_eq!(s.ordered_index_scans, 0, "{s:?}");
     assert_eq!(s.sorts_elided, 0, "{s:?}");
 }
@@ -839,42 +739,4 @@ fn planner_v2_battery_matches_naive_on_inlined_shredding() {
         assert_eq!(a.columns, b.columns, "columns diverge for `{sql}`");
         assert_eq!(a.rows, b.rows, "rows diverge for `{sql}`");
     }
-}
-
-#[test]
-fn statistics_survive_checkpoint_and_recovery() {
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "xmlup-planner-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    {
-        let mut db = Database::open(&dir).unwrap();
-        db.run_script(
-            "CREATE TABLE t (id INTEGER, num INTEGER);
-             CREATE INDEX t_num ON t (num);",
-        )
-        .unwrap();
-        let ins = db.prepare("INSERT INTO t VALUES ($1, $2)").unwrap();
-        for i in 0..50i64 {
-            db.execute_prepared(&ins, &[Value::Int(i), Value::Int(i % 10)])
-                .unwrap();
-        }
-        db.execute("ANALYZE t").unwrap();
-        db.checkpoint().unwrap();
-    }
-    let mut db = Database::open(&dir).unwrap();
-    // The recovered statistics still drive the plan: est rows render
-    // and the ordered index still answers the range.
-    let plan = explain(&mut db, "EXPLAIN SELECT id FROM t WHERE num > 7");
-    assert!(plan.contains("RangeScan t (num > 7)"), "{plan}");
-    assert!(plan.contains("est rows="), "{plan}");
-    let rs = db.query("SELECT COUNT(*) FROM t WHERE num > 7").unwrap();
-    assert_eq!(rs.rows, vec![vec![Value::Int(10)]]);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -298,3 +298,33 @@ fn rollback_without_ddl_keeps_the_cache() {
         "pure-DML rollback must not evict cached plans"
     );
 }
+
+#[test]
+fn no_op_ddl_keeps_prepared_plans() {
+    // DDL that changes nothing retires no plan: a prepared SELECT keeps
+    // its slot across each of these, and a real `CREATE INDEX` still
+    // replans it.
+    let mut db = item_db();
+    db.execute("INSERT INTO Item VALUES (1, 4, 'tire', TRUE, NULL)")
+        .unwrap();
+    let sel = db.prepare("SELECT name FROM Item WHERE qty = ?").unwrap();
+    let run = |db: &Database| db.query_prepared(&sel, &[Value::Int(4)]).unwrap();
+    run(&db);
+    for noop in [
+        "CREATE TABLE IF NOT EXISTS Item (id INTEGER)",
+        "DROP TABLE IF EXISTS nosuch",
+        "CREATE INDEX item_id_again ON Item (id)",
+        "ANALYZE",
+        "ANALYZE Item",
+    ] {
+        let built = db.stats().plans_built;
+        db.execute(noop).unwrap();
+        assert_eq!(run(&db).rows.len(), 1);
+        assert_eq!(db.stats().plans_built, built, "`{noop}` replanned");
+    }
+    let built = db.stats().plans_built;
+    db.execute("CREATE INDEX item_qty ON Item (qty)").unwrap();
+    assert_eq!(run(&db).rows.len(), 1);
+    assert_eq!(db.stats().plans_built, built + 1, "a new index replans");
+    assert_eq!(db.stats().index_lookups, 1, "and the plan probes it");
+}

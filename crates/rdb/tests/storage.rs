@@ -81,13 +81,11 @@ fn sample_catalog() -> CheckpointCatalog {
                     ],
                 ),
                 indexed: vec![0, 1, 2],
-                stats: None,
             },
             CatalogTable {
                 key: "empty".into(),
                 schema: schema("Empty", vec![]),
                 indexed: vec![],
-                stats: None,
             },
         ],
         triggers: vec!["CREATE TRIGGER t AFTER DELETE ON Edge FOR EACH ROW BEGIN END".into()],
@@ -160,7 +158,6 @@ fn snapshot_roundtrip() {
                 ],
             ),
             indexed: vec![0, 1],
-            stats: Some(xmlup_rdb::TableStatistics::build(rows.iter(), 3)),
         }],
         triggers: vec!["CREATE TRIGGER x AFTER DELETE ON T FOR EACH ROW BEGIN DELETE FROM T WHERE (id = OLD.id); END".into()],
     };
@@ -206,7 +203,6 @@ fn arb_catalog_table() -> impl Strategy<Value = CatalogTable> {
             schema: schema(&key.to_ascii_uppercase(), columns),
             key,
             indexed,
-            stats: None,
         })
 }
 

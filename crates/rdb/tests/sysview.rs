@@ -76,12 +76,11 @@ fn tables_view_filters_orders_and_limits() {
     let db = forest_db();
     // Plain scan: both tables, every column populated.
     let rs = db.query("SELECT * FROM rdb_tables ORDER BY name").unwrap();
-    assert_eq!(rs.columns, vec!["name", "rows", "indexes", "analyzed"]);
+    assert_eq!(rs.columns, vec!["name", "rows", "indexes"]);
     assert_eq!(strs(&rs.rows, 0), vec!["n1", "n2"]);
     assert_eq!(rs.rows[0][1], Value::Int(8));
     assert_eq!(rs.rows[1][1], Value::Int(16));
     assert_eq!(strs(&rs.rows, 2), vec!["id", "parentId"]);
-    assert_eq!(rs.rows[0][3], Value::Bool(false));
     // WHERE composes.
     let rs = db
         .query("SELECT rows FROM rdb_tables WHERE name = 'n2'")
@@ -131,35 +130,6 @@ fn indexes_view_reports_entries() {
         .query("SELECT indexes FROM rdb_tables WHERE name = 'n1'")
         .unwrap();
     assert_eq!(strs(&rs.rows, 0), vec!["id, num"]);
-}
-
-#[test]
-fn columns_view_carries_analyze_statistics() {
-    let mut db = forest_db();
-    // Before ANALYZE the statistics columns are NULL.
-    let rs = db
-        .query(
-            "SELECT distinct_values, min_value, max_value FROM rdb_columns \
-             WHERE table_name = 'n1' AND column_name = 'id'",
-        )
-        .unwrap();
-    assert_eq!(rs.rows[0][0], Value::Null);
-    db.execute("ANALYZE").unwrap();
-    let rs = db
-        .query(
-            "SELECT distinct_values, nulls, min_value, max_value FROM rdb_columns \
-             WHERE table_name = 'n1' AND column_name = 'id'",
-        )
-        .unwrap();
-    assert_eq!(rs.rows[0][0], Value::Int(8));
-    assert_eq!(rs.rows[0][1], Value::Int(0));
-    assert_eq!(rs.rows[0][2], Value::Int(0));
-    assert_eq!(rs.rows[0][3], Value::Int(7));
-    // And rdb_tables flips its analyzed flag.
-    let rs = db
-        .query("SELECT analyzed FROM rdb_tables WHERE name = 'n1'")
-        .unwrap();
-    assert_eq!(rs.scalar(), Some(&Value::Bool(true)));
 }
 
 #[test]

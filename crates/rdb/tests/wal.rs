@@ -697,3 +697,53 @@ fn no_op_ddl_is_not_logged() {
     }
     reopen_equal(&scratch, db);
 }
+
+#[test]
+fn analyze_logged_by_an_older_build_replays_as_a_no_op() {
+    // Older builds logged `ANALYZE` as a `Ddl` record. Such a frame still
+    // replays, to the same tables, and `ANALYZE` now writes no record.
+    let scratch = Scratch::new("analyze-frame");
+    let mut db = Database::open(scratch.path()).unwrap();
+    db.run_script(
+        "CREATE TABLE item (id INTEGER, name VARCHAR(10));
+         CREATE INDEX item_id ON item (id);
+         INSERT INTO item VALUES (1, 'pear'), (2, NULL);",
+    )
+    .unwrap();
+    let before = dump(&db);
+    db.close().unwrap();
+    let mut frame = Vec::new();
+    for rec in [
+        WalRecord::TxnBegin { txn: 99 },
+        WalRecord::Ddl {
+            sql: "ANALYZE item".into(),
+        },
+        WalRecord::TxnCommit { txn: 99 },
+    ] {
+        wal::encode_frame(&rec, &mut frame);
+    }
+    let mut f = fs::OpenOptions::new()
+        .append(true)
+        .open(scratch.path().join("wal.bin"))
+        .unwrap();
+    std::io::Write::write_all(&mut f, &frame).unwrap();
+    drop(f);
+    assert!(wal_records(scratch.path()).contains(&WalRecord::Ddl {
+        sql: "ANALYZE item".into()
+    }));
+
+    let mut db = Database::open(scratch.path()).unwrap();
+    assert_eq!(dump(&db), before);
+    let size = db.wal_size();
+    let records = metric(&db, "rdb_wal_records_total");
+    for analyze in ["ANALYZE item", "ANALYZE"] {
+        db.execute(analyze).unwrap();
+        assert_eq!(db.wal_size(), size, "{analyze} grew the WAL");
+        assert_eq!(metric(&db, "rdb_wal_records_total"), records, "{analyze}");
+    }
+    assert!(matches!(
+        db.execute("ANALYZE nosuch"),
+        Err(DbError::NoSuchTable(_))
+    ));
+    reopen_equal(&scratch, db);
+}
