@@ -87,30 +87,3 @@ impl FlagCell {
         self.0.store(v, Ordering::Relaxed);
     }
 }
-
-/// A `Cell<Option<Duration>>` replacement; `u64::MAX` encodes `None`
-/// (a threshold of ~584 years disables the slow-query log anyway).
-#[derive(Debug)]
-pub(crate) struct OptDurCell(AtomicU64);
-
-impl Default for OptDurCell {
-    fn default() -> Self {
-        OptDurCell(AtomicU64::new(u64::MAX))
-    }
-}
-
-impl OptDurCell {
-    #[inline]
-    pub fn get(&self) -> Option<std::time::Duration> {
-        match self.0.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            ns => Some(std::time::Duration::from_nanos(ns)),
-        }
-    }
-
-    #[inline]
-    pub fn set(&self, d: Option<std::time::Duration>) {
-        let ns = d.map_or(u64::MAX, |d| (d.as_nanos() as u64).min(u64::MAX - 1));
-        self.0.store(ns, Ordering::Relaxed);
-    }
-}

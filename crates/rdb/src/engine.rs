@@ -10,11 +10,11 @@
 //! firings, index lookups).
 
 use crate::ast::*;
-use crate::cells::{Counter, FlagCell, IdCell, OptDurCell};
+use crate::cells::{Counter, FlagCell, IdCell};
 use crate::error::{DbError, Result};
 use crate::exec::{EvalCtx, PlanProf, RowEnv, SliceEnv};
 use crate::mvcc::MvccState;
-use crate::obs::{self, Metric, SlowQuery, Span};
+use crate::obs::{self, Metric, Span};
 use crate::parser::parse_stmt_with_params;
 use crate::sql::stmt_to_sql;
 use crate::statement::PlanCache;
@@ -81,7 +81,7 @@ macro_rules! engine_counters {
 engine_counters! {
     client_statements: "Statements submitted through the public API",
     total_statements: "All statements executed, including trigger bodies",
-    rows_scanned: "Rows visited by scans and hash-build passes",
+    rows_scanned: "Rows visited by scans (a nested loop reads its inner side once)",
     rows_inserted: "Rows inserted",
     rows_deleted: "Rows deleted",
     rows_updated: "Rows updated",
@@ -101,7 +101,6 @@ engine_counters! {
     plans_built: "Physical SELECT plans compiled by the planner (cache hits on a still-valid plan slot do not recompile)",
     seq_scans: "Sequential scans opened by the executor",
     index_scans: "Index scans opened by the executor (SELECT probes plus the DELETE/UPDATE position-finding probes)",
-    hash_join_builds: "Hash-join build sides materialized",
     in_list_builds: "IN-list probe sets materialized (once per statement per list; correlated lists never build one)",
     predicates_pushed: "Filter conjuncts pushed down into scans at plan time",
     wal_replayed_bytes: "WAL payload bytes replayed by the most recent open (header excluded; set once at open; reset_stats zeroes it)",
@@ -209,12 +208,6 @@ pub struct Database {
     /// with [`Database::open`]. `None` while recovery replays the log so
     /// replayed work is not re-logged.
     durable: Option<DurableState>,
-    /// Slow-query threshold; statements at or above it are recorded in
-    /// `slow_log`. `None` disables the log (the default).
-    pub(crate) slow_threshold: OptDurCell,
-    /// Retained slow-query records, oldest first, capped at
-    /// [`obs::SLOW_QUERY_CAPACITY`](crate::obs).
-    pub(crate) slow_log: Mutex<Vec<SlowQuery>>,
     /// MVCC epoch, snapshot registry, and concurrency metrics (see
     /// [`crate::mvcc`]).
     pub(crate) mvcc: MvccState,
@@ -306,8 +299,6 @@ impl Database {
             txn: TxnState::default(),
             fault: FaultState::default(),
             durable: None,
-            slow_threshold: OptDurCell::default(),
-            slow_log: Mutex::new(Vec::new()),
             mvcc: MvccState::default(),
             statements: crate::sysview::StatementStore::default(),
             sessions: Arc::new(crate::sysview::SessionRegistry::default()),
@@ -331,19 +322,6 @@ impl Database {
     /// Zero all counters.
     pub fn reset_stats(&mut self) {
         self.stats = StatsCells::default();
-    }
-
-    /// Record statements whose wall-clock latency is at or above
-    /// `threshold` in the slow-query log (SQL text, phase breakdown,
-    /// rows touched). `None` disables the log. The log keeps the most
-    /// recent [`obs::SLOW_QUERY_CAPACITY`](crate::obs) entries.
-    pub fn set_slow_query_threshold(&mut self, threshold: Option<std::time::Duration>) {
-        self.slow_threshold.set(threshold);
-    }
-
-    /// Drain the slow-query log, oldest first.
-    pub fn take_slow_queries(&mut self) -> Vec<SlowQuery> {
-        std::mem::take(&mut *self.slow_log.lock().unwrap())
     }
 
     /// The metrics registry: every [`Stats`] counter as an `rdb_*`
@@ -377,11 +355,6 @@ impl Database {
                 "rdb_undo_log_len",
                 "Undo records currently in the transaction log",
                 self.txn.log.len() as u64,
-            ),
-            Metric::gauge(
-                "rdb_slow_queries",
-                "Slow-query records currently retained",
-                self.slow_log.lock().unwrap().len() as u64,
             ),
             Metric::counter(
                 "rdb_snapshot_reads_total",
@@ -596,12 +569,13 @@ impl Database {
     }
 
     /// Disable (or re-enable) the planner's predicate pushdown and
-    /// index-access selection. With `naive` set, a SELECT still picks
-    /// hash joins where an equality conjunct allows (the interpreter did
-    /// too) but re-evaluates the whole filter on every joined row and
-    /// never probes an index or pushes a predicate into a scan — the
-    /// pre-planner AST interpreter's strategy, which the experiments use
-    /// as the A side of interpreter-vs-planner comparisons.
+    /// index-access selection. With `naive` set, a SELECT still keys its
+    /// nested loops on an equality conjunct where one allows (the
+    /// interpreter joined on the same conjunct) but re-evaluates the
+    /// whole filter on every joined row and never probes an index or
+    /// pushes a predicate into a scan — the pre-planner AST interpreter's
+    /// strategy, which the tests use as the oracle the planner must
+    /// match row for row.
     pub fn set_planner_naive(&mut self, naive: bool) {
         self.planner_naive.set(naive);
         self.bump_schema_epoch();
@@ -2201,7 +2175,6 @@ mod tests {
             "rdb_checkpoint_bytes_written_total",
             "rdb_checkpoints_total",
             "rdb_client_statements_total",
-            "rdb_hash_join_builds_total",
             "rdb_in_list_builds_total",
             "rdb_in_transaction",
             "rdb_index_lookups_total",
@@ -2220,7 +2193,6 @@ mod tests {
             "rdb_rows_scanned_total",
             "rdb_rows_updated_total",
             "rdb_seq_scans_total",
-            "rdb_slow_queries",
             "rdb_snapshot_reads_total",
             "rdb_snapshot_versions_retained",
             "rdb_sorts_elided_total",

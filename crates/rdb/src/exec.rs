@@ -694,11 +694,7 @@ impl Cursor for ScanCur<'_> {
     }
 }
 
-/// Materialized right side of a hash join: the kept rows plus a map
-/// from join-key value to indices into them.
-type BuildSide = (Vec<Row>, HashMap<Value, Vec<usize>>);
-
-/// A join's key over the left row, shared by hash and index joins.
+/// A join's key over the left row, shared by keyed loops and index joins.
 struct JoinKey<'a> {
     expr: &'a Expr,
     /// Pre-resolved offset of `expr` in the prefix layout when the key
@@ -738,64 +734,10 @@ impl<'a> JoinKey<'a> {
     }
 }
 
-/// Hash join: builds a hash table over the right scan on the first left
-/// row (an empty left side never pays for the build), then probes with
-/// the left key evaluated against the prefix layout.
-struct HashJoinCur<'a> {
-    left: Input<'a>,
-    right: Option<Input<'a>>,
-    right_ci: usize,
-    key: JoinKey<'a>,
-    build: Option<BuildSide>,
-    pending: Option<(Row, Vec<usize>, usize)>,
-}
-
-impl Cursor for HashJoinCur<'_> {
-    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
-        loop {
-            if let Some((lrow, hits, i)) = &mut self.pending {
-                if *i < hits.len() {
-                    let build = self.build.as_ref().expect("pending implies built");
-                    let mut out = lrow.clone();
-                    out.extend(build.0[hits[*i]].iter().cloned());
-                    *i += 1;
-                    return Ok(Some(out));
-                }
-                self.pending = None;
-            }
-            let Some(lrow) = self.left.next(ex)? else {
-                return Ok(None);
-            };
-            if self.build.is_none() {
-                let mut scan = self.right.take().expect("first build takes the scan");
-                let mut rows: Vec<Row> = Vec::new();
-                let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-                while let Some(rrow) = scan.next(ex)? {
-                    let key = &rrow[self.right_ci];
-                    if !key.is_null() {
-                        map.entry(key.clone()).or_default().push(rows.len());
-                    }
-                    rows.push(rrow);
-                }
-                StatsCells::bump(&ex.db.stats.hash_join_builds, 1);
-                self.build = Some((rows, map));
-            }
-            let build = self.build.as_ref().expect("built above");
-            let hits = match self.key.eval(&lrow, ex)? {
-                Some(key) => build.1.get(key.as_ref()).cloned(),
-                None => continue,
-            };
-            if let Some(hits) = hits {
-                self.pending = Some((lrow, hits, 0));
-            }
-        }
-    }
-}
-
 /// Index nested-loop join: for each left row, probe the right table's
 /// index on `right_ci` with the left key and emit the bucket's rows that
-/// pass the scan's pushed conjuncts, in slot order — the order a hash
-/// join over the same scan produces.
+/// pass the scan's pushed conjuncts, in slot order — the order a keyed
+/// loop over the same scan produces.
 struct IndexJoinCur<'a> {
     left: Input<'a>,
     right: Input<'a, ScanCur<'a>>,
@@ -828,24 +770,34 @@ impl Cursor for IndexJoinCur<'_> {
     }
 }
 
-/// Cartesian nested-loop join; the right side is materialized once, on
-/// the first left row.
+/// Nested-loop join; the right side is materialized once, on the first
+/// left row (an empty left side never reads it). With `on`, a left row
+/// pairs only with the right rows whose column equals its key, in scan
+/// order, and a NULL key matches nothing; without, the loop is cartesian.
 struct LoopJoinCur<'a> {
     left: Input<'a>,
     right: Option<Input<'a>>,
+    on: Option<(usize, JoinKey<'a>)>,
     right_rows: Option<Vec<Row>>,
-    pending: Option<(Row, usize)>,
+    /// The left row being paired, its key, and the next right row.
+    pending: Option<(Row, Option<Value>, usize)>,
 }
 
 impl Cursor for LoopJoinCur<'_> {
     fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
         loop {
-            if let Some((lrow, i)) = &mut self.pending {
+            if let Some((lrow, key, i)) = &mut self.pending {
                 let rows = self.right_rows.as_ref().expect("pending implies rows");
-                if *i < rows.len() {
-                    let mut out = lrow.clone();
-                    out.extend(rows[*i].iter().cloned());
+                while *i < rows.len() {
+                    let rrow = &rows[*i];
                     *i += 1;
+                    if let (Some((ci, _)), Some(key)) = (&self.on, &*key) {
+                        if rrow[*ci] != *key {
+                            continue;
+                        }
+                    }
+                    let mut out = lrow.clone();
+                    out.extend(rrow.iter().cloned());
                     return Ok(Some(out));
                 }
                 self.pending = None;
@@ -861,7 +813,14 @@ impl Cursor for LoopJoinCur<'_> {
                 }
                 self.right_rows = Some(rows);
             }
-            self.pending = Some((lrow, 0));
+            let key = match &self.on {
+                Some((_, key)) => match key.eval(&lrow, ex)? {
+                    Some(key) => Some(key.into_owned()),
+                    None => continue,
+                },
+                None => None,
+            };
+            self.pending = Some((lrow, key, 0));
         }
     }
 }
@@ -1032,34 +991,35 @@ impl Database {
         };
         for (i, (scan_plan, kind)) in core.scans.iter().enumerate().skip(1) {
             let right = self.open_scan(scan_plan, ctes, prof.map(|p| &p.scans[i]))?;
-            let join: Box<dyn Cursor + 'a> = match kind {
+            let on = match kind {
+                JoinKind::Index { right_ci, left_key }
+                | JoinKind::Loop {
+                    on: Some((right_ci, left_key)),
+                } => Some((*right_ci, JoinKey::new(left_key, &core.layout[..i]))),
+                JoinKind::Loop { on: None } => None,
+            };
+            let join: Box<dyn Cursor + 'a> = match (kind, on) {
                 // Live indexes describe the current heap; over a stale
-                // snapshot the join hashes the epoch's reconstructed rows.
-                JoinKind::Index { right_ci, left_key } if right.stale_at(self, ctx).is_none() => {
+                // snapshot the join loops over the epoch's reconstructed
+                // rows, keyed the same way.
+                (JoinKind::Index { .. }, Some((right_ci, key)))
+                    if right.stale_at(self, ctx).is_none() =>
+                {
                     Box::new(IndexJoinCur {
                         left: cur,
                         right: Input {
                             prof: right.prof,
                             cur: Box::new(right),
                         },
-                        right_ci: *right_ci,
-                        key: JoinKey::new(left_key, &core.layout[..i]),
+                        right_ci,
+                        key,
                         lrow: None,
                     })
                 }
-                JoinKind::Hash { right_ci, left_key } | JoinKind::Index { right_ci, left_key } => {
-                    Box::new(HashJoinCur {
-                        left: cur,
-                        right: Some(scan_edge(right)),
-                        right_ci: *right_ci,
-                        key: JoinKey::new(left_key, &core.layout[..i]),
-                        build: None,
-                        pending: None,
-                    })
-                }
-                JoinKind::Loop => Box::new(LoopJoinCur {
+                (_, on) => Box::new(LoopJoinCur {
                     left: cur,
                     right: Some(scan_edge(right)),
+                    on,
                     right_rows: None,
                     pending: None,
                 }),
@@ -1191,7 +1151,7 @@ impl Database {
                 row.extend(extras);
             }
         }
-        let key_cmp = |a: &Row, b: &Row| {
+        rows.sort_by(|a, b| {
             for &(i, desc) in &plan.keys {
                 let ord = a[i].sort_cmp(&b[i]);
                 if ord != std::cmp::Ordering::Equal {
@@ -1199,36 +1159,14 @@ impl Database {
                 }
             }
             std::cmp::Ordering::Equal
-        };
-        match plan.limit {
-            // Top-k: selecting the k smallest under a total order (sort
-            // keys, then input position — the stable-sort tiebreak made
-            // explicit) is O(n + k log k) instead of O(n log n) and
-            // yields exactly the stable-sort prefix.
-            Some(k) if (k as usize) < rows.len() => {
-                let k = k as usize;
-                if k == 0 {
-                    rows.clear();
-                } else {
-                    let mut tagged: Vec<(usize, Row)> = rows.drain(..).enumerate().collect();
-                    let cmp = |a: &(usize, Row), b: &(usize, Row)| {
-                        key_cmp(&a.1, &b.1).then(a.0.cmp(&b.0))
-                    };
-                    tagged.select_nth_unstable_by(k - 1, cmp);
-                    tagged.truncate(k);
-                    tagged.sort_unstable_by(cmp);
-                    rows.extend(tagged.into_iter().map(|(_, r)| r));
-                }
-            }
-            _ => rows.sort_by(key_cmp),
+        });
+        if let Some(n) = plan.limit {
+            rows.truncate(n as usize);
         }
         if rows.first().is_some_and(|r| r.len() > plan.visible) {
             for row in &mut rows {
                 row.truncate(plan.visible);
             }
-        }
-        if let Some(n) = plan.limit {
-            rows.truncate(n as usize);
         }
         Ok(ResultSet {
             columns: plan.columns.clone(),
@@ -1340,7 +1278,7 @@ impl Database {
     }
 
     /// Can `e` be evaluated given only the bindings in `env` (plus OLD/NEW
-    /// and subqueries)? Used to pick hash-join keys.
+    /// and subqueries)? Used to pick join keys.
     pub(crate) fn expr_resolvable(&self, e: &Expr, env: &dyn Scope, ctx: &EvalCtx<'_>) -> bool {
         match e {
             Expr::Literal(_) | Expr::Param(_) => true,

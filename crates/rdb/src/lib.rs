@@ -63,7 +63,7 @@ pub use ast::{
 pub use engine::{Database, ExecResult, ResultSet, Stats, Trigger};
 pub use error::{DbError, Result};
 pub use http::{MetricsHandle, MetricsServer};
-pub use obs::{Metric, MetricKind, PhaseStat, SlowQuery, Span, TraceEvent};
+pub use obs::{Metric, MetricKind, PhaseStat, Span, TraceEvent};
 pub use parser::{parse_script, parse_script_with_text, parse_stmt, parse_stmt_with_params};
 pub use server::{Server, ServerHandle};
 pub use session::{Session, SharedDatabase, WriterGate, WriterTicket};

@@ -26,9 +26,6 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// dropped so an unbounded trace session cannot exhaust memory.
 const MAX_TRACE_EVENTS: usize = 1 << 20;
 
-/// Cap on retained slow-query records (oldest evicted first).
-pub(crate) const SLOW_QUERY_CAPACITY: usize = 128;
-
 /// A fixed-bucket log2 latency histogram over nanosecond samples.
 ///
 /// Bucket `i` holds samples whose `floor(log2(ns))` is `i` (bucket 0
@@ -163,49 +160,21 @@ pub struct PhaseStat {
     pub max_ns: u64,
 }
 
-/// A statement that exceeded the slow-query threshold: its SQL text,
-/// total latency, per-phase breakdown, and rows touched.
-#[derive(Debug, Clone)]
-pub struct SlowQuery {
-    /// The statement's SQL text.
-    pub sql: String,
-    /// Wall-clock latency of the whole statement, in nanoseconds.
-    pub total_ns: u64,
-    /// `(phase, total ns)` pairs for the spans that ran inside the
-    /// statement, in completion order.
-    pub phases: Vec<(&'static str, u64)>,
-    /// Rows scanned + inserted + deleted + updated by the statement
-    /// (trigger cascades included).
-    pub rows_touched: u64,
-    /// Session the statement ran for (0 when executed outside the
-    /// session layer). Joins against `rdb_sessions.id`.
-    pub session_id: u64,
-    /// MVCC snapshot epoch the statement read at, if pinned.
-    pub snapshot_epoch: Option<u64>,
-    /// Literal-normalized statement fingerprint (FNV-1a 64). Joins
-    /// against `rdb_statements.fingerprint`.
-    pub fingerprint: u64,
-}
-
 struct Tracer {
     enabled: Cell<bool>,
-    collecting: Cell<bool>,
     epoch: Instant,
     events: RefCell<Vec<TraceEvent>>,
     dropped: Cell<u64>,
     agg: RefCell<BTreeMap<&'static str, Histogram>>,
-    stmt_phases: RefCell<Vec<(&'static str, u64)>>,
 }
 
 thread_local! {
     static TRACER: Tracer = Tracer {
         enabled: Cell::new(false),
-        collecting: Cell::new(false),
         epoch: Instant::now(),
         events: RefCell::new(Vec::new()),
         dropped: Cell::new(0),
         agg: RefCell::new(BTreeMap::new()),
-        stmt_phases: RefCell::new(Vec::new()),
     };
 }
 
@@ -309,28 +278,9 @@ pub fn render_phase_table() -> String {
     out
 }
 
-/// Begin per-statement phase collection (slow-query support): spans
-/// record into the statement buffer even with tracing off.
-pub(crate) fn stmt_collect_begin() {
-    TRACER.with(|t| {
-        t.stmt_phases.borrow_mut().clear();
-        t.collecting.set(true);
-    });
-}
-
-/// End per-statement phase collection, returning `(phase, ns)` pairs in
-/// completion order.
-pub(crate) fn stmt_collect_end() -> Vec<(&'static str, u64)> {
-    TRACER.with(|t| {
-        t.collecting.set(false);
-        std::mem::take(&mut *t.stmt_phases.borrow_mut())
-    })
-}
-
 /// An RAII tracing span. [`Span::enter`] starts timing a named phase;
-/// dropping the span records the event. When tracing is off (and no
-/// statement collection is active) the span is inert: no clock is read
-/// and nothing is recorded.
+/// dropping the span records the event. When tracing is off the span
+/// is inert: no clock is read and nothing is recorded.
 #[must_use = "a span measures until it is dropped"]
 pub struct Span {
     name: &'static str,
@@ -339,10 +289,10 @@ pub struct Span {
 
 impl Span {
     /// Open a span for `name`. Inert (no timestamp taken) unless
-    /// tracing or per-statement collection is active on this thread.
+    /// tracing is enabled on this thread.
     #[inline]
     pub fn enter(name: &'static str) -> Span {
-        let active = TRACER.with(|t| t.enabled.get() || t.collecting.get());
+        let active = TRACER.with(|t| t.enabled.get());
         Span {
             name,
             start: if active { Some(Instant::now()) } else { None },
@@ -373,9 +323,6 @@ impl Drop for Span {
                     .entry(self.name)
                     .or_default()
                     .record(dur_ns);
-            }
-            if t.collecting.get() {
-                t.stmt_phases.borrow_mut().push((self.name, dur_ns));
             }
         });
     }

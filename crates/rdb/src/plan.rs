@@ -7,8 +7,9 @@
 //!
 //! 1. **Join selection** — for each FROM source after the first, the
 //!    first equality conjunct `src.col = expr-over-earlier-bindings`
-//!    turns the source into a hash-join build side; everything else
-//!    falls back to a nested-loop (cartesian) join.
+//!    keys a nested loop: the source is read once and each outer row
+//!    pairs with the inner rows whose column equals its key. Without
+//!    such a conjunct the loop is cartesian.
 //! 2. **Predicate pushdown** — each remaining conjunct that references
 //!    exactly one binding is pushed into that binding's scan, filtering
 //!    rows before they are cloned out of the table's slot array.
@@ -18,7 +19,7 @@
 //!    probe (of several, the smallest estimated bucket;
 //!    [`Database::choose_access`], shared with DELETE/UPDATE target
 //!    selection and their `EXPLAIN`).
-//! 4. **Index joins** — a hash join whose build side is still a
+//! 4. **Index joins** — a keyed loop whose inner side is still a
 //!    sequential scan of a base table indexed on the join column probes
 //!    that index once per outer row instead.
 //! 5. **Sort elision** — a single-key `ORDER BY` over one sequential
@@ -29,10 +30,10 @@
 //! estimates are table sizes and average index-bucket sizes.
 //!
 //! Consuming an equality conjunct without re-checking it is sound
-//! because index buckets and hash-join tables group values by
-//! `Value`'s derived equality, which agrees with SQL `=` on the
-//! non-null, same-type values that reach them (nulls never enter
-//! buckets or build tables).
+//! because index buckets and keyed loops match values by `Value`'s
+//! derived equality, which agrees with SQL `=` on the non-null,
+//! same-type values that reach them (nulls never enter buckets, and a
+//! NULL join key matches nothing).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -111,15 +112,16 @@ impl ScanPlan {
 /// How a scan joins against the bindings to its left.
 #[derive(Debug, Clone)]
 pub(crate) enum JoinKind {
-    /// Build a hash table on this scan's column `right_ci`; probe with
-    /// `left_key` evaluated over the prefix layout.
-    Hash { right_ci: usize, left_key: Expr },
     /// Probe this base table's index on `right_ci` once per left row
     /// with `left_key`; the scan's pushed conjuncts filter each fetched
-    /// row. Falls back to [`JoinKind::Hash`] over a stale snapshot.
+    /// row. Over a stale snapshot it runs as the keyed [`JoinKind::Loop`].
     Index { right_ci: usize, left_key: Expr },
-    /// Cartesian nested loop (residual predicates filter later).
-    Loop,
+    /// Nested loop over the scan's rows, read once. With `on =
+    /// Some((right_ci, left_key))` a left row pairs only with the rows
+    /// whose column `right_ci` equals `left_key` evaluated over the
+    /// prefix layout; with `None` the loop is cartesian (residual
+    /// predicates filter later).
+    Loop { on: Option<(usize, Expr)> },
 }
 
 /// One projection output.
@@ -194,14 +196,14 @@ pub(crate) struct PlanSlot {
     pub(crate) plan: Mutex<Option<(u64, Arc<SelectPlan>)>>,
     /// Literal-normalized fingerprint of the statement text, computed at
     /// most once per slot and shared by every execution of the text
-    /// (statement tracking and slow-query attribution both read it).
+    /// (statement tracking reads it).
     pub(crate) fingerprint: std::sync::OnceLock<Arc<crate::sysview::Fingerprint>>,
 }
 
 impl Database {
     /// Compile a SELECT into a physical plan. The naive oracle
     /// ([`Database::set_planner_naive`]) runs steps 2 to 5 of the module
-    /// doc not at all: hash joins leave their key conjunct in the filter,
+    /// doc not at all: keyed loops leave their key conjunct in the filter,
     /// and every scan is sequential under a filter re-checked on every
     /// joined row — the pre-planner interpreter's behaviour.
     pub(crate) fn build_select_plan(
@@ -457,7 +459,7 @@ impl Database {
                     probe: None,
                     est_rows: 0,
                 },
-                JoinKind::Loop,
+                JoinKind::Loop { on: None },
             ));
         }
 
@@ -481,7 +483,7 @@ impl Database {
         // --- join selection ----------------------------------------------
         // For each source after the first, take the first equality
         // conjunct `src.col = expr-over-earlier-bindings` (either operand
-        // order) as a hash-join key. The pre-planner interpreter made the
+        // order) as the join key. The pre-planner interpreter made the
         // same choice, so join selection runs under the naive oracle
         // too — but then the conjunct is NOT consumed, reproducing the
         // interpreter's re-check of the whole filter on joined rows.
@@ -514,9 +516,8 @@ impl Database {
                                     .position(|c| c.eq_ignore_ascii_case(name))
                                 {
                                     if self.expr_resolvable(b, &prefix, ctx) {
-                                        scans[i].1 = JoinKind::Hash {
-                                            right_ci: col,
-                                            left_key: (**b).clone(),
+                                        scans[i].1 = JoinKind::Loop {
+                                            on: Some((col, (**b).clone())),
                                         };
                                         consumed[ci_conj] = pushdown;
                                         break 'conj;
@@ -552,12 +553,11 @@ impl Database {
             }
 
             // --- access selection and index joins ------------------------
-            // A hash join whose build side is left a sequential scan of a
-            // table indexed on the join column probes that index per
-            // outer row instead: the hash join clones every inner row into
-            // its build side, the probe touches only matching rows. An
-            // inner side with its own literal probe keeps it and stays a
-            // hash join.
+            // A keyed loop whose inner side is left a sequential scan of
+            // a table indexed on the join column probes that index per
+            // outer row instead: the loop clones every inner row once,
+            // the probe touches only matching rows. An inner side with
+            // its own literal probe keeps it and stays a keyed loop.
             for (scan, kind) in &mut scans {
                 if scan.is_cte {
                     continue;
@@ -569,7 +569,10 @@ impl Database {
                 let (consumed, access) = Self::choose_access(t, scan.binding(), &pushed);
                 scan.probe = consumed.map(|pi| scan.pushed.remove(pi));
                 scan.access = access;
-                if let JoinKind::Hash { right_ci, left_key } = kind {
+                if let JoinKind::Loop {
+                    on: Some((right_ci, left_key)),
+                } = kind
+                {
                     if matches!(scan.access, Access::Seq) && t.has_index(*right_ci) {
                         *kind = JoinKind::Index {
                             right_ci: *right_ci,
@@ -1062,9 +1065,9 @@ fn render_joins(
             // An index join's inner side renders as the point probe it
             // issues per outer row.
             let (op, probed) = match kind {
-                JoinKind::Hash { right_ci, left_key } => {
-                    (join("HashJoin", *right_ci, left_key), None)
-                }
+                JoinKind::Loop {
+                    on: Some((right_ci, left_key)),
+                } => (join("NestedLoop", *right_ci, left_key), None),
                 JoinKind::Index { right_ci, left_key } => (
                     join("IndexJoin", *right_ci, left_key),
                     Some(ScanPlan {
@@ -1075,7 +1078,7 @@ fn render_joins(
                         ..scan.clone()
                     }),
                 ),
-                JoinKind::Loop => ("NestedLoop".to_string(), None),
+                JoinKind::Loop { on: None } => ("NestedLoop".to_string(), None),
             };
             push(lines, ind, format!("{op}{join_suffix}"));
             render_joins(core, n - 1, ind + 1, lines, prof);

@@ -33,7 +33,7 @@
 
 use crate::engine::{Database, ExecResult, ResultSet};
 use crate::error::{DbError, Result};
-use crate::sysview::{SessionRegistry, SessionScope, SessionState};
+use crate::sysview::{SessionRegistry, SessionState};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -241,8 +241,7 @@ pub enum SqlOutcome {
 pub struct Session {
     shared: Arc<Shared>,
     state: SessionTxn,
-    /// Registry-assigned id; the `rdb_sessions.id` column and the
-    /// slow-query log's session attribution.
+    /// Registry-assigned id; the `rdb_sessions.id` column.
     id: u64,
 }
 
@@ -253,9 +252,6 @@ impl Session {
     /// `committing` → `idle`) while it runs.
     pub fn execute(&mut self, sql: &str) -> Result<SqlOutcome> {
         self.shared.registry.statement_begin(self.id, sql);
-        // Mark the thread so engine-level records (the slow-query log)
-        // attribute work done inside the statement to this session.
-        let _scope = SessionScope::enter(self.id);
         let result = match classify(sql) {
             StmtClass::Begin => self.begin(),
             StmtClass::Commit => self.commit(),

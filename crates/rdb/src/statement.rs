@@ -18,13 +18,13 @@ use crate::ast::{SelectStmt, Stmt};
 use crate::engine::{Database, ExecResult, ResultSet, StatsCells};
 use crate::error::{DbError, Result};
 use crate::exec::EvalCtx;
-use crate::obs::{self, SlowQuery, Span};
+use crate::obs::Span;
 use crate::parser::{parse_script_with_text, parse_stmt_with_params};
 use crate::plan::{PlanSlot, SelectPlan};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Upper bound on cached statement texts (LRU beyond it), sized on
 /// `xmlup-e2e` (EXPERIMENTS.md "One statement entry"). The workloads'
@@ -366,50 +366,24 @@ impl Database {
         }
         result
     }
-
-    /// Rows scanned + inserted + deleted + updated so far (slow-query
-    /// "rows touched" bookkeeping).
-    fn rows_touched(&self) -> u64 {
-        self.stats.rows_scanned.get()
-            + self.stats.rows_inserted.get()
-            + self.stats.rows_deleted.get()
-            + self.stats.rows_updated.get()
-    }
 }
 
-/// Per-statement accounting around one execution. With neither a
-/// slow-query threshold nor statement tracking configured,
-/// [`StatementProbe::start`] is two atomic reads and returns `None`.
-/// Otherwise the statement is timed and its spans are collected (even
-/// with tracing off); a successful execution is aggregated into the
-/// fingerprint store behind `rdb_statements`, and a breach of the
-/// threshold lands a [`SlowQuery`] record — attributed to the current
-/// session, snapshot epoch, and fingerprint — in the slow-query log.
+/// Per-statement accounting around one execution. With statement
+/// tracking off, [`StatementProbe::start`] is one atomic read and returns
+/// `None`. Otherwise the statement is timed, and a successful execution
+/// is aggregated into the fingerprint store behind `rdb_statements`.
 struct StatementProbe {
-    /// Record into the per-statement store (tracking on).
-    track: bool,
-    /// Slow-query threshold in effect, if any.
-    threshold: Option<Duration>,
-    touched_before: u64,
     wal_before: u64,
     start: Instant,
 }
 
 impl StatementProbe {
     fn start(db: &Database) -> Option<Self> {
-        let threshold = db.slow_threshold.get();
-        let track = db.statements.enabled();
-        if threshold.is_none() && !track {
+        if !db.statements.enabled() {
             return None;
         }
-        let touched_before = db.rows_touched();
-        let wal_before = db.stats.wal_bytes.get();
-        obs::stmt_collect_begin();
         Some(StatementProbe {
-            track,
-            threshold,
-            touched_before,
-            wal_before,
+            wal_before: db.stats.wal_bytes.get(),
             start: Instant::now(),
         })
     }
@@ -421,40 +395,18 @@ impl StatementProbe {
     /// on the spot.
     fn finish(self, db: &Database, ctx: &EvalCtx<'_>, sql: &str, rows: Option<u64>) {
         let elapsed = self.start.elapsed();
-        let phases = obs::stmt_collect_end();
-        let track = self.track && rows.is_some();
-        let slow = self.threshold.is_some_and(|t| elapsed >= t);
-        if !track && !slow {
-            return;
-        }
+        let Some(rows) = rows else { return };
         let compute = || Arc::new(crate::sysview::fingerprint(sql));
         let fp = match &ctx.plan_slot {
             Some(slot) => slot.fingerprint.get_or_init(compute).clone(),
             None => compute(),
         };
-        if track {
-            db.statements.record(
-                &fp,
-                rows.unwrap_or(0),
-                elapsed.as_nanos() as u64,
-                ctx.plan_cache_hit,
-                db.stats.wal_bytes.get() - self.wal_before,
-            );
-        }
-        if slow {
-            let mut log = db.slow_log.lock().unwrap();
-            if log.len() >= obs::SLOW_QUERY_CAPACITY {
-                log.remove(0);
-            }
-            log.push(SlowQuery {
-                sql: sql.to_string(),
-                total_ns: elapsed.as_nanos() as u64,
-                phases,
-                rows_touched: db.rows_touched() - self.touched_before,
-                session_id: crate::sysview::current_session(),
-                snapshot_epoch: ctx.snapshot,
-                fingerprint: fp.hash,
-            });
-        }
+        db.statements.record(
+            &fp,
+            rows,
+            elapsed.as_nanos() as u64,
+            ctx.plan_cache_hit,
+            db.stats.wal_bytes.get() - self.wal_before,
+        );
     }
 }

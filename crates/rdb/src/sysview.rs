@@ -181,7 +181,7 @@ pub const STATEMENT_STORE_CAPACITY: usize = 256;
 /// surfaced by `rdb_statements` and [`Database::statement_statistics`].
 #[derive(Debug, Clone)]
 pub struct StatementStats {
-    /// Fingerprint hash (join key with the slow-query log).
+    /// Fingerprint hash (FNV-1a 64 of the literal-normalized text).
     pub fingerprint: u64,
     /// Literal-normalized statement text.
     pub sql: String,
@@ -469,42 +469,6 @@ impl SessionRegistry {
 }
 
 // ---------------------------------------------------------------------------
-// current-session thread local
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static CURRENT_SESSION: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// RAII guard marking the current thread as executing on behalf of a
-/// session, so engine-level records (the slow-query log) can attribute
-/// work to it. Nested scopes restore the previous id on drop.
-pub(crate) struct SessionScope {
-    prev: u64,
-}
-
-impl SessionScope {
-    /// Enter the scope of session `id` on this thread.
-    pub(crate) fn enter(id: u64) -> SessionScope {
-        let prev = CURRENT_SESSION.with(|c| c.replace(id));
-        SessionScope { prev }
-    }
-}
-
-impl Drop for SessionScope {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        CURRENT_SESSION.with(|c| c.set(prev));
-    }
-}
-
-/// The session id the current thread is executing for (0 outside any
-/// session scope).
-pub(crate) fn current_session() -> u64 {
-    CURRENT_SESSION.with(|c| c.get())
-}
-
-// ---------------------------------------------------------------------------
 // row materialization
 // ---------------------------------------------------------------------------
 
@@ -782,20 +746,5 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].state, SessionState::Idle);
         assert!(snap[0].statement.is_none());
-    }
-
-    #[test]
-    fn session_scope_nests_and_restores() {
-        assert_eq!(current_session(), 0);
-        {
-            let _outer = SessionScope::enter(3);
-            assert_eq!(current_session(), 3);
-            {
-                let _inner = SessionScope::enter(7);
-                assert_eq!(current_session(), 7);
-            }
-            assert_eq!(current_session(), 3);
-        }
-        assert_eq!(current_session(), 0);
     }
 }

@@ -1,9 +1,7 @@
 //! Observability tests: EXPLAIN ANALYZE goldens, histogram bucket math,
-//! metrics-text format stability, trace-JSON schema, the slow-query
-//! log, and the regression that tracing state never perturbs engine
-//! counters.
+//! metrics-text format stability, trace-JSON schema, and the regression
+//! that tracing state never perturbs engine counters.
 
-use std::time::Duration;
 use xmlup_rdb::{obs, Database, Value};
 
 /// Collect an EXPLAIN/EXPLAIN ANALYZE result as one string. Goes
@@ -112,14 +110,14 @@ Execution time: X";
 
 #[test]
 fn explain_analyze_hash_join_rows_golden_unindexed() {
-    // The same chain without the parentId indexes hashes every child
-    // relation once.
+    // The same chain without the parentId indexes loops over every child
+    // relation, reading each once (loops=1 on the inner scans).
     let mut db = forest("CREATE INDEX n1_id ON n1 (id);");
     let plan = explain(&mut db, FOREST_CHAIN);
     let expected = "\
 Project [id] (actual rows=24 loops=1 time=X)
-  HashJoin (n3.parentId = n2.id) (actual rows=24 loops=1 time=X)
-    HashJoin (n2.parentId = n1.id) (actual rows=8 loops=1 time=X)
+  NestedLoop (n3.parentId = n2.id) (actual rows=24 loops=1 time=X)
+    NestedLoop (n2.parentId = n1.id) (actual rows=8 loops=1 time=X)
       SeqScan n1 [filter: (n1.num < 4)] (est rows=8) (actual rows=4 loops=1 time=X)
       SeqScan n2 (est rows=16) (actual rows=16 loops=1 time=X)
     SeqScan n3 (est rows=48) (actual rows=48 loops=1 time=X)
@@ -226,7 +224,7 @@ fn explain_analyze_profiles_the_production_path() {
         ),
         (
             "SELECT n1.id, n2.id FROM n2, n1 WHERE n1.parentId = n2.parentId AND n2.num = 1",
-            "HashJoin",
+            "NestedLoop (n1.parentId = n2.parentId)",
             None,
         ),
         (
@@ -279,16 +277,8 @@ fn explain_analyze_profiles_the_production_path() {
             None,
         ),
     ];
-    let work = |s: &xmlup_rdb::Stats| {
-        [
-            s.rows_scanned,
-            s.index_lookups,
-            s.seq_scans,
-            s.index_scans,
-            s.hash_join_builds,
-        ]
-    };
-    let delta = |after: [u64; 5], before: [u64; 5]| -> Vec<u64> {
+    let work = |s: &xmlup_rdb::Stats| [s.rows_scanned, s.index_lookups, s.seq_scans, s.index_scans];
+    let delta = |after: [u64; 4], before: [u64; 4]| -> Vec<u64> {
         after.iter().zip(before).map(|(a, b)| a - b).collect()
     };
     for (sql, must_render, unlimited) in battery {
@@ -528,44 +518,4 @@ fn tracing_state_leaves_counters_identical() {
     let off = run(false);
     let on = run(true);
     assert_eq!(off, on, "tracing must not change any engine counter");
-}
-
-// ---------------------------------------------------------------------
-// Slow-query log
-// ---------------------------------------------------------------------
-
-#[test]
-fn slow_query_log_records_sql_phases_and_rows() {
-    let mut db = forest_db();
-    // Threshold zero: everything is "slow".
-    db.set_slow_query_threshold(Some(Duration::ZERO));
-    db.query("SELECT COUNT(*) FROM n2").unwrap();
-    db.execute("DELETE FROM n3 WHERE parentId = 10").unwrap();
-    let slow = db.take_slow_queries();
-    assert_eq!(slow.len(), 2);
-    assert_eq!(slow[0].sql, "SELECT COUNT(*) FROM n2");
-    assert!(slow[0].total_ns > 0);
-    assert!(
-        slow[0].phases.iter().any(|(p, _)| *p == "sql.execute"),
-        "phase breakdown missing sql.execute: {:?}",
-        slow[0].phases
-    );
-    assert!(slow[0].rows_touched >= 16, "scanned all of n2");
-    // Statement attribution: outside a session the id is 0, but the
-    // fingerprint always joins against `rdb_statements`.
-    assert_eq!(slow[0].session_id, 0, "no session on a bare Database");
-    assert_ne!(slow[0].fingerprint, 0, "fingerprint computed at parse time");
-    assert_eq!(slow[0].snapshot_epoch, None, "autocommit pins no snapshot");
-    assert_eq!(slow[1].sql, "DELETE FROM n3 WHERE parentId = 10");
-    assert!(slow[1].rows_touched >= 3, "deleted three grandchildren");
-    // take_ drains the log.
-    assert!(db.take_slow_queries().is_empty());
-    // Raising the threshold stops recording.
-    db.set_slow_query_threshold(Some(Duration::from_secs(3600)));
-    db.query("SELECT COUNT(*) FROM n1").unwrap();
-    assert!(db.take_slow_queries().is_empty());
-    // Disabling entirely costs nothing and records nothing.
-    db.set_slow_query_threshold(None);
-    db.query("SELECT COUNT(*) FROM n1").unwrap();
-    assert!(db.take_slow_queries().is_empty());
 }

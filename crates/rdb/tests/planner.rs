@@ -417,16 +417,11 @@ fn planned_results_match_naive_interpretation() {
     }
     // The planned side actually used its machinery.
     let s = planned.stats();
-    assert!(
-        s.hash_join_builds > 0 || s.index_lookups > 0,
-        "no joins built or probed: {s:?}"
-    );
+    assert!(s.index_lookups > 0, "no joins probed: {s:?}");
     assert!(s.predicates_pushed > 0, "no predicates pushed: {s:?}");
     assert!(s.index_scans > 0, "no index scans chosen: {s:?}");
-    // The naive side still hash joins (the interpreter did) but never
-    // pushes predicates or chooses index scans.
+    // The naive side never pushes predicates or chooses index scans.
     let s = naive.stats();
-    assert!(s.hash_join_builds > 0);
     assert_eq!(s.predicates_pushed, 0);
     assert_eq!(s.index_scans, 0);
 }
@@ -446,8 +441,9 @@ fn index_joins_match_naive_interpretation() {
         (SELECT * FROM Q1) UNION ALL (SELECT * FROM Q2) UNION ALL (SELECT * FROM Q3)";
     let sorted = format!("{outer_union} ORDER BY C1, C3, C5");
     // No ORDER BY on most of them: an index join emits each bucket in
-    // slot order, as the hash join it replaces did, so even row order
-    // must agree.
+    // slot order, as the keyed loop it replaces does, so even row order
+    // must agree. The last two keep the keyed loop on the planned side
+    // too: a CTE and a system view have no index to probe.
     let queries = [
         outer_union,
         &sorted,
@@ -456,6 +452,10 @@ fn index_joins_match_naive_interpretation() {
         "SELECT T.id FROM n2 P, n3 T WHERE T.parentId = P.id AND T.num + P.num > 12",
         "SELECT A.id, B.id FROM n2 A, n2 B WHERE B.parentId = A.parentId AND A.num < 8",
         "SELECT T.id FROM n1 P, n2 T WHERE T.parentId = P.id AND T.parentId = 3",
+        "WITH Q(c, num) AS (SELECT parentId, num FROM n2 WHERE num < 20) \
+         SELECT P.id, T.num FROM n1 P, Q T WHERE T.c = P.id AND P.num < 30",
+        "SELECT P.id, T.table_name, T.column_name FROM n1 P, rdb_columns T \
+         WHERE T.ordinal = P.id",
     ];
     let mut planned = edge_db();
     let mut naive = edge_db();
@@ -470,17 +470,22 @@ fn index_joins_match_naive_interpretation() {
     let plan = explain(&mut planned, &format!("EXPLAIN {outer_union}"));
     assert!(plan.contains("IndexJoin (T.parentId = P.C1)"), "{plan}");
     assert!(plan.contains("IndexJoin (T.parentId = P.C3)"), "{plan}");
-    assert!(!plan.contains("HashJoin"), "{plan}");
-    // An inner side with its own literal probe keeps it and hash joins.
+    assert!(!plan.contains("NestedLoop"), "{plan}");
+    // An inner side with its own literal probe keeps it and loops.
     let plan = explain(
         &mut planned,
         "EXPLAIN SELECT T.id FROM n1 P, n2 T WHERE T.parentId = P.id AND T.parentId = 3",
     );
-    assert!(plan.contains("HashJoin (T.parentId = P.id)"), "{plan}");
+    assert!(plan.contains("NestedLoop (T.parentId = P.id)"), "{plan}");
     assert!(plan.contains("IndexScan n2 (parentId = 3) AS T"), "{plan}");
+    let plan = explain(&mut planned, &format!("EXPLAIN {}", queries[7]));
+    assert!(plan.contains("NestedLoop (T.c = P.id)"), "{plan}");
+    assert!(plan.contains("CteScan Q AS T"), "{plan}");
+    let plan = explain(&mut planned, &format!("EXPLAIN {}", queries[8]));
+    assert!(plan.contains("NestedLoop (T.ordinal = P.id)"), "{plan}");
+    assert!(plan.contains("SysScan rdb_columns AS T"), "{plan}");
     assert!(planned.stats().index_lookups > 0);
     let s = naive.stats();
-    assert!(s.hash_join_builds > 0, "{s:?}");
     assert_eq!(s.index_lookups, 0, "the oracle never probes: {s:?}");
 }
 
@@ -656,9 +661,10 @@ fn order_by_without_ordered_index_still_sorts() {
 
 #[test]
 fn top_k_limit_matches_full_sort_prefix() {
-    let db = edge_db(); // no ordered index: the heap path, not elision
-                        // n2.num = id % 30 over 160 rows — heavy ties, so the top-k pass
-                        // must reproduce the stable sort's tie order exactly.
+    // No ordered index: the sort path, not elision. n2.num = id % 30
+    // over 160 rows — heavy ties, so the truncated sort must keep the
+    // stable sort's tie order exactly.
+    let db = edge_db();
     let full = db.query("SELECT id, num FROM n2 ORDER BY num").unwrap();
     for k in [0usize, 1, 7, 40, 159, 160, 500] {
         let rs = db

@@ -234,7 +234,7 @@ fn statements_json_matches_store() {
 }
 
 #[test]
-fn statements_aggregate_across_concurrent_sessions() {
+fn statements_aggregate_across_threaded_sessions() {
     const THREADS: usize = 4;
     const PER_THREAD: usize = 25;
     let db = forest_db();

@@ -420,7 +420,7 @@ impl Cli {
                     "client statements: {}\ntotal statements:  {}\nrows scanned:      {}\n\
                      rows ins/del/upd:  {}/{}/{}\ntrigger firings:   {}\nindex lookups:     {}\n\
                      plans built:       {}\nseq scans:         {}\nindex scans:       {}\n\
-                     hash join builds:  {}\npredicates pushed: {}",
+                     predicates pushed: {}",
                     s.client_statements,
                     s.total_statements,
                     s.rows_scanned,
@@ -432,7 +432,6 @@ impl Cli {
                     s.plans_built,
                     s.seq_scans,
                     s.index_scans,
-                    s.hash_join_builds,
                     s.predicates_pushed
                 );
                 Ok(())
