@@ -238,28 +238,17 @@ impl Default for Database {
 struct DurableState {
     /// Directory holding `wal.bin` and `snapshot.bin`.
     dir: PathBuf,
-    /// Buffered appender positioned at the WAL's end.
-    wal: Mutex<std::io::BufWriter<fs::File>>,
-    /// Whether commits `fsync` the WAL (default true; benchmarks may
-    /// disable it to isolate the logging cost from the disk cost).
+    /// Appender positioned at `wal_len`. `None` once a failed append
+    /// could not be cut back: the file's end is then unknown, so every
+    /// later append is refused until the database is reopened.
+    wal: Mutex<Option<fs::File>>,
+    /// Whether commits `fsync` the WAL (default true; tests may disable
+    /// it to keep many small commits cheap).
     sync: FlagCell,
-    /// Group-commit window: commits coalesced per `fsync` (≤ 1 syncs
-    /// every commit, the default). With a window of N, each commit
-    /// appends and flushes its frames immediately but the `fsync` is
-    /// deferred until N commits have joined the group; the one
-    /// `sync_data` then acknowledges them all.
-    group_window: Counter,
-    /// Commits appended since the last fsync — the open group.
-    pending_commits: Counter,
-    /// WAL length in bytes known to be fsynced: the group-commit sync
-    /// ticket. A commit whose frames end at or before this offset is
-    /// acknowledged durable.
-    synced_len: Counter,
-    /// WAL length in bytes appended and flushed to the OS.
-    appended_len: Counter,
-    /// Commits acknowledged by a group fsync (or subsumed by a
-    /// checkpoint snapshot) so far.
-    acked_commits: Counter,
+    /// WAL length in bytes: the end of the last whole frame. Every
+    /// commit is synced before it returns, so this is also the
+    /// acknowledged prefix.
+    wal_len: Counter,
     /// Checkpoint generation stamped in both the checkpoint file and the
     /// WAL header. A WAL whose generation trails the checkpoint's is
     /// leftover from before a checkpoint whose truncation never landed —
@@ -274,6 +263,11 @@ const WAL_FILE: &str = "wal.bin";
 
 fn storage_err(ctx: &str, e: &std::io::Error) -> DbError {
     DbError::Storage(format!("{ctx}: {e}"))
+}
+
+/// What every append returns once a failed append could not be cut back.
+fn wal_refused() -> DbError {
+    DbError::Storage("WAL refuses appends after a failed write; reopen the database".into())
 }
 
 /// Start the log of `generation`: cut the file to nothing and make a
@@ -462,8 +456,8 @@ impl Database {
     }
 
     /// Name/value pairs for the `rdb_wal` system view: WAL counters from
-    /// [`Stats`] plus the live durability state (group-commit window and
-    /// progress offsets) when the database is durable.
+    /// [`Stats`] plus the WAL's transaction sequence number when the
+    /// database is durable.
     pub(crate) fn wal_view_rows(&self) -> Vec<(&'static str, u64)> {
         let s = self.stats();
         let mut rows = vec![
@@ -475,11 +469,6 @@ impl Database {
             ("wal_replayed_bytes", s.wal_replayed_bytes),
         ];
         if let Some(d) = &self.durable {
-            rows.push(("group_commit_window", d.group_window.get()));
-            rows.push(("pending_commits", d.pending_commits.get()));
-            rows.push(("acked_commits", d.acked_commits.get()));
-            rows.push(("appended_len", d.appended_len.get()));
-            rows.push(("synced_len", d.synced_len.get()));
             rows.push(("txn_seq", d.txn_seq.get()));
         }
         rows
@@ -688,11 +677,8 @@ impl Database {
             let txn = self.next_wal_txn();
             let mut buf = Vec::new();
             wal::encode_frame(&WalRecord::TxnAbort { txn }, &mut buf);
-            // The abort marker is not a commit: it must not claim a
-            // group-commit sync ticket (`commits: 0`), or a rollback in
-            // the window would inflate `wal_pending_commits` and a later
-            // group fsync would acknowledge a commit that never happened.
-            let _ = self.wal_append(&buf, 1, 0);
+            // The abort marker is not a commit, so it is not synced.
+            let _ = self.wal_append(&buf, 1, false);
         }
         if id_changed {
             // Re-assert the id counter (rolled back in memory) so the
@@ -955,35 +941,24 @@ impl Database {
         );
         db.durable = Some(DurableState {
             dir,
-            wal: Mutex::new(std::io::BufWriter::new(file)),
+            wal: Mutex::new(Some(file)),
             sync: FlagCell::new(true),
-            group_window: Counter::new(1),
-            pending_commits: Counter::new(0),
-            synced_len: Counter::new(wal_len),
-            appended_len: Counter::new(wal_len),
-            acked_commits: Counter::new(0),
+            wal_len: Counter::new(wal_len),
             generation,
             txn_seq: Counter::new(0),
         });
         Ok(db)
     }
 
-    /// Flush and sync the WAL, then drop the database. An explicit
-    /// transaction still open at close is discarded unflushed — exactly
-    /// as a crash would discard it.
+    /// Sync the WAL, then drop the database. An explicit transaction
+    /// still open at close is discarded unwritten — exactly as a crash
+    /// would discard it.
     pub fn close(mut self) -> Result<()> {
         if let Some(d) = self.durable.take() {
-            let file = d
-                .wal
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .into_inner()
-                .map_err(|e| {
-                    let e = e.into_error();
-                    storage_err("flush WAL on close", &e)
-                })?;
-            file.sync_all()
-                .map_err(|e| storage_err("sync WAL on close", &e))?;
+            if let Some(file) = d.wal.into_inner().unwrap_or_else(|e| e.into_inner()) {
+                file.sync_all()
+                    .map_err(|e| storage_err("sync WAL on close", &e))?;
+            }
         }
         Ok(())
     }
@@ -1005,24 +980,24 @@ impl Database {
                 "CHECKPOINT inside an explicit transaction".into(),
             ));
         }
+        if d.wal.lock().unwrap().is_none() {
+            return Err(wal_refused());
+        }
         let generation = d.generation + 1;
         let (catalog, slots) = self.checkpoint_catalog(generation);
         let bytes = checkpoint::write_snapshot(&d.dir, &catalog, &slots)?;
         let d = self.durable.as_mut().expect("checked above");
         let mut w = d.wal.lock().unwrap();
-        w.flush()
-            .and_then(|()| reset_wal(w.get_mut(), generation))
-            .map_err(|e| storage_err("checkpoint", &e))?;
+        let file = w.as_mut().expect("checked above");
+        if let Err(e) = reset_wal(file, generation) {
+            // The log may be cut without its new header: appending to it
+            // would write frames no open can read.
+            *w = None;
+            return Err(storage_err("checkpoint", &e));
+        }
         drop(w);
         d.generation = generation;
-        // The checkpoint subsumes everything appended so far, including
-        // any group-commit window still waiting on its fsync — those
-        // commits are now durably acknowledged by the checkpoint itself.
-        d.acked_commits
-            .set(d.acked_commits.get() + d.pending_commits.get());
-        d.pending_commits.set(0);
-        d.appended_len.set(wal::WAL_HEADER_LEN as u64);
-        d.synced_len.set(wal::WAL_HEADER_LEN as u64);
+        d.wal_len.set(wal::WAL_HEADER_LEN as u64);
         StatsCells::bump(&self.stats.checkpoints, 1);
         StatsCells::bump(&self.stats.checkpoint_bytes_written, bytes);
         Ok(())
@@ -1046,70 +1021,26 @@ impl Database {
     }
 
     /// Toggle per-commit `fsync` of the WAL (on by default). With sync
-    /// off commits are still written and flushed to the OS — a process
-    /// crash loses nothing; only an OS crash can. Benchmarks use this to
-    /// separate the logging cost from the disk-sync cost.
+    /// off commits are still written to the OS before they return — a
+    /// process crash loses nothing; only an OS crash can. Tests use this
+    /// to keep many small commits cheap.
     pub fn set_wal_sync(&mut self, sync: bool) {
         if let Some(d) = &self.durable {
             d.sync.set(sync);
         }
     }
 
-    /// Configure the group-commit window (the `set_wal_sync` extension):
-    /// coalesce up to `window` commits per WAL `fsync`. Commits still
-    /// append and flush their frames immediately — a process crash loses
-    /// nothing — but the disk sync is deferred until `window` commits
-    /// have joined the group, and the single `sync_data` acknowledges
-    /// every one of them. `window <= 1` restores fsync-per-commit. Use
-    /// [`Database::wal_sync`] to force the pending group out early.
-    pub fn set_wal_group_commit(&mut self, window: u64) {
-        if let Some(d) = &self.durable {
-            d.group_window.set(window);
-        }
-    }
+    /// Does nothing: every commit is synced before it returns. Kept
+    /// because the end-to-end benchmark still calls it.
+    pub fn set_wal_group_commit(&mut self, _window: u64) {}
 
-    /// Force the pending group-commit fsync now, acknowledging every
-    /// commit waiting on the sync ticket. No-op when nothing is pending
-    /// or the database is non-durable.
-    pub fn wal_sync(&mut self) -> Result<()> {
-        let Some(d) = &self.durable else {
-            return Ok(());
-        };
-        let mut w = d.wal.lock().unwrap();
-        w.flush().map_err(|e| storage_err("WAL flush", &e))?;
-        if d.pending_commits.get() > 0 || d.synced_len.get() < d.appended_len.get() {
-            let _fsync_span = Span::enter("wal.fsync");
-            w.get_ref()
-                .sync_data()
-                .map_err(|e| storage_err("WAL fsync", &e))?;
-            StatsCells::bump(&self.stats.wal_fsyncs, 1);
-            d.synced_len.set(d.appended_len.get());
-            d.acked_commits
-                .set(d.acked_commits.get() + d.pending_commits.get());
-            d.pending_commits.set(0);
-        }
-        Ok(())
-    }
-
-    /// Commits acknowledged durable so far: covered by a group fsync or
-    /// subsumed by a checkpoint snapshot. With group commit active this
-    /// trails [`Stats::txn_commits`] by up to `window - 1`.
-    pub fn wal_acked_commits(&self) -> u64 {
-        self.durable.as_ref().map_or(0, |d| d.acked_commits.get())
-    }
-
-    /// Commits appended and flushed but not yet covered by a group
-    /// fsync — the open group waiting on the sync ticket.
-    pub fn wal_pending_commits(&self) -> u64 {
-        self.durable.as_ref().map_or(0, |d| d.pending_commits.get())
-    }
-
-    /// WAL length in bytes known to be fsynced (the group-commit sync
-    /// ticket). Bytes past this offset survive a process crash but not
-    /// necessarily an OS crash; crash tests truncate here to simulate
-    /// losing the unsynced tail.
+    /// End of the last whole frame in the WAL (0 for a non-durable
+    /// database). Every acknowledged commit ends at or before it; after
+    /// each append, rollback and checkpoint it equals
+    /// [`Database::wal_size`]. Kept because the end-to-end benchmark cuts
+    /// `wal.bin` here to simulate a crash.
     pub fn wal_synced_len(&self) -> u64 {
-        self.durable.as_ref().map_or(0, |d| d.synced_len.get())
+        self.durable.as_ref().map_or(0, |d| d.wal_len.get())
     }
 
     /// Current WAL file size in bytes (0 for a non-durable database).
@@ -1136,39 +1067,40 @@ impl Database {
         n
     }
 
-    /// Append pre-framed bytes to the WAL: always written and flushed to
-    /// the OS (a process crash loses nothing committed). With sync mode
-    /// on, the commit joins the group-commit window: the `fsync` is
-    /// issued once the window fills, and that one `sync_data` advances
-    /// the sync ticket past every commit in the group — acknowledging
-    /// them all. A window of 1 (the default) degenerates to the classic
-    /// fsync-per-commit behavior.
-    fn wal_append(&self, bytes: &[u8], records: u64, commits: u64) -> Result<()> {
+    /// Append pre-framed bytes to the WAL. A `commit` frame is synced
+    /// (when sync mode is on) before this returns, so an acknowledged
+    /// commit is on disk. If the write or the sync fails, the file is cut
+    /// back to the last whole frame, so no byte of the failed frame is
+    /// replayed or written out by a later append; if that cut fails too,
+    /// the appender is dropped and every later append is refused.
+    fn wal_append(&self, bytes: &[u8], records: u64, commit: bool) -> Result<()> {
         let _span = Span::enter("wal.append");
         let d = self.durable.as_ref().expect("durable database");
         let mut w = d.wal.lock().unwrap();
-        w.write_all(bytes)
-            .map_err(|e| storage_err("WAL append", &e))?;
-        w.flush().map_err(|e| storage_err("WAL flush", &e))?;
-        d.appended_len
-            .set(d.appended_len.get() + bytes.len() as u64);
-        if d.sync.get() {
-            // Only committed frames take a sync ticket; audit records
-            // (TxnAbort markers) ride along and are covered by whatever
-            // fsync the group eventually issues.
-            d.pending_commits.set(d.pending_commits.get() + commits);
-            if d.pending_commits.get() >= d.group_window.get().max(1) {
-                let _fsync_span = Span::enter("wal.fsync");
-                w.get_ref()
-                    .sync_data()
-                    .map_err(|e| storage_err("WAL fsync", &e))?;
-                StatsCells::bump(&self.stats.wal_fsyncs, 1);
-                d.synced_len.set(d.appended_len.get());
-                d.acked_commits
-                    .set(d.acked_commits.get() + d.pending_commits.get());
-                d.pending_commits.set(0);
+        let file = w.as_mut().ok_or_else(wal_refused)?;
+        let written = file
+            .write_all(bytes)
+            .map_err(|e| storage_err("WAL append", &e))
+            .and_then(|()| {
+                if commit && d.sync.get() {
+                    let _fsync_span = Span::enter("wal.fsync");
+                    file.sync_data().map_err(|e| storage_err("WAL fsync", &e))?;
+                    StatsCells::bump(&self.stats.wal_fsyncs, 1);
+                }
+                Ok(())
+            });
+        if let Err(e) = written {
+            let end = d.wal_len.get();
+            let cut = file
+                .set_len(end)
+                .and_then(|()| file.seek(SeekFrom::Start(end)))
+                .and_then(|_| file.sync_data());
+            if cut.is_err() {
+                *w = None;
             }
+            return Err(e);
         }
+        d.wal_len.set(d.wal_len.get() + bytes.len() as u64);
         StatsCells::bump(&self.stats.wal_records, records);
         StatsCells::bump(&self.stats.wal_bytes, bytes.len() as u64);
         Ok(())
@@ -1209,7 +1141,7 @@ impl Database {
         }
         wal::encode_frame(&commit, &mut buf);
         debug_assert_eq!(buf.len(), len, "frame_len disagrees with encode_frame");
-        self.wal_append(&buf, n as u64 + 2, 1)?;
+        self.wal_append(&buf, n as u64 + 2, true)?;
         redo.clear();
         Ok(())
     }

@@ -18,11 +18,10 @@
 //! `reset` clears the statement store.
 //!
 //! Shutdown is graceful: the accept loop stops admitting connections,
-//! handler threads finish their in-flight statement and close, and the
-//! final drain forces the pending group-commit window to disk
-//! ([`Database::wal_sync`](crate::Database::wal_sync)) so every
-//! acknowledged commit is durable before [`ServerHandle::shutdown`]
-//! returns.
+//! and handler threads finish their in-flight statement and close before
+//! [`ServerHandle::shutdown`] returns. Every commit a connection was
+//! answered for was already synced when it returned, so there is nothing
+//! left to drain.
 
 use crate::session::{Session, SqlOutcome};
 use crate::SharedDatabase;
@@ -81,13 +80,12 @@ impl Server {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = stop.clone();
-        let accept_shared = shared.clone();
         let accept = std::thread::spawn(move || {
             let mut handlers: Vec<JoinHandle<()>> = Vec::new();
             while !accept_stop.load(Ordering::Acquire) {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        let shared = accept_shared.clone();
+                        let shared = shared.clone();
                         let stop = accept_stop.clone();
                         handlers.push(std::thread::spawn(move || {
                             let _ = serve_connection(stream, &shared, &stop);
@@ -105,7 +103,6 @@ impl Server {
             }
         });
         Ok(ServerHandle {
-            shared,
             addr: local,
             stop,
             accept: Mutex::new(Some(accept)),
@@ -115,7 +112,6 @@ impl Server {
 
 /// Handle to a running server: its bound address and the shutdown knob.
 pub struct ServerHandle {
-    shared: SharedDatabase,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Mutex<Option<JoinHandle<()>>>,
@@ -127,16 +123,13 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting, let in-flight statements finish, join every
-    /// handler, then drain the group-commit window to disk. Idempotent.
+    /// Stop accepting, let in-flight statements finish and join every
+    /// handler. Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.accept.lock().unwrap().take() {
             let _ = h.join();
         }
-        // Drain: any commits still waiting on the group-commit sync
-        // ticket are fsynced and acknowledged before shutdown returns.
-        let _ = self.shared.wal_sync();
     }
 }
 

@@ -17,7 +17,7 @@
 //! mutating statement, acquiring the writer token for the rest of the
 //! transaction. `COMMIT`/`ROLLBACK` release it. Dropping a session rolls
 //! back anything uncommitted — a dropped connection can never leave the
-//! engine's single transaction slot occupied or a sync ticket pending.
+//! engine's single transaction slot occupied.
 //!
 //! Lock order is fixed everywhere: writer token first, `RwLock` guard
 //! second. Readers never touch the token, so reader admission is
@@ -198,12 +198,6 @@ impl SharedDatabase {
     /// writer token.
     pub fn execute(&self, sql: &str) -> Result<ExecResult> {
         self.inner.write_with(0, |db| db.execute(sql))
-    }
-
-    /// Drain the group-commit window. Server shutdown runs inside a
-    /// `Drop`, so it takes this non-panicking route, not `with_write`.
-    pub(crate) fn wal_sync(&self) -> Result<()> {
-        self.inner.write_with(0, Database::wal_sync)
     }
 
     /// Metrics text of the underlying database.
@@ -397,10 +391,10 @@ impl Drop for Session {
             }
             SessionTxn::Write { _ticket } => {
                 // A dropped connection mid-transaction rolls back, so
-                // the engine's transaction slot and the group-commit
-                // ticket accounting stay clean. Behind a poisoned lock
-                // there is nothing to keep clean (and a rollback over
-                // half-updated state could panic inside this `Drop`).
+                // the engine's transaction slot is free again. Behind a
+                // poisoned lock there is nothing to keep clean (and a
+                // rollback over half-updated state could panic inside
+                // this `Drop`).
                 if let Ok(mut db) = self.shared.db.write() {
                     let _ = db.rollback();
                 }

@@ -7,7 +7,7 @@
 //! table `u` whose key column joins `t`'s keys:
 //!
 //! * `oracle` — no indexes, `set_planner_naive(true)`: every statement is
-//!   a sequential scan in slot order, every join a hash join;
+//!   a sequential scan in slot order, every join a keyed nested loop;
 //! * `mem` — indexes on `t.a`, `t.b` and `u.k` (mixed NULL / int / text
 //!   keys, duplicates), in memory only;
 //! * `durable` — the same, opened durably (`Database::open`).
@@ -162,7 +162,7 @@ fn battery() -> Vec<(String, bool)> {
         qs.push((format!("SELECT c FROM t ORDER BY {col}"), true));
     }
     // Joins keep their row order: an index join emits each probe's
-    // bucket in slot order, as the oracle's hash join does.
+    // bucket in slot order, as the oracle's keyed nested loop does.
     for sql in [
         "SELECT u.d, t.c FROM u, t WHERE t.a = u.k",
         "SELECT u.d, t.c FROM u, t WHERE t.b = u.k",

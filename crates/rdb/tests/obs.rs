@@ -91,7 +91,7 @@ const FOREST_CHAIN: &str = "EXPLAIN ANALYZE SELECT n3.id FROM n1, n2, n3 \
      WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 4";
 
 #[test]
-fn explain_analyze_hash_join_rows_golden() {
+fn explain_analyze_index_join_rows_golden() {
     let mut db = forest_db();
     // 4 roots pass the filter -> 8 n2 rows -> 24 n3 rows. Both children
     // are indexed on parentId, so each join probes once per outer row:
@@ -109,7 +109,7 @@ Execution time: X";
 }
 
 #[test]
-fn explain_analyze_hash_join_rows_golden_unindexed() {
+fn explain_analyze_nested_loop_rows_golden() {
     // The same chain without the parentId indexes loops over every child
     // relation, reading each once (loops=1 on the inner scans).
     let mut db = forest("CREATE INDEX n1_id ON n1 (id);");

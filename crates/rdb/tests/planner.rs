@@ -660,7 +660,7 @@ fn order_by_without_ordered_index_still_sorts() {
 }
 
 #[test]
-fn top_k_limit_matches_full_sort_prefix() {
+fn order_by_limit_matches_full_sort_prefix() {
     // No ordered index: the sort path, not elision. n2.num = id % 30
     // over 160 rows — heavy ties, so the truncated sort must keep the
     // stable sort's tie order exactly.

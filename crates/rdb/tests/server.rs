@@ -170,38 +170,6 @@ fn transactions_are_per_connection_and_dropped_connections_roll_back() {
     );
 }
 
-#[test]
-fn shutdown_drains_the_group_commit_window() {
-    // A durable database with a wide group-commit window: commits sent
-    // over TCP wait on the sync ticket; shutdown must fsync them out.
-    let dir = std::env::temp_dir().join(format!("xmlup-server-drain-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut db = Database::open(&dir).unwrap();
-    db.run_script("CREATE TABLE t (id INTEGER)").unwrap();
-    db.set_wal_group_commit(100);
-    let shared = SharedDatabase::new(db);
-    let handle = Server::start(shared.clone(), "127.0.0.1:0").unwrap();
-
-    let mut c = Client::connect(handle.addr());
-    for i in 0..5 {
-        let (head, _) = c.send(&format!("INSERT INTO t VALUES ({i})"));
-        assert_eq!(head, "OK 1");
-    }
-    assert_eq!(shared.with_read(|db| db.wal_pending_commits()), 5);
-
-    handle.shutdown();
-    assert_eq!(
-        shared.with_read(|db| db.wal_pending_commits()),
-        0,
-        "shutdown must drain the in-flight group-commit window"
-    );
-    assert_eq!(
-        shared.with_read(|db| db.wal_synced_len()),
-        shared.with_read(|db| db.wal_size())
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ---------------------------------------------------------------------
 // .stat dot-commands and the HTTP metrics endpoint
 // ---------------------------------------------------------------------

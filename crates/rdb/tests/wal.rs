@@ -387,6 +387,26 @@ fn wal_stats_and_sync_toggle() {
     assert!(s.wal_records > 0);
     assert!(s.wal_bytes > 0);
     assert!(s.wal_fsyncs > 0);
+    // Every commit is synced before it returns: one fsync each.
+    let fsyncs = db.stats().wal_fsyncs;
+    for i in 0..5 {
+        db.run_script(&format!("INSERT INTO t VALUES ({i}, 'n')"))
+            .unwrap();
+    }
+    assert_eq!(db.stats().wal_fsyncs - fsyncs, 5);
+    assert_eq!(db.wal_synced_len(), db.wal_size());
+    // A rollback's abort marker is logged but not synced; a read logs
+    // nothing.
+    let size = db.wal_size();
+    db.begin().unwrap();
+    db.run_script("INSERT INTO t VALUES (9, 'r')").unwrap();
+    db.rollback().unwrap();
+    db.query("SELECT COUNT(*) FROM t").unwrap();
+    assert!(db.wal_size() > size, "the abort marker was appended");
+    assert_eq!(db.stats().wal_fsyncs - fsyncs, 5);
+    assert_eq!(db.wal_synced_len(), db.wal_size());
+    db.checkpoint().unwrap();
+    assert_eq!(db.wal_synced_len(), db.wal_size());
     db.set_wal_sync(false);
     let fsyncs = db.stats().wal_fsyncs;
     db.run_script("INSERT INTO t VALUES (1, 'a')").unwrap();

@@ -18,7 +18,8 @@
 //! the relational store is shared behind the engine's session layer
 //! (MVCC snapshot reads, serialized writers) and served over the
 //! line-based SQL protocol on `ADDR` (e.g. `127.0.0.1:7878`) until stdin
-//! closes or reads `quit`; shutdown drains the group-commit window.
+//! closes or reads `quit`; shutdown joins the connections, and every
+//! commit a client was answered for was already synced.
 //! Server mode enables per-statement tracking (`rdb_statements`), and
 //! `--metrics-addr ADDR` additionally serves `GET /metrics` (Prometheus
 //! text) and `GET /statements` (JSON) over HTTP.
@@ -229,8 +230,8 @@ fn print_help() {
 /// stdin closes. Statement tracking is enabled so `rdb_statements` and
 /// the `.stat` commands report live data; `--metrics-addr` additionally
 /// starts the HTTP scrape endpoint (`/metrics`, `/statements`).
-/// Shutdown joins every connection and drains the group-commit window
-/// before returning.
+/// Shutdown joins every connection before returning; every commit a
+/// client was answered for was already synced to disk.
 fn serve(cli: &mut Cli, addr: &str, metrics_addr: Option<&str>) {
     let db = match cli.repo.as_mut() {
         // The repository facade stays behind; connections speak SQL

@@ -1,11 +1,10 @@
-//! Equivalence of the batched update translation (ISSUE: batched
-//! translation & group commit) with the paper's per-tuple translation:
-//! on non-overlapping target subtrees, the same workload run with the
-//! default `batch_size` and with `batch_size` 1 must leave every
-//! relation **byte-identical** — checked with [`Table`]'s `PartialEq`,
-//! which compares slots (including tombstones), live counts, index
-//! buckets, and the engine's id counter — and must fire row-level
-//! triggers in the **same order**.
+//! Equivalence of the batched update translation with the paper's
+//! per-tuple translation: on non-overlapping target subtrees, the same
+//! workload run with the default `batch_size` and with `batch_size` 1
+//! must leave every relation **byte-identical** — checked with
+//! [`Table`]'s `PartialEq`, which compares slots (including tombstones),
+//! live counts, index buckets, and the engine's id counter — and must
+//! fire row-level triggers in the **same order**.
 //!
 //! Firing order is observed through audit tables: a `FOR EACH ROW`
 //! trigger on relation `t` appends every affected tuple's id to
