@@ -12,7 +12,8 @@
 //! smallest parameters (well under a minute — what CI runs).
 //!
 //! When `BENCH_JSON_DIR` is set, every figure with plotted series
-//! additionally writes a machine-readable `BENCH_<figure>.json` there.
+//! additionally writes a machine-readable `BENCH_<figure>.json` there,
+//! creating the directory; a failed write exits 1.
 //!
 //! `obs-overhead` is not a figure but the CI guard: it exits 1 if the
 //! observability off-state costs more than 2% on the joins benchmark, or
@@ -130,7 +131,10 @@ const GUARD: Entry = ("obs-overhead", |_| obs_overhead_guard());
 
 fn show(tag: &str, fig: exp::Figure) {
     fig.print();
-    exp::emit_figure_json(tag, &fig);
+    if let Err(e) = exp::emit_figure_json(tag, &fig) {
+        eprintln!("paper-figures: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn obs_overhead_guard() {

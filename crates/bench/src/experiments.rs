@@ -766,15 +766,16 @@ pub fn obs_off_overhead(n1: usize, runs: usize) -> ObsOffOverhead {
     }
 }
 
-/// Write `BENCH_<tag>.json` into `$BENCH_JSON_DIR` (if set): the figure
-/// name, axis labels, and every measured series point, for
-/// machine-readable consumption alongside the printed tables.
-pub fn emit_figure_json(tag: &str, fig: &Figure) {
+/// Write `BENCH_<tag>.json` into `$BENCH_JSON_DIR` (if set, creating
+/// the directory): the figure name, axis labels, and every measured
+/// series point, for machine-readable consumption alongside the printed
+/// tables. A failed write is an error naming the file.
+pub fn emit_figure_json(tag: &str, fig: &Figure) -> Result<(), String> {
     let Ok(dir) = std::env::var("BENCH_JSON_DIR") else {
-        return;
+        return Ok(());
     };
     if dir.is_empty() {
-        return;
+        return Ok(());
     }
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let series = fig
@@ -806,9 +807,9 @@ pub fn emit_figure_json(tag: &str, fig: &Figure) {
         escape(&fig.x_label)
     );
     let path = std::path::Path::new(&dir).join(format!("BENCH_{tag}.json"));
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("paper-figures: failed to write {}: {e}", path.display());
-    }
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| format!("failed to write {}: {e}", path.display()))
 }
 
 /// The statement-tracking overhead guard's measurement, decomposed the
