@@ -121,7 +121,8 @@ fn script(db: &mut Database) {
     assert!(db
         .execute("INSERT INTO child VALUES (15, 3), (16, 3), (17, 3)")
         .is_err());
-    db.execute("UPDATE child SET pid = 3 WHERE id = 12").unwrap();
+    db.execute("UPDATE child SET pid = 3 WHERE id = 12")
+        .unwrap();
     db.execute("COMMIT").unwrap();
 
     // Autocommitted id allocation: a frame of one `NextId`.
