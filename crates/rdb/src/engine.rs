@@ -21,7 +21,7 @@ use crate::statement::PlanCache;
 use crate::storage::checkpoint::{self, Slots};
 use crate::storage::{self, CatalogTable, CheckpointCatalog, StorageMetrics};
 use crate::table::{Table, TableSchema};
-use crate::txn::{self, DdlEffect, FaultState, Redo, Savepoint, TxnState, UndoRecord};
+use crate::txn::{self, DdlEffect, FaultState, Redo, TxnState, UndoRecord};
 use crate::value::{Row, Value};
 use crate::wal::{self, WalRecord};
 use std::collections::{HashMap, HashSet};
@@ -184,9 +184,9 @@ impl ExecResult {
 #[derive(Debug)]
 pub struct Database {
     pub(crate) tables: HashMap<String, Table>,
-    triggers: Vec<Trigger>,
+    pub(crate) triggers: Vec<Trigger>,
     pub(crate) stats: StatsCells,
-    next_id: IdCell,
+    pub(crate) next_id: IdCell,
     /// Parsed statements and their plan slots for SQL text seen by
     /// `execute`/`query`/`prepare` (see the `statement` module).
     pub(crate) plan_cache: Mutex<PlanCache>,
@@ -200,14 +200,14 @@ pub struct Database {
     /// experiments).
     pub(crate) planner_naive: FlagCell,
     /// Undo log, explicit-transaction flag, and savepoints.
-    txn: TxnState,
+    pub(crate) txn: TxnState,
     /// Armed fault-injection counters (see
     /// [`Database::fail_after_statements`]).
     pub(crate) fault: FaultState,
     /// Durable-storage attachment, present iff the database was created
     /// with [`Database::open`]. `None` while recovery replays the log so
     /// replayed work is not re-logged.
-    durable: Option<DurableState>,
+    pub(crate) durable: Option<DurableState>,
     /// MVCC epoch, snapshot registry, and concurrency metrics (see
     /// [`crate::mvcc`]).
     pub(crate) mvcc: MvccState,
@@ -235,7 +235,7 @@ impl Default for Database {
 /// On-disk attachment of a durable database: the storage directory, the
 /// open WAL appender, and the checkpoint generation bookkeeping.
 #[derive(Debug)]
-struct DurableState {
+pub(crate) struct DurableState {
     /// Directory holding `wal.bin` and `snapshot.bin`.
     dir: PathBuf,
     /// Appender positioned at `wal_len`. `None` once a failed append
@@ -521,7 +521,7 @@ impl Database {
     /// crash right after a bulk load must not recover a stale counter
     /// under persisted rows. Best-effort: on failure the record stays
     /// buffered and the next successful flush carries it.
-    fn autoflush_id_counter(&self) {
+    pub(crate) fn autoflush_id_counter(&self) {
         if !self.txn.explicit {
             let _ = self.wal_flush_commit();
         }
@@ -553,7 +553,7 @@ impl Database {
     /// and replans on its next execution. DDL, a rollback that undoes DDL
     /// and [`Database::set_planner_naive`] call this; nothing else
     /// retires a cached statement.
-    fn bump_schema_epoch(&self) {
+    pub(crate) fn bump_schema_epoch(&self) {
         self.schema_epoch.set(self.schema_epoch.get() + 1);
     }
 
@@ -620,202 +620,6 @@ impl Database {
                 Err(e)
             }
         }
-    }
-
-    /// Open an explicit transaction. Statements until [`Database::commit`]
-    /// or [`Database::rollback`] accumulate undo records as one unit.
-    /// Nested transactions are not supported — use
-    /// [`Database::savepoint`]. Direct API transaction control does not
-    /// count as a client statement (it models JDBC's connection-level
-    /// `setAutoCommit`/`commit`, not a round trip).
-    pub fn begin(&mut self) -> Result<()> {
-        if self.txn.explicit {
-            return Err(DbError::Txn(
-                "already in a transaction (nested BEGIN; use SAVEPOINT)".into(),
-            ));
-        }
-        debug_assert!(self.txn.log.is_empty(), "autocommit left undo records");
-        self.txn.explicit = true;
-        self.txn.start_next_id = self.next_id.get();
-        Ok(())
-    }
-
-    /// Commit the open transaction, discarding its undo log. On a durable
-    /// database the buffered redo records are group-flushed to the WAL as
-    /// one `TxnBegin … TxnCommit` frame first; if that write fails the
-    /// transaction stays open (nothing was made durable) and the error is
-    /// surfaced.
-    pub fn commit(&mut self) -> Result<()> {
-        if !self.txn.explicit {
-            return Err(DbError::Txn("COMMIT outside a transaction".into()));
-        }
-        let _span = Span::enter("txn.commit");
-        self.wal_flush_commit()?;
-        StatsCells::bump(&self.stats.txn_commits, 1);
-        self.mvcc_commit();
-        self.txn.reset();
-        Ok(())
-    }
-
-    /// Roll the open transaction back entirely: every recorded effect is
-    /// undone (newest first) and the id counter returns to its
-    /// `BEGIN`-time value.
-    pub fn rollback(&mut self) -> Result<()> {
-        if !self.txn.explicit {
-            return Err(DbError::Txn("ROLLBACK outside a transaction".into()));
-        }
-        self.rollback_to_mark(0);
-        let id_changed = self.next_id.get() != self.txn.start_next_id;
-        self.next_id.set(self.txn.start_next_id);
-        let had_redo = !self.txn.redo.lock().unwrap().is_empty();
-        self.txn.reset();
-        if self.durable.is_some() && had_redo {
-            // Audit marker only: the aborted frame was discarded
-            // unflushed, so replay has nothing to skip. Best-effort — a
-            // failed append must not fail the (already complete)
-            // rollback.
-            let txn = self.next_wal_txn();
-            let mut buf = Vec::new();
-            wal::encode_frame(&WalRecord::TxnAbort { txn }, &mut buf);
-            // The abort marker is not a commit, so it is not synced.
-            let _ = self.wal_append(&buf, 1, false);
-        }
-        if id_changed {
-            // Re-assert the id counter (rolled back in memory) so the
-            // durable image converges with it immediately: the aborted
-            // transaction's NextId records were discarded with its frame.
-            self.wal_push(WalRecord::NextId {
-                value: self.next_id.get(),
-            });
-            self.autoflush_id_counter();
-        }
-        StatsCells::bump(&self.stats.txn_rollbacks, 1);
-        Ok(())
-    }
-
-    /// Mark a savepoint inside the open transaction.
-    pub fn savepoint(&mut self, name: &str) -> Result<()> {
-        if !self.txn.explicit {
-            return Err(DbError::Txn(format!(
-                "SAVEPOINT {name} outside a transaction"
-            )));
-        }
-        self.txn.savepoints.push(Savepoint {
-            name: name.to_string(),
-            mark: self.txn.mark(),
-            next_id: self.next_id.get(),
-            redo_mark: self.txn.redo_mark(),
-        });
-        Ok(())
-    }
-
-    /// Roll back to the most recent savepoint named `name`
-    /// (case-insensitive). The savepoint stays active, so a transaction
-    /// can retry past it; later savepoints are discarded.
-    pub fn rollback_to(&mut self, name: &str) -> Result<()> {
-        if !self.txn.explicit {
-            return Err(DbError::Txn(format!(
-                "ROLLBACK TO {name} outside a transaction"
-            )));
-        }
-        let at = self
-            .txn
-            .savepoints
-            .iter()
-            .rposition(|s| s.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| DbError::Txn(format!("no savepoint named `{name}`")))?;
-        let sp = self.txn.savepoints[at].clone();
-        self.txn.savepoints.truncate(at + 1);
-        self.rollback_to_mark(sp.mark);
-        self.txn.redo.lock().unwrap().truncate(sp.redo_mark);
-        self.next_id.set(sp.next_id);
-        StatsCells::bump(&self.stats.txn_rollbacks, 1);
-        Ok(())
-    }
-
-    /// Whether an explicit transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.txn.explicit
-    }
-
-    /// Number of undo records currently in the transaction log.
-    pub fn undo_log_len(&self) -> usize {
-        self.txn.log.len()
-    }
-
-    /// The open transaction's undo log, oldest first — what a snapshot
-    /// reader rolls its copy of a table back through first.
-    pub(crate) fn undo_log(&self) -> &[UndoRecord] {
-        &self.txn.log
-    }
-
-    /// Take the undo log whole (a commit moving its records to the
-    /// snapshots that predate it).
-    pub(crate) fn take_undo_log(&mut self) -> Vec<UndoRecord> {
-        std::mem::take(&mut self.txn.log)
-    }
-
-    /// Undo all records above `mark`, newest first. If any undone record
-    /// was DDL the schema epoch moves, mirroring the forward DDL path, so
-    /// no plan built against the undone catalog is served again.
-    fn rollback_to_mark(&mut self, mark: usize) {
-        let mut ddl = false;
-        while self.txn.log.len() > mark {
-            let rec = self.txn.log.pop().expect("len > mark");
-            ddl |= rec.is_ddl();
-            self.apply_undo(rec);
-        }
-        if ddl {
-            self.bump_schema_epoch();
-        }
-    }
-
-    /// Apply one undo record. Records are self-describing; a missing
-    /// table means the sequence was corrupted, so the undo degrades to a
-    /// no-op rather than panicking.
-    fn apply_undo(&mut self, rec: UndoRecord) {
-        match rec {
-            UndoRecord::InsertedRow { .. }
-            | UndoRecord::DeletedRow { .. }
-            | UndoRecord::UpdatedCell { .. } => {
-                let t = rec.row_table().and_then(|k| self.tables.get_mut(k));
-                if let Some(t) = t {
-                    t.undo_row(rec);
-                }
-            }
-            UndoRecord::CreatedTable { name } => {
-                self.tables.remove(&name);
-            }
-            UndoRecord::DroppedTable {
-                name,
-                table,
-                triggers,
-            } => {
-                self.tables.insert(name, *table);
-                for (at, trig) in triggers {
-                    self.triggers.insert(at.min(self.triggers.len()), trig);
-                }
-            }
-            UndoRecord::CreatedIndex { table, column } => {
-                if let Some(t) = self.tables.get_mut(&table) {
-                    t.drop_index(column);
-                }
-            }
-            UndoRecord::CreatedTrigger { name } => {
-                self.triggers
-                    .retain(|t| !t.name.eq_ignore_ascii_case(&name));
-            }
-            UndoRecord::DroppedTrigger { position, trigger } => {
-                self.triggers
-                    .insert(position.min(self.triggers.len()), *trigger);
-            }
-        }
-    }
-
-    /// Append an undo record for a forward mutation.
-    fn record_undo(&mut self, rec: UndoRecord) {
-        StatsCells::bump(&self.stats.undo_records, 1);
-        self.txn.log.push(rec);
     }
 
     // ------------------------------------------------------------------
@@ -1054,13 +858,13 @@ impl Database {
 
     /// Buffer a redo record for the current transaction (no-op on a
     /// non-durable database).
-    fn wal_push(&self, rec: WalRecord) {
+    pub(crate) fn wal_push(&self, rec: WalRecord) {
         if self.durable.is_some() {
             self.txn.redo.lock().unwrap().push(rec.into());
         }
     }
 
-    fn next_wal_txn(&self) -> u64 {
+    pub(crate) fn next_wal_txn(&self) -> u64 {
         let d = self.durable.as_ref().expect("durable database");
         let n = d.txn_seq.get() + 1;
         d.txn_seq.set(n);
@@ -1073,7 +877,7 @@ impl Database {
     /// back to the last whole frame, so no byte of the failed frame is
     /// replayed or written out by a later append; if that cut fails too,
     /// the appender is dropped and every later append is refused.
-    fn wal_append(&self, bytes: &[u8], records: u64, commit: bool) -> Result<()> {
+    pub(crate) fn wal_append(&self, bytes: &[u8], records: u64, commit: bool) -> Result<()> {
         let _span = Span::enter("wal.append");
         let d = self.durable.as_ref().expect("durable database");
         let mut w = d.wal.lock().unwrap();
@@ -1112,7 +916,7 @@ impl Database {
     /// buffer is left intact — the caller decides whether to roll back;
     /// on success it is cleared. Nothing is written when non-durable or
     /// when no record is left to log.
-    fn wal_flush_commit(&self) -> Result<()> {
+    pub(crate) fn wal_flush_commit(&self) -> Result<()> {
         if self.durable.is_none() {
             return Ok(());
         }

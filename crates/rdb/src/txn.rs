@@ -6,9 +6,10 @@
 //! must leave the shredded relations exactly as they were. This module
 //! supplies the engine-side machinery: a logical undo log of
 //! before-images ([`UndoRecord`]), transaction/savepoint bookkeeping
-//! (`TxnState`), and a fault injector (`FaultState`) that lets tests
-//! and the workload driver kill execution at a chosen statement or table
-//! write.
+//! (`TxnState`) with the `Database` methods that open, commit and roll
+//! back a transaction, and a fault injector (`FaultState`) that lets
+//! tests and the workload driver kill execution at a chosen statement or
+//! table write.
 //!
 //! Undo is *exact*: applying the log in reverse restores the database
 //! byte-identically — slot vectors, the trigger list, and the id counter
@@ -25,11 +26,12 @@
 //! `crate::mvcc`).
 
 use crate::cells::Counter;
-use crate::engine::Trigger;
+use crate::engine::{Database, StatsCells, Trigger};
 use crate::error::{DbError, Result};
+use crate::obs::Span;
 use crate::table::Table;
 use crate::value::{Row, Value};
-use crate::wal::WalRecord;
+use crate::wal::{self, WalRecord};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -290,6 +292,204 @@ impl TxnState {
         self.redo.lock().unwrap().clear();
         self.savepoints.clear();
         self.explicit = false;
+    }
+}
+
+impl Database {
+    /// Open an explicit transaction. Statements until [`Database::commit`]
+    /// or [`Database::rollback`] accumulate undo records as one unit.
+    /// Nested transactions are not supported — use
+    /// [`Database::savepoint`]. Direct API transaction control does not
+    /// count as a client statement (it models JDBC's connection-level
+    /// `setAutoCommit`/`commit`, not a round trip).
+    pub fn begin(&mut self) -> Result<()> {
+        if self.txn.explicit {
+            return Err(DbError::Txn(
+                "already in a transaction (nested BEGIN; use SAVEPOINT)".into(),
+            ));
+        }
+        debug_assert!(self.txn.log.is_empty(), "autocommit left undo records");
+        self.txn.explicit = true;
+        self.txn.start_next_id = self.next_id.get();
+        Ok(())
+    }
+
+    /// Commit the open transaction, discarding its undo log. On a durable
+    /// database the buffered redo records are group-flushed to the WAL as
+    /// one `TxnBegin … TxnCommit` frame first; if that write fails the
+    /// transaction stays open (nothing was made durable) and the error is
+    /// surfaced.
+    pub fn commit(&mut self) -> Result<()> {
+        if !self.txn.explicit {
+            return Err(DbError::Txn("COMMIT outside a transaction".into()));
+        }
+        let _span = Span::enter("txn.commit");
+        self.wal_flush_commit()?;
+        StatsCells::bump(&self.stats.txn_commits, 1);
+        self.mvcc_commit();
+        self.txn.reset();
+        Ok(())
+    }
+
+    /// Roll the open transaction back entirely: every recorded effect is
+    /// undone (newest first) and the id counter returns to its
+    /// `BEGIN`-time value.
+    pub fn rollback(&mut self) -> Result<()> {
+        if !self.txn.explicit {
+            return Err(DbError::Txn("ROLLBACK outside a transaction".into()));
+        }
+        self.rollback_to_mark(0);
+        let id_changed = self.next_id.get() != self.txn.start_next_id;
+        self.next_id.set(self.txn.start_next_id);
+        let had_redo = !self.txn.redo.lock().unwrap().is_empty();
+        self.txn.reset();
+        if self.durable.is_some() && had_redo {
+            // Audit marker only: the aborted frame was discarded
+            // unflushed, so replay has nothing to skip. Best-effort — a
+            // failed append must not fail the (already complete)
+            // rollback.
+            let txn = self.next_wal_txn();
+            let mut buf = Vec::new();
+            wal::encode_frame(&WalRecord::TxnAbort { txn }, &mut buf);
+            // The abort marker is not a commit, so it is not synced.
+            let _ = self.wal_append(&buf, 1, false);
+        }
+        if id_changed {
+            // Re-assert the id counter (rolled back in memory) so the
+            // durable image converges with it immediately: the aborted
+            // transaction's NextId records were discarded with its frame.
+            self.wal_push(WalRecord::NextId {
+                value: self.next_id.get(),
+            });
+            self.autoflush_id_counter();
+        }
+        StatsCells::bump(&self.stats.txn_rollbacks, 1);
+        Ok(())
+    }
+
+    /// Mark a savepoint inside the open transaction.
+    pub fn savepoint(&mut self, name: &str) -> Result<()> {
+        if !self.txn.explicit {
+            return Err(DbError::Txn(format!(
+                "SAVEPOINT {name} outside a transaction"
+            )));
+        }
+        self.txn.savepoints.push(Savepoint {
+            name: name.to_string(),
+            mark: self.txn.mark(),
+            next_id: self.next_id.get(),
+            redo_mark: self.txn.redo_mark(),
+        });
+        Ok(())
+    }
+
+    /// Roll back to the most recent savepoint named `name`
+    /// (case-insensitive). The savepoint stays active, so a transaction
+    /// can retry past it; later savepoints are discarded.
+    pub fn rollback_to(&mut self, name: &str) -> Result<()> {
+        if !self.txn.explicit {
+            return Err(DbError::Txn(format!(
+                "ROLLBACK TO {name} outside a transaction"
+            )));
+        }
+        let at = self
+            .txn
+            .savepoints
+            .iter()
+            .rposition(|s| s.name.eq_ignore_ascii_case(name))
+            .ok_or_else(|| DbError::Txn(format!("no savepoint named `{name}`")))?;
+        let sp = self.txn.savepoints[at].clone();
+        self.txn.savepoints.truncate(at + 1);
+        self.rollback_to_mark(sp.mark);
+        self.txn.redo.lock().unwrap().truncate(sp.redo_mark);
+        self.next_id.set(sp.next_id);
+        StatsCells::bump(&self.stats.txn_rollbacks, 1);
+        Ok(())
+    }
+
+    /// Whether an explicit transaction is open.
+    pub fn in_transaction(&self) -> bool {
+        self.txn.explicit
+    }
+
+    /// Number of undo records currently in the transaction log.
+    pub fn undo_log_len(&self) -> usize {
+        self.txn.log.len()
+    }
+
+    /// The open transaction's undo log, oldest first — what a snapshot
+    /// reader rolls its copy of a table back through first.
+    pub(crate) fn undo_log(&self) -> &[UndoRecord] {
+        &self.txn.log
+    }
+
+    /// Take the undo log whole (a commit moving its records to the
+    /// snapshots that predate it).
+    pub(crate) fn take_undo_log(&mut self) -> Vec<UndoRecord> {
+        std::mem::take(&mut self.txn.log)
+    }
+
+    /// Undo all records above `mark`, newest first. If any undone record
+    /// was DDL the schema epoch moves, mirroring the forward DDL path, so
+    /// no plan built against the undone catalog is served again.
+    pub(crate) fn rollback_to_mark(&mut self, mark: usize) {
+        let mut ddl = false;
+        while self.txn.log.len() > mark {
+            let rec = self.txn.log.pop().expect("len > mark");
+            ddl |= rec.is_ddl();
+            self.apply_undo(rec);
+        }
+        if ddl {
+            self.bump_schema_epoch();
+        }
+    }
+
+    /// Apply one undo record. Records are self-describing; a missing
+    /// table means the sequence was corrupted, so the undo degrades to a
+    /// no-op rather than panicking.
+    fn apply_undo(&mut self, rec: UndoRecord) {
+        match rec {
+            UndoRecord::InsertedRow { .. }
+            | UndoRecord::DeletedRow { .. }
+            | UndoRecord::UpdatedCell { .. } => {
+                let t = rec.row_table().and_then(|k| self.tables.get_mut(k));
+                if let Some(t) = t {
+                    t.undo_row(rec);
+                }
+            }
+            UndoRecord::CreatedTable { name } => {
+                self.tables.remove(&name);
+            }
+            UndoRecord::DroppedTable {
+                name,
+                table,
+                triggers,
+            } => {
+                self.tables.insert(name, *table);
+                for (at, trig) in triggers {
+                    self.triggers.insert(at.min(self.triggers.len()), trig);
+                }
+            }
+            UndoRecord::CreatedIndex { table, column } => {
+                if let Some(t) = self.tables.get_mut(&table) {
+                    t.drop_index(column);
+                }
+            }
+            UndoRecord::CreatedTrigger { name } => {
+                self.triggers
+                    .retain(|t| !t.name.eq_ignore_ascii_case(&name));
+            }
+            UndoRecord::DroppedTrigger { position, trigger } => {
+                self.triggers
+                    .insert(position.min(self.triggers.len()), *trigger);
+            }
+        }
+    }
+
+    /// Append an undo record for a forward mutation.
+    pub(crate) fn record_undo(&mut self, rec: UndoRecord) {
+        StatsCells::bump(&self.stats.undo_records, 1);
+        self.txn.log.push(rec);
     }
 }
 
