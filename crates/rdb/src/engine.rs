@@ -21,9 +21,9 @@ use crate::statement::PlanCache;
 use crate::storage::checkpoint::{self, Slots};
 use crate::storage::{self, CatalogTable, CheckpointCatalog, StorageMetrics};
 use crate::table::{Table, TableSchema};
-use crate::txn::{self, DdlEffect, FaultState, Redo, TxnState, UndoRecord};
+use crate::txn::{self, FaultState, TxnState, UndoRecord};
 use crate::value::{Row, Value};
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, WalRecord, WalRef};
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
@@ -347,7 +347,7 @@ impl Database {
             ),
             Metric::gauge(
                 "rdb_undo_log_len",
-                "Undo records currently in the transaction log",
+                "Records currently in the transaction log (on a durable database, id-counter records included)",
                 self.txn.log.len() as u64,
             ),
             Metric::counter(
@@ -495,35 +495,20 @@ impl Database {
     /// The system-wide "next available id" counter used by the id
     /// allocation heuristics of paper Section 6.2. Reserves `count` ids and
     /// returns the first.
-    pub fn allocate_ids(&self, count: i64) -> i64 {
+    pub fn allocate_ids(&mut self, count: i64) -> i64 {
         let start = self.next_id.get();
         self.next_id.set(start + count);
         if count != 0 {
-            self.wal_push(WalRecord::NextId {
-                value: start + count,
-            });
-            self.autoflush_id_counter();
+            self.log_next_id(start + count);
         }
         start
     }
 
     /// Raise the id counter to at least `floor` (used after bulk loads).
-    pub fn bump_next_id(&self, floor: i64) {
+    pub fn bump_next_id(&mut self, floor: i64) {
         if self.next_id.get() < floor {
             self.next_id.set(floor);
-            self.wal_push(WalRecord::NextId { value: floor });
-            self.autoflush_id_counter();
-        }
-    }
-
-    /// Id allocation happens between statements, so outside an explicit
-    /// transaction nothing else would flush the `NextId` record — a
-    /// crash right after a bulk load must not recover a stale counter
-    /// under persisted rows. Best-effort: on failure the record stays
-    /// buffered and the next successful flush carries it.
-    pub(crate) fn autoflush_id_counter(&self) {
-        if !self.txn.explicit {
-            let _ = self.wal_flush_commit();
+            self.log_next_id(floor);
         }
     }
 
@@ -578,10 +563,10 @@ impl Database {
     ///
     /// Non-control statements run under statement-level atomicity — on
     /// error, everything the statement did (including trigger-body
-    /// mutations, which share the same undo log) is rolled back before
-    /// the error is returned, matching how a real RDBMS aborts a failed
+    /// mutations, which share the same log) is rolled back before the
+    /// error is returned, matching how a real RDBMS aborts a failed
     /// statement. Outside an explicit transaction a successful statement
-    /// autocommits (its undo records are discarded).
+    /// autocommits (its records are written to the WAL and discarded).
     pub(crate) fn exec_client(&mut self, stmt: &Stmt, ctx: &EvalCtx<'_>) -> Result<ExecResult> {
         let _span = Span::enter("sql.execute");
         if stmt.is_txn_control() || matches!(stmt, Stmt::Checkpoint) {
@@ -591,31 +576,30 @@ impl Database {
             return self.exec_internal(stmt, ctx, 0);
         }
         self.fault.check_statement()?;
-        let mark = self.txn.mark();
-        let redo_mark = self.txn.redo_mark();
+        let mark = self.txn.log.len();
         match self.exec_internal(stmt, ctx, 0) {
             Ok(r) => {
                 if !self.txn.explicit {
-                    // Autocommit: group-flush the statement's redo
-                    // records as one committed WAL frame before
-                    // declaring it durable and dropping the undo.
+                    // Autocommit: write the log as one committed WAL
+                    // frame before declaring the statement durable and
+                    // dropping the log.
                     if let Err(e) = self.wal_flush_commit() {
                         self.rollback_to_mark(mark);
-                        self.txn.redo.lock().unwrap().truncate(redo_mark);
                         StatsCells::bump(&self.stats.txn_rollbacks, 1);
                         return Err(e);
                     }
-                    if !self.txn.log.is_empty() {
+                    // Below `mark` sit only `NextId` records a failed flush
+                    // left, now written too: they commit nothing.
+                    if self.txn.log.len() > mark {
                         StatsCells::bump(&self.stats.txn_commits, 1);
                         self.mvcc_commit();
-                        self.txn.log.clear();
                     }
+                    self.txn.log.clear();
                 }
                 Ok(r)
             }
             Err(e) => {
                 self.rollback_to_mark(mark);
-                self.txn.redo.lock().unwrap().truncate(redo_mark);
                 StatsCells::bump(&self.stats.txn_rollbacks, 1);
                 Err(e)
             }
@@ -856,14 +840,6 @@ impl Database {
             .unwrap_or(0)
     }
 
-    /// Buffer a redo record for the current transaction (no-op on a
-    /// non-durable database).
-    pub(crate) fn wal_push(&self, rec: WalRecord) {
-        if self.durable.is_some() {
-            self.txn.redo.lock().unwrap().push(rec.into());
-        }
-    }
-
     pub(crate) fn next_wal_txn(&self) -> u64 {
         let d = self.durable.as_ref().expect("durable database");
         let n = d.txn_seq.get() + 1;
@@ -910,44 +886,42 @@ impl Database {
         Ok(())
     }
 
-    /// Group-flush the buffered redo records as one committed WAL frame
-    /// (`TxnBegin`, the records, `TxnCommit`), leaving out the records of
-    /// every frame-local table ([`txn::frame_local`]). On failure the
-    /// buffer is left intact — the caller decides whether to roll back;
-    /// on success it is cleared. Nothing is written when non-durable or
-    /// when no record is left to log.
+    /// Write the transaction log as one committed WAL frame (`TxnBegin`,
+    /// the records, `TxnCommit`), encoded from the records' own fields,
+    /// leaving out the records of every frame-local table
+    /// ([`txn::frame_local`]). The log is left as it is: on failure the
+    /// caller decides whether to roll back, on success it discards the
+    /// log. Nothing is written when non-durable or when no record is
+    /// left to log.
     pub(crate) fn wal_flush_commit(&self) -> Result<()> {
         if self.durable.is_none() {
             return Ok(());
         }
-        let mut redo = self.txn.redo.lock().unwrap();
-        let left_out = txn::frame_local(&redo);
+        let log = &self.txn.log;
+        let left_out = txn::frame_local(log);
         let kept = || {
-            redo.iter()
+            log.iter()
                 .zip(&left_out)
                 .filter(|(_, &out)| !out)
-                .map(|(r, _)| &r.rec)
+                .filter_map(|(r, _)| r.wal_ref())
         };
         let n = kept().count();
         if n == 0 {
-            redo.clear();
             return Ok(());
         }
         let txn = self.next_wal_txn();
-        let (begin, commit) = (WalRecord::TxnBegin { txn }, WalRecord::TxnCommit { txn });
-        let len = wal::frame_len(&begin)
+        let (begin, commit) = (WalRef::TxnBegin(txn), WalRef::TxnCommit(txn));
+        let len = wal::frame_len(begin)
             + kept().map(wal::frame_len).sum::<usize>()
-            + wal::frame_len(&commit);
+            + wal::frame_len(commit);
         let mut buf = Vec::with_capacity(len);
-        wal::encode_frame(&begin, &mut buf);
+        wal::encode(begin, &mut buf);
         for r in kept() {
-            wal::encode_frame(r, &mut buf);
+            wal::encode(r, &mut buf);
         }
-        wal::encode_frame(&commit, &mut buf);
-        debug_assert_eq!(buf.len(), len, "frame_len disagrees with encode_frame");
-        self.wal_append(&buf, n as u64 + 2, true)?;
-        redo.clear();
-        Ok(())
+        wal::encode(commit, &mut buf);
+        debug_assert_eq!(buf.len(), len, "frame_len disagrees with encode");
+        self.wal_append(&buf, n as u64 + 2, true)
     }
 
     /// Rebuild one table from its checkpointed catalog entry and slots.
@@ -1134,9 +1108,9 @@ impl Database {
                 | Stmt::CreateTrigger { .. }
                 | Stmt::DropTrigger { .. }
         );
-        // Taken before the statement runs: a dropped trigger's table is
-        // gone from the trigger list afterwards.
-        let ddl_effect = (is_ddl && self.durable.is_some()).then(|| self.ddl_effect(stmt));
+        // DDL is redone from the WAL as SQL text, rendered by the
+        // exact-roundtrip printer into the statement's log record.
+        let sql = (is_ddl && self.durable.is_some()).then(|| stmt_to_sql(stmt));
         let result = match stmt {
             Stmt::CreateTable {
                 name,
@@ -1166,7 +1140,7 @@ impl Database {
                         columns: columns.clone(),
                     }),
                 );
-                self.record_undo(UndoRecord::CreatedTable { name: key });
+                self.record_undo(UndoRecord::CreatedTable { name: key, sql });
                 Ok(ExecResult::Ddl)
             }
             Stmt::DropTable { name, if_exists } => {
@@ -1197,6 +1171,7 @@ impl Database {
                             name: key,
                             table: Box::new(table),
                             triggers: removed,
+                            sql,
                         });
                     }
                 }
@@ -1215,7 +1190,11 @@ impl Database {
                     // logged.
                     return Ok(ExecResult::Ddl);
                 };
-                self.record_undo(UndoRecord::CreatedIndex { table: key, column });
+                self.record_undo(UndoRecord::CreatedIndex {
+                    table: key,
+                    column,
+                    sql,
+                });
                 Ok(ExecResult::Ddl)
             }
             // `ANALYZE [table]` still parses, so a WAL an older build
@@ -1249,11 +1228,15 @@ impl Database {
                 self.triggers.push(Trigger {
                     name: name.clone(),
                     event: *event,
-                    table: key,
+                    table: key.clone(),
                     granularity: *granularity,
                     body: Arc::new(body.clone()),
                 });
-                self.record_undo(UndoRecord::CreatedTrigger { name: name.clone() });
+                self.record_undo(UndoRecord::CreatedTrigger {
+                    name: name.clone(),
+                    table: key,
+                    sql,
+                });
                 Ok(ExecResult::Ddl)
             }
             Stmt::DropTrigger { name } => {
@@ -1266,6 +1249,7 @@ impl Database {
                 self.record_undo(UndoRecord::DroppedTrigger {
                     position: at,
                     trigger: Box::new(trigger),
+                    sql,
                 });
                 Ok(ExecResult::Ddl)
             }
@@ -1316,45 +1300,14 @@ impl Database {
             }
         };
         // DDL that gets here changed the catalog (tables, indexes,
-        // triggers), so every plan slot replans, and it is redone from the
-        // WAL as SQL text: one `Ddl` record, rendered by the
-        // exact-roundtrip printer, with its typed effect for the commit's
-        // frame-local filter. No-op DDL (`CREATE TABLE IF NOT EXISTS` on
-        // an existing table, `DROP TABLE IF EXISTS` on a missing one,
-        // `CREATE INDEX` on an indexed column) returns early above and
-        // does neither.
+        // triggers), so every plan slot replans. No-op DDL (`CREATE TABLE
+        // IF NOT EXISTS` on an existing table, `DROP TABLE IF EXISTS` on a
+        // missing one, `CREATE INDEX` on an indexed column) returns early
+        // above: it neither replans nor logs a record.
         if is_ddl && result.is_ok() {
             self.bump_schema_epoch();
-            if let Some(effect) = ddl_effect {
-                self.txn.redo.lock().unwrap().push(Redo {
-                    rec: WalRecord::Ddl {
-                        sql: stmt_to_sql(stmt),
-                    },
-                    ddl: Some(effect),
-                });
-            }
         }
         result
-    }
-
-    /// What the DDL statement `stmt` does, and to which table.
-    fn ddl_effect(&self, stmt: &Stmt) -> DdlEffect {
-        let key = |name: &str| name.to_ascii_lowercase();
-        match stmt {
-            Stmt::CreateTable { name, .. } => DdlEffect::CreateTable(key(name)),
-            Stmt::DropTable { name, .. } => DdlEffect::DropTable(key(name)),
-            Stmt::CreateIndex { table, .. } => DdlEffect::CreateIndex(key(table)),
-            Stmt::CreateTrigger { table, .. } => DdlEffect::Touches(key(table)),
-            // A missing trigger fails the statement, which logs nothing.
-            Stmt::DropTrigger { name } => DdlEffect::Touches(
-                self.triggers
-                    .iter()
-                    .find(|t| t.name.eq_ignore_ascii_case(name))
-                    .map(|t| t.table.clone())
-                    .unwrap_or_default(),
-            ),
-            other => unreachable!("not DDL: {}", stmt_to_sql(other)),
-        }
     }
 
     /// The statements that answer with rows and write nothing: SELECT,
@@ -1523,68 +1476,43 @@ impl Database {
             inserted_rows.push(full);
         }
         let n = inserted_rows.len();
-        // Rows applied so far are recorded in the undo log even when the
+        // Rows applied so far are recorded in the log even when the
         // statement fails partway (arity error, injected fault): the
         // client funnel rolls the partial work back before surfacing the
-        // error.
-        let mut positions = Vec::with_capacity(n);
+        // error. Each record keeps the slot and, on a durable database,
+        // the row as it landed: the WAL's after-image (redo is physical).
+        let durable = self.durable.is_some();
+        let mut landed = Vec::with_capacity(n);
         let mut failure = None;
         {
             let t = self.tables.get_mut(&key).unwrap();
-            if has_insert_triggers {
-                for row in &inserted_rows {
-                    if let Err(e) = self.fault.check_table_write(&key) {
-                        failure = Some(e);
-                        break;
-                    }
-                    match t.insert(row.clone()) {
-                        Ok(p) => positions.push(p),
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
+            // Unless a trigger needs the rows afterwards, move them in.
+            let rows = if has_insert_triggers {
+                inserted_rows.clone()
             } else {
-                // No trigger needs the rows afterwards: move them in.
-                for row in std::mem::take(&mut inserted_rows) {
-                    if let Err(e) = self.fault.check_table_write(&key) {
+                std::mem::take(&mut inserted_rows)
+            };
+            for row in rows {
+                if let Err(e) = self.fault.check_table_write(&key) {
+                    failure = Some(e);
+                    break;
+                }
+                let image = durable.then(|| row.clone());
+                match t.insert(row) {
+                    Ok(p) => landed.push((p, image)),
+                    Err(e) => {
                         failure = Some(e);
                         break;
                     }
-                    match t.insert(row) {
-                        Ok(p) => positions.push(p),
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
                 }
             }
         }
-        let applied = positions.len();
-        if self.durable.is_some() {
-            // Redo is physical: the row as it landed, at its slot. A
-            // partially-applied failing statement's records are truncated
-            // by the client funnel along with the undo.
-            let t = self.tables.get(&key).expect("resolved above");
-            let mut redo = self.txn.redo.lock().unwrap();
-            for &pos in &positions {
-                if let Some(row) = t.row(pos) {
-                    redo.push(
-                        WalRecord::Insert {
-                            table: key.clone(),
-                            row: row.clone(),
-                        }
-                        .into(),
-                    );
-                }
-            }
-        }
-        for pos in positions {
+        let applied = landed.len();
+        for (pos, row) in landed {
             self.record_undo(UndoRecord::InsertedRow {
                 table: key.clone(),
                 pos,
+                row,
             });
         }
         if let Some(e) = failure {
@@ -1626,18 +1554,6 @@ impl Database {
             out
         };
         let n = deleted.len();
-        if self.durable.is_some() {
-            let mut redo = self.txn.redo.lock().unwrap();
-            for (pos, _) in &deleted {
-                redo.push(
-                    WalRecord::Delete {
-                        table: key.clone(),
-                        pos: *pos as u64,
-                    }
-                    .into(),
-                );
-            }
-        }
         // Triggers bind OLD per deleted row; clone only when one exists.
         let mut trigger_rows: Vec<Row> = Vec::new();
         for (pos, row) in deleted {
@@ -1700,7 +1616,10 @@ impl Database {
         }
         let n = pending.len();
         let mut failure = None;
-        let mut cell_undo: Vec<(usize, usize, Value)> = Vec::new();
+        // Per cell: slot, column, the old value and, on a durable
+        // database, the value as written (the WAL's after-image).
+        let durable = self.durable.is_some();
+        let mut cell_undo: Vec<(usize, usize, Value, Option<Value>)> = Vec::new();
         {
             let t = self.tables.get_mut(&key).unwrap();
             'rows: for (p, vals) in pending {
@@ -1709,8 +1628,9 @@ impl Database {
                         failure = Some(e);
                         break 'rows;
                     }
+                    let new = durable.then(|| v.clone());
                     match t.update_cell(p, ci, v) {
-                        Ok(old) => cell_undo.push((p, ci, old)),
+                        Ok(old) => cell_undo.push((p, ci, old, new)),
                         Err(e) => {
                             failure = Some(e);
                             break 'rows;
@@ -1719,31 +1639,13 @@ impl Database {
                 }
             }
         }
-        if self.durable.is_some() {
-            // Log the value as written (read back from the table), one
-            // record per cell, in application order.
-            let t = self.tables.get(&key).expect("resolved above");
-            let mut redo = self.txn.redo.lock().unwrap();
-            for (pos, ci, _) in &cell_undo {
-                if let Some(row) = t.row(*pos) {
-                    redo.push(
-                        WalRecord::Update {
-                            table: key.clone(),
-                            pos: *pos as u64,
-                            column: *ci as u32,
-                            value: row[*ci].clone(),
-                        }
-                        .into(),
-                    );
-                }
-            }
-        }
-        for (pos, column, old) in cell_undo {
+        for (pos, column, old, new) in cell_undo {
             self.record_undo(UndoRecord::UpdatedCell {
                 table: key.clone(),
                 pos,
                 column,
                 old,
+                new,
             });
         }
         if let Some(e) = failure {

@@ -148,14 +148,14 @@ impl Database {
         }
         if horizon < epoch {
             let mut moved: Vec<UndoRecord> = Vec::new();
-            for rec in self.take_undo_log() {
+            for rec in std::mem::take(&mut self.txn.log) {
                 match rec {
                     // The records before a table's creation belong to an
                     // earlier table of the same name.
-                    UndoRecord::CreatedTable { name } => {
+                    UndoRecord::CreatedTable { name, .. } => {
                         moved.retain(|r| r.row_table() != Some(name.as_str()))
                     }
-                    rec if rec.row_table().is_some() => moved.push(rec),
+                    rec if rec.row_table().is_some() => moved.push(rec.without_after_image()),
                     _ => {}
                 }
             }

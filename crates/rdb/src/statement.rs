@@ -354,7 +354,7 @@ impl Database {
     /// Read-only statement funnel: `SELECT`, plain `EXPLAIN`, and
     /// `EXPLAIN ANALYZE` over a SELECT. Mirrors [`Database::exec_client`]'s
     /// bookkeeping (fault injection, statement counters, rollback stat
-    /// on error) without touching the undo/redo machinery — a failed
+    /// on error) without touching the transaction log — a failed
     /// read has nothing to roll back.
     fn exec_read(&self, stmt: &Stmt, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
         let _span = Span::enter("sql.execute");

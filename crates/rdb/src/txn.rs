@@ -1,15 +1,23 @@
-//! Transaction support: undo log, savepoints, and deterministic fault
-//! injection.
+//! Transaction support: the transaction log, savepoints, and
+//! deterministic fault injection.
 //!
 //! The paper (Sections 3 and 6) assumes every translated `UPDATE { … }`
 //! block executes as one transaction against DB2 — a mid-update error
 //! must leave the shredded relations exactly as they were. This module
-//! supplies the engine-side machinery: a logical undo log of
-//! before-images ([`UndoRecord`]), transaction/savepoint bookkeeping
-//! (`TxnState`) with the `Database` methods that open, commit and roll
-//! back a transaction, and a fault injector (`FaultState`) that lets
-//! tests and the workload driver kill execution at a chosen statement or
-//! table write.
+//! supplies the engine-side machinery: the transaction log
+//! ([`UndoRecord`]), transaction/savepoint bookkeeping (`TxnState`) with
+//! the `Database` methods that open, commit and roll back a transaction,
+//! and a fault injector (`FaultState`) that lets tests and the workload
+//! driver kill execution at a chosen statement or table write.
+//!
+//! The log is the one record of what a transaction did. Each effect is
+//! one record holding its before-image and, on a durable database, its
+//! after-image: rollback and `ROLLBACK TO` pop records above a mark and
+//! undo them, and the commit encodes its WAL frame from the same records
+//! ([`UndoRecord::wal_ref`]), less its frame-local tables
+//! ([`frame_local`]). Id-counter moves are `NextId` records, logged on a
+//! durable database only and skipped by undo (the counter is restored
+//! from the savepoint or the transaction's start).
 //!
 //! Undo is *exact*: applying the log in reverse restores the database
 //! byte-identically — slot vectors, the trigger list, and the id counter
@@ -31,12 +39,13 @@ use crate::error::{DbError, Result};
 use crate::obs::Span;
 use crate::table::Table;
 use crate::value::{Row, Value};
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, WalRef};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
-/// One reversible effect recorded by the engine. Records are appended in
-/// execution order and applied in reverse on rollback.
+/// One effect recorded by the engine. Records are appended in execution
+/// order and undone in reverse on rollback. Each holds its before-image
+/// and, on a durable database, what the WAL frame gets (`None`
+/// otherwise).
 #[derive(Debug, Clone)]
 pub enum UndoRecord {
     /// A row was appended to `table` at slot `pos`.
@@ -45,6 +54,8 @@ pub enum UndoRecord {
         table: String,
         /// Slot position the row occupies.
         pos: usize,
+        /// The row as it landed.
+        row: Option<Row>,
     },
     /// A row was deleted: restore it at `pos`.
     DeletedRow {
@@ -65,11 +76,15 @@ pub enum UndoRecord {
         column: usize,
         /// The cell's previous value.
         old: Value,
+        /// The value as written.
+        new: Option<Value>,
     },
     /// `CREATE TABLE` ran: drop the table again.
     CreatedTable {
         /// Lower-cased table key.
         name: String,
+        /// The statement as SQL.
+        sql: Option<String>,
     },
     /// `DROP TABLE` ran: restore the full table snapshot and the
     /// triggers that watched it (at their original positions in the
@@ -81,6 +96,8 @@ pub enum UndoRecord {
         table: Box<Table>,
         /// `(position, trigger)` pairs removed with the table, ascending.
         triggers: Vec<(usize, Trigger)>,
+        /// The statement as SQL.
+        sql: Option<String>,
     },
     /// `CREATE INDEX` built a new index: drop it.
     CreatedIndex {
@@ -88,11 +105,17 @@ pub enum UndoRecord {
         table: String,
         /// Indexed column.
         column: usize,
+        /// The statement as SQL.
+        sql: Option<String>,
     },
     /// `CREATE TRIGGER` ran: remove the trigger again.
     CreatedTrigger {
         /// Trigger name.
         name: String,
+        /// Lower-cased key of the table it watches.
+        table: String,
+        /// The statement as SQL.
+        sql: Option<String>,
     },
     /// `DROP TRIGGER` ran: restore the trigger at its original position.
     DroppedTrigger {
@@ -100,6 +123,14 @@ pub enum UndoRecord {
         position: usize,
         /// The removed trigger.
         trigger: Box<Trigger>,
+        /// The statement as SQL.
+        sql: Option<String>,
+    },
+    /// The id counter reached `value` (durable databases only). Undo
+    /// skips it: rollback restores the counter itself.
+    NextId {
+        /// New counter value.
+        value: i64,
     },
 }
 
@@ -119,7 +150,7 @@ impl UndoRecord {
     }
 
     /// The table a row record (`InsertedRow`, `DeletedRow`,
-    /// `UpdatedCell`) touched; `None` for the catalog records.
+    /// `UpdatedCell`) touched; `None` for the other records.
     pub(crate) fn row_table(&self) -> Option<&str> {
         match self {
             UndoRecord::InsertedRow { table, .. }
@@ -127,6 +158,41 @@ impl UndoRecord {
             | UndoRecord::UpdatedCell { table, .. } => Some(table),
             _ => None,
         }
+    }
+
+    /// The record less its after-image, once the commit has written that
+    /// to the WAL: what a table's version history keeps.
+    pub(crate) fn without_after_image(mut self) -> Self {
+        match &mut self {
+            UndoRecord::InsertedRow { row, .. } => *row = None,
+            UndoRecord::UpdatedCell { new, .. } => *new = None,
+            _ => {}
+        }
+        self
+    }
+
+    /// The WAL record of this effect, borrowed from the record: the
+    /// physical row effect at its slot, the DDL text, or the id counter.
+    /// `None` for a record logged without its after-image (an in-memory
+    /// database).
+    pub(crate) fn wal_ref(&self) -> Option<WalRef<'_>> {
+        Some(match self {
+            UndoRecord::InsertedRow { table, row, .. } => WalRef::Insert(table, row.as_deref()?),
+            UndoRecord::DeletedRow { table, pos, .. } => WalRef::Delete(table, *pos as u64),
+            UndoRecord::UpdatedCell {
+                table,
+                pos,
+                column,
+                new,
+                ..
+            } => WalRef::Update(table, *pos as u64, *column as u32, new.as_ref()?),
+            UndoRecord::CreatedTable { sql, .. }
+            | UndoRecord::DroppedTable { sql, .. }
+            | UndoRecord::CreatedIndex { sql, .. }
+            | UndoRecord::CreatedTrigger { sql, .. }
+            | UndoRecord::DroppedTrigger { sql, .. } => WalRef::Ddl(sql.as_deref()?),
+            UndoRecord::NextId { value } => WalRef::NextId(*value),
+        })
     }
 }
 
@@ -140,133 +206,88 @@ pub(crate) fn table_records<'a>(
     log.iter()
         .rev()
         .take_while(move |r| {
-            !matches!(r, UndoRecord::CreatedTable { name: n } if n.eq_ignore_ascii_case(name))
+            !matches!(r, UndoRecord::CreatedTable { name: n, .. } if n.eq_ignore_ascii_case(name))
         })
         .filter(move |r| r.row_table().is_some_and(|t| t.eq_ignore_ascii_case(name)))
 }
 
-/// What a buffered `Ddl` redo record did, and to which table (lower-cased
-/// key), taken from its statement when it was pushed: the commit tells
-/// the records of a frame-local table apart by this, never by re-parsing
-/// the SQL text.
-#[derive(Debug)]
-pub(crate) enum DdlEffect {
-    /// `CREATE TABLE` created the table.
-    CreateTable(String),
-    /// `DROP TABLE` dropped the table.
-    DropTable(String),
-    /// `CREATE INDEX` indexed a column of the table.
-    CreateIndex(String),
-    /// A trigger created or dropped: the table it is on.
-    Touches(String),
-}
-
-/// One buffered redo record: the record the WAL gets and, for DDL, what
-/// the statement did.
-#[derive(Debug)]
-pub(crate) struct Redo {
-    pub rec: WalRecord,
-    pub ddl: Option<DdlEffect>,
-}
-
-impl From<WalRecord> for Redo {
-    fn from(rec: WalRecord) -> Self {
-        Redo { rec, ddl: None }
-    }
-}
-
-/// Which of a transaction's buffered records the commit leaves out
+/// Which of a transaction's records the commit leaves out of its frame
 /// (`true` at their index): those of every *frame-local* table instance,
-/// one whose `CREATE TABLE` and `DROP TABLE` both sit in `redo`. That is
+/// one whose `CREATE TABLE` and `DROP TABLE` both sit in `log`. That is
 /// the pair itself and every row record and `CREATE INDEX` on the table
 /// between them. Recovery never sees the instance, and loses nothing: it
 /// ends dropped within the frame, and every other record is physical, so
 /// the rest of the frame replays to the same heap slot for slot. An
 /// instance that a trigger created or dropped between the pair is on is
 /// kept whole.
-pub(crate) fn frame_local(redo: &[Redo]) -> Vec<bool> {
+pub(crate) fn frame_local(log: &[UndoRecord]) -> Vec<bool> {
     struct Instance {
         create: usize,
         members: Vec<usize>,
         touched: bool,
     }
-    let mut left_out = vec![false; redo.len()];
+    let mut left_out = vec![false; log.len()];
     let mut open: HashMap<&str, Instance> = HashMap::new();
-    for (i, r) in redo.iter().enumerate() {
-        match &r.ddl {
-            Some(DdlEffect::CreateTable(key)) => {
-                open.insert(
-                    key,
-                    Instance {
-                        create: i,
-                        members: Vec::new(),
-                        touched: false,
-                    },
-                );
+    for (i, r) in log.iter().enumerate() {
+        let (key, touches) = match r {
+            UndoRecord::CreatedTable { name, .. } => {
+                let inst = Instance {
+                    create: i,
+                    members: Vec::new(),
+                    touched: false,
+                };
+                open.insert(name, inst);
+                continue;
             }
-            Some(DdlEffect::DropTable(key)) => {
-                if let Some(inst) = open.remove(key.as_str()).filter(|inst| !inst.touched) {
+            UndoRecord::DroppedTable { name, .. } => {
+                if let Some(inst) = open.remove(name.as_str()).filter(|inst| !inst.touched) {
                     for at in inst.members.into_iter().chain([inst.create, i]) {
                         left_out[at] = true;
                     }
                 }
+                continue;
             }
-            Some(DdlEffect::CreateIndex(key)) => {
-                if let Some(inst) = open.get_mut(key.as_str()) {
-                    inst.members.push(i);
-                }
-            }
-            Some(DdlEffect::Touches(key)) => {
-                if let Some(inst) = open.get_mut(key.as_str()) {
-                    inst.touched = true;
-                }
-            }
-            None => {
-                let table = match &r.rec {
-                    WalRecord::Insert { table, .. }
-                    | WalRecord::Delete { table, .. }
-                    | WalRecord::Update { table, .. } => table,
-                    _ => continue,
-                };
-                if let Some(inst) = open.get_mut(table.as_str()) {
-                    inst.members.push(i);
-                }
+            UndoRecord::CreatedTrigger { table, .. } => (table, true),
+            UndoRecord::DroppedTrigger { trigger, .. } => (&trigger.table, true),
+            UndoRecord::CreatedIndex { table, .. }
+            | UndoRecord::InsertedRow { table, .. }
+            | UndoRecord::DeletedRow { table, .. }
+            | UndoRecord::UpdatedCell { table, .. } => (table, false),
+            UndoRecord::NextId { .. } => continue,
+        };
+        if let Some(inst) = open.get_mut(key.as_str()) {
+            if touches {
+                inst.touched = true;
+            } else {
+                inst.members.push(i);
             }
         }
     }
     left_out
 }
 
-/// A named savepoint: a mark into the undo log plus the id-counter value
-/// at creation time.
+/// A named savepoint: a mark into the transaction log plus the
+/// id-counter value at creation time.
 #[derive(Debug, Clone)]
 pub(crate) struct Savepoint {
     pub name: String,
     pub mark: usize,
     pub next_id: i64,
-    /// Redo-buffer length at creation time: `ROLLBACK TO` truncates the
-    /// buffered WAL records along with the undo log, so discarded work
-    /// is never flushed.
-    pub redo_mark: usize,
 }
 
 /// Transaction bookkeeping owned by the `Database`.
 ///
-/// The undo log is populated even outside `BEGIN` — autocommit needs it
-/// for statement-level atomicity (a failing statement, including any
-/// trigger bodies it fired, rolls back as a unit). On success the log is
-/// simply discarded.
+/// The log is populated even outside `BEGIN` — autocommit needs it for
+/// statement-level atomicity (a failing statement, including any trigger
+/// bodies it fired, rolls back as a unit) and for its WAL frame. On
+/// success the log is simply discarded.
 #[derive(Debug, Default)]
 pub(crate) struct TxnState {
-    /// Reversible effects, in execution order.
+    /// Every effect, in execution order: undone in reverse on rollback,
+    /// and on a durable database written as one `TxnBegin … TxnCommit`
+    /// frame at commit. Rollback pops what it undoes, so an aborted
+    /// transaction never reaches the disk at all.
     pub log: Vec<UndoRecord>,
-    /// Buffered WAL redo records mirroring `log` (populated only on a
-    /// durable database). Flushed as one `TxnBegin … TxnCommit` frame at
-    /// commit, less its frame-local tables ([`frame_local`]); truncated
-    /// in lockstep with the undo log on rollback, so an aborted
-    /// transaction never reaches the disk at all. Lives in a `Mutex`
-    /// because `&self` paths (id allocation) also emit records.
-    pub redo: Mutex<Vec<Redo>>,
     /// Inside an explicit `BEGIN … COMMIT/ROLLBACK` block.
     pub explicit: bool,
     /// Active savepoints, oldest first.
@@ -276,20 +297,9 @@ pub(crate) struct TxnState {
 }
 
 impl TxnState {
-    /// Current undo-log length, used as a statement-level mark.
-    pub fn mark(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Current redo-buffer length, the WAL-side statement mark.
-    pub fn redo_mark(&self) -> usize {
-        self.redo.lock().unwrap().len()
-    }
-
     /// Forget everything (after COMMIT or a completed rollback).
     pub fn reset(&mut self) {
         self.log.clear();
-        self.redo.lock().unwrap().clear();
         self.savepoints.clear();
         self.explicit = false;
     }
@@ -297,7 +307,7 @@ impl TxnState {
 
 impl Database {
     /// Open an explicit transaction. Statements until [`Database::commit`]
-    /// or [`Database::rollback`] accumulate undo records as one unit.
+    /// or [`Database::rollback`] accumulate their records as one unit.
     /// Nested transactions are not supported — use
     /// [`Database::savepoint`]. Direct API transaction control does not
     /// count as a client statement (it models JDBC's connection-level
@@ -308,15 +318,23 @@ impl Database {
                 "already in a transaction (nested BEGIN; use SAVEPOINT)".into(),
             ));
         }
-        debug_assert!(self.txn.log.is_empty(), "autocommit left undo records");
+        // Only `NextId` records a failed flush left may wait here; this
+        // transaction's frame carries them.
+        debug_assert!(
+            self.txn
+                .log
+                .iter()
+                .all(|r| matches!(r, UndoRecord::NextId { .. })),
+            "autocommit left undo records"
+        );
         self.txn.explicit = true;
         self.txn.start_next_id = self.next_id.get();
         Ok(())
     }
 
-    /// Commit the open transaction, discarding its undo log. On a durable
-    /// database the buffered redo records are group-flushed to the WAL as
-    /// one `TxnBegin … TxnCommit` frame first; if that write fails the
+    /// Commit the open transaction, discarding its log. On a durable
+    /// database the log is written to the WAL as one
+    /// `TxnBegin … TxnCommit` frame first; if that write fails the
     /// transaction stays open (nothing was made durable) and the error is
     /// surfaced.
     pub fn commit(&mut self) -> Result<()> {
@@ -338,19 +356,21 @@ impl Database {
         if !self.txn.explicit {
             return Err(DbError::Txn("ROLLBACK outside a transaction".into()));
         }
+        // On a durable database every record is one the frame would
+        // have held.
+        let logged = self.durable.is_some() && !self.txn.log.is_empty();
         self.rollback_to_mark(0);
         let id_changed = self.next_id.get() != self.txn.start_next_id;
         self.next_id.set(self.txn.start_next_id);
-        let had_redo = !self.txn.redo.lock().unwrap().is_empty();
         self.txn.reset();
-        if self.durable.is_some() && had_redo {
+        if logged {
             // Audit marker only: the aborted frame was discarded
             // unflushed, so replay has nothing to skip. Best-effort — a
             // failed append must not fail the (already complete)
             // rollback.
             let txn = self.next_wal_txn();
             let mut buf = Vec::new();
-            wal::encode_frame(&WalRecord::TxnAbort { txn }, &mut buf);
+            wal::encode(WalRef::TxnAbort(txn), &mut buf);
             // The abort marker is not a commit, so it is not synced.
             let _ = self.wal_append(&buf, 1, false);
         }
@@ -358,10 +378,7 @@ impl Database {
             // Re-assert the id counter (rolled back in memory) so the
             // durable image converges with it immediately: the aborted
             // transaction's NextId records were discarded with its frame.
-            self.wal_push(WalRecord::NextId {
-                value: self.next_id.get(),
-            });
-            self.autoflush_id_counter();
+            self.log_next_id(self.next_id.get());
         }
         StatsCells::bump(&self.stats.txn_rollbacks, 1);
         Ok(())
@@ -376,9 +393,8 @@ impl Database {
         }
         self.txn.savepoints.push(Savepoint {
             name: name.to_string(),
-            mark: self.txn.mark(),
+            mark: self.txn.log.len(),
             next_id: self.next_id.get(),
-            redo_mark: self.txn.redo_mark(),
         });
         Ok(())
     }
@@ -401,7 +417,6 @@ impl Database {
         let sp = self.txn.savepoints[at].clone();
         self.txn.savepoints.truncate(at + 1);
         self.rollback_to_mark(sp.mark);
-        self.txn.redo.lock().unwrap().truncate(sp.redo_mark);
         self.next_id.set(sp.next_id);
         StatsCells::bump(&self.stats.txn_rollbacks, 1);
         Ok(())
@@ -412,7 +427,8 @@ impl Database {
         self.txn.explicit
     }
 
-    /// Number of undo records currently in the transaction log.
+    /// Number of records currently in the transaction log (on a durable
+    /// database, `NextId` records included).
     pub fn undo_log_len(&self) -> usize {
         self.txn.log.len()
     }
@@ -421,12 +437,6 @@ impl Database {
     /// reader rolls its copy of a table back through first.
     pub(crate) fn undo_log(&self) -> &[UndoRecord] {
         &self.txn.log
-    }
-
-    /// Take the undo log whole (a commit moving its records to the
-    /// snapshots that predate it).
-    pub(crate) fn take_undo_log(&mut self) -> Vec<UndoRecord> {
-        std::mem::take(&mut self.txn.log)
     }
 
     /// Undo all records above `mark`, newest first. If any undone record
@@ -457,32 +467,36 @@ impl Database {
                     t.undo_row(rec);
                 }
             }
-            UndoRecord::CreatedTable { name } => {
+            UndoRecord::CreatedTable { name, .. } => {
                 self.tables.remove(&name);
             }
             UndoRecord::DroppedTable {
                 name,
                 table,
                 triggers,
+                ..
             } => {
                 self.tables.insert(name, *table);
                 for (at, trig) in triggers {
                     self.triggers.insert(at.min(self.triggers.len()), trig);
                 }
             }
-            UndoRecord::CreatedIndex { table, column } => {
+            UndoRecord::CreatedIndex { table, column, .. } => {
                 if let Some(t) = self.tables.get_mut(&table) {
                     t.drop_index(column);
                 }
             }
-            UndoRecord::CreatedTrigger { name } => {
+            UndoRecord::CreatedTrigger { name, .. } => {
                 self.triggers
                     .retain(|t| !t.name.eq_ignore_ascii_case(&name));
             }
-            UndoRecord::DroppedTrigger { position, trigger } => {
+            UndoRecord::DroppedTrigger {
+                position, trigger, ..
+            } => {
                 self.triggers
                     .insert(position.min(self.triggers.len()), *trigger);
             }
+            UndoRecord::NextId { .. } => {}
         }
     }
 
@@ -490,6 +504,23 @@ impl Database {
     pub(crate) fn record_undo(&mut self, rec: UndoRecord) {
         StatsCells::bump(&self.stats.undo_records, 1);
         self.txn.log.push(rec);
+    }
+
+    /// Log the id counter's new value as a `NextId` record, on a durable
+    /// database only. Id allocation happens between statements, so
+    /// outside an explicit transaction nothing else would flush it — a
+    /// crash right after a bulk load must not recover a stale counter
+    /// under persisted rows — and it is flushed at once. Best-effort: on
+    /// failure the record stays in the log and the next successful flush
+    /// carries it.
+    pub(crate) fn log_next_id(&mut self, value: i64) {
+        if self.durable.is_some() {
+            self.txn.log.push(UndoRecord::NextId { value });
+            if !self.txn.explicit && self.wal_flush_commit().is_ok() {
+                // Outside a transaction the log holds nothing else.
+                self.txn.log.clear();
+            }
+        }
     }
 }
 
@@ -574,48 +605,68 @@ impl FaultState {
 mod tests {
     use super::*;
 
-    fn ddl(effect: DdlEffect) -> Redo {
-        Redo {
-            rec: WalRecord::Ddl { sql: String::new() },
-            ddl: Some(effect),
+    fn row(t: &str) -> UndoRecord {
+        UndoRecord::InsertedRow {
+            table: t.into(),
+            pos: 0,
+            row: Some(vec![Value::Int(1)]),
         }
     }
 
-    fn insert(table: &str) -> Redo {
-        WalRecord::Insert {
-            table: table.into(),
-            row: vec![Value::Int(1)],
+    fn create(t: &str) -> UndoRecord {
+        UndoRecord::CreatedTable {
+            name: t.into(),
+            sql: None,
         }
-        .into()
     }
 
-    fn create(t: &str) -> Redo {
-        ddl(DdlEffect::CreateTable(t.into()))
+    fn drop_table(t: &str) -> UndoRecord {
+        UndoRecord::DroppedTable {
+            name: t.into(),
+            table: Box::new(Table::new(crate::TableSchema {
+                name: t.into(),
+                columns: Vec::new(),
+            })),
+            triggers: Vec::new(),
+            sql: None,
+        }
     }
 
-    fn drop_table(t: &str) -> Redo {
-        ddl(DdlEffect::DropTable(t.into()))
+    fn index(t: &str) -> UndoRecord {
+        UndoRecord::CreatedIndex {
+            table: t.into(),
+            column: 0,
+            sql: None,
+        }
+    }
+
+    fn trigger_on(t: &str) -> UndoRecord {
+        UndoRecord::CreatedTrigger {
+            name: "trg".into(),
+            table: t.into(),
+            sql: None,
+        }
     }
 
     #[test]
     fn frame_local_leaves_out_the_instance_and_nothing_else() {
-        let redo = vec![
-            insert("t"), // a table from before the frame
+        let log = vec![
+            row("t"), // a table from before the frame
             create("tmp"),
-            ddl(DdlEffect::CreateIndex("tmp".into())),
-            insert("tmp"),
-            WalRecord::NextId { value: 9 }.into(),
-            insert("r"),
-            WalRecord::Delete {
+            index("tmp"),
+            row("tmp"),
+            UndoRecord::NextId { value: 9 },
+            row("r"),
+            UndoRecord::DeletedRow {
                 table: "tmp".into(),
                 pos: 0,
-            }
-            .into(),
-            ddl(DdlEffect::Touches("r".into())),
+                row: Vec::new(),
+            },
+            trigger_on("r"),
             drop_table("tmp"),
-            insert("tmp"), // a row for a later `tmp`: not this instance
+            row("tmp"), // a row for a later `tmp`: not this instance
         ];
-        let out = frame_local(&redo);
+        let out = frame_local(&log);
         assert_eq!(
             out,
             [false, true, true, true, false, false, true, false, true, false]
@@ -627,27 +678,22 @@ mod tests {
         // A trigger on the table keeps it whole.
         let touched = [
             create("tmp"),
-            ddl(DdlEffect::Touches("tmp".into())),
-            insert("tmp"),
+            trigger_on("tmp"),
+            row("tmp"),
             drop_table("tmp"),
         ];
         assert_eq!(frame_local(&touched), [false; 4]);
         // A table from before the frame, dropped in it; one created and
         // never dropped.
-        let open = [
-            insert("old"),
-            drop_table("old"),
-            create("new"),
-            insert("new"),
-        ];
+        let open = [row("old"), drop_table("old"), create("new"), row("new")];
         assert_eq!(frame_local(&open), [false; 4]);
         // The same name twice: only the instance closed in the frame.
         let twice = [
             create("t"),
-            insert("t"),
+            row("t"),
             drop_table("t"),
             create("t"),
-            insert("t"),
+            row("t"),
         ];
         assert_eq!(frame_local(&twice), [true, true, true, false, false]);
     }

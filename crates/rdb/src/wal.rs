@@ -1,9 +1,10 @@
 //! Write-ahead log file format for the durability layer.
 //!
 //! This module is pure encoding/decoding — it owns the byte format and
-//! nothing else. The engine (`crate::engine`) decides *when* records are
-//! emitted, buffered, flushed, and replayed; see `Database::open`,
-//! `Database::checkpoint`, and the commit paths there. The checkpoint
+//! nothing else. The engine decides *when* records are written and
+//! replayed: a commit encodes its frame straight from the transaction
+//! log (`crate::txn`), each record borrowed as a [`WalRef`], and
+//! `Database::open` decodes [`WalRecord`]s to replay. The checkpoint
 //! file the log is truncated against lives in `crate::storage::checkpoint`.
 //!
 //! # WAL format
@@ -103,6 +104,41 @@ pub enum WalRecord {
         /// New counter value.
         value: i64,
     },
+}
+
+/// A record to encode, its fields borrowed: a commit encodes its frame
+/// from the transaction log's records without cloning them. The
+/// variants, fields (in order) and bytes of [`WalRecord`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum WalRef<'a> {
+    TxnBegin(u64),
+    TxnCommit(u64),
+    TxnAbort(u64),
+    Insert(&'a str, &'a [Value]),
+    Delete(&'a str, u64),
+    Update(&'a str, u64, u32, &'a Value),
+    Ddl(&'a str),
+    NextId(i64),
+}
+
+impl<'a> From<&'a WalRecord> for WalRef<'a> {
+    fn from(rec: &'a WalRecord) -> Self {
+        match rec {
+            WalRecord::TxnBegin { txn } => WalRef::TxnBegin(*txn),
+            WalRecord::TxnCommit { txn } => WalRef::TxnCommit(*txn),
+            WalRecord::TxnAbort { txn } => WalRef::TxnAbort(*txn),
+            WalRecord::Insert { table, row } => WalRef::Insert(table, row),
+            WalRecord::Delete { table, pos } => WalRef::Delete(table, *pos),
+            WalRecord::Update {
+                table,
+                pos,
+                column,
+                value,
+            } => WalRef::Update(table, *pos, *column, value),
+            WalRecord::Ddl { sql } => WalRef::Ddl(sql),
+            WalRecord::NextId { value } => WalRef::NextId(*value),
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -289,49 +325,44 @@ impl<'a> Reader<'a> {
 // record codec
 // ----------------------------------------------------------------------
 
-fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
+fn encode_payload(rec: WalRef<'_>, out: &mut Vec<u8>) {
     match rec {
-        WalRecord::TxnBegin { txn } => {
+        WalRef::TxnBegin(txn) => {
             out.push(1);
-            put_u64(out, *txn);
+            put_u64(out, txn);
         }
-        WalRecord::TxnCommit { txn } => {
+        WalRef::TxnCommit(txn) => {
             out.push(2);
-            put_u64(out, *txn);
+            put_u64(out, txn);
         }
-        WalRecord::TxnAbort { txn } => {
+        WalRef::TxnAbort(txn) => {
             out.push(3);
-            put_u64(out, *txn);
+            put_u64(out, txn);
         }
-        WalRecord::Insert { table, row } => {
+        WalRef::Insert(table, row) => {
             out.push(4);
             put_str(out, table);
-            put_row(out, row);
+            put_list(out, row, put_value);
         }
-        WalRecord::Delete { table, pos } => {
+        WalRef::Delete(table, pos) => {
             out.push(5);
             put_str(out, table);
-            put_u64(out, *pos);
+            put_u64(out, pos);
         }
-        WalRecord::Update {
-            table,
-            pos,
-            column,
-            value,
-        } => {
+        WalRef::Update(table, pos, column, value) => {
             out.push(6);
             put_str(out, table);
-            put_u64(out, *pos);
-            put_u32(out, *column);
+            put_u64(out, pos);
+            put_u32(out, column);
             put_value(out, value);
         }
-        WalRecord::Ddl { sql } => {
+        WalRef::Ddl(sql) => {
             out.push(7);
             put_str(out, sql);
         }
-        WalRecord::NextId { value } => {
+        WalRef::NextId(value) => {
             out.push(8);
-            put_i64(out, *value);
+            put_i64(out, value);
         }
     }
 }
@@ -364,10 +395,15 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     r.done().then_some(rec)
 }
 
-/// Append one framed record (`len + crc + payload`) to `out`. The
-/// payload is encoded in place after a zeroed header, which is then
-/// filled in: no per-record buffer.
+/// Append one framed record (`len + crc + payload`) to `out`.
 pub fn encode_frame(rec: &WalRecord, out: &mut Vec<u8>) {
+    encode(rec.into(), out);
+}
+
+/// [`encode_frame`] of a borrowed record. The payload is encoded in
+/// place after a zeroed header, which is then filled in: no per-record
+/// buffer.
+pub(crate) fn encode(rec: WalRef<'_>, out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
     encode_payload(rec, out);
@@ -377,9 +413,9 @@ pub fn encode_frame(rec: &WalRecord, out: &mut Vec<u8>) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The number of bytes [`encode_frame`] appends for `rec`, so a commit
-/// can reserve its whole frame buffer once.
-pub(crate) fn frame_len(rec: &WalRecord) -> usize {
+/// The number of bytes [`encode`] appends for `rec`, so a commit can
+/// reserve its whole frame buffer once.
+pub(crate) fn frame_len(rec: WalRef<'_>) -> usize {
     fn str_len(s: &str) -> usize {
         4 + s.len()
     }
@@ -392,16 +428,11 @@ pub(crate) fn frame_len(rec: &WalRecord) -> usize {
         }
     }
     let payload = 1 + match rec {
-        WalRecord::TxnBegin { .. }
-        | WalRecord::TxnCommit { .. }
-        | WalRecord::TxnAbort { .. }
-        | WalRecord::NextId { .. } => 8,
-        WalRecord::Insert { table, row } => {
-            str_len(table) + 4 + row.iter().map(value_len).sum::<usize>()
-        }
-        WalRecord::Delete { table, .. } => str_len(table) + 8,
-        WalRecord::Update { table, value, .. } => str_len(table) + 8 + 4 + value_len(value),
-        WalRecord::Ddl { sql } => str_len(sql),
+        WalRef::TxnBegin(_) | WalRef::TxnCommit(_) | WalRef::TxnAbort(_) | WalRef::NextId(_) => 8,
+        WalRef::Insert(table, row) => str_len(table) + 4 + row.iter().map(value_len).sum::<usize>(),
+        WalRef::Delete(table, _) => str_len(table) + 8,
+        WalRef::Update(table, _, _, value) => str_len(table) + 8 + 4 + value_len(value),
+        WalRef::Ddl(sql) => str_len(sql),
     };
     8 + payload
 }
@@ -511,7 +542,7 @@ mod tests {
         for rec in sample_records() {
             let mut bytes = vec![0xAA];
             encode_frame(&rec, &mut bytes);
-            assert_eq!(bytes.len() - 1, frame_len(&rec), "{rec:?}");
+            assert_eq!(bytes.len() - 1, frame_len((&rec).into()), "{rec:?}");
         }
     }
 

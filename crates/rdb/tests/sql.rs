@@ -486,7 +486,7 @@ fn insert_trigger_fires_with_new_binding() {
 
 #[test]
 fn allocate_ids_monotone() {
-    let db = Database::new();
+    let mut db = Database::new();
     let a = db.allocate_ids(10);
     let b = db.allocate_ids(5);
     assert_eq!(b, a + 10);

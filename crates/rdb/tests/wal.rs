@@ -434,7 +434,7 @@ fn close_then_reopen() {
 #[test]
 fn id_counter_survives_crash_after_allocation() {
     let scratch = Scratch::new("ids");
-    let db = Database::open(scratch.path()).unwrap();
+    let mut db = Database::open(scratch.path()).unwrap();
     // Pure id allocation with no statement afterwards: must still be
     // durable, or recovery would hand out colliding ids.
     let first = db.allocate_ids(10);

@@ -36,7 +36,7 @@ pub fn shred(db: &mut Database, doc: &Document) -> Result<usize> {
 }
 
 fn walk(
-    db: &Database,
+    db: &mut Database,
     doc: &Document,
     node: NodeId,
     parent_id: i64,
