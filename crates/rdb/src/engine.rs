@@ -1479,10 +1479,8 @@ impl Database {
         // Rows applied so far are recorded in the log even when the
         // statement fails partway (arity error, injected fault): the
         // client funnel rolls the partial work back before surfacing the
-        // error. Each record keeps the slot and, on a durable database,
-        // the row as it landed: the WAL's after-image (redo is physical).
-        let durable = self.durable.is_some();
-        let mut landed = Vec::with_capacity(n);
+        // error.
+        let mut positions = Vec::with_capacity(n);
         let mut failure = None;
         {
             let t = self.tables.get_mut(&key).unwrap();
@@ -1497,9 +1495,8 @@ impl Database {
                     failure = Some(e);
                     break;
                 }
-                let image = durable.then(|| row.clone());
                 match t.insert(row) {
-                    Ok(p) => landed.push((p, image)),
+                    Ok(p) => positions.push(p),
                     Err(e) => {
                         failure = Some(e);
                         break;
@@ -1507,13 +1504,23 @@ impl Database {
                 }
             }
         }
-        let applied = landed.len();
-        for (pos, row) in landed {
-            self.record_undo(UndoRecord::InsertedRow {
+        let applied = positions.len();
+        // Redo is physical: on a durable database each record keeps the
+        // row as it landed, read back from its slot once the statement's
+        // rows are in, so the copies sit together and are freed together
+        // at commit.
+        let durable = self.durable.is_some();
+        let t = &self.tables[&key];
+        let records: Vec<UndoRecord> = positions
+            .into_iter()
+            .map(|pos| UndoRecord::InsertedRow {
                 table: key.clone(),
                 pos,
-                row,
-            });
+                row: durable.then(|| t.row(pos).cloned()).flatten(),
+            })
+            .collect();
+        for rec in records {
+            self.record_undo(rec);
         }
         if let Some(e) = failure {
             return Err(e);
