@@ -14,8 +14,8 @@
 //! one record holding its before-image and, on a durable database, its
 //! after-image: rollback and `ROLLBACK TO` pop records above a mark and
 //! undo them, and the commit encodes its WAL frame from the same records
-//! ([`UndoRecord::wal_ref`]), less its frame-local tables
-//! ([`frame_local`]). Id-counter moves are `NextId` records, logged on a
+//! (`UndoRecord::wal_ref`), less its frame-local tables
+//! (`frame_local`). Id-counter moves are `NextId` records, logged on a
 //! durable database only and skipped by undo (the counter is restored
 //! from the savepoint or the transaction's start).
 //!

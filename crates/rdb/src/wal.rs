@@ -3,7 +3,7 @@
 //! This module is pure encoding/decoding — it owns the byte format and
 //! nothing else. The engine decides *when* records are written and
 //! replayed: a commit encodes its frame straight from the transaction
-//! log (`crate::txn`), each record borrowed as a [`WalRef`], and
+//! log (`crate::txn`), each record borrowed as a `WalRef`, and
 //! `Database::open` decodes [`WalRecord`]s to replay. The checkpoint
 //! file the log is truncated against lives in `crate::storage::checkpoint`.
 //!
