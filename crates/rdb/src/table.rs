@@ -379,7 +379,7 @@ impl Table {
         let mut image = Table::from_parts(self.schema.clone(), self.slots.clone(), &[]);
         let retained = self.history.iter().rev().take_while(|(e, _)| *e > epoch);
         for rec in txn::table_records(open, &self.schema.name).chain(retained.map(|(_, r)| r)) {
-            image.undo_row(rec.clone());
+            image.undo_row(rec.before_image());
         }
         image.slots.into_iter().flatten().collect()
     }

@@ -171,6 +171,32 @@ impl UndoRecord {
         self
     }
 
+    /// A copy of a row record less its after-image: what undo reads,
+    /// without cloning what it would drop.
+    pub(crate) fn before_image(&self) -> Self {
+        match self {
+            UndoRecord::InsertedRow { table, pos, .. } => UndoRecord::InsertedRow {
+                table: table.clone(),
+                pos: *pos,
+                row: None,
+            },
+            UndoRecord::UpdatedCell {
+                table,
+                pos,
+                column,
+                old,
+                ..
+            } => UndoRecord::UpdatedCell {
+                table: table.clone(),
+                pos: *pos,
+                column: *column,
+                old: old.clone(),
+                new: None,
+            },
+            rec => rec.clone(),
+        }
+    }
+
     /// The WAL record of this effect, borrowed from the record: the
     /// physical row effect at its slot, the DDL text, or the id counter.
     /// `None` for a record logged without its after-image (an in-memory
