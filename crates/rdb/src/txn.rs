@@ -385,8 +385,16 @@ impl Database {
         // On a durable database every record is one the frame would
         // have held.
         let logged = self.durable.is_some() && !self.txn.log.is_empty();
+        // A `NextId` record in the log is one the WAL has not seen: this
+        // transaction's own, or one a failed flush before `BEGIN` left.
+        // Either way the durable counter lags and is re-asserted below.
+        let id_changed = self.next_id.get() != self.txn.start_next_id
+            || self
+                .txn
+                .log
+                .iter()
+                .any(|r| matches!(r, UndoRecord::NextId { .. }));
         self.rollback_to_mark(0);
-        let id_changed = self.next_id.get() != self.txn.start_next_id;
         self.next_id.set(self.txn.start_next_id);
         self.txn.reset();
         if logged {
@@ -403,7 +411,8 @@ impl Database {
         if id_changed {
             // Re-assert the id counter (rolled back in memory) so the
             // durable image converges with it immediately: the aborted
-            // transaction's NextId records were discarded with its frame.
+            // transaction's NextId records were discarded with its frame,
+            // along with any a failed flush before `BEGIN` left.
             self.log_next_id(self.next_id.get());
         }
         StatsCells::bump(&self.stats.txn_rollbacks, 1);

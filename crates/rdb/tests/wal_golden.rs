@@ -6,9 +6,11 @@
 //! `tmp_*` table created, indexed, filled and dropped inside the frame
 //! (left out of it), a statement that fails part-way, autocommitted id
 //! allocation (flushed on its own), an id allocation whose flush fails
-//! (its `NextId` rides in the next frame) and a full `ROLLBACK` (the
-//! abort marker and the re-asserted id counter). The `wal.bin` it leaves
-//! must equal `fixtures/wal_golden/wal.bin`.
+//! (its `NextId` rides in the next frame), a full `ROLLBACK` (the abort
+//! marker and the re-asserted id counter), and a failed flush followed by
+//! an empty transaction that rolls back (the buffered counter is
+//! re-asserted, not dropped). The `wal.bin` it leaves must equal
+//! `fixtures/wal_golden/wal.bin`.
 //!
 //! The failed flush is a real one: the test lowers this process's own
 //! file-size limit (`RLIMIT_FSIZE`) to ten bytes past the WAL's end, as
@@ -144,6 +146,12 @@ fn script(db: &mut Database) {
     db.allocate_ids(6);
     db.execute("ROLLBACK").unwrap();
 
+    // A failed flush, then a transaction that rolls back: the abort
+    // marker, then the buffered counter re-asserted on its own.
+    allocate_with_failed_flush(db, 2);
+    db.execute("BEGIN").unwrap();
+    db.execute("ROLLBACK").unwrap();
+
     db.execute("DROP TRIGGER cascade_del").unwrap();
 }
 
@@ -159,10 +167,10 @@ fn scripted_run_writes_the_golden_wal() {
     let s = db.stats();
     assert_eq!(
         (s.txn_commits, s.txn_rollbacks, s.undo_records),
-        (10, 3, 30),
+        (10, 4, 30),
         "commits, rollbacks, undo records"
     );
-    assert_eq!(db.peek_next_id(), 120);
+    assert_eq!(db.peek_next_id(), 122);
 
     let live = dump(&db);
     drop(db);
