@@ -245,17 +245,18 @@ impl Table {
 
     /// Undo one row record: the per-slot step of rollback and of a
     /// snapshot read's reconstruction. Catalog records are the engine's
-    /// and are ignored here.
-    pub(crate) fn undo_row(&mut self, rec: UndoRecord) {
+    /// and are ignored here. Only the before-image is cloned: a record's
+    /// after-image is the WAL's.
+    pub(crate) fn undo_row(&mut self, rec: &UndoRecord) {
         match rec {
-            UndoRecord::InsertedRow { pos, .. } => self.undo_insert(pos),
-            UndoRecord::DeletedRow { pos, row, .. } => self.restore_row(pos, row),
+            UndoRecord::InsertedRow { pos, .. } => self.undo_insert(*pos),
+            UndoRecord::DeletedRow { pos, row, .. } => self.restore_row(*pos, row.clone()),
             UndoRecord::UpdatedCell {
                 pos, column, old, ..
             } => {
                 // A vanished row means the log was corrupted; degrade to
                 // a no-op like the other arms.
-                let _ = self.update_cell(pos, column, old);
+                let _ = self.update_cell(*pos, *column, old.clone());
             }
             _ => {}
         }
@@ -379,7 +380,7 @@ impl Table {
         let mut image = Table::from_parts(self.schema.clone(), self.slots.clone(), &[]);
         let retained = self.history.iter().rev().take_while(|(e, _)| *e > epoch);
         for rec in txn::table_records(open, &self.schema.name).chain(retained.map(|(_, r)| r)) {
-            image.undo_row(rec.before_image());
+            image.undo_row(rec);
         }
         image.slots.into_iter().flatten().collect()
     }

@@ -171,32 +171,6 @@ impl UndoRecord {
         self
     }
 
-    /// A copy of a row record less its after-image: what undo reads,
-    /// without cloning what it would drop.
-    pub(crate) fn before_image(&self) -> Self {
-        match self {
-            UndoRecord::InsertedRow { table, pos, .. } => UndoRecord::InsertedRow {
-                table: table.clone(),
-                pos: *pos,
-                row: None,
-            },
-            UndoRecord::UpdatedCell {
-                table,
-                pos,
-                column,
-                old,
-                ..
-            } => UndoRecord::UpdatedCell {
-                table: table.clone(),
-                pos: *pos,
-                column: *column,
-                old: old.clone(),
-                new: None,
-            },
-            rec => rec.clone(),
-        }
-    }
-
     /// The WAL record of this effect, borrowed from the record: the
     /// physical row effect at its slot, the DDL text, or the id counter.
     /// `None` for a record logged without its after-image (an in-memory
@@ -384,16 +358,11 @@ impl Database {
         }
         // On a durable database every record is one the frame would
         // have held.
-        let logged = self.durable.is_some() && !self.txn.log.is_empty();
-        // A `NextId` record in the log is one the WAL has not seen: this
-        // transaction's own, or one a failed flush before `BEGIN` left.
-        // Either way the durable counter lags and is re-asserted below.
-        let id_changed = self.next_id.get() != self.txn.start_next_id
-            || self
-                .txn
-                .log
-                .iter()
-                .any(|r| matches!(r, UndoRecord::NextId { .. }));
+        let log = &self.txn.log;
+        let logged = self.durable.is_some() && !log.is_empty();
+        // A `NextId` record is one the WAL has not seen: this
+        // transaction's, or one a failed flush before `BEGIN` left.
+        let id_unlogged = log.iter().any(|r| matches!(r, UndoRecord::NextId { .. }));
         self.rollback_to_mark(0);
         self.next_id.set(self.txn.start_next_id);
         self.txn.reset();
@@ -408,7 +377,7 @@ impl Database {
             // The abort marker is not a commit, so it is not synced.
             let _ = self.wal_append(&buf, 1, false);
         }
-        if id_changed {
+        if id_unlogged {
             // Re-assert the id counter (rolled back in memory) so the
             // durable image converges with it immediately: the aborted
             // transaction's NextId records were discarded with its frame,
@@ -499,7 +468,7 @@ impl Database {
             | UndoRecord::UpdatedCell { .. } => {
                 let t = rec.row_table().and_then(|k| self.tables.get_mut(k));
                 if let Some(t) = t {
-                    t.undo_row(rec);
+                    t.undo_row(&rec);
                 }
             }
             UndoRecord::CreatedTable { name, .. } => {
