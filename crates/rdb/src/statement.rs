@@ -30,9 +30,10 @@ use std::time::Instant;
 /// `xmlup-e2e` (EXPERIMENTS.md "One statement entry"). The workloads'
 /// repeated shapes fit inside it: at 32 entries the traced seed-1 hit
 /// ratio is 0.99 on `bulk-dblp` and 0.80 on `oltp-mem`. It is not larger
-/// because single-use texts (the outer-union queries splice their root
-/// predicate) pile up in a full cache: at 512 entries the sizing runs
-/// found `query-mem` `op_p50_ms` 19 % worse in 9 of 9 pairs.
+/// because single-use texts (statements that splice a literal) pile up
+/// in a full cache: at 512 entries, measured when the outer-union
+/// queries still spliced their root filter, the sizing runs found
+/// `query-mem` `op_p50_ms` 19 % worse in 9 of 9 pairs.
 const PLAN_CACHE_CAPACITY: usize = 32;
 
 /// A statement compiled once and executable many times with bound

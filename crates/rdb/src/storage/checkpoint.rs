@@ -30,7 +30,8 @@ use crate::error::{DbError, Result};
 use crate::table::TableSchema;
 use crate::value::{DataType, Row};
 use crate::wal::{
-    crc32, put_i64, put_list, put_opt, put_row, put_str, put_u32, put_u64, read_frame, Reader,
+    crc32, put_i64, put_list, put_opt, put_row, put_str, put_u32, put_u64, read_frame, row_len,
+    Reader,
 };
 use std::fs;
 use std::io::Write;
@@ -54,7 +55,9 @@ pub type Snapshot = (CheckpointCatalog, Vec<Slots>);
 /// `catalog.tables[i]`.
 pub fn encode_snapshot(catalog: &CheckpointCatalog, slots: &[&[Option<Row>]]) -> Vec<u8> {
     assert_eq!(slots.len(), catalog.tables.len(), "one slot vector each");
-    let mut out = SNAP_MAGIC.to_vec();
+    let size = encoded_len(catalog, slots);
+    let mut out = Vec::with_capacity(size);
+    out.extend_from_slice(SNAP_MAGIC);
     out.extend_from_slice(&[0; 8]); // len + crc, patched once the body is known
     put_u64(&mut out, catalog.generation);
     put_i64(&mut out, catalog.next_id);
@@ -83,7 +86,37 @@ pub fn encode_snapshot(catalog: &CheckpointCatalog, slots: &[&[Option<Row>]]) ->
     let crc = crc32(&out[16..]);
     out[8..12].copy_from_slice(&len.to_le_bytes());
     out[12..16].copy_from_slice(&crc.to_le_bytes());
+    debug_assert_eq!(out.len(), size, "encoded_len is exact");
     out
+}
+
+/// The size of [`encode_snapshot`]'s output, so the encoder allocates
+/// once instead of regrowing a multi-megabyte buffer by doubling.
+fn encoded_len(catalog: &CheckpointCatalog, slots: &[&[Option<Row>]]) -> usize {
+    let str_len = |s: &str| 4 + s.len();
+    let tables: usize = catalog
+        .tables
+        .iter()
+        .zip(slots)
+        .map(|(t, table)| {
+            let names = str_len(&t.key) + str_len(&t.schema.name);
+            let columns = 4 + t
+                .schema
+                .columns
+                .iter()
+                .map(|c| str_len(&c.name) + 1)
+                .sum::<usize>();
+            let rows = 8 + table
+                .iter()
+                .map(|s| 1 + s.as_ref().map_or(0, row_len))
+                .sum::<usize>();
+            let indexed = 4 + 4 * t.indexed.len();
+            names + columns + rows + indexed + 1 // statistics presence byte
+        })
+        .sum();
+    let triggers: usize = catalog.triggers.iter().map(|sql| str_len(sql)).sum();
+    // magic, len + crc, generation, next_id, then the two counted lists.
+    8 + 8 + 8 + 8 + 4 + tables + 4 + triggers
 }
 
 /// Decode `snapshot.bin`.

@@ -233,6 +233,19 @@ pub(crate) fn put_row(out: &mut Vec<u8>, row: &Row) {
     put_list(out, row, put_value);
 }
 
+/// Bytes [`put_row`] writes for `row`.
+pub(crate) fn row_len(row: &Row) -> usize {
+    4 + row
+        .iter()
+        .map(|v| match v {
+            Value::Null => 1,
+            Value::Int(_) => 9,
+            Value::Str(s) => 5 + s.len(),
+            Value::Bool(_) => 2,
+        })
+        .sum::<usize>()
+}
+
 /// Strict cursor over a byte slice; every accessor fails on short input.
 pub(crate) struct Reader<'a> {
     bytes: &'a [u8],

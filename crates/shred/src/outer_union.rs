@@ -25,15 +25,26 @@ pub struct OuterUnionPlan {
     pub id_offsets: Vec<usize>,
     /// Total width of the wide tuple.
     pub width: usize,
-    /// The SQL text.
+    /// The SQL text. Each quoted string literal of the root filter is a
+    /// `?` here, so every filter of one shape yields the same text.
     pub sql: String,
+    /// The root filter's string literals, in text order: the values of
+    /// the `?`s that [`plan`] put in their place. Empty when the filter
+    /// holds no literal or was left as given (see [`lift_literals`]).
+    pub params: Vec<Value>,
 }
 
 /// Build the Sorted Outer Union query for the subtree of `mapping` rooted
 /// at relation `root_rel`, selecting root tuples that satisfy `filter`
 /// (a SQL boolean expression over the root relation's columns, e.g.
-/// `Name = 'John'`; `None` selects all).
+/// `Name = 'John'`; `None` selects all). The filter's string literals are
+/// lifted into [`OuterUnionPlan::params`], so `Name = 'John'` and
+/// `Name = 'Mary'` share one SQL text and one cached plan.
 pub fn plan(mapping: &Mapping, root_rel: usize, filter: Option<&str>) -> OuterUnionPlan {
+    let (filter, params) = match filter.map(lift_literals) {
+        Some((f, params)) => (Some(f), params),
+        None => (None, Vec::new()),
+    };
     let relations = mapping.subtree(root_rel);
     // Wide layout: for each relation, [id, data columns…].
     let mut id_offsets = Vec::with_capacity(relations.len());
@@ -57,7 +68,7 @@ pub fn plan(mapping: &Mapping, root_rel: usize, filter: Option<&str>) -> OuterUn
             select[own_off + 1 + ci] = format!("T.{}", col.name);
         }
         let body = if qi == 0 {
-            let where_clause = match filter {
+            let where_clause = match &filter {
                 Some(f) => format!(" WHERE {f}"),
                 None => String::new(),
             };
@@ -116,28 +127,89 @@ pub fn plan(mapping: &Mapping, root_rel: usize, filter: Option<&str>) -> OuterUn
         id_offsets,
         width,
         sql,
+        params,
     }
 }
 
-/// Execute an outer-union plan. The query is prepared against the
-/// engine's plan cache, so repeat executions of the same query text skip
-/// re-parsing the (large) Figure 5 query, DDL in between or not. A root
-/// filter that splices a literal makes one text per literal; bind it with
-/// [`execute_params`] to share one.
+/// Replace each quoted string literal of `filter` with `?` and return the
+/// new text with the literals' values in text order. One byte pass that
+/// follows the SQL lexer's string rule (`''` is an escaped quote). The
+/// filter comes back as given, with no values, when it already holds a
+/// `?`/`$n` placeholder outside a literal (its caller binds those), a
+/// comment, or an unterminated literal: the engine then sees, and
+/// rejects or binds, exactly the text it was given.
+fn lift_literals(filter: &str) -> (String, Vec<Value>) {
+    let untouched = || (filter.to_string(), Vec::new());
+    let b = filter.as_bytes();
+    let mut text = String::with_capacity(filter.len());
+    let mut params = Vec::new();
+    // `filter[copied..i]` is scanned text not yet in `text`.
+    let mut copied = 0;
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'?' | b'$' => return untouched(),
+            b'-' if b.get(i + 1) == Some(&b'-') => return untouched(),
+            b'/' if b.get(i + 1) == Some(&b'*') => return untouched(),
+            b'\'' => {
+                text.push_str(&filter[copied..i]);
+                let mut value = String::new();
+                i += 1;
+                let mut start = i;
+                loop {
+                    match b.get(i) {
+                        Some(b'\'') if b.get(i + 1) == Some(&b'\'') => {
+                            value.push_str(&filter[start..=i]);
+                            i += 2;
+                            start = i;
+                        }
+                        Some(b'\'') => break,
+                        Some(_) => i += 1,
+                        None => return untouched(),
+                    }
+                }
+                value.push_str(&filter[start..i]);
+                i += 1;
+                text.push('?');
+                params.push(Value::Str(value));
+                copied = i;
+            }
+            _ => i += 1,
+        }
+    }
+    text.push_str(&filter[copied..]);
+    (text, params)
+}
+
+/// Execute an outer-union plan, binding the root filter's lifted literals
+/// ([`OuterUnionPlan::params`]). The query is prepared against the
+/// engine's plan cache, so every root filter of one shape — whatever its
+/// literals — shares one parsed Figure 5 query and one plan slot; DDL in
+/// between only moves the slot's schema epoch, which replans once.
 pub fn execute(db: &mut Database, p: &OuterUnionPlan) -> Result<ResultSet> {
     execute_params(db, p, &[])
 }
 
 /// Execute an outer-union plan whose root filter contains `?`/`$n`
 /// placeholders (e.g. a plan built with `filter = Some("id = ?")`),
-/// binding `params` to them. Lets per-subtree fetch loops reuse one
-/// compiled plan across ids instead of parsing a fresh query per id.
+/// binding `params` to them after the plan's own lifted literals (a
+/// filter with placeholders has none). Lets per-subtree fetch loops reuse
+/// one compiled plan across ids instead of parsing a fresh query per id.
 pub fn execute_params(
     db: &mut Database,
     p: &OuterUnionPlan,
     params: &[Value],
 ) -> Result<ResultSet> {
     let stmt = db.prepare(&p.sql)?;
+    let joined: Vec<Value>;
+    let params = match (p.params.is_empty(), params.is_empty()) {
+        (true, _) => params,
+        (false, true) => &p.params,
+        (false, false) => {
+            joined = [&p.params[..], params].concat();
+            &joined
+        }
+    };
     Ok(db.query_prepared(&stmt, params)?)
 }
 
@@ -249,7 +321,9 @@ pub fn fetch_subtrees(
 
 /// [`fetch_subtrees`] with `?`/`$n` placeholders in the filter bound to
 /// `params` — e.g. `filter = Some("id = ?")` fetches one subtree per call
-/// while reusing a single compiled outer-union plan across ids.
+/// while reusing a single compiled outer-union plan across ids. A filter
+/// without placeholders needs no `params`: [`plan`] lifts its literals, so
+/// it shares one compiled plan with every filter of its shape.
 pub fn fetch_subtrees_params(
     db: &mut Database,
     mapping: &Mapping,
@@ -288,11 +362,168 @@ mod tests {
         let p = plan(&mapping, cust, Some("Name = 'John'"));
         assert!(p.sql.starts_with("WITH Q1("));
         assert!(p.sql.contains("UNION ALL"));
-        assert!(p.sql.contains("WHERE Name = 'John'"));
+        assert!(p.sql.contains("WHERE Name = ?"));
+        assert_eq!(p.params, vec![Value::Str("John".into())]);
         assert!(p.sql.contains("ORDER BY"));
         // Three levels: Customer, Order, OrderLine.
         assert_eq!(p.relations.len(), 3);
         assert!(p.sql.contains("Q3"));
+    }
+
+    /// Run `filter` through the outer union bound (as [`plan`] lifts it)
+    /// and spliced (as given), check that both return the same rows, and
+    /// return the bound plan with its rows.
+    fn bound_matches_spliced(
+        db: &mut Database,
+        mapping: &Mapping,
+        filter: &str,
+        params: &[Value],
+    ) -> (OuterUnionPlan, Vec<xmlup_rdb::Row>) {
+        let cust = mapping.relation_by_element("Customer").unwrap();
+        let bound = plan(mapping, cust, Some(filter));
+        let lifted = lift_literals(filter).0;
+        let spliced = OuterUnionPlan {
+            sql: bound.sql.replacen(
+                &format!(" WHERE {lifted})"),
+                &format!(" WHERE {filter})"),
+                1,
+            ),
+            params: Vec::new(),
+            ..bound.clone()
+        };
+        assert!(spliced.sql.contains(filter));
+        let rows = execute_params(db, &bound, params).unwrap().rows;
+        assert_eq!(rows, execute_params(db, &spliced, params).unwrap().rows);
+        (bound, rows)
+    }
+
+    /// Root rows (the `Customer` level) among outer-union rows: the
+    /// rows whose deeper id columns are all NULL.
+    fn roots(p: &OuterUnionPlan, rows: &[xmlup_rdb::Row]) -> usize {
+        rows.iter()
+            .filter(|r| p.id_offsets[1..].iter().all(|&o| r[o].is_null()))
+            .count()
+    }
+
+    fn strs(values: &[&str]) -> Vec<Value> {
+        values.iter().map(|v| Value::Str(v.to_string())).collect()
+    }
+
+    #[test]
+    fn lift_decodes_an_escaped_quote() {
+        let (mut db, mapping, _) = setup();
+        db.execute("UPDATE Customer SET Name = 'O''Brien' WHERE Name = 'Mary'")
+            .unwrap();
+        let (p, rows) = bound_matches_spliced(&mut db, &mapping, "Name = 'O''Brien'", &[]);
+        assert!(p.sql.contains("WHERE Name = ?)"));
+        assert_eq!(p.params, strs(&["O'Brien"]));
+        assert_eq!(roots(&p, &rows), 1);
+    }
+
+    #[test]
+    fn lift_keeps_placeholders_comments_and_keywords_inside_literals() {
+        let (mut db, mapping, _) = setup();
+        let odd = "a?b) -- $1 /* SELECT";
+        db.execute(&format!(
+            "UPDATE Customer SET Address_City = '{odd}' WHERE Name = 'Mary'"
+        ))
+        .unwrap();
+        let filter = format!("Address_City = '{odd}' OR Address_State = '$2' OR Name = 'WHERE'");
+        let (p, rows) = bound_matches_spliced(&mut db, &mapping, &filter, &[]);
+        assert!(p
+            .sql
+            .contains("WHERE Address_City = ? OR Address_State = ? OR Name = ?)"));
+        assert_eq!(p.params, strs(&[odd, "$2", "WHERE"]));
+        assert_eq!(roots(&p, &rows), 1);
+    }
+
+    #[test]
+    fn lift_binds_each_member_of_an_in_list() {
+        let (mut db, mapping, _) = setup();
+        let (p, rows) = bound_matches_spliced(&mut db, &mapping, "Name IN ('John', 'Mary')", &[]);
+        assert!(p.sql.contains("WHERE Name IN (?, ?))"));
+        assert_eq!(p.params, strs(&["John", "Mary"]));
+        assert_eq!(roots(&p, &rows), 3);
+    }
+
+    #[test]
+    fn lift_orders_params_as_placeholders_through_nested_subqueries() {
+        let (mut db, mapping, _) = setup();
+        let order = &mapping.relations[mapping.relation_by_element("Order").unwrap()].table;
+        let line = &mapping.relations[mapping.relation_by_element("OrderLine").unwrap()].table;
+        // The descendant shape `translate::query_filter_sql` emits for
+        // `Customer[Order[Status = 'ready']/OrderLine[ItemName = 'tire']]`.
+        let filter = format!(
+            "Address_State = 'CA' AND id IN (SELECT parentId FROM {order} WHERE Status = 'ready' \
+             AND id IN (SELECT parentId FROM {line} WHERE ItemName = 'tire'))"
+        );
+        let (p, rows) = bound_matches_spliced(&mut db, &mapping, &filter, &[]);
+        assert_eq!(p.params, strs(&["CA", "ready", "tire"]));
+        // Mary (CA) has a ready order with a tire; John of Seattle is not
+        // in CA, and the other John has no orders.
+        assert_eq!(roots(&p, &rows), 1);
+        // Swapping two values must change the answer: binding is by
+        // position, not by value.
+        let swapped = filter
+            .replace("'ready'", "'tire'")
+            .replacen("'tire'))", "'ready'))", 1);
+        let (_, none) = bound_matches_spliced(&mut db, &mapping, &swapped, &[]);
+        assert_eq!(roots(&p, &none), 0);
+    }
+
+    #[test]
+    fn lift_binds_an_empty_string() {
+        let (mut db, mapping, _) = setup();
+        db.execute("UPDATE Customer SET Address_City = '' WHERE Address_City = 'Sacramento'")
+            .unwrap();
+        let (p, rows) = bound_matches_spliced(&mut db, &mapping, "Address_City = ''", &[]);
+        assert_eq!(p.params, strs(&[""]));
+        assert_eq!(roots(&p, &rows), 1);
+    }
+
+    #[test]
+    fn filter_without_literal_is_unchanged() {
+        let (mut db, mapping, _) = setup();
+        let (p, rows) = bound_matches_spliced(&mut db, &mapping, "id > 1", &[]);
+        assert!(p.sql.contains("WHERE id > 1)"));
+        assert!(p.params.is_empty());
+        assert!(roots(&p, &rows) >= 2);
+    }
+
+    #[test]
+    fn caller_placeholders_stay_unlifted_and_bind_the_callers_params() {
+        let (mut db, mapping, _) = setup();
+        let mary = db
+            .query("SELECT id FROM Customer WHERE Name = 'Mary'")
+            .unwrap()
+            .rows[0][0]
+            .clone();
+        let (p, rows) =
+            bound_matches_spliced(&mut db, &mapping, "id = ?", std::slice::from_ref(&mary));
+        assert!(p.sql.contains("WHERE id = ?)"));
+        assert!(p.params.is_empty());
+        assert_eq!(roots(&p, &rows), 1);
+        // A literal beside a caller's placeholder stays spliced too.
+        let (p, rows) =
+            bound_matches_spliced(&mut db, &mapping, "Name = 'Mary' AND id = $1", &[mary]);
+        assert!(p.sql.contains("WHERE Name = 'Mary' AND id = $1)"));
+        assert!(p.params.is_empty());
+        assert_eq!(roots(&p, &rows), 1);
+    }
+
+    #[test]
+    fn filters_of_one_shape_share_one_text() {
+        let (_, mapping, _) = setup();
+        let cust = mapping.relation_by_element("Customer").unwrap();
+        let john = plan(&mapping, cust, Some("Name = 'John'"));
+        let mary = plan(&mapping, cust, Some("Name = 'Mary'"));
+        assert_eq!(john.sql, mary.sql);
+        assert_ne!(john.params, mary.params);
+        // An unterminated literal does not scan: left for the engine to
+        // reject.
+        let bad = plan(&mapping, cust, Some("Name = 'John"));
+        assert!(bad.sql.contains("WHERE Name = 'John)"));
+        assert!(bad.params.is_empty());
     }
 
     #[test]
